@@ -274,7 +274,7 @@ def _convert_record(rec: dict, direction: str, transform: RigidTransform) -> dic
     else:
         src = PlanePoint(float(point[0]), float(point[1]), frame=FRAME_SCREEN_PLANE)
         dst = pog_to_pogz(src, gaze, transform)
-        out_gaze = transform.inverse.apply_direction(gaze)
+        out_gaze = transform.apply_inverse_direction(gaze)
     return {
         "point": [dst.x, dst.y],
         "gaze": [float(v) for v in out_gaze],

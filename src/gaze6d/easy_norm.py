@@ -25,6 +25,9 @@ from .errors import GeometryError
 # below this angle (radians) the face is on-axis and the rotation is identity
 PARALLEL_EPS = 1e-12
 
+_EYE3 = np.eye(3)
+_ORTHO_TOL = 1e-9 + 1e-5 * _EYE3
+
 
 @dataclass(frozen=True)
 class AxisAngle:
@@ -57,10 +60,13 @@ class Rotation3:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float).reshape(3, 3)
         object.__setattr__(self, "matrix", m)
-        if not np.allclose(m.T @ m, np.eye(3), atol=1e-9):
+        # np.allclose / np.isclose(atol=1e-9, rtol=1e-5) against I and 1,
+        # each as one comparison; NaN fails both
+        if not (np.abs(m.T @ m - _EYE3) <= _ORTHO_TOL).all():
             raise GeometryError("matrix is not orthonormal")
-        if not np.isclose(np.linalg.det(m), 1.0, atol=1e-9):
-            raise GeometryError(f"matrix determinant {np.linalg.det(m):.6f} != 1")
+        det = np.linalg.det(m)
+        if not abs(det - 1.0) <= 1e-9 + 1e-5:
+            raise GeometryError(f"matrix determinant {det:.6f} != 1")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)

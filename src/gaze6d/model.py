@@ -27,8 +27,10 @@ along -z (toward the camera) and positive pitch looks up.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,22 +117,10 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class ModelParams:
-    """Named weight arrays plus the architecture description."""
-
-    config: ModelConfig
-    arrays: dict[str, np.ndarray]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
-
-
-def init_params(config: ModelConfig = ModelConfig(), seed: int = 0) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); biases zero except depth."""
-    rng = np.random.default_rng(seed)
+def _layer_dims(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Affine layer -> (outputs, fan_in), in parameter order."""
     h, e = config.hidden, config.embed
-    dims = {
+    return {
         "gaze1": (h, config.dir_hi - config.dir_lo),
         "gaze2": (e, h),
         "pose1": (h, config.pose_hi - config.pose_lo),
@@ -144,12 +134,73 @@ def init_params(config: ModelConfig = ModelConfig(), seed: int = 0) -> ModelPara
         "head_r": (2, 2 * e),
         "head_depth": (1, e),
     }
-    arrays: dict[str, np.ndarray] = {}
-    for name, (out, fan_in) in dims.items():
-        arrays[name + "_w"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out, fan_in))
-        arrays[name + "_b"] = np.zeros(out)
-    arrays["head_depth_b"][0] = config.depth_bias
-    return ModelParams(config, arrays)
+
+
+@dataclass(frozen=True)
+class ParamLayout:
+    """Where each named weight array lives in the flat parameter vector."""
+
+    entries: tuple[tuple[str, slice, tuple[int, ...]], ...]   # (name, span, shape), in order
+    size: int
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of its array in `flat`."""
+        if flat.shape != (self.size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ConfigError(f"expected a contiguous float64 vector of {self.size} params, "
+                              f"got {flat.dtype} {flat.shape}")
+        # a bias needs no reshape, and backward makes these views every step
+        return {name: flat[span] if len(shape) == 1 else flat[span].reshape(shape)
+                for name, span, shape in self.entries}
+
+    def mask(self, names) -> np.ndarray:
+        """Boolean vector marking the entries of the named arrays."""
+        out = np.zeros(self.size, dtype=bool)
+        for name, span, _ in self.entries:
+            if name in names:
+                out[span] = True
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def param_layout(config: ModelConfig) -> ParamLayout:
+    """The flat layout of `config`'s params: each layer's weight, then its bias."""
+    entries, size = [], 0
+    for layer, (out, fan_in) in _layer_dims(config).items():
+        for name, shape in ((layer + "_w", (out, fan_in)), (layer + "_b", (out,))):
+            n = math.prod(shape)
+            entries.append((name, slice(size, size + n), shape))
+            size += n
+    return ParamLayout(tuple(entries), size)
+
+
+@dataclass
+class ModelParams:
+    """The architecture description plus every weight in one contiguous
+    float64 vector; `arrays` maps each name to its view into `flat`."""
+
+    config: ModelConfig
+    flat: np.ndarray
+    arrays: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.arrays = self.layout.views(self.flat)
+
+    @property
+    def layout(self) -> ParamLayout:
+        return param_layout(self.config)
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.config, self.flat.copy())
+
+
+def init_params(config: ModelConfig = ModelConfig(), seed: int = 0) -> ModelParams:
+    """Gaussian init scaled by 1/sqrt(fan_in); biases zero except depth."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams(config, np.zeros(param_layout(config).size))
+    for name, (out, fan_in) in _layer_dims(config).items():
+        params.arrays[name + "_w"][...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out, fan_in))
+    params.arrays["head_depth_b"][0] = config.depth_bias
+    return params
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -157,24 +208,52 @@ def save_params(params: ModelParams, path) -> None:
         "format_version": 1,
         "model_config": params.config.to_dict(),
         "arrays": {
-            k: {"shape": list(v.shape), "data": [float(x) for x in v.reshape(-1)]}
+            k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
             for k, v in params.arrays.items()
         },
     }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+        f.write(json.dumps(doc, sort_keys=True))
 
 
 def load_params(path) -> ModelParams:
+    """Read a params file written by save_params.
+
+    The arrays must match, name for name and shape for shape, the layout
+    that the file's model_config implies, and every value must be finite;
+    anything else is a ConfigError naming the file.
+    """
     with open(path) as f:
         doc = json.load(f)
+    try:
+        return _params_from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # ConfigError too
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _params_from_doc(doc: dict) -> ModelParams:
     if doc.get("format_version") != 1:
-        raise ConfigError(f"{path}: unsupported params format {doc.get('format_version')}")
-    arrays = {
-        k: np.array(v["data"], dtype=float).reshape(v["shape"])
-        for k, v in doc["arrays"].items()
-    }
-    return ModelParams(ModelConfig.from_dict(doc["model_config"]), arrays)
+        raise ConfigError(f"unsupported params format {doc.get('format_version')}")
+    config = ModelConfig.from_dict(doc["model_config"])
+    if not np.isfinite([config.pogz_gain, config.depth_bias]).all():
+        raise ConfigError("model_config has a non-finite pogz_gain or depth_bias")
+    stored = doc["arrays"]
+    params = ModelParams(config, np.empty(param_layout(config).size))
+    if set(stored) != set(params.arrays):
+        raise ConfigError(f"arrays do not match model_config: missing "
+                          f"{sorted(set(params.arrays) - set(stored))}, "
+                          f"unexpected {sorted(set(stored) - set(params.arrays))}")
+    for name, view in params.arrays.items():
+        shape, data = stored[name]["shape"], stored[name]["data"]
+        if list(shape) != list(view.shape) or len(data) != view.size:
+            raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
+                              f"model_config needs shape {list(view.shape)}")
+        view.reshape(-1)[:] = data
+        if not np.isfinite(view).all():
+            raise ConfigError(f"array {name} has non-finite values")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +540,22 @@ def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
     return total, terms
 
 
+class Gradients(dict):
+    """Param name -> gradient array; every array is a view into `flat`, one
+    contiguous vector laid out like the params' `flat`."""
+
+    def __init__(self, views: dict[str, np.ndarray], flat: np.ndarray):
+        super().__init__(views)
+        self.flat = flat
+
+
 def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     """Analytic gradients of the batch loss.
 
-    Returns (grads, total, per-task breakdown).  Gradients of heads whose
-    task weight is zero are identically zero; the L1 subgradient at zero
-    residual is taken as 0.
+    Returns (grads, total, per-task breakdown); grads maps each param name to
+    its view into one flat gradient vector, `grads.flat`, laid out like
+    `params.flat`.  Gradients of heads whose task weight is zero are
+    identically zero; the L1 subgradient at zero residual is taken as 0.
     """
     p, cfg = params.arrays, params.config
     c = _forward_arrays(params, batch.features, batch.ray)
@@ -490,17 +579,21 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     d_depth = (d_face * batch.ray).sum(axis=1, keepdims=True)
     d_draw = d_depth * _sigmoid(c["d_raw"])
 
-    g = {}
-    g["head_gn_w"] = d_gn.T @ c["Ed"]
-    g["head_gn_b"] = d_gn.sum(axis=0)
-    g["head_go_w"] = d_go.T @ c["C"]
-    g["head_go_b"] = d_go.sum(axis=0)
-    g["head_pogz_w"] = d_pz.T @ c["C"]
-    g["head_pogz_b"] = d_pz.sum(axis=0)
-    g["head_r_w"] = d_r.T @ c["C"]
-    g["head_r_b"] = d_r.sum(axis=0)
-    g["head_depth_w"] = d_draw.T @ c["Epos"]
-    g["head_depth_b"] = d_draw.sum(axis=0)
+    # every gradient is written in place into its view of one flat vector
+    layout = params.layout
+    gflat = np.empty(layout.size)
+    g = Gradients(layout.views(gflat), gflat)
+
+    np.matmul(d_gn.T, c["Ed"], out=g["head_gn_w"])
+    d_gn.sum(axis=0, out=g["head_gn_b"])
+    np.matmul(d_go.T, c["C"], out=g["head_go_w"])
+    d_go.sum(axis=0, out=g["head_go_b"])
+    np.matmul(d_pz.T, c["C"], out=g["head_pogz_w"])
+    d_pz.sum(axis=0, out=g["head_pogz_b"])
+    np.matmul(d_r.T, c["C"], out=g["head_r_w"])
+    d_r.sum(axis=0, out=g["head_r_b"])
+    np.matmul(d_draw.T, c["Epos"], out=g["head_depth_w"])
+    d_draw.sum(axis=0, out=g["head_depth_b"])
 
     e = cfg.embed
     d_C = d_go @ p["head_go_w"] + d_pz @ p["head_pogz_w"] + d_r @ p["head_r_w"]
@@ -509,25 +602,25 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
 
     # fusion block
     d_fuse_pre = d_Epos * (1.0 - c["Epos"] ** 2)
-    g["fuse_w"] = d_fuse_pre.T @ c["Cpb"]
-    g["fuse_b"] = d_fuse_pre.sum(axis=0)
+    np.matmul(d_fuse_pre.T, c["Cpb"], out=g["fuse_w"])
+    d_fuse_pre.sum(axis=0, out=g["fuse_b"])
     d_Cpb = d_fuse_pre @ p["fuse_w"]
     d_Ep, d_Eb = d_Cpb[:, :e], d_Cpb[:, e:]
 
     def encoder_grads(prefix: str, X, H1, E, d_E):
         d2 = d_E * (1.0 - E ** 2)
-        g[prefix + "2_w"] = d2.T @ H1
-        g[prefix + "2_b"] = d2.sum(axis=0)
+        np.matmul(d2.T, H1, out=g[prefix + "2_w"])
+        d2.sum(axis=0, out=g[prefix + "2_b"])
         d1 = (d2 @ p[prefix + "2_w"]) * (1.0 - H1 ** 2)
-        g[prefix + "1_w"] = d1.T @ X
-        g[prefix + "1_b"] = d1.sum(axis=0)
+        np.matmul(d1.T, X, out=g[prefix + "1_w"])
+        d1.sum(axis=0, out=g[prefix + "1_b"])
 
     encoder_grads("gaze", c["Xd"], c["G1"], c["Ed"], d_Ed)
     encoder_grads("pose", c["Xp"], c["P1"], c["Ep"], d_Ep)
     encoder_grads("box", c["Xb"], c["B1"], c["Eb"], d_Eb)
 
     for name in weights.frozen_params():
-        g[name] = np.zeros_like(p[name])
+        g[name].fill(0.0)
     return g, total, terms
 
 
@@ -538,20 +631,18 @@ def gradient_check(params: ModelParams, batch: Batch, weights: LossWeights, h: f
     into an absolute one for near-zero gradient entries.
     """
     grads, _, _ = backward(params, batch, weights)
+    flat, gflat = params.flat, grads.flat
     worst = 0.0
-    for name, arr in params.arrays.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = batch_loss(params, batch, weights)
-            flat[i] = orig - h
-            down, _ = batch_loss(params, batch, weights)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            rel = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-4)
-            worst = max(worst, rel)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up, _ = batch_loss(params, batch, weights)
+        flat[i] = orig - h
+        down, _ = batch_loss(params, batch, weights)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        rel = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-4)
+        worst = max(worst, rel)
     return worst
 
 
@@ -592,28 +683,34 @@ def make_gradcheck_batch(params: ModelParams, seed: int = 0, n: int = 8) -> Batc
 
 
 class Adam:
-    """Adam with bias correction; frozen arrays are skipped entirely."""
+    """Adam with bias correction (Kingma & Ba, ICLR 2015) over params.flat.
 
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float,
+    Each step applies the per-element update to the whole flat vector at
+    once; entries of the `frozen` arrays are skipped entirely, so they and
+    their moments never change.
+    """
+
+    def __init__(self, params: ModelParams, lr: float, frozen=frozenset(),
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.flat = params.flat
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        # the entries that move: all of them, or those outside the frozen arrays
+        self.live = np.flatnonzero(~params.layout.mask(frozen)) if frozen else slice(None)
 
-    def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             frozen: set[str] = frozenset()) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """Update the params from the flat gradient vector `grad`."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for k, a in arrays.items():
-            if k in frozen:
-                continue
-            gk = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * gk
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * gk * gk
-            a -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+        live = self.live
+        g = grad[live]
+        m = self.m[live] = self.beta1 * self.m[live] + (1.0 - self.beta1) * g
+        v = self.v[live] = self.beta2 * self.v[live] + (1.0 - self.beta2) * g * g
+        self.flat[live] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -651,8 +748,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     max_steps caps the total number of parameter updates across epochs, so a
     budget can be held fixed while the dataset size varies.
     """
-    frozen = weights.frozen_params()
-    opt = Adam(params.arrays, lr)
+    opt = Adam(params, lr, frozen=weights.frozen_params())
     history: list[EpochStats] = []
     n = len(data)
     steps = 0
@@ -666,7 +762,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
             grads, total, _ = backward(params, data.subset(idx), weights)
             if not np.isfinite(total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch offset {lo}")
-            opt.step(params.arrays, grads, frozen)
+            opt.step(grads.flat)
             loss_sum += total * len(idx)
             seen += len(idx)
             steps += 1

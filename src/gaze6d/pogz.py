@@ -65,6 +65,16 @@ class RigidTransform:
         rt = self.rotation.matrix.T
         return RigidTransform(Rotation3(rt), -rt @ self.translation)
 
+    # the inverse motion p = R^T p' - R^T t, applied without building (and
+    # validating) a new transform; same arithmetic as `inverse`'s methods
+
+    def apply_inverse_point(self, p: np.ndarray) -> np.ndarray:
+        rt = self.rotation.matrix.T
+        return rt @ np.asarray(p, dtype=float) + (-rt @ self.translation)
+
+    def apply_inverse_direction(self, d: np.ndarray) -> np.ndarray:
+        return self.rotation.matrix.T @ np.asarray(d, dtype=float)
+
     def to_dict(self) -> dict:
         return {"R": [float(v) for v in self.rotation.matrix.reshape(9)],
                 "t": [float(v) for v in self.translation]}
@@ -128,7 +138,6 @@ def pog_to_pogz(pog: PlanePoint, g_s: np.ndarray, cam_to_screen: RigidTransform)
     """Inverse of pogz_to_pog; the gaze direction is given in the screen frame."""
     if pog.frame != FRAME_SCREEN_PLANE:
         raise FrameMismatchError(f"expected a {FRAME_SCREEN_PLANE} point, got {pog.frame}")
-    screen_to_cam = cam_to_screen.inverse
-    origin_c = screen_to_cam.apply_point([pog.x, pog.y, 0.0])
-    g_o = screen_to_cam.apply_direction(g_s)
+    origin_c = cam_to_screen.apply_inverse_point([pog.x, pog.y, 0.0])
+    g_o = cam_to_screen.apply_inverse_direction(g_s)
     return _intersect_z0(origin_c, g_o, FRAME_CAMERA_PLANE)

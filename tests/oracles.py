@@ -5,6 +5,8 @@ rotations go through quaternions instead of Rodrigues, plane intersections
 solve the general parametric form instead of the z=0 special case.
 """
 
+import json
+
 import numpy as np
 
 
@@ -85,3 +87,44 @@ def monte_carlo_noise_floor_deg(sigma, n=200_000, seed=123):
     va, vb = vecs(yaw, pitch), vecs(nyaw, npitch)
     dots = np.clip(np.sum(va * vb, axis=1), -1.0, 1.0)
     return float(np.degrees(np.arccos(dots)).mean())
+
+
+class PerArrayAdam:
+    """Adam as a loop over named arrays, one small update per array.
+
+    The package's optimizer runs the same per-element expressions once over
+    a flat parameter vector; it must match this loop bit for bit.
+    """
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+
+    def step(self, arrays, grads, frozen=frozenset()):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for k, a in arrays.items():
+            if k in frozen:
+                continue
+            gk = grads[k]
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * gk
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * gk * gk
+            a -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+
+
+def params_json_per_float(params, path):
+    """A params file written one Python float at a time through json.dump."""
+    doc = {
+        "format_version": 1,
+        "model_config": params.config.to_dict(),
+        "arrays": {
+            k: {"shape": list(v.shape), "data": [float(x) for x in v.reshape(-1)]}
+            for k, v in params.arrays.items()
+        },
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True)

@@ -166,6 +166,37 @@ def test_eval_with_screen_transform(tmp_path, capsys):
     assert not last.endswith(",")  # PoG column populated
 
 
+def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
+    from gaze6d.model import ModelConfig, init_params, save_params
+
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "5", "--seed", "2", "--out", str(gen))
+    calib = tmp_path / "calib"
+    run("gen", "--mode", "calibration", "--subjects", "1", "--frames", "5",
+        "--seed", "2", "--out", str(calib))
+    # arrays 32 wide under a model_config that says 16
+    narrow = tmp_path / "narrow.json"
+    save_params(init_params(seed=0), narrow)
+    doc = json.loads(narrow.read_text())
+    doc["model_config"] = ModelConfig(hidden=16).to_dict()
+    narrow.write_text(json.dumps(doc))
+    nan = tmp_path / "nan.json"
+    params = init_params(seed=0)
+    params.arrays["fuse_w"][1, 2] = np.nan
+    save_params(params, nan)
+    capsys.readouterr()
+
+    for bad in (narrow, nan):
+        assert run("eval", "--params", str(bad), "--data", str(gen / "dataset.jsonl"),
+                   "--out", str(tmp_path / "eval")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert run("finetune", "--params", str(bad), "--calib", str(calib / "dataset.jsonl"),
+                   "--out", str(tmp_path / "ft")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "ft" / "params_subject_0.json").exists()
+
+
 def run_convert(monkeypatch, capsys, argv, lines):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = cli.main(argv)

@@ -82,6 +82,36 @@ def test_rotation3_validation():
         Rotation3(np.eye(3) * 2.0)
     with pytest.raises(GeometryError):
         Rotation3(-np.eye(3))  # det -1
+    with pytest.raises(GeometryError):
+        Rotation3(np.full((3, 3), np.nan))
+    nan_corner = np.eye(3)
+    nan_corner[2, 2] = np.nan
+    with pytest.raises(GeometryError):
+        Rotation3(nan_corner)
+
+
+def test_rotation3_tolerance_edges():
+    # orthonormality: |M^T M - I| <= 1e-9 + 1e-5 I, so diagonal entries get
+    # the relative slack and off-diagonal ones only the absolute 1e-9
+    def stretched(excess):  # M^T M = I + excess at [0, 0]; det ~ 1 + excess / 2
+        return np.diag([np.sqrt(1.0 + excess), 1.0, 1.0])
+
+    def sheared(s):  # M^T M has s off the diagonal; det exactly 1
+        m = np.eye(3)
+        m[0, 1] = s
+        return m
+
+    Rotation3(stretched(0.99e-5))
+    with pytest.raises(GeometryError, match="orthonormal"):
+        Rotation3(stretched(1.01e-5))
+    Rotation3(sheared(0.9e-9))
+    with pytest.raises(GeometryError, match="orthonormal"):
+        Rotation3(sheared(1.1e-9))
+    # determinant: |det - 1| <= 1e-9 + 1e-5; a uniform scale passes the
+    # orthonormality check first and then fails this one
+    Rotation3(np.eye(3) * (1.0 + 0.33e-5))
+    with pytest.raises(GeometryError, match="determinant"):
+        Rotation3(np.eye(3) * (1.0 + 0.45e-5))
 
 
 def test_rotation_orthonormality():

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
 from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
 from gaze6d.model import (TASKS, Adam, Batch, LossWeights, ModelConfig,
@@ -90,6 +92,57 @@ def test_params_save_load_round_trip(tmp_path):
     blob = json.loads(path.read_text())
     assert blob["format_version"] == 1
     assert set(blob["arrays"]) == set(params.arrays)
+
+
+def test_params_are_views_of_one_flat_vector():
+    params = init_params(seed=9)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(v.size for v in params.arrays.values())
+    params.flat[:] = np.arange(params.flat.size)
+    # layout order: each layer's weight, then its bias
+    assert params.arrays["gaze1_w"].flat[0] == 0.0
+    assert params.arrays["head_depth_b"][0] == params.flat.size - 1
+    copy = params.copy()
+    copy.arrays["fuse_w"][0, 0] = -1.0
+    assert params.arrays["fuse_w"][0, 0] != -1.0
+
+
+def test_save_params_bytes_match_per_float_json(tmp_path):
+    params, _ = train(TrainConfig(epochs=1, batch_size=8, seed=0),
+                      make_dataset(tmp_path, n_subjects=1, n_frames=10))
+    save_params(params, tmp_path / "new.json")
+    oracles.params_json_per_float(params, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def write_params_doc(path, edit):
+    """Save init params, apply `edit` to the parsed document, write it back."""
+    save_params(init_params(seed=9), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    # arrays are 32 wide, the config says 16
+    (lambda d: d["model_config"].update(hidden=16), "gaze1_w has shape [32, 2]"),
+    (lambda d: d["arrays"].pop("fuse_b"), "missing ['fuse_b']"),
+    (lambda d: d["arrays"].update(extra_w=d["arrays"]["fuse_b"]), "unexpected ['extra_w']"),
+    (lambda d: d["arrays"]["head_r_b"]["data"].pop(), "head_r_b has shape [2] and 1 values"),
+    (lambda d: d["arrays"]["head_gn_w"]["data"].__setitem__(3, float("nan")), "head_gn_w has non-finite"),
+    (lambda d: d["arrays"]["box1_b"]["data"].__setitem__(0, float("inf")), "box1_b has non-finite"),
+    (lambda d: d["model_config"].update(pogz_gain=float("nan")), "non-finite pogz_gain"),
+    (lambda d: d["model_config"].update(width=3), "width"),
+    (lambda d: d.pop("arrays"), "missing key 'arrays'"),
+    (lambda d: d.update(format_version=2), "unsupported params format 2"),
+])
+def test_load_params_rejects_what_the_layout_does_not_hold(tmp_path, edit, message):
+    path = write_params_doc(tmp_path / "params.json", edit)
+    with pytest.raises(ConfigError) as info:
+        load_params(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
 
 
 def zero_params(config=ModelConfig()):
@@ -252,12 +305,32 @@ def test_gradient_at_exact_labels_is_zero_for_heads():
 def test_adam_skips_frozen():
     params = init_params(seed=7)
     before = params.arrays["head_pogz_w"].copy()
-    opt = Adam(params.arrays, lr=0.1)
-    grads = {k: np.ones_like(v) for k, v in params.arrays.items()}
-    opt.step(params.arrays, grads, frozen={"head_pogz_w"})
+    opt = Adam(params, lr=0.1, frozen={"head_pogz_w"})
+    opt.step(np.ones_like(params.flat))
     assert np.array_equal(params.arrays["head_pogz_w"], before)
     assert not np.array_equal(params.arrays["head_gn_w"],
                               init_params(seed=7).arrays["head_gn_w"])
+
+
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(pogz=0.0)])
+def test_adam_matches_per_array_reference(weights):
+    params = init_params(seed=5)
+    batch = make_gradcheck_batch(params, seed=1)
+    frozen = weights.frozen_params()
+    ref = {k: v.copy() for k, v in params.arrays.items()}
+    ref_opt = oracles.PerArrayAdam(ref, lr=1e-2)
+    opt = Adam(params, lr=1e-2, frozen=frozen)
+    for _ in range(20):
+        grads, _, _ = backward(params, batch, weights)
+        opt.step(grads.flat)
+        ref_params = ModelParams(params.config, np.concatenate([a.reshape(-1) for a in ref.values()]))
+        ref_grads, _, _ = backward(ref_params, batch, weights)
+        ref_opt.step(ref, ref_grads, frozen)
+        for k in ref:
+            assert np.array_equal(params.arrays[k], ref[k]), k
+    untouched = init_params(seed=5)
+    for k in params.arrays:
+        assert np.array_equal(params.arrays[k], untouched.arrays[k]) == (k in frozen), k
 
 
 # ---------------------------------------------------------------------------

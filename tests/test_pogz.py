@@ -189,3 +189,13 @@ def test_inverse_transform():
         tr = random_transform(rng)
         p = rng.uniform(-100, 100, size=3)
         assert np.max(np.abs(tr.inverse.apply_point(tr.apply_point(p)) - p)) < 1e-9
+
+
+def test_apply_inverse_matches_inverse_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        tr = random_transform(rng)
+        p, d = rng.uniform(-300, 300, size=3), rng.normal(size=3)
+        inv = tr.inverse
+        assert np.array_equal(tr.apply_inverse_point(p), inv.apply_point(p))
+        assert np.array_equal(tr.apply_inverse_direction(d), inv.apply_direction(d))
