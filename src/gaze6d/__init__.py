@@ -19,9 +19,10 @@ from .errors import (BehindCameraError, ConfigError, FrameMismatchError,
                      RayParallelError, TrainingDiverged)
 from .metrics import EvalReport, SubjectStats, angular_error, evaluate, pog_error
 from .model import (LossWeights, ModelConfig, ModelParams, MultiTaskOutput,
-                    SixDofPrediction, TrainConfig, euler_from_vec, fine_tune,
-                    forward, gradient_check, init_params, load_params,
-                    predict_6dof, save_params, train, vec_from_euler)
+                    SixDofPrediction, TrainConfig, angular_deg, euler_from_vec,
+                    fine_tune, forward, forward_batch, gradient_check,
+                    init_params, load_params, predict_6dof, save_params,
+                    train, vec_from_euler)
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, RAY_EPS,
                    PlanePoint, RigidTransform, pog_to_pogz, pogz_from_ray,
                    pogz_to_pog)
@@ -41,10 +42,11 @@ __all__ = [
     "MultiTaskOutput", "PARALLEL_EPS", "PlanePoint", "Point3", "RAY_EPS",
     "RayParallelError", "RigidTransform", "Rotation3", "SceneConfig",
     "SixDofPrediction", "Subject", "SubjectStats", "TrainConfig",
-    "TrainingDiverged", "angular_error", "backproject",
+    "TrainingDiverged", "angular_deg", "angular_error", "backproject",
     "build_calibration_set", "calibration_view", "denormalize_gaze",
     "derive_calibration_label",
-    "euler_from_vec", "evaluate", "fine_tune", "forward", "generate_dataset",
+    "euler_from_vec", "evaluate", "fine_tune", "forward", "forward_batch",
+    "generate_dataset",
     "gradient_check", "init_params", "load_dataset", "load_params",
     "make_subjects", "norm_rotation", "normalize_gaze", "pog_error",
     "pog_to_pogz", "pogz_from_ray", "pogz_to_pog", "predict_6dof", "project",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import FrameMismatchError, GeometryError, RayParallelError
 from .pogz import FRAME_CAMERA_PLANE, PlanePoint, RigidTransform, pogz_to_pog
-from . import model as _model
+from .model import Batch, angular_deg, forward_batch, vec_from_euler
 
 
 def angular_error(g_a, g_b) -> float:
@@ -100,18 +100,18 @@ def evaluate(params, dataset, screen_transform: RigidTransform | None = None) ->
     samples = dataset.samples
     if not samples:
         raise GeometryError("cannot evaluate an empty dataset")
-    batch = _model.Batch.from_samples(samples, dataset.intrinsics)
-    c = _model._forward_arrays(params, batch.features, batch.ray)
+    batch = Batch.from_samples(samples, dataset.intrinsics)
+    c = forward_batch(params, batch.features, batch.ray)
 
-    gn_deg = _model._angular_deg(c["g_n"], batch.labels["g_n"])
-    go_deg = _model._angular_deg(c["g_o"], batch.labels["g_o"])
+    gn_deg = angular_deg(c["g_n"], batch.labels["g_n"])
+    go_deg = angular_deg(c["g_o"], batch.labels["g_o"])
     pogz_mm = np.linalg.norm(c["pogz"] - batch.labels["pogz"], axis=1)
 
     pog_mm = None
     if screen_transform is not None:
         pog_mm = np.full(len(samples), np.nan)
-        pred_dirs = _model._vecs_from_euler(c["g_o"])
-        true_dirs = _model._vecs_from_euler(batch.labels["g_o"])
+        pred_dirs = vec_from_euler(c["g_o"])
+        true_dirs = vec_from_euler(batch.labels["g_o"])
         for i, s in enumerate(samples):
             try:
                 truth = pogz_to_pog(PlanePoint(s.pogz[0], s.pogz[1]), true_dirs[i], screen_transform)

@@ -57,10 +57,15 @@ _TASK_HEAD = {
 
 
 def vec_from_euler(e) -> np.ndarray:
-    """Unit gaze direction from (yaw, pitch)."""
-    yaw, pitch = float(e[0]), float(e[1])
+    """Unit gaze direction(s) from (yaw, pitch): a (..., 2) array in, (..., 3) out."""
+    e = np.asarray(e, dtype=float)
+    yaw, pitch = e[..., 0], e[..., 1]
     cp = np.cos(pitch)
-    return np.array([-cp * np.sin(yaw), -np.sin(pitch), -cp * np.cos(yaw)])
+    out = np.empty(e.shape[:-1] + (3,))
+    out[..., 0] = -cp * np.sin(yaw)
+    out[..., 1] = -np.sin(pitch)
+    out[..., 2] = -cp * np.cos(yaw)
+    return out
 
 
 def euler_from_vec(g) -> np.ndarray:
@@ -75,16 +80,9 @@ def euler_from_vec(g) -> np.ndarray:
     return np.array([np.arctan2(-v[0], -v[2]), np.arcsin(-v[1])])
 
 
-def _vecs_from_euler(E: np.ndarray) -> np.ndarray:
-    """Vectorized vec_from_euler for an (N, 2) array of (yaw, pitch)."""
-    yaw, pitch = E[:, 0], E[:, 1]
-    cp = np.cos(pitch)
-    return np.stack([-cp * np.sin(yaw), -np.sin(pitch), -cp * np.cos(yaw)], axis=1)
-
-
-def _angular_deg(E_pred: np.ndarray, E_true: np.ndarray) -> np.ndarray:
-    va, vb = _vecs_from_euler(E_pred), _vecs_from_euler(E_true)
-    dots = np.clip(np.sum(va * vb, axis=1), -1.0, 1.0)
+def angular_deg(E_a, E_b) -> np.ndarray:
+    """Angles in degrees between the gaze directions of two (..., 2) (yaw, pitch) arrays."""
+    dots = np.clip(np.sum(vec_from_euler(E_a) * vec_from_euler(E_b), axis=-1), -1.0, 1.0)
     return np.degrees(np.arccos(dots))
 
 
@@ -389,9 +387,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_arrays(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None) -> dict:
-    """Batch forward pass; returns every intermediate needed by backward."""
+def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None) -> dict:
+    """Forward pass over (N, 7) feature rows.
+
+    Returns a dict holding each task's (N, C) predictions under its name in
+    TASKS, "depth" (N, 1), and every intermediate that backward needs.  The
+    "face" point is present only when the (N, 3) unit-depth box rays are given.
+    """
     p, cfg = params.arrays, params.config
+    if F.shape[1] != cfg.feature_dim:
+        raise ConfigError(f"expected {cfg.feature_dim} features, got {F.shape[1]}")
     Xd = F[:, cfg.dir_lo:cfg.dir_hi]
     Xp = F[:, cfg.pose_lo:cfg.pose_hi]
     Xb = F[:, cfg.box_lo:cfg.box_hi]
@@ -435,11 +440,8 @@ class MultiTaskOutput:
 
 
 def forward(params: ModelParams, features) -> MultiTaskOutput:
-    """Single-sample forward pass."""
-    F = np.asarray(features, dtype=float).reshape(1, -1)
-    if F.shape[1] != params.config.feature_dim:
-        raise ConfigError(f"expected {params.config.feature_dim} features, got {F.shape[1]}")
-    c = _forward_arrays(params, F)
+    """Single-sample forward pass; forward_batch on one row."""
+    c = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1))
     return MultiTaskOutput(
         g_n=c["g_n"][0].copy(),
         g_o=c["g_o"][0].copy(),
@@ -474,68 +476,9 @@ def _task_terms(preds: dict, batch: Batch, weights: LossWeights, pogz_scale: flo
     return total, terms, resids, counts
 
 
-@dataclass(frozen=True)
-class SampleLabels:
-    """Targets for one sample; None marks a task as unsupervised.
-
-    `ray` is the unit-depth backprojection ray of the box center, required
-    whenever o_face supervision is present.
-    """
-
-    g_n: np.ndarray | None = None
-    g_o: np.ndarray | None = None
-    pogz: np.ndarray | None = None
-    r_on: np.ndarray | None = None
-    o_face: np.ndarray | None = None
-    ray: np.ndarray | None = None
-
-
-def loss(
-    output: MultiTaskOutput,
-    labels: SampleLabels,
-    weights: LossWeights = LossWeights(),
-    pogz_scale: float = ModelConfig().pogz_gain,
-):
-    """Weighted multi-task L1 loss for one sample.
-
-    Returns (total, per-task mean absolute error).  Absent labels contribute
-    exactly zero.  Each task error is the mean over its components.  The pogz
-    error is expressed in units of pogz_scale, matching the batch loss used
-    for training, so a unit of error means the same thing for every task.
-    """
-    preds = {
-        "g_n": np.asarray(output.g_n, dtype=float),
-        "g_o": np.asarray(output.g_o, dtype=float),
-        "pogz": np.asarray(output.pogz, dtype=float),
-        "r_on": np.asarray(output.r_on, dtype=float),
-    }
-    targets = {"g_n": labels.g_n, "g_o": labels.g_o, "pogz": labels.pogz, "r_on": labels.r_on}
-    total = 0.0
-    breakdown = {}
-    for task in ("g_n", "g_o", "pogz", "r_on"):
-        if targets[task] is None:
-            breakdown[task] = 0.0
-            continue
-        err = float(np.abs(preds[task] - np.asarray(targets[task], dtype=float)).mean())
-        if task == "pogz":
-            err /= pogz_scale
-        breakdown[task] = err
-        total += weights.value(task) * err
-    if labels.o_face is None:
-        breakdown["face"] = 0.0
-    else:
-        if labels.ray is None:
-            raise ConfigError("o_face supervision requires the box-center ray")
-        face_pred = np.asarray(labels.ray, dtype=float) * output.face_depth
-        err = float(np.abs(face_pred - np.asarray(labels.o_face, dtype=float)).mean())
-        breakdown["face"] = err
-        total += weights.face * err
-    return total, breakdown
-
-
 def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
     """(total, per-task breakdown) over a batch; used by training and checks."""
-    c = _forward_arrays(params, batch.features, batch.ray)
+    c = forward_batch(params, batch.features, batch.ray)
     total, terms, _, _ = _task_terms(c, batch, weights, params.config.pogz_gain)
     return total, terms
 
@@ -558,7 +501,7 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     identically zero; the L1 subgradient at zero residual is taken as 0.
     """
     p, cfg = params.arrays, params.config
-    c = _forward_arrays(params, batch.features, batch.ray)
+    c = forward_batch(params, batch.features, batch.ray)
     total, terms, resids, counts = _task_terms(c, batch, weights, cfg.pogz_gain)
 
     def head_delta(task: str) -> np.ndarray:
@@ -664,7 +607,7 @@ def make_gradcheck_batch(params: ModelParams, seed: int = 0, n: int = 8) -> Batc
         rng.uniform(-0.3, 0.3, size=(n, 2)),
         np.ones(n),
     ])
-    c = _forward_arrays(params, features, ray)
+    c = forward_batch(params, features, ray)
     offsets = {t: rng.uniform(0.5, 1.5, size=c[t].shape) * rng.choice([-1.0, 1.0], size=c[t].shape)
                for t in ("g_n", "g_o", "r_on")}
     labels = {
@@ -731,12 +674,12 @@ def history_to_csv(history: list[EpochStats]) -> str:
 def _val_stats(params: ModelParams, val: Batch, weights: LossWeights):
     if len(val) == 0:
         return float("nan"), float("nan")
-    c = _forward_arrays(params, val.features, val.ray)
+    c = forward_batch(params, val.features, val.ray)
     total, _, _, _ = _task_terms(c, val, weights, params.config.pogz_gain)
     mask = val.masks["g_n"] > 0
     if not mask.any():
         return total, float("nan")
-    ang = _angular_deg(c["g_n"][mask], val.labels["g_n"][mask])
+    ang = angular_deg(c["g_n"][mask], val.labels["g_n"][mask])
     return total, float(ang.mean())
 
 
@@ -759,9 +702,11 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
             if max_steps is not None and steps >= max_steps:
                 break
             idx = perm[lo:lo + batch_size]
-            grads, total, _ = backward(params, data.subset(idx), weights)
+            grads, total, terms = backward(params, data.subset(idx), weights)
             if not np.isfinite(total):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch offset {lo}")
+                bad = [t for t in TASKS if not np.isfinite(terms[t])]
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
+                                       f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
             opt.step(grads.flat)
             loss_sum += total * len(idx)
             seen += len(idx)

@@ -414,7 +414,35 @@ class Dataset:
         return [s for s in self.samples if s.subject == subject_id]
 
 
+# serialized row fields and their lengths; `subject` is the one scalar field
+_ROW_LENGTHS = {"features": 7, "bbox": 3, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite value {name}")
+
+
+# json.loads builds a new decoder per call when given hooks; share one instead
+_ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _sample_from_line(line: str) -> GazeSample:
+    d = _ROW_DECODER.decode(line)
+    if not isinstance(d, dict):
+        raise ValueError("row is not a JSON object")
+    for key, n in _ROW_LENGTHS.items():
+        if len(d[key]) != n:
+            raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
+    return GazeSample.from_dict(d)
+
+
 def load_dataset(path) -> Dataset:
+    """Read a JSONL dataset written by generate_dataset.
+
+    A row with a missing key, a field of the wrong length, a NaN or
+    Infinity value, or anything else that does not parse is a ConfigError
+    naming the file and line.
+    """
     with open(path) as f:
         header_line = f.readline()
         if not header_line:
@@ -424,5 +452,14 @@ def load_dataset(path) -> Dataset:
             raise ConfigError(f"{path}: first line is not a dataset header")
         if header["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(f"{path}: unsupported schema version {header['schema_version']}")
-        samples = [GazeSample.from_dict(json.loads(line)) for line in f if line.strip()]
+        samples = []
+        for line_no, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                samples.append(_sample_from_line(line))
+            except KeyError as exc:
+                raise ConfigError(f"{path}:{line_no}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:  # JSONDecodeError too
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return Dataset(header=header, samples=samples)

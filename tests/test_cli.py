@@ -96,6 +96,30 @@ def test_train_eval_flow(tmp_path, capsys):
     assert len(report) == 4  # header, 2 subjects, overall
 
 
+def test_train_and_eval_reject_bad_rows_with_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "4", "--seed", "5", "--out", str(gen))
+    train = tmp_path / "train"
+    assert run("train", "--data", str(gen / "dataset.jsonl"), "--epochs", "1",
+               "--out", str(train)) == 0
+    lines = (gen / "dataset.jsonl").read_text().splitlines()
+    row = json.loads(lines[3])
+    bad_rows = {
+        "no_bbox": ({k: v for k, v in row.items() if k != "bbox"}, "missing key 'bbox'"),
+        "short": ({**row, "features": row["features"][:5]}, "features has 5 values, expected 7"),
+        "nan": ({**row, "features": [float("nan")] + row["features"][1:]}, "non-finite value NaN"),
+    }
+    capsys.readouterr()
+    for name, (bad, message) in bad_rows.items():
+        data = tmp_path / f"{name}.jsonl"
+        data.write_text("\n".join(lines[:3] + [json.dumps(bad)] + lines[4:]) + "\n")
+        for argv in (["train", "--data", str(data), "--epochs", "1"],
+                     ["eval", "--params", str(train / "params.json"), "--data", str(data)]):
+            assert run(*argv, "--out", str(tmp_path / name)) == 2, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {data}:4: {message}") and "Traceback" not in err
+
+
 def test_train_rerun_from_snapshot_identical(tmp_path):
     gen = tmp_path / "gen"
     run("gen", "--subjects", "2", "--frames", "15", "--seed", "5", "--out", str(gen))

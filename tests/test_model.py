@@ -8,11 +8,11 @@ import oracles
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
 from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
 from gaze6d.model import (TASKS, Adam, Batch, LossWeights, ModelConfig,
-                          ModelParams, MultiTaskOutput, SampleLabels,
-                          TrainConfig, backward, batch_loss, euler_from_vec,
-                          fine_tune, forward, gradient_check, history_to_csv,
-                          init_params, load_params, loss, make_gradcheck_batch,
-                          predict_6dof, save_params, train, vec_from_euler)
+                          ModelParams, TrainConfig, backward, batch_loss,
+                          euler_from_vec, fine_tune, forward, forward_batch,
+                          gradient_check, history_to_csv, init_params,
+                          load_params, make_gradcheck_batch, predict_6dof,
+                          save_params, train, vec_from_euler)
 from gaze6d.synth import SceneConfig, Subject, frame_rng, sample_frame
 from gaze6d.synth import Dataset, generate_dataset, load_dataset, make_subjects
 
@@ -41,6 +41,13 @@ def test_euler_round_trip():
         back = vec_from_euler(euler_from_vec(g))
         assert np.max(np.abs(back - g)) < 1e-12
         count += 1
+
+
+def test_vec_from_euler_batch_matches_rows_bit_for_bit():
+    E = np.random.default_rng(41).uniform(-1.5, 1.5, size=(500, 2))
+    rows = np.array([vec_from_euler(e) for e in E])
+    assert np.array_equal(vec_from_euler(E), rows)
+    assert vec_from_euler(E.reshape(5, 100, 2)).shape == (5, 100, 3)
 
 
 def test_euler_normalizes_input():
@@ -197,62 +204,61 @@ def test_positional_heads_react_to_position():
 # loss
 
 
-def all_ones_pair():
-    # errors of exactly 1 per task; pogz is measured in gain units (500 mm)
-    out = MultiTaskOutput(g_n=np.zeros(2), g_o=np.zeros(2), pogz=np.zeros(2),
-                          r_on=np.zeros(2), face_depth=1.0)
-    labels = SampleLabels(g_n=np.ones(2), g_o=np.ones(2), pogz=np.full(2, 500.0),
-                          r_on=np.ones(2), o_face=np.array([1.0, 1.0, 2.0]),
-                          ray=np.array([0.0, 0.0, 1.0]))
-    return out, labels
+def one_row_batch(offsets=None):
+    """Params and a one-row batch whose labels sit at `offsets` from
+    forward_batch's predictions (at the predictions when offsets is None)."""
+    params = init_params(seed=1)
+    features = np.array([[0.3, -0.2, 0.5, 0.1, 0.4, 0.6, 0.2]])
+    ray = np.array([[0.1, -0.05, 1.0]])
+    c = forward_batch(params, features, ray)
+    offsets = offsets or {}
+    labels = {t: c[t] + offsets.get(t, 0.0) for t in TASKS}
+    return params, Batch(features, ray, labels, {t: np.ones(1) for t in TASKS})
+
+
+# errors of exactly 1 per task, signs mixed; pogz is measured in gain units (500 mm)
+UNIT_OFFSETS = {"g_n": np.array([1.0, -1.0]), "g_o": np.array([-1.0, -1.0]),
+                "pogz": np.array([500.0, -500.0]), "r_on": np.array([1.0, 1.0]),
+                "face": np.array([-1.0, 1.0, 1.0])}
 
 
 def test_loss_zero_at_labels():
-    out = MultiTaskOutput(g_n=np.array([0.1, 0.2]), g_o=np.array([0.3, 0.4]),
-                          pogz=np.array([5.0, 6.0]), r_on=np.array([0.7, 0.8]),
-                          face_depth=600.0)
-    labels = SampleLabels(g_n=out.g_n, g_o=out.g_o, pogz=out.pogz, r_on=out.r_on,
-                          o_face=np.array([0.0, 0.0, 600.0]),
-                          ray=np.array([0.0, 0.0, 1.0]))
-    total, terms = loss(out, labels)
+    params, batch = one_row_batch()
+    total, terms = batch_loss(params, batch, LossWeights())
     assert total == 0.0
     assert all(v == 0.0 for v in terms.values())
 
 
 def test_loss_unit_errors_weighted_sum():
-    out, labels = all_ones_pair()
-    total, terms = loss(out, labels, LossWeights())
+    params, batch = one_row_batch(UNIT_OFFSETS)
+    total, terms = batch_loss(params, batch, LossWeights())
     assert total == pytest.approx(2.2, abs=1e-12)
     assert all(terms[t] == pytest.approx(1.0) for t in TASKS)
 
 
 def test_loss_decomposition_exact():
     w = LossWeights(g_n=0.7, g_o=0.3, pogz=0.05, r_on=1.1, face=0.2)
-    out, labels = all_ones_pair()
-    total, terms = loss(out, labels, w)
+    params, batch = one_row_batch(UNIT_OFFSETS)
+    total, terms = batch_loss(params, batch, w)
     recomputed = sum(w.value(t) * terms[t] for t in TASKS)
     assert abs(total - recomputed) < 1e-12
 
 
 def test_loss_ablated_task_contributes_zero():
-    out, labels = all_ones_pair()
-    total, terms = loss(out, labels, LossWeights(pogz=0.0))
+    params, batch = one_row_batch(UNIT_OFFSETS)
+    total, terms = batch_loss(params, batch, LossWeights(pogz=0.0))
     assert total == pytest.approx(2.1, abs=1e-12)
     assert terms["pogz"] == pytest.approx(1.0)  # error still reported
 
 
 def test_loss_missing_labels_masked():
-    out, _ = all_ones_pair()
-    labels = SampleLabels(g_n=np.ones(2))
-    total, terms = loss(out, labels)
+    params, batch = one_row_batch(UNIT_OFFSETS)
+    for task in TASKS:
+        if task != "g_n":
+            batch.masks[task][:] = 0.0
+    total, terms = batch_loss(params, batch, LossWeights())
     assert total == pytest.approx(1.0)
     assert terms["g_o"] == 0.0 and terms["face"] == 0.0
-
-
-def test_loss_face_needs_ray():
-    out, _ = all_ones_pair()
-    with pytest.raises(ConfigError):
-        loss(out, SampleLabels(o_face=np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +393,11 @@ def test_divergence_detected(tmp_path):
     poisoned = init_params(seed=0)
     poisoned.arrays["head_gn_b"][0] = np.nan
     cfg = TrainConfig(finetune_steps=1, finetune_batch=4, seed=0)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged) as info:
         fine_tune(poisoned, cfg, ds.samples, ds.intrinsics)
+    # the message names where it happened and the poisoned head's task only
+    assert str(info.value).startswith("non-finite loss at epoch 0, step 0 ")
+    assert str(info.value).endswith("task terms: g_n")
 
 
 def test_val_split_is_last_fraction_per_subject(tmp_path):

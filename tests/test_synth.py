@@ -241,6 +241,47 @@ def test_load_dataset_rejects_bad_files(tmp_path):
         load_dataset(future)
 
 
+def write_with_bad_row(path, edit):
+    """A two-row dataset whose second row (file line 3) went through `edit`."""
+    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 2, "general", path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    lines[2] = edit(row) if callable(edit) else edit
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def drop(key):
+    return lambda row: json.dumps({k: v for k, v in row.items() if k != key})
+
+
+def setting(key, value):
+    return lambda row: json.dumps({**row, key: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop("bbox"), "missing key 'bbox'"),
+    (drop("subject"), "missing key 'subject'"),
+    (setting("features", [0.1] * 5), "features has 5 values, expected 7"),
+    (setting("bbox", [320.0, 240.0]), "bbox has 2 values, expected 3"),
+    (setting("o_face", [0.0, 0.0, 600.0, 1.0]), "o_face has 4 values, expected 3"),
+    (setting("r_on", [0.0]), "r_on has 1 values, expected 2"),
+    (setting("g_n", None), "has no len()"),
+    (setting("features", [float("nan")] + [0.1] * 6), "non-finite value NaN"),
+    (setting("pogz", [float("inf"), 0.0]), "non-finite value Infinity"),
+    (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
+    (setting("bbox", ["a", 1.0, 2.0]), "could not convert string to float"),
+    ('{"features": [0.1,', "Expecting value"),
+    ("[1, 2]", "row is not a JSON object"),
+])
+def test_load_dataset_names_the_bad_row(tmp_path, edit, message):
+    path = write_with_bad_row(tmp_path / "bad.jsonl", edit)
+    with pytest.raises(ConfigError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert message in str(info.value)
+
+
 def test_attribute_stats_track_targets(tmp_path):
     cfg = SceneConfig(seed=13)
     stats = generate_dataset(cfg, make_subjects(4, seed=13), 500, "general",
