@@ -46,7 +46,13 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _pick(args, cfg: dict, key: str, default):
@@ -59,56 +65,61 @@ def _pick(args, cfg: dict, key: str, default):
     return default
 
 
+def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
+    """`defaults`, overridden by the config file, then by flags of the same
+    dest; each value is cast to its default's type, dicts merge key by key.
+    Flags arrive typed, so a value that fails came from the config file."""
+    out = {}
+    for key, default in defaults.items():
+        value = _pick(args, cfg, key, default)
+        name = f"{args.config}: {where}{key}"
+        if isinstance(default, dict):
+            if not isinstance(value, dict) or not set(value) <= set(default):
+                raise ConfigError(f"{name}: expected an object with keys from {sorted(default)}, "
+                                  f"got {value!r}")
+            out[key] = _settings(args, value, default, f"{where}{key}.")
+            continue
+        try:
+            out[key] = type(default)(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return out
+
+
 def _write_snapshot(out_dir: Path, snapshot: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w") as f:
         json.dump(snapshot, f, indent=2, sort_keys=True)
 
 
-def _weights_from(args, cfg: dict) -> model.LossWeights:
-    base = model.LossWeights().to_dict()
-    base.update(cfg.get("weights", {}))
-    for task, flag in [("g_n", "lambda_gn"), ("g_o", "lambda_go"), ("pogz", "lambda_pogz"),
-                       ("r_on", "lambda_r"), ("face", "lambda_face")]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            base[task] = v
-    return model.LossWeights.from_dict(base)
-
-
 # ---------------------------------------------------------------------------
 # gen
 
 
+GEN_DEFAULTS = {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
+                "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA}
+
+
 def cmd_gen(args) -> int:
     cfg = _load_config_file(args.config)
-    mode = _pick(args, cfg, "mode", "general")
-    n_subjects = int(_pick(args, cfg, "subjects", 12))
-    frames = int(_pick(args, cfg, "frames", 100))
-    seed = int(_pick(args, cfg, "seed", 0))
-    kappa_range = float(_pick(args, cfg, "kappa_range", 0.09))
-    noise_sigma = float(_pick(args, cfg, "noise_sigma", 0.035))
+    settings = _settings(args, cfg, GEN_DEFAULTS)
+    mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
 
     scene_dict = cfg.get("scene")
     if scene_dict is not None:
-        scene = synth.SceneConfig.from_dict({**scene_dict, "seed": seed})
+        try:
+            scene = synth.SceneConfig.from_dict({**scene_dict, "seed": seed})
+        except KeyError as exc:
+            raise ConfigError(f"{args.config}: scene: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.config}: scene: {exc}") from None
     else:
         scene = synth.SceneConfig(seed=seed)
 
     out_dir = Path(args.out)
-    snapshot = {
-        "command": "gen",
-        "mode": mode,
-        "subjects": n_subjects,
-        "frames": frames,
-        "seed": seed,
-        "kappa_range": kappa_range,
-        "noise_sigma": noise_sigma,
-        "scene": scene.to_dict(),
-    }
-    _write_snapshot(out_dir, snapshot)
+    _write_snapshot(out_dir, {"command": "gen", **settings, "scene": scene.to_dict()})
 
-    subjects = synth.make_subjects(n_subjects, seed, kappa_range, noise_sigma)
+    subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
     log.info("wrote %s", out_dir / "dataset.jsonl")
 
@@ -138,20 +149,8 @@ def cmd_gen(args) -> int:
 
 
 def _train_config(args, cfg: dict) -> model.TrainConfig:
-    # the --fraction flag lands in the snapshot as calibration_fraction
-    fraction = _pick(args, cfg, "fraction", cfg.get("calibration_fraction", 1.0))
-    return model.TrainConfig(
-        lr=float(_pick(args, cfg, "lr", 1e-4)),
-        batch_size=int(_pick(args, cfg, "batch_size", 128)),
-        epochs=int(_pick(args, cfg, "epochs", 120)),
-        seed=int(_pick(args, cfg, "seed", 0)),
-        weights=_weights_from(args, cfg),
-        val_fraction=float(_pick(args, cfg, "val_fraction", 0.1)),
-        finetune_lr=float(_pick(args, cfg, "finetune_lr", 1e-5)),
-        finetune_steps=int(_pick(args, cfg, "finetune_steps", 100)),
-        finetune_batch=int(_pick(args, cfg, "finetune_batch", 8)),
-        calibration_fraction=float(fraction),
-    )
+    """TrainConfig's own defaults, overridden by the config file, then by flags."""
+    return model.TrainConfig.from_dict(_settings(args, cfg, model.TrainConfig().to_dict()))
 
 
 def cmd_train(args) -> int:
@@ -159,7 +158,7 @@ def cmd_train(args) -> int:
     data_path = _pick(args, cfg, "data", None)
     if data_path is None:
         raise ConfigError("train needs --data")
-    folds = int(_pick(args, cfg, "folds", 0))
+    folds = _settings(args, cfg, {"folds": 0})["folds"]
     tc = _train_config(args, cfg)
 
     out_dir = Path(args.out)
@@ -209,6 +208,8 @@ def cmd_finetune(args) -> int:
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
     subject_filter = _pick(args, cfg, "subject", None)
+    if not isinstance(subject_filter, (int, type(None))):
+        raise ConfigError(f"{args.config}: subject: expected an integer id, got {subject_filter!r}")
     tc = _train_config(args, cfg)
 
     out_dir = Path(args.out)
@@ -218,7 +219,7 @@ def cmd_finetune(args) -> int:
 
     base = model.load_params(params_path)
     calib = synth.load_dataset(calib_path)
-    subjects = calib.subject_ids() if subject_filter is None else [int(subject_filter)]
+    subjects = calib.subject_ids() if subject_filter is None else [subject_filter]
     for sid in subjects:
         rows = calib.by_subject(sid)
         if not rows:
@@ -349,15 +350,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the multi-task model")
     p.add_argument("--data", help="dataset JSONL")
     p.add_argument("--folds", type=int, help="cross-subject folds (0 = single run)")
-    _add_train_flags(p)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--val-fraction", dest="val_fraction", type=float)
+    _add_common_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune on calibration frames, per subject")
     p.add_argument("--params", help="trained params JSON")
     p.add_argument("--calib", help="calibration dataset JSONL (gen --mode calibration)")
     p.add_argument("--subject", type=int, help="only this subject id")
-    p.add_argument("--fraction", type=float, help="fraction of calibration frames to use")
-    _add_train_flags(p)
+    p.add_argument("--fraction", dest="calibration_fraction", type=float,
+                   help="fraction of calibration frames to use")
+    p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
+    p.add_argument("--finetune-steps", dest="finetune_steps", type=int,
+                   help="parameter updates per subject")
+    p.add_argument("--finetune-batch", dest="finetune_batch", type=int)
+    _add_common_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate params on a labeled dataset")
@@ -385,20 +395,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
+def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+    """train's and finetune's shared flags; each dest names a TrainConfig or LossWeights field."""
     p.add_argument("--seed", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
-    p.add_argument("--finetune-steps", dest="finetune_steps", type=int)
-    p.add_argument("--finetune-batch", dest="finetune_batch", type=int)
-    p.add_argument("--lambda-gn", dest="lambda_gn", type=float)
-    p.add_argument("--lambda-go", dest="lambda_go", type=float)
-    p.add_argument("--lambda-pogz", dest="lambda_pogz", type=float)
-    p.add_argument("--lambda-r", dest="lambda_r", type=float)
-    p.add_argument("--lambda-face", dest="lambda_face", type=float)
+    for flag, task in [("gn", "g_n"), ("go", "g_o"), ("pogz", "pogz"), ("r", "r_on"), ("face", "face")]:
+        p.add_argument(f"--lambda-{flag}", dest=task, type=float, help=f"{task} loss weight")
     p.add_argument("--config", help="JSON config; flags override it")
     p.add_argument("--out", required=True, help="run directory")
 

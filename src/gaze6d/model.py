@@ -15,7 +15,8 @@ Encoders are two tanh layers of width 32, heads are single affine maps.  The
 face-depth head goes through a softplus so depth stays positive; the 3-D face
 center is reconstructed from it along the box-center backprojection ray.  All
 five tasks are trained jointly with a weighted L1 loss; a task weight of zero
-removes the task from the loss and freezes its head.
+removes the task from the loss and so freezes its head: the head's gradient is
+exactly zero, and Adam leaves an entry with zero gradient where it is.
 
 Gradients are hand-written reverse mode over plain numpy arrays; training
 uses Adam.  Everything is deterministic for a fixed seed.
@@ -42,15 +43,6 @@ TASKS = ("g_n", "g_o", "pogz", "r_on", "face")
 
 # softmax-free heads; components per task for the L1 mean
 _TASK_COMPONENTS = {"g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "face": 3}
-
-_TASK_HEAD = {
-    "g_n": "head_gn",
-    "g_o": "head_go",
-    "pogz": "head_pogz",
-    "r_on": "head_r",
-    "face": "head_depth",
-}
-
 
 # ---------------------------------------------------------------------------
 # gaze angle parametrization
@@ -149,14 +141,6 @@ class ParamLayout:
         # a bias needs no reshape, and backward makes these views every step
         return {name: flat[span] if len(shape) == 1 else flat[span].reshape(shape)
                 for name, span, shape in self.entries}
-
-    def mask(self, names) -> np.ndarray:
-        """Boolean vector marking the entries of the named arrays."""
-        out = np.zeros(self.size, dtype=bool)
-        for name, span, _ in self.entries:
-            if name in names:
-                out[span] = True
-        return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -260,7 +244,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Per-task L1 weights; a zero weight also freezes the task's head."""
+    """Per-task L1 weights; a zero weight also freezes the task's head, whose
+    gradient is then exactly zero."""
 
     g_n: float = 1.0
     g_o: float = 0.5
@@ -270,14 +255,6 @@ class LossWeights:
 
     def value(self, task: str) -> float:
         return getattr(self, task)
-
-    def frozen_params(self) -> set[str]:
-        out = set()
-        for task in TASKS:
-            if self.value(task) == 0.0:
-                head = _TASK_HEAD[task]
-                out.update({head + "_w", head + "_b"})
-        return out
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in TASKS}
@@ -561,9 +538,6 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     encoder_grads("gaze", c["Xd"], c["G1"], c["Ed"], d_Ed)
     encoder_grads("pose", c["Xp"], c["P1"], c["Ep"], d_Ep)
     encoder_grads("box", c["Xb"], c["B1"], c["Eb"], d_Eb)
-
-    for name in weights.frozen_params():
-        g[name].fill(0.0)
     return g, total, terms
 
 
@@ -629,31 +603,28 @@ class Adam:
     """Adam with bias correction (Kingma & Ba, ICLR 2015) over params.flat.
 
     Each step applies the per-element update to the whole flat vector at
-    once; entries of the `frozen` arrays are skipped entirely, so they and
-    their moments never change.
+    once.  An entry whose gradient has always been zero keeps m = v = 0, so
+    its update is 0 / (0 + eps) and it stays exactly where it is.
     """
 
-    def __init__(self, params: ModelParams, lr: float, frozen=frozenset(),
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ModelParams, lr: float):
         self.flat = params.flat
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        # the entries that move: all of them, or those outside the frozen arrays
-        self.live = np.flatnonzero(~params.layout.mask(frozen)) if frozen else slice(None)
 
     def step(self, grad: np.ndarray) -> None:
         """Update the params from the flat gradient vector `grad`."""
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        live = self.live
-        g = grad[live]
-        m = self.m[live] = self.beta1 * self.m[live] + (1.0 - self.beta1) * g
-        v = self.v[live] = self.beta2 * self.v[live] + (1.0 - self.beta2) * g * g
-        self.flat[live] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        b1c = 1.0 - b1 ** self.t
+        b2c = 1.0 - b2 ** self.t
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -691,7 +662,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     max_steps caps the total number of parameter updates across epochs, so a
     budget can be held fixed while the dataset size varies.
     """
-    opt = Adam(params, lr, frozen=weights.frozen_params())
+    opt = Adam(params, lr)
     history: list[EpochStats] = []
     n = len(data)
     steps = 0
@@ -707,6 +678,12 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
                 bad = [t for t in TASKS if not np.isfinite(terms[t])]
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
                                        f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
+            # a finite loss can still have non-finite gradients, e.g. from an
+            # inf feature behind a saturated tanh; one such step spoils every param
+            if not np.isfinite(grads.flat).all():
+                bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                raise TrainingDiverged(f"non-finite gradients at epoch {epoch}, step {steps} "
+                                       f"(batch offset {lo}), arrays: {', '.join(bad)}")
             opt.step(grads.flat)
             loss_sum += total * len(idx)
             seen += len(idx)
@@ -737,7 +714,7 @@ def _split_by_subject(samples, val_fraction: float):
     return train_rows, val_rows
 
 
-def train(cfg: TrainConfig, dataset, model_config: ModelConfig = ModelConfig()):
+def train(cfg: TrainConfig, dataset):
     """Train from scratch on a loaded dataset.
 
     Returns (params, history).  The validation split is the last
@@ -751,7 +728,7 @@ def train(cfg: TrainConfig, dataset, model_config: ModelConfig = ModelConfig()):
     val = Batch.from_samples(val_rows, intr) if val_rows else Batch.from_samples([], intr)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(model_config, seed=cfg.seed)
+    params = init_params(seed=cfg.seed)
     history = _optimize(params, data, cfg.lr, cfg.batch_size, cfg.epochs,
                         cfg.weights, rng, val=val)
     return params, history

@@ -43,6 +43,10 @@ MAX_REJECTION_DRAWS = 1000
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
 
+# default per-subject bias range and feature noise (radians)
+KAPPA_RANGE = 0.09
+NOISE_SIGMA = 0.035
+
 DEFAULT_INTRINSICS = CameraIntrinsics(
     focal_px=600.0, cx=320.0, cy=240.0, k_mm_per_px=0.005, width=640, height=480
 )
@@ -86,7 +90,7 @@ class Subject:
     id: int
     kappa_yaw: float = 0.0
     kappa_pitch: float = 0.0
-    noise_sigma: float = 0.035
+    noise_sigma: float = NOISE_SIGMA
 
     def __post_init__(self):
         if abs(self.kappa_yaw) > 0.15 or abs(self.kappa_pitch) > 0.15:
@@ -107,7 +111,8 @@ class Subject:
         return cls(int(d["id"]), float(d["kappa_yaw"]), float(d["kappa_pitch"]), float(d["noise_sigma"]))
 
 
-def make_subjects(n: int, seed: int, kappa_range: float = 0.09, noise_sigma: float = 0.035) -> list[Subject]:
+def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
+                  noise_sigma: float = NOISE_SIGMA) -> list[Subject]:
     """Draw n subjects with kappa components uniform in [-kappa_range, kappa_range]."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     return [
@@ -436,30 +441,38 @@ def _sample_from_line(line: str) -> GazeSample:
     return GazeSample.from_dict(d)
 
 
+def _header_from_line(line: str) -> dict:
+    header = json.loads(line)
+    if not isinstance(header, dict) or "schema_version" not in header:
+        raise ValueError("first line is not a dataset header")
+    if header["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {header['schema_version']}")
+    if header["mode"] not in ("general", "calibration"):
+        raise ValueError(f"unknown mode {header['mode']!r}")
+    CameraIntrinsics.from_dict(header["config"]["intrinsics"])
+    return header
+
+
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset.
 
-    A row with a missing key, a field of the wrong length, a NaN or
-    Infinity value, or anything else that does not parse is a ConfigError
-    naming the file and line.
+    A header line that is not JSON or lacks a known `mode` or valid
+    `config.intrinsics`, and a row with a missing key, a field of the wrong
+    length, a NaN or Infinity value, or anything else that does not parse,
+    are a ConfigError naming the file and line.
     """
+    header, samples = None, []
     with open(path) as f:
-        header_line = f.readline()
-        if not header_line:
-            raise ConfigError(f"{path}: empty file, expected a header line")
-        header = json.loads(header_line)
-        if "schema_version" not in header:
-            raise ConfigError(f"{path}: first line is not a dataset header")
-        if header["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(f"{path}: unsupported schema version {header['schema_version']}")
-        samples = []
-        for line_no, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
+        for line_no, line in enumerate(f, start=1):
             try:
-                samples.append(_sample_from_line(line))
+                if header is None:
+                    header = _header_from_line(line)
+                elif line.strip():
+                    samples.append(_sample_from_line(line))
             except KeyError as exc:
                 raise ConfigError(f"{path}:{line_no}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:  # JSONDecodeError too
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
+    if header is None:
+        raise ConfigError(f"{path}: empty file, expected a header line")
     return Dataset(header=header, samples=samples)

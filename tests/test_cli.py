@@ -6,6 +6,7 @@ import pytest
 
 from gaze6d import cli
 from gaze6d.easy_norm import Rotation3
+from gaze6d.model import LossWeights, TrainConfig
 from gaze6d.pogz import RigidTransform
 from gaze6d.synth import load_dataset
 
@@ -131,6 +132,24 @@ def test_train_rerun_from_snapshot_identical(tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
+def test_train_stops_on_non_finite_gradients_with_exit_3(tmp_path, capsys):
+    # 1e999 loads as inf; tanh saturates, so only the gradients go non-finite
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
+    lines = (gen / "dataset.jsonl").read_text().splitlines()
+    row = json.loads(lines[3])
+    row["features"][0] = 12345.5
+    lines[3] = json.dumps(row).replace("12345.5", "1e999")
+    (gen / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "train"
+    assert run("train", "--data", str(gen / "dataset.jsonl"), "--epochs", "1",
+               "--batch-size", "8", "--out", str(out)) == 3
+    assert ("numeric failure: non-finite gradients at epoch 0, step 0 (batch offset 0), arrays: "
+            in capsys.readouterr().err)
+    assert not (out / "params.json").exists()
+
+
 def test_train_folds(tmp_path, capsys):
     gen = tmp_path / "gen"
     run("gen", "--subjects", "4", "--frames", "10", "--seed", "6", "--out", str(gen))
@@ -170,6 +189,139 @@ def test_finetune_flow(tmp_path, capsys):
                "--subject", "1", "--finetune-steps", "5", "--out", str(half)) == 0
     assert not (half / "params_subject_0.json").exists()
     assert "fine-tuned on 5/10 frames" in capsys.readouterr().out
+
+
+def test_finetune_and_eval_rerun_from_snapshot_identical(tmp_path):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "2", "--frames", "12", "--seed", "8", "--out", str(gen))
+    calib = tmp_path / "calib"
+    run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "10",
+        "--seed", "8", "--out", str(calib))
+    train = tmp_path / "train"
+    run("train", "--data", str(gen / "dataset.jsonl"), "--epochs", "1",
+        "--batch-size", "8", "--out", str(train))
+    screen = write_transform(tmp_path / "screen.json", R=np.diag([1.0, -1.0, -1.0]), t=(0, 100, -20))
+    a, b = tmp_path / "fa", tmp_path / "fb"
+    run("finetune", "--params", str(train / "params.json"), "--calib", str(calib / "dataset.jsonl"),
+        "--fraction", "0.5", "--finetune-steps", "7", "--finetune-lr", "1e-3",
+        "--finetune-batch", "4", "--lambda-gn", "0", "--seed", "3", "--out", str(a))
+    assert run("finetune", "--config", str(a / "config.json"), "--out", str(b)) == 0
+    for name in ("config.json", "params_subject_0.json", "params_subject_1.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    a, b = tmp_path / "ea", tmp_path / "eb"
+    run("eval", "--params", str(tmp_path / "fa" / "params_subject_1.json"),
+        "--data", str(gen / "dataset.jsonl"), "--screen", str(screen), "--out", str(a))
+    assert run("eval", "--config", str(a / "config.json"), "--out", str(b)) == 0
+    for name in ("config.json", "report.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"epochs": "x"}', "epochs: invalid literal for int()"),
+    ('{"weights": {"gaze": 1}}', "weights: expected an object with keys from"),
+    ('{"weights": {"g_n": "heavy"}}', "weights.g_n: could not convert string to float"),
+    ('{"weights": 2}', "weights: expected an object"),
+    ('{"lr": null}', "lr: float() argument must be"),
+    ('{"epochs": 3,', "Expecting property name"),
+    ('[1, 2]', "expected a JSON object, got list"),
+])
+def test_config_file_errors_exit_2_and_name_the_file(tmp_path, capsys, text, message):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "4", "--seed", "5", "--out", str(gen))
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    capsys.readouterr()
+    assert run("train", "--data", str(gen / "dataset.jsonl"), "--config", str(config),
+               "--out", str(tmp_path / "t")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "Traceback" not in err
+    assert message in err
+
+
+def test_finetune_config_subject_must_be_an_id(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"subject": "x"}')
+    assert run("finetune", "--params", str(tmp_path / "p.json"), "--calib", str(tmp_path / "c.jsonl"),
+               "--config", str(config), "--out", str(tmp_path / "f")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: subject: expected an integer id")
+
+
+def test_gen_config_errors_exit_2_and_name_the_file(tmp_path, capsys):
+    for text, message in [('{"frames": "many"}', "frames: invalid literal"),
+                          ('{"scene": {"depth_lo": 1}}', "scene: missing key 'gaze_yaw'")]:
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        assert run("gen", "--config", str(config), "--out", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
+
+# the TrainConfig and LossWeights fields each command reads, by flag dest
+WEIGHT_FIELDS = set(LossWeights().to_dict())
+READS = {
+    "train": {"lr", "batch_size", "epochs", "val_fraction", "seed"} | WEIGHT_FIELDS,
+    "finetune": {"finetune_lr", "finetune_steps", "finetune_batch", "calibration_fraction",
+                 "seed"} | WEIGHT_FIELDS,
+}
+OTHER_FLAGS = {
+    "train": {"help", "data", "folds", "config", "out"},
+    "finetune": {"help", "params", "calib", "subject", "config", "out"},
+}
+
+
+def subcommand_dests(command):
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_train_flags_are_the_fields_the_command_reads(command):
+    assert READS[command] <= set(TrainConfig().to_dict()) | WEIGHT_FIELDS
+    assert subcommand_dests(command) - OTHER_FLAGS[command] == READS[command]
+
+
+def test_reads_table_matches_what_train_and_fine_tune_read(tmp_path):
+    # the table above must be what the model reads, or the guard guards nothing
+    class Recorder:
+        def __init__(self, cfg, read):
+            self._cfg, self._read = cfg, read
+
+        def __getattr__(self, name):
+            self._read.add(name)
+            value = getattr(self._cfg, name)
+            return Recorder(value, self._read) if name == "weights" else value
+
+        def value(self, task):
+            self._read.add(task)
+            return self._cfg.value(task)
+
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
+    ds = load_dataset(gen / "dataset.jsonl")
+    cfg = TrainConfig(epochs=1, finetune_steps=1)
+    read = {"train": set(), "finetune": set()}
+    params, _ = cli.model.train(Recorder(cfg, read["train"]), ds)
+    cli.model.fine_tune(params, Recorder(cfg, read["finetune"]), ds.samples, ds.intrinsics)
+    read["finetune"].add("calibration_fraction")   # cmd_finetune reads it itself
+    for command in READS:
+        assert read[command] - {"weights"} == READS[command], command
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--finetune-lr", "0.5"), ("train", "--finetune-steps", "5"),
+    ("train", "--finetune-batch", "5"), ("finetune", "--lr", "0.5"),
+    ("finetune", "--batch-size", "5"), ("finetune", "--epochs", "5"),
+    ("finetune", "--val-fraction", "0.5"),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, command, flag, value):
+    run("gen", "--mode", "calibration", "--subjects", "1", "--frames", "4", "--out", str(tmp_path / "gen"))
+    data = str(tmp_path / "gen" / "dataset.jsonl")
+    run("train", "--data", data, "--epochs", "1", "--out", str(tmp_path / "train"))
+    # everything else is valid, so only the flag can make the command fail
+    argv = {"train": ["--data", data, "--epochs", "1"],
+            "finetune": ["--params", str(tmp_path / "train" / "params.json"), "--calib", data,
+                         "--finetune-steps", "1"]}[command]
+    assert run(command, *argv, "--out", str(tmp_path / "ok")) == 0
+    assert run(command, *argv, flag, value, "--out", str(tmp_path / "x")) == 2
 
 
 def test_eval_with_screen_transform(tmp_path, capsys):

@@ -241,6 +241,39 @@ def test_load_dataset_rejects_bad_files(tmp_path):
         load_dataset(future)
 
 
+def without(header, *keys):
+    """The header with the nested key keys[0] -> keys[1] -> ... deleted."""
+    header = json.loads(json.dumps(header))
+    inner = header
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return json.dumps(header)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: without(h, "config"), "missing key 'config'"),
+    (lambda h: without(h, "config", "intrinsics"), "missing key 'intrinsics'"),
+    (lambda h: without(h, "config", "intrinsics", "focal_px"), "missing key 'focal_px'"),
+    (lambda h: without(h, "mode"), "missing key 'mode'"),
+    (lambda h: json.dumps({**h, "mode": "test"}), "unknown mode 'test'"),
+    (lambda h: json.dumps({**h, "config": []}), "list indices must be integers"),
+    (lambda h: '{"schema_version": 1, "mode": ', "Expecting value"),
+    (lambda h: "[1, 2]", "first line is not a dataset header"),
+    (lambda h: json.dumps({**h, "schema_version": 99}), "unsupported schema version 99"),
+])
+def test_load_dataset_names_a_bad_header(tmp_path, edit, message):
+    path = tmp_path / "bad_header.jsonl"
+    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 2, "general", path)
+    lines = path.read_text().splitlines()
+    lines[0] = edit(json.loads(lines[0]))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+    assert message in str(info.value)
+
+
 def write_with_bad_row(path, edit):
     """A two-row dataset whose second row (file line 3) went through `edit`."""
     generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 2, "general", path)
