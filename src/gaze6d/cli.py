@@ -86,7 +86,11 @@ def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
     return out
 
 
-def _write_snapshot(out_dir: Path, snapshot: dict) -> None:
+def _write_snapshot(args, cfg: dict, out_dir: Path, snapshot: dict) -> None:
+    """Write config.json; a config file key that the snapshot lacks is a ConfigError."""
+    unknown = sorted(set(cfg) - set(snapshot))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {unknown}; expected keys from {sorted(snapshot)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w") as f:
         json.dump(snapshot, f, indent=2, sort_keys=True)
@@ -117,7 +121,7 @@ def cmd_gen(args) -> int:
         scene = synth.SceneConfig(seed=seed)
 
     out_dir = Path(args.out)
-    _write_snapshot(out_dir, {"command": "gen", **settings, "scene": scene.to_dict()})
+    _write_snapshot(args, cfg, out_dir, {"command": "gen", **settings, "scene": scene.to_dict()})
 
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
@@ -163,7 +167,7 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     snapshot = {"command": "train", "data": str(data_path), "folds": folds, **tc.to_dict()}
-    _write_snapshot(out_dir, snapshot)
+    _write_snapshot(args, cfg, out_dir, snapshot)
 
     dataset = synth.load_dataset(data_path)
     if folds <= 0:
@@ -215,7 +219,7 @@ def cmd_finetune(args) -> int:
     out_dir = Path(args.out)
     snapshot = {"command": "finetune", "params": str(params_path), "calib": str(calib_path),
                 "subject": subject_filter, **tc.to_dict()}
-    _write_snapshot(out_dir, snapshot)
+    _write_snapshot(args, cfg, out_dir, snapshot)
 
     base = model.load_params(params_path)
     calib = synth.load_dataset(calib_path)
@@ -250,7 +254,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     snapshot = {"command": "eval", "params": str(params_path), "data": str(data_path),
                 "screen": None if screen_path is None else str(screen_path)}
-    _write_snapshot(out_dir, snapshot)
+    _write_snapshot(args, cfg, out_dir, snapshot)
 
     params = model.load_params(params_path)
     dataset = synth.load_dataset(data_path)

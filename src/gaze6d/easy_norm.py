@@ -71,10 +71,6 @@ class Rotation3:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)
 
-    @property
-    def inverse(self) -> "Rotation3":
-        return Rotation3(self.matrix.T)
-
 
 def norm_rotation(intr: CameraIntrinsics, face_px) -> AxisAngle:
     """Rotation taking the face direction z_n onto the optical axis.

@@ -103,15 +103,15 @@ def evaluate(params, dataset, screen_transform: RigidTransform | None = None) ->
     batch = Batch.from_samples(samples, dataset.intrinsics)
     c = forward_batch(params, batch.features, batch.ray)
 
-    gn_deg = angular_deg(c["g_n"], batch.labels["g_n"])
-    go_deg = angular_deg(c["g_o"], batch.labels["g_o"])
-    pogz_mm = np.linalg.norm(c["pogz"] - batch.labels["pogz"], axis=1)
+    gn_deg = angular_deg(c["g_n"], batch.task_labels("g_n"))
+    go_deg = angular_deg(c["g_o"], batch.task_labels("g_o"))
+    pogz_mm = np.linalg.norm(c["pogz"] - batch.task_labels("pogz"), axis=1)
 
     pog_mm = None
     if screen_transform is not None:
         pog_mm = np.full(len(samples), np.nan)
         pred_dirs = vec_from_euler(c["g_o"])
-        true_dirs = vec_from_euler(batch.labels["g_o"])
+        true_dirs = vec_from_euler(batch.task_labels("g_o"))
         for i, s in enumerate(samples):
             try:
                 truth = pogz_to_pog(PlanePoint(s.pogz[0], s.pogz[1]), true_dirs[i], screen_transform)

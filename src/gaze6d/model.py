@@ -39,10 +39,19 @@ from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .errors import ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged
 from .pogz import PlanePoint, pogz_from_ray
 
-TASKS = ("g_n", "g_o", "pogz", "r_on", "face")
+# task -> (GazeSample field holding its label, the label's columns in Batch.labels)
+TASK_LABELS = {
+    "g_n": ("g_n", slice(0, 2)),
+    "g_o": ("g_o", slice(2, 4)),
+    "pogz": ("pogz", slice(4, 6)),
+    "r_on": ("r_on", slice(6, 8)),
+    "face": ("o_face", slice(8, 11)),
+}
+TASKS = tuple(TASK_LABELS)
 
-# softmax-free heads; components per task for the L1 mean
-_TASK_COMPONENTS = {"g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "face": 3}
+_STARTS = np.array([span.start for _, span in TASK_LABELS.values()])
+_WIDTHS = np.array([span.stop - span.start for _, span in TASK_LABELS.values()])
+_COLUMN_TASK = np.repeat(np.arange(len(TASKS)), _WIDTHS)   # task index of each label column
 
 # ---------------------------------------------------------------------------
 # gaze angle parametrization
@@ -310,41 +319,43 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Dense training arrays; masks mark which labels are present per row."""
+    """Dense training arrays, one row per sample: each task's label in its
+    TASK_LABELS columns, `mask` 1 where the row carries the task's label."""
 
-    features: np.ndarray              # (B, 7)
-    ray: np.ndarray                   # (B, 3) box-center backprojection at unit depth
-    labels: dict[str, np.ndarray]     # task -> (B, C)
-    masks: dict[str, np.ndarray]      # task -> (B,)
+    features: np.ndarray              # (N, 7)
+    ray: np.ndarray                   # (N, 3) box-center backprojection at unit depth
+    labels: np.ndarray                # (N, 11)
+    mask: np.ndarray                  # (N, 5)
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    def task_labels(self, task: str) -> np.ndarray:
+        """The (N, C) label columns of one task."""
+        return self.labels[:, TASK_LABELS[task][1]]
+
     def subset(self, idx) -> "Batch":
-        return Batch(
-            features=self.features[idx],
-            ray=self.ray[idx],
-            labels={k: v[idx] for k, v in self.labels.items()},
-            masks={k: v[idx] for k, v in self.masks.items()},
-        )
+        return Batch(self.features[idx], self.ray[idx], self.labels[idx], self.mask[idx])
 
     @classmethod
     def from_samples(cls, samples, intr: CameraIntrinsics) -> "Batch":
         n = len(samples)
         features = np.zeros((n, 7))
         ray = np.zeros((n, 3))
-        labels = {t: np.zeros((n, _TASK_COMPONENTS[t])) for t in TASKS}
-        masks = {t: np.zeros(n) for t in TASKS}
-        fields = {"g_n": "g_n", "g_o": "g_o", "pogz": "pogz", "r_on": "r_on", "face": "o_face"}
+        labels = np.zeros((n, _COLUMN_TASK.size))
+        mask = np.zeros((n, len(TASKS)))
+        # per task: its sample field, and views of its label columns and mask column
+        columns = [(attr, labels[:, span], mask[:, j])
+                   for j, (attr, span) in enumerate(TASK_LABELS.values())]
         for i, s in enumerate(samples):
             features[i] = s.features
             ray[i] = backproject(intr, s.bbox.center, 1.0).xyz
-            for task, attr in fields.items():
+            for attr, task_labels, task_mask in columns:
                 value = getattr(s, attr)
                 if value is not None:
-                    labels[task][i] = value
-                    masks[task][i] = 1.0
-        return cls(features, ray, labels, masks)
+                    task_labels[i] = value
+                    task_mask[i] = 1.0
+        return cls(features, ray, labels, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +440,27 @@ def forward(params: ModelParams, features) -> MultiTaskOutput:
 
 
 def _task_terms(preds: dict, batch: Batch, weights: LossWeights, pogz_scale: float):
-    """Masked per-task mean L1 terms and the weighted total.
+    """(total, task -> masked mean L1 term, residual matrix, labelled rows per task).
 
     The pogz residual is measured in units of pogz_scale (the head's output
     gain), not millimetres: that keeps the task's subgradients the same
     magnitude as the angular tasks', so no single task dominates the shared
     encoders.  Reported errors elsewhere stay metric.
     """
-    terms, resids, counts = {}, {}, {}
-    total = 0.0
-    for task in TASKS:
-        resid = preds[task] - batch.labels[task]
-        if task == "pogz":
-            resid = resid / pogz_scale
-        mask = batch.masks[task]
-        n = mask.sum()
-        per_sample = np.abs(resid).mean(axis=1)
-        term = float((per_sample * mask).sum() / max(n, 1.0))
-        terms[task] = term
-        resids[task] = resid
-        counts[task] = n
-        total += weights.value(task) * term
-    return total, terms, resids, counts
+    resid = np.concatenate([preds[t] for t in TASKS], axis=1) - batch.labels
+    resid[:, TASK_LABELS["pogz"][1]] /= pogz_scale
+    abs_resid = np.abs(resid)
+    # per-row mean over each task's columns, summed left to right as mean(axis=1) sums
+    sums = abs_resid[:, _STARTS]
+    for k in range(1, _WIDTHS.max()):
+        wide = _WIDTHS > k
+        sums[:, wide] += abs_resid[:, _STARTS[wide] + k]
+    counts = batch.mask.sum(axis=0)
+    # each task's masked sum runs over one contiguous row, in a 1-D sum's order
+    terms = np.ascontiguousarray((sums / _WIDTHS * batch.mask).T).sum(axis=1) / np.maximum(counts, 1.0)
+    lam = np.array([weights.value(t) for t in TASKS])
+    total = float(np.cumsum(lam * terms)[-1])   # the weighted terms added in task order
+    return total, dict(zip(TASKS, terms.tolist())), resid, counts
 
 
 def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
@@ -479,21 +489,16 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     """
     p, cfg = params.arrays, params.config
     c = forward_batch(params, batch.features, batch.ray)
-    total, terms, resids, counts = _task_terms(c, batch, weights, cfg.pogz_gain)
+    total, terms, resid, counts = _task_terms(c, batch, weights, cfg.pogz_gain)
 
-    def head_delta(task: str) -> np.ndarray:
-        lam = weights.value(task)
-        if lam == 0.0:
-            return np.zeros_like(resids[task])
-        scale = lam / (_TASK_COMPONENTS[task] * max(counts[task], 1.0))
-        return np.sign(resids[task]) * batch.masks[task][:, None] * scale
-
-    d_gn = head_delta("g_n")
-    d_go = head_delta("g_o")
-    # pogz loss is taken in gain units, so the forward gain cancels here
-    d_pz = head_delta("pogz")
-    d_r = head_delta("r_on")
-    d_face = head_delta("face")                    # (B, 3) w.r.t. the 3-D point
+    # d loss / d prediction on labelled rows: sign(resid) * lam / (label width *
+    # labelled rows), exactly 0 for a zero-weight task; pogz loss is taken in
+    # gain units, so the forward gain cancels here
+    lam = np.array([weights.value(t) for t in TASKS])
+    task_scale = lam / (_WIDTHS * np.maximum(counts, 1.0))
+    delta = np.sign(resid) * (batch.mask * task_scale)[:, _COLUMN_TASK]
+    delta[:, (lam == 0.0)[_COLUMN_TASK]] = 0.0
+    d_gn, d_go, d_pz, d_r, d_face = (delta[:, span] for _, span in TASK_LABELS.values())
 
     # face point = ray * softplus(d_raw)
     d_depth = (d_face * batch.ray).sum(axis=1, keepdims=True)
@@ -504,16 +509,10 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     gflat = np.empty(layout.size)
     g = Gradients(layout.views(gflat), gflat)
 
-    np.matmul(d_gn.T, c["Ed"], out=g["head_gn_w"])
-    d_gn.sum(axis=0, out=g["head_gn_b"])
-    np.matmul(d_go.T, c["C"], out=g["head_go_w"])
-    d_go.sum(axis=0, out=g["head_go_b"])
-    np.matmul(d_pz.T, c["C"], out=g["head_pogz_w"])
-    d_pz.sum(axis=0, out=g["head_pogz_b"])
-    np.matmul(d_r.T, c["C"], out=g["head_r_w"])
-    d_r.sum(axis=0, out=g["head_r_b"])
-    np.matmul(d_draw.T, c["Epos"], out=g["head_depth_w"])
-    d_draw.sum(axis=0, out=g["head_depth_b"])
+    for head, d, x in (("head_gn", d_gn, c["Ed"]), ("head_go", d_go, c["C"]), ("head_pogz", d_pz, c["C"]),
+                       ("head_r", d_r, c["C"]), ("head_depth", d_draw, c["Epos"])):
+        np.matmul(d.T, x, out=g[head + "_w"])
+        d.sum(axis=0, out=g[head + "_b"])
 
     e = cfg.embed
     d_C = d_go @ p["head_go_w"] + d_pz @ p["head_pogz_w"] + d_r @ p["head_r_w"]
@@ -582,17 +581,12 @@ def make_gradcheck_batch(params: ModelParams, seed: int = 0, n: int = 8) -> Batc
         np.ones(n),
     ])
     c = forward_batch(params, features, ray)
-    offsets = {t: rng.uniform(0.5, 1.5, size=c[t].shape) * rng.choice([-1.0, 1.0], size=c[t].shape)
-               for t in ("g_n", "g_o", "r_on")}
-    labels = {
-        "g_n": c["g_n"] + offsets["g_n"],
-        "g_o": c["g_o"] + offsets["g_o"],
-        "r_on": c["r_on"] + offsets["r_on"],
-        "pogz": c["pogz"] + rng.uniform(5.0, 50.0, size=(n, 2)) * rng.choice([-1.0, 1.0], size=(n, 2)),
-        "face": c["face"] + rng.uniform(5.0, 50.0, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3)),
-    }
-    masks = {t: np.ones(n) for t in TASKS}
-    return Batch(features=features, ray=ray, labels=labels, masks=masks)
+    spread = {"g_n": (0.5, 1.5), "g_o": (0.5, 1.5), "r_on": (0.5, 1.5),
+              "pogz": (5.0, 50.0), "face": (5.0, 50.0)}
+    pushed = {t: c[t] + rng.uniform(lo, hi, size=c[t].shape) * rng.choice([-1.0, 1.0], size=c[t].shape)
+              for t, (lo, hi) in spread.items()}
+    labels = np.concatenate([pushed[t] for t in TASKS], axis=1)
+    return Batch(features, ray, labels, np.ones((n, len(TASKS))))
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +641,10 @@ def _val_stats(params: ModelParams, val: Batch, weights: LossWeights):
         return float("nan"), float("nan")
     c = forward_batch(params, val.features, val.ray)
     total, _, _, _ = _task_terms(c, val, weights, params.config.pogz_gain)
-    mask = val.masks["g_n"] > 0
+    mask = val.mask[:, TASKS.index("g_n")] > 0
     if not mask.any():
         return total, float("nan")
-    ang = angular_deg(c["g_n"][mask], val.labels["g_n"][mask])
+    ang = angular_deg(c["g_n"][mask], val.task_labels("g_n")[mask])
     return total, float(ang.mean())
 
 
@@ -673,7 +667,9 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
             if max_steps is not None and steps >= max_steps:
                 break
             idx = perm[lo:lo + batch_size]
-            grads, total, terms = backward(params, data.subset(idx), weights)
+            # non-finite values are caught right below; numpy need not warn first
+            with np.errstate(invalid="ignore", over="ignore"):
+                grads, total, terms = backward(params, data.subset(idx), weights)
             if not np.isfinite(total):
                 bad = [t for t in TASKS if not np.isfinite(terms[t])]
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import FrameMismatchError, RayParallelError
+from .errors import ConfigError, FrameMismatchError, RayParallelError
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -81,8 +81,11 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RigidTransform":
-        return cls(Rotation3(np.array(d["R"], dtype=float).reshape(3, 3)),
-                   np.array(d["t"], dtype=float))
+        R, t = np.array(d["R"], dtype=float), np.array(d["t"], dtype=float)
+        for name, value, size in (("R", R, 9), ("t", t, 3)):
+            if value.size != size or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be {size} finite values, got {value.tolist()}")
+        return cls(Rotation3(R.reshape(3, 3)), t)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -90,8 +93,15 @@ class RigidTransform:
 
     @classmethod
     def load(cls, path) -> "RigidTransform":
+        """Read a transform written by save.  R must be 9 finite values forming a
+        proper rotation and t 3 finite values; else a ConfigError names the file."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                return cls.from_dict(json.load(f))
+            except KeyError as exc:
+                raise ConfigError(f"{path}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:  # JSONDecodeError and GeometryError too
+                raise ConfigError(f"{path}: {exc}") from None
 
 
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:

@@ -34,7 +34,7 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
 from .errors import ConfigError
-from .model import euler_from_vec, vec_from_euler
+from .model import TASK_LABELS, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
 SCHEMA_VERSION = 1
@@ -182,6 +182,10 @@ class SceneConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# the serialized float-list fields: the features, then each task's label
+_VECTOR_FIELDS = ("features",) + tuple(attr for attr, _ in TASK_LABELS.values())
+
+
 @dataclass
 class GazeSample:
     """One synthetic frame: observable features plus exact labels.
@@ -204,29 +208,13 @@ class GazeSample:
     head_pose: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "features": [float(v) for v in self.features],
-            "bbox": self.bbox.to_list(),
-            "g_n": [float(v) for v in self.g_n],
-            "g_o": [float(v) for v in self.g_o],
-            "pogz": [float(v) for v in self.pogz],
-            "r_on": [float(v) for v in self.r_on],
-            "o_face": [float(v) for v in self.o_face],
-            "subject": self.subject,
-        }
+        return {**{k: [float(v) for v in getattr(self, k)] for k in _VECTOR_FIELDS},
+                "bbox": self.bbox.to_list(), "subject": self.subject}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GazeSample":
-        return cls(
-            features=np.array(d["features"], dtype=float),
-            bbox=BoundingBox.from_list(d["bbox"]),
-            g_n=np.array(d["g_n"], dtype=float),
-            g_o=np.array(d["g_o"], dtype=float),
-            pogz=np.array(d["pogz"], dtype=float),
-            r_on=np.array(d["r_on"], dtype=float),
-            o_face=np.array(d["o_face"], dtype=float),
-            subject=int(d["subject"]),
-        )
+        return cls(bbox=BoundingBox.from_list(d["bbox"]), subject=int(d["subject"]),
+                   **{k: np.array(d[k], dtype=float) for k in _VECTOR_FIELDS})
 
 
 def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
@@ -420,7 +408,8 @@ class Dataset:
 
 
 # serialized row fields and their lengths; `subject` is the one scalar field
-_ROW_LENGTHS = {"features": 7, "bbox": 3, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
+_ROW_LENGTHS = {"features": 7, "bbox": 3,
+                **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()}}
 
 
 def _reject_constant(name: str):

@@ -128,3 +128,94 @@ def params_json_per_float(params, path):
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the multi-task loss and its gradient, one task at a time over per-task arrays
+
+REFERENCE_TASKS = ("g_n", "g_o", "pogz", "r_on", "face")
+REFERENCE_COMPONENTS = {"g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "face": 3}
+
+
+def split_labels(labels, mask):
+    """Per-task contiguous (N, C) label arrays and (N,) masks from the packed
+    (N, 11) label matrix and (N, 5) mask, columns in task order."""
+    out_labels, out_masks, lo = {}, {}, 0
+    for j, task in enumerate(REFERENCE_TASKS):
+        width = REFERENCE_COMPONENTS[task]
+        out_labels[task] = np.ascontiguousarray(labels[:, lo:lo + width])
+        out_masks[task] = np.ascontiguousarray(mask[:, j])
+        lo += width
+    return out_labels, out_masks
+
+
+def reference_task_terms(preds, labels, masks, weights, pogz_scale):
+    """Masked per-task mean L1 terms and the weighted total, task by task."""
+    terms, resids, counts = {}, {}, {}
+    total = 0.0
+    for task in REFERENCE_TASKS:
+        resid = preds[task] - labels[task]
+        if task == "pogz":
+            resid = resid / pogz_scale
+        mask = masks[task]
+        n = mask.sum()
+        per_sample = np.abs(resid).mean(axis=1)
+        term = float((per_sample * mask).sum() / max(n, 1.0))
+        terms[task] = term
+        resids[task] = resid
+        counts[task] = n
+        total += weights.value(task) * term
+    return total, terms, resids, counts
+
+
+def _stable_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_backward(params, c, ray, labels, masks, weights):
+    """(grads by name, total, terms) of the batch loss from the forward cache
+    `c`, with each head's output delta built on its own."""
+    p, cfg = params.arrays, params.config
+    total, terms, resids, counts = reference_task_terms(c, labels, masks, weights, cfg.pogz_gain)
+
+    def head_delta(task):
+        lam = weights.value(task)
+        if lam == 0.0:
+            return np.zeros_like(resids[task])
+        scale = lam / (REFERENCE_COMPONENTS[task] * max(counts[task], 1.0))
+        return np.sign(resids[task]) * masks[task][:, None] * scale
+
+    d_gn, d_go, d_pz, d_r, d_face = (head_delta(t) for t in REFERENCE_TASKS)
+    d_depth = (d_face * ray).sum(axis=1, keepdims=True)
+    d_draw = d_depth * _stable_sigmoid(c["d_raw"])
+
+    g = {}
+    for head, d, inp in (("head_gn", d_gn, c["Ed"]), ("head_go", d_go, c["C"]),
+                         ("head_pogz", d_pz, c["C"]), ("head_r", d_r, c["C"]),
+                         ("head_depth", d_draw, c["Epos"])):
+        g[head + "_w"] = d.T @ inp
+        g[head + "_b"] = d.sum(axis=0)
+
+    e = cfg.embed
+    d_C = d_go @ p["head_go_w"] + d_pz @ p["head_pogz_w"] + d_r @ p["head_r_w"]
+    d_Ed = d_C[:, :e] + d_gn @ p["head_gn_w"]
+    d_Epos = d_C[:, e:] + d_draw @ p["head_depth_w"]
+    d_fuse_pre = d_Epos * (1.0 - c["Epos"] ** 2)
+    g["fuse_w"] = d_fuse_pre.T @ c["Cpb"]
+    g["fuse_b"] = d_fuse_pre.sum(axis=0)
+    d_Cpb = d_fuse_pre @ p["fuse_w"]
+    for prefix, X, H1, E, d_E in (("gaze", c["Xd"], c["G1"], c["Ed"], d_Ed),
+                                  ("pose", c["Xp"], c["P1"], c["Ep"], d_Cpb[:, :e]),
+                                  ("box", c["Xb"], c["B1"], c["Eb"], d_Cpb[:, e:])):
+        d2 = d_E * (1.0 - E ** 2)
+        g[prefix + "2_w"] = d2.T @ H1
+        g[prefix + "2_b"] = d2.sum(axis=0)
+        d1 = (d2 @ p[prefix + "2_w"]) * (1.0 - H1 ** 2)
+        g[prefix + "1_w"] = d1.T @ X
+        g[prefix + "1_b"] = d1.sum(axis=0)
+    return g, total, terms

@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaze6d
 from gaze6d import cli
 from gaze6d.easy_norm import Rotation3
-from gaze6d.model import LossWeights, TrainConfig
+from gaze6d.model import LossWeights, TrainConfig, init_params, save_params
 from gaze6d.pogz import RigidTransform
 from gaze6d.synth import load_dataset
 
@@ -132,8 +137,9 @@ def test_train_rerun_from_snapshot_identical(tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
-def test_train_stops_on_non_finite_gradients_with_exit_3(tmp_path, capsys):
-    # 1e999 loads as inf; tanh saturates, so only the gradients go non-finite
+def write_inf_feature_set(tmp_path):
+    """A 6-row dataset whose fourth row has a feature written 1e999; 1e999
+    loads as inf, and tanh saturates, so only the gradients go non-finite."""
     gen = tmp_path / "gen"
     run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
     lines = (gen / "dataset.jsonl").read_text().splitlines()
@@ -141,13 +147,31 @@ def test_train_stops_on_non_finite_gradients_with_exit_3(tmp_path, capsys):
     row["features"][0] = 12345.5
     lines[3] = json.dumps(row).replace("12345.5", "1e999")
     (gen / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    return gen / "dataset.jsonl"
+
+
+def test_train_stops_on_non_finite_gradients_with_exit_3(tmp_path, capsys):
+    data = write_inf_feature_set(tmp_path)
     capsys.readouterr()
     out = tmp_path / "train"
-    assert run("train", "--data", str(gen / "dataset.jsonl"), "--epochs", "1",
+    assert run("train", "--data", str(data), "--epochs", "1",
                "--batch-size", "8", "--out", str(out)) == 3
     assert ("numeric failure: non-finite gradients at epoch 0, step 0 (batch offset 0), arrays: "
             in capsys.readouterr().err)
     assert not (out / "params.json").exists()
+
+
+def test_non_finite_gradient_exit_writes_only_the_failure_line(tmp_path):
+    # a separate process, so that any numpy warning reaches the real stderr
+    data = write_inf_feature_set(tmp_path)
+    src = str(Path(gaze6d.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "gaze6d.cli", "train", "--data", str(data),
+                           "--epochs", "1", "--out", str(tmp_path / "train")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure: non-finite gradients at epoch 0, step 0 ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
 
 
 def test_train_folds(tmp_path, capsys):
@@ -371,6 +395,80 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "ft")) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not (tmp_path / "ft" / "params_subject_0.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run_inputs(tmp_path_factory):
+    """A 3-row dataset, a 2-row calibration set of the same subject, and
+    untrained params; each command runs on them in well under a second."""
+    root = tmp_path_factory.mktemp("inputs")
+    run("gen", "--subjects", "1", "--frames", "3", "--seed", "2", "--out", str(root / "gen"))
+    run("gen", "--mode", "calibration", "--subjects", "1", "--frames", "2", "--seed", "2",
+        "--out", str(root / "calib"))
+    save_params(init_params(seed=0), root / "params.json")
+    return {"data": str(root / "gen" / "dataset.jsonl"),
+            "calib": str(root / "calib" / "dataset.jsonl"),
+            "params": str(root / "params.json")}
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "finetune", "eval"])
+def test_unknown_config_keys_exit_2_before_the_snapshot(tmp_path, capsys, small_run_inputs, command):
+    paths = small_run_inputs
+    argv = {"gen": ["--subjects", "1", "--frames", "2"],
+            "train": ["--data", paths["data"], "--epochs", "1"],
+            "finetune": ["--params", paths["params"], "--calib", paths["calib"],
+                         "--finetune-steps", "1"],
+            "eval": ["--params", paths["params"], "--data", paths["data"]]}[command]
+    first, replay, bad_run = tmp_path / "first", tmp_path / "replay", tmp_path / "bad"
+    assert run(command, *argv, "--out", str(first)) == 0
+    snapshot = json.loads((first / "config.json").read_text())
+    assert run(command, "--config", str(first / "config.json"), "--out", str(replay)) == 0
+    assert (replay / "config.json").read_bytes() == (first / "config.json").read_bytes()
+
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({**snapshot, "epoch": 2, "fraction": 0.5}))
+    capsys.readouterr()
+    assert run(command, "--config", str(config), "--out", str(bad_run)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: unknown keys ['epoch', 'fraction']")
+    assert "Traceback" not in err
+    assert not (bad_run / "config.json").exists()
+
+
+EYE9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("command", ["convert", "eval"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param(json.dumps({"R": EYE9[:8], "t": [0, 0, 0]}),
+                 "R must be 9 finite values, got [1.0, 0.0,", id="short-R"),
+    pytest.param(json.dumps({"R": EYE9}), "missing key 't'", id="no-t"),
+    pytest.param(json.dumps({"R": [1.0, 0.5] + EYE9[2:], "t": [0, 0, 0]}),
+                 "matrix is not orthonormal", id="skewed-R"),
+    pytest.param(json.dumps({"R": EYE9, "t": [0.0, float("nan"), 0.0]}),
+                 "t must be 3 finite values, got [0.0, nan, 0.0]", id="nan-t"),
+    pytest.param(json.dumps({"R": [float("inf")] + EYE9[1:], "t": [0, 0, 0]}),
+                 "R must be 9 finite values, got [inf,", id="inf-R"),
+    pytest.param(json.dumps({"R": EYE9, "t": [0, 0]}),
+                 "t must be 3 finite values, got [0.0, 0.0]", id="short-t"),
+    pytest.param("[1, 2]", "list indices must be integers", id="not-an-object"),
+    pytest.param('{"R": ', "Expecting value", id="not-json"),
+])
+def test_transform_file_errors_exit_2_and_name_the_file(tmp_path, capsys, small_run_inputs,
+                                                        command, text, message):
+    transform = tmp_path / "screen.json"
+    transform.write_text(text)
+    records = tmp_path / "points.jsonl"
+    records.write_text(json.dumps({"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0]}) + "\n")
+    argv = {"convert": ["convert", "--dir", "pogz2pog", "--transform", str(transform),
+                        "--input", str(records), "--output", str(tmp_path / "out.jsonl")],
+            "eval": ["eval", "--params", small_run_inputs["params"], "--data",
+                     small_run_inputs["data"], "--screen", str(transform),
+                     "--out", str(tmp_path / "eval")]}[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {transform}: {message}") and "Traceback" not in err
 
 
 def run_convert(monkeypatch, capsys, argv, lines):

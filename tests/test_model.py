@@ -7,7 +7,7 @@ import oracles
 
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
 from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
-from gaze6d.model import (TASKS, Adam, Batch, LossWeights, ModelConfig,
+from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, LossWeights, ModelConfig,
                           ModelParams, TrainConfig, backward, batch_loss,
                           euler_from_vec, fine_tune, forward, forward_batch,
                           gradient_check, history_to_csv, init_params,
@@ -212,8 +212,8 @@ def one_row_batch(offsets=None):
     ray = np.array([[0.1, -0.05, 1.0]])
     c = forward_batch(params, features, ray)
     offsets = offsets or {}
-    labels = {t: c[t] + offsets.get(t, 0.0) for t in TASKS}
-    return params, Batch(features, ray, labels, {t: np.ones(1) for t in TASKS})
+    labels = np.concatenate([c[t] + offsets.get(t, 0.0) for t in TASKS], axis=1)
+    return params, Batch(features, ray, labels, np.ones((1, len(TASKS))))
 
 
 # errors of exactly 1 per task, signs mixed; pogz is measured in gain units (500 mm)
@@ -255,7 +255,7 @@ def test_loss_missing_labels_masked():
     params, batch = one_row_batch(UNIT_OFFSETS)
     for task in TASKS:
         if task != "g_n":
-            batch.masks[task][:] = 0.0
+            batch.mask[:, TASKS.index(task)] = 0.0
     total, terms = batch_loss(params, batch, LossWeights())
     assert total == pytest.approx(1.0)
     assert terms["g_o"] == 0.0 and terms["face"] == 0.0
@@ -284,7 +284,7 @@ def test_gradients_zero_for_frozen_heads():
 def test_gradients_zero_for_masked_task():
     params = init_params(seed=6)
     batch = make_gradcheck_batch(params, seed=6, n=4)
-    batch.masks["face"][:] = 0.0
+    batch.mask[:, TASKS.index("face")] = 0.0
     grads, _, terms = backward(params, batch, LossWeights())
     assert terms["face"] == 0.0
     assert np.all(grads["head_depth_w"] == 0.0)
@@ -298,14 +298,64 @@ def test_gradient_at_exact_labels_is_zero_for_heads():
     batch = Batch(
         features=np.zeros((n, 7)),
         ray=np.tile([0.0, 0.0, 1.0], (n, 1)),
-        labels={"g_n": np.zeros((n, 2)), "g_o": np.zeros((n, 2)),
-                "pogz": np.zeros((n, 2)), "r_on": np.zeros((n, 2)),
-                "face": np.tile([0.0, 0.0, np.log(2.0)], (n, 1))},
-        masks={t: np.ones(n) for t in TASKS},
+        # g_n, g_o, pogz and r_on at 0, the face point at depth log 2 on the ray
+        labels=np.tile([0.0] * 8 + [0.0, 0.0, np.log(2.0)], (n, 1)),
+        mask=np.ones((n, len(TASKS))),
     )
     grads, total, _ = backward(params, batch, LossWeights())
     assert total == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
+
+
+def random_loss_batch(rng):
+    """Params, a batch of 1 to 200 rows with random labels (about a tenth of
+    them exactly on the prediction) and random per-task masks whose
+    labelled-row rates run from 0 to 1, and the batch's forward cache."""
+    params = init_params(seed=int(rng.integers(0, 5)))
+    n = int(rng.integers(1, 201))
+    features = rng.normal(0.0, 0.6, size=(n, 7))
+    ray = np.column_stack([rng.uniform(-0.3, 0.3, size=(n, 2)), np.ones(n)])
+    c = forward_batch(params, features, ray)
+    preds = np.concatenate([c[t] for t in TASKS], axis=1)
+    spread = np.array([1.0, 1.0, 1.0, 1.0, 300.0, 300.0, 1.0, 1.0, 50.0, 50.0, 50.0])
+    labels = preds + rng.normal(size=preds.shape) * spread
+    exact = rng.random(preds.shape) < 0.1
+    labels[exact] = preds[exact]
+    mask = (rng.random((n, len(TASKS))) < rng.uniform(0.0, 1.0, size=len(TASKS))).astype(float)
+    mask[:, rng.random(len(TASKS)) < 0.15] = 0.0
+    return params, Batch(features, ray, labels, mask), c
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_loss_and_gradients_match_the_per_task_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for i in range(1000):
+        params, batch, c = random_loss_batch(rng)
+        weights = LossWeights()
+        if i % 2:
+            zeroed = TASKS[i // 2 % len(TASKS)]
+            weights = LossWeights(**{**weights.to_dict(), zeroed: 0.0})
+            if i % 4 == 3:
+                # a NaN residual in the zero-weight task: its head still gets exactly 0
+                rows = rng.random(len(batch)) < 0.3
+                batch.labels[rows, TASK_LABELS[zeroed][1]] = np.nan
+        labels, masks = oracles.split_labels(batch.labels, batch.mask)
+        ref_grads, ref_total, ref_terms = oracles.reference_backward(
+            params, c, batch.ray, labels, masks, weights)
+
+        total, terms = batch_loss(params, batch, weights)
+        grads, g_total, g_terms = backward(params, batch, weights)
+        assert type(total) is float and same_bits(total, ref_total) and same_bits(g_total, ref_total), i
+        ref_row = [ref_terms[t] for t in TASKS]
+        assert same_bits([terms[t] for t in TASKS], ref_row), i
+        assert same_bits([g_terms[t] for t in TASKS], ref_row), i
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert same_bits(grads[name], ref), (i, name)
 
 
 TASK_HEADS = {"g_n": "head_gn", "g_o": "head_go", "pogz": "head_pogz",
