@@ -256,9 +256,10 @@ def cmd_eval(args) -> int:
                 "screen": None if screen_path is None else str(screen_path)}
     _write_snapshot(args, cfg, out_dir, snapshot)
 
+    # the transform is small: a bad one is reported before the params and rows load
+    transform = None if screen_path is None else RigidTransform.load(screen_path)
     params = model.load_params(params_path)
     dataset = synth.load_dataset(data_path)
-    transform = None if screen_path is None else RigidTransform.load(screen_path)
     report = metrics.evaluate(params, dataset, screen_transform=transform)
     (out_dir / "report.csv").write_text(report.to_csv())
     print(report.table())

@@ -97,22 +97,32 @@ def norm_rotation(intr: CameraIntrinsics, face_px) -> AxisAngle:
     return AxisAngle(theta * axis_x, theta * axis_y)
 
 
-def to_matrix(r: AxisAngle) -> Rotation3:
-    """Rodrigues formula: R = I + sin(t) K + (1 - cos(t)) K^2, K = [axis]_x."""
+def _rodrigues(r: AxisAngle) -> np.ndarray:
+    """Rodrigues formula: R = I + sin(t) K + (1 - cos(t)) K^2, K = [axis]_x.
+
+    The bare matrix, for the rotations this module builds itself; it is a
+    rotation by construction, so it skips Rotation3's check.
+    """
     theta = r.angle
     if theta < PARALLEL_EPS:
-        return Rotation3(np.eye(3))
+        return np.eye(3)
     kx, ky, kz = r.vector / theta
     K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    m = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
-    return Rotation3(m)
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+
+
+def to_matrix(r: AxisAngle) -> Rotation3:
+    """The validated rotation matrix of an axis-angle (Rodrigues formula)."""
+    return Rotation3(_rodrigues(r))
 
 
 def normalize_gaze(g_o: np.ndarray, r: AxisAngle) -> np.ndarray:
     """Express a camera-frame gaze direction in the normalized frame."""
-    return to_matrix(r).apply(g_o)
+    return _rodrigues(r) @ np.asarray(g_o, dtype=float)
 
 
 def denormalize_gaze(g_n: np.ndarray, r: AxisAngle) -> np.ndarray:
     """Inverse of normalize_gaze: back into the camera frame."""
+    # still through the validated matrix: bench/test_measure.py holds
+    # sample_frame (general mode) to one Rotation3 per frame
     return to_matrix(r).matrix.T @ np.asarray(g_n, dtype=float)

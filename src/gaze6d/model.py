@@ -52,6 +52,13 @@ TASKS = tuple(TASK_LABELS)
 _STARTS = np.array([span.start for _, span in TASK_LABELS.values()])
 _WIDTHS = np.array([span.stop - span.start for _, span in TASK_LABELS.values()])
 _COLUMN_TASK = np.repeat(np.arange(len(TASKS)), _WIDTHS)   # task index of each label column
+_GN, _POGZ, _FACE = (TASK_LABELS[t][1] for t in ("g_n", "pogz", "face"))
+# the columns of the joint heads g_o, pogz and r_on, one span in this order
+_JOINT = slice(TASK_LABELS["g_o"][1].start, TASK_LABELS["r_on"][1].stop)
+# step k of the per-row sum over each task's label columns: column k of the
+# task, or a zero column past the labels once the task is no wider than k
+# (adding +0.0 leaves a sum of absolute values as it is)
+_SUM_COLUMNS = [np.where(k < _WIDTHS, _STARTS + k, _COLUMN_TASK.size) for k in range(_WIDTHS.max())]
 
 # ---------------------------------------------------------------------------
 # gaze angle parametrization
@@ -117,7 +124,7 @@ class ModelConfig:
 
 
 def _layer_dims(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Affine layer -> (outputs, fan_in), in parameter order."""
+    """Affine layer -> (outputs, fan_in), in the order init_params draws them."""
     h, e = config.hidden, config.embed
     return {
         "gaze1": (h, config.dir_hi - config.dir_lo),
@@ -135,46 +142,71 @@ def _layer_dims(config: ModelConfig) -> dict[str, tuple[int, int]]:
     }
 
 
+# layers in flat-vector order, in groups: a group's weights sit side by side,
+# then its biases, so that a group's arrays also form one stacked view
+_LAYER_GROUPS = (("gaze1", "pose1", "box1"), ("gaze2", "pose2", "box2"), ("fuse",), ("head_gn",),
+                 ("head_go", "head_pogz", "head_r"), ("head_depth",))
+
+
 @dataclass(frozen=True)
 class ParamLayout:
-    """Where each named weight array lives in the flat parameter vector."""
+    """Where each named weight array, and each group's stacked arrays, live
+    in the flat parameter vector."""
 
     entries: tuple[tuple[str, slice, tuple[int, ...]], ...]   # (name, span, shape), in order
+    stacks: tuple[tuple[str, slice, tuple[int, ...]], ...]    # (stack name, span, shape)
     size: int
 
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Name -> view of its array in `flat`."""
+    def views(self, flat: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """(name -> view of its array, stack name -> stacked view) in `flat`."""
         if flat.shape != (self.size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
             raise ConfigError(f"expected a contiguous float64 vector of {self.size} params, "
                               f"got {flat.dtype} {flat.shape}")
-        # a bias needs no reshape, and backward makes these views every step
-        return {name: flat[span] if len(shape) == 1 else flat[span].reshape(shape)
-                for name, span, shape in self.entries}
+        return ({name: flat[span].reshape(shape) for name, span, shape in self.entries},
+                {name: flat[span].reshape(shape) for name, span, shape in self.stacks})
 
 
 @functools.lru_cache(maxsize=16)
 def param_layout(config: ModelConfig) -> ParamLayout:
-    """The flat layout of `config`'s params: each layer's weight, then its bias."""
+    """The flat layout of `config`'s params, group by group (_LAYER_GROUPS)."""
+    dims = _layer_dims(config)
     entries, size = [], 0
-    for layer, (out, fan_in) in _layer_dims(config).items():
-        for name, shape in ((layer + "_w", (out, fan_in)), (layer + "_b", (out,))):
-            n = math.prod(shape)
-            entries.append((name, slice(size, size + n), shape))
-            size += n
-    return ParamLayout(tuple(entries), size)
+    for layers in _LAYER_GROUPS:
+        for suffix in ("_w", "_b"):
+            for layer in layers:
+                shape = dims[layer] if suffix == "_w" else dims[layer][:1]
+                n = math.prod(shape)
+                entries.append((layer + suffix, slice(size, size + n), shape))
+                size += n
+    spans = {name: span for name, span, _ in entries}
+    h, e = config.hidden, config.embed
+    # the encoders' layers run side by side on their own inputs, so they stack;
+    # the joint heads all read the joint embedding, so they form one wider layer
+    # (the first layers' weights differ in fan-in, so only their biases stack)
+    stacks = tuple((name, slice(spans[first].start, spans[last].stop), shape)
+                   for name, first, last, shape in (
+                       ("encoder1_b", "gaze1_b", "box1_b", (3, 1, h)),
+                       ("encoder2_w", "gaze2_w", "box2_w", (3, e, h)),
+                       ("encoder2_b", "gaze2_b", "box2_b", (3, 1, e)),
+                       ("joint_w", "head_go_w", "head_r_w", (6, 2 * e)),
+                       ("joint_b", "head_go_b", "head_r_b", (6,))))
+    return ParamLayout(tuple(entries), stacks, size)
 
 
 @dataclass
 class ModelParams:
     """The architecture description plus every weight in one contiguous
-    float64 vector; `arrays` maps each name to its view into `flat`."""
+    float64 vector; `arrays` maps each name to its view into `flat`, and
+    `stacks` the stacked views of whole layer groups ("encoder1_b",
+    "encoder2_w", "encoder2_b", "joint_w", "joint_b"; see param_layout)."""
 
     config: ModelConfig
     flat: np.ndarray
     arrays: dict[str, np.ndarray] = field(init=False, repr=False)
+    stacks: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.arrays = self.layout.views(self.flat)
+        self.arrays, self.stacks = self.layout.views(self.flat)
 
     @property
     def layout(self) -> ParamLayout:
@@ -367,54 +399,89 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, never overflowing
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def _buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialised array: a fresh one, or the one `work` keeps under this
+    name and shape from an earlier call."""
+    if work is None:
+        return np.empty(shape)
+    array = work.get((name, shape))
+    if array is None:
+        array = work[name, shape] = np.empty(shape)
+    return array
+
+
+def _tanh_backward(d_y: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d_y * (1 - y ** 2), the gradient through y = tanh(.), written into `out`,
+    which may be y."""
+    np.square(y, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= d_y
     return out
 
 
-def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None) -> dict:
+_ENCODERS = ("gaze", "pose", "box")
+
+
+def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None, *,
+                  work: dict | None = None) -> dict:
     """Forward pass over (N, 7) feature rows.
 
-    Returns a dict holding each task's (N, C) predictions under its name in
+    Returns a dict holding "preds", the (N, 11) predictions in TASK_LABELS
+    column order, a view of each task's (N, C) columns under its name in
     TASKS, "depth" (N, 1), and every intermediate that backward needs.  The
-    "face" point is present only when the (N, 3) unit-depth box rays are given.
+    "face" point is present only when the (N, 3) unit-depth box rays are
+    given; without them the face columns of "preds" are NaN.
+
+    With `work` (backward's scratch dict), the large intermediates live in
+    arrays kept there, which the next call with it overwrites.
     """
-    p, cfg = params.arrays, params.config
+    p, s, cfg = params.arrays, params.stacks, params.config
     if F.shape[1] != cfg.feature_dim:
         raise ConfigError(f"expected {cfg.feature_dim} features, got {F.shape[1]}")
-    Xd = F[:, cfg.dir_lo:cfg.dir_hi]
-    Xp = F[:, cfg.pose_lo:cfg.pose_hi]
-    Xb = F[:, cfg.box_lo:cfg.box_hi]
+    n, e = F.shape[0], cfg.embed
+    X = (F[:, cfg.dir_lo:cfg.dir_hi], F[:, cfg.pose_lo:cfg.pose_hi], F[:, cfg.box_lo:cfg.box_hi])
 
-    G1 = np.tanh(Xd @ p["gaze1_w"].T + p["gaze1_b"])
-    Ed = np.tanh(G1 @ p["gaze2_w"].T + p["gaze2_b"])
-    P1 = np.tanh(Xp @ p["pose1_w"].T + p["pose1_b"])
-    Ep = np.tanh(P1 @ p["pose2_w"].T + p["pose2_b"])
-    B1 = np.tanh(Xb @ p["box1_w"].T + p["box1_b"])
-    Eb = np.tanh(B1 @ p["box2_w"].T + p["box2_b"])
-    Cpb = np.concatenate([Ep, Eb], axis=1)
-    Epos = np.tanh(Cpb @ p["fuse_w"].T + p["fuse_b"])
-    C = np.concatenate([Ed, Epos], axis=1)
+    # both layers of the gaze, pose and box encoders, stacked in that order
+    H1 = _buffer(work, "H1", (len(_ENCODERS), n, cfg.hidden))
+    for h, x, enc in zip(H1, X, _ENCODERS):
+        np.matmul(x, p[enc + "1_w"].T, out=h)
+    H1 += s["encoder1_b"]
+    np.tanh(H1, out=H1)
+    E = np.matmul(H1, s["encoder2_w"].mT, out=_buffer(work, "E", (len(_ENCODERS), n, e)))
+    E += s["encoder2_b"]
+    np.tanh(E, out=E)
+    Ed, Ep, Eb = E
+    Cpb = np.concatenate([Ep, Eb], axis=1, out=_buffer(work, "Cpb", (n, 2 * e)))
+    Epos = np.matmul(Cpb, p["fuse_w"].T, out=_buffer(work, "Epos", (n, e)))
+    Epos += p["fuse_b"]
+    np.tanh(Epos, out=Epos)
+    C = np.concatenate([Ed, Epos], axis=1, out=_buffer(work, "C", (n, 2 * e)))
 
+    preds = np.empty((n, _COLUMN_TASK.size))
+    np.add(Ed @ p["head_gn_w"].T, p["head_gn_b"], out=preds[:, _GN])
+    # one head at a time: one (6, 2 * embed) product would differ in the last bit
+    for head, task in (("head_go", "g_o"), ("head_pogz", "pogz"), ("head_r", "r_on")):
+        np.matmul(C, p[head + "_w"].T, out=preds[:, TASK_LABELS[task][1]])
+    joint = preds[:, _JOINT]
+    np.add(joint, s["joint_b"], out=joint)
+    pogz = preds[:, _POGZ]
+    np.multiply(pogz, cfg.pogz_gain, out=pogz)
     d_raw = Epos @ p["head_depth_w"].T + p["head_depth_b"]
     depth = _softplus(d_raw)
-    out = {
-        "Xd": Xd, "Xp": Xp, "Xb": Xb,
-        "G1": G1, "Ed": Ed, "P1": P1, "Ep": Ep, "B1": B1, "Eb": Eb,
-        "Cpb": Cpb, "Epos": Epos, "C": C,
-        "g_n": Ed @ p["head_gn_w"].T + p["head_gn_b"],
-        "g_o": C @ p["head_go_w"].T + p["head_go_b"],
-        "pogz_raw": C @ p["head_pogz_w"].T + p["head_pogz_b"],
-        "r_on": C @ p["head_r_w"].T + p["head_r_b"],
-        "d_raw": d_raw,
-        "depth": depth,
-    }
-    out["pogz"] = out["pogz_raw"] * cfg.pogz_gain
     if ray is not None:
-        out["face"] = ray * depth  # (B, 3) face center along the box ray
+        np.multiply(ray, depth, out=preds[:, _FACE])  # (B, 3) face center along the box ray
+    else:
+        preds[:, _FACE] = np.nan
+    out = {task: preds[:, span] for task, (_, span) in TASK_LABELS.items()}
+    if ray is None:
+        del out["face"]
+    out.update(preds=preds, Xd=X[0], Xp=X[1], Xb=X[2], X=X, H1=H1, G1=H1[0], P1=H1[1], B1=H1[2],
+               E=E, Ed=Ed, Ep=Ep, Eb=Eb, Cpb=Cpb, Epos=Epos, C=C, d_raw=d_raw, depth=depth)
     return out
 
 
@@ -439,65 +506,83 @@ def forward(params: ModelParams, features) -> MultiTaskOutput:
     )
 
 
-def _task_terms(preds: dict, batch: Batch, weights: LossWeights, pogz_scale: float):
-    """(total, task -> masked mean L1 term, residual matrix, labelled rows per task).
+def _loss_weights(weights: LossWeights) -> np.ndarray:
+    return np.array([weights.value(t) for t in TASKS])
+
+
+def _task_terms(preds: dict, batch: Batch, lam: np.ndarray, pogz_scale: float):
+    """(total, task -> masked mean L1 term, residual matrix, labelled rows per task)
+    for the loss weights `lam` in TASKS order.
 
     The pogz residual is measured in units of pogz_scale (the head's output
     gain), not millimetres: that keeps the task's subgradients the same
     magnitude as the angular tasks', so no single task dominates the shared
     encoders.  Reported errors elsewhere stay metric.
     """
-    resid = np.concatenate([preds[t] for t in TASKS], axis=1) - batch.labels
-    resid[:, TASK_LABELS["pogz"][1]] /= pogz_scale
-    abs_resid = np.abs(resid)
+    resid = preds["preds"] - batch.labels
+    pogz = resid[:, _POGZ]
+    np.divide(pogz, pogz_scale, out=pogz)
+    abs_resid = np.zeros((len(batch), _COLUMN_TASK.size + 1))   # last column stays 0
+    np.abs(resid, out=abs_resid[:, :-1])
     # per-row mean over each task's columns, summed left to right as mean(axis=1) sums
-    sums = abs_resid[:, _STARTS]
-    for k in range(1, _WIDTHS.max()):
-        wide = _WIDTHS > k
-        sums[:, wide] += abs_resid[:, _STARTS[wide] + k]
+    sums = abs_resid.take(_SUM_COLUMNS[0], axis=1)
+    for columns in _SUM_COLUMNS[1:]:
+        sums += abs_resid.take(columns, axis=1)
     counts = batch.mask.sum(axis=0)
     # each task's masked sum runs over one contiguous row, in a 1-D sum's order
     terms = np.ascontiguousarray((sums / _WIDTHS * batch.mask).T).sum(axis=1) / np.maximum(counts, 1.0)
-    lam = np.array([weights.value(t) for t in TASKS])
-    total = float(np.cumsum(lam * terms)[-1])   # the weighted terms added in task order
+    total = 0.0
+    for weighted in (lam * terms).tolist():   # the weighted terms added in task order
+        total += weighted
     return total, dict(zip(TASKS, terms.tolist())), resid, counts
 
 
 def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
     """(total, per-task breakdown) over a batch; used by training and checks."""
     c = forward_batch(params, batch.features, batch.ray)
-    total, terms, _, _ = _task_terms(c, batch, weights, params.config.pogz_gain)
+    total, terms, _, _ = _task_terms(c, batch, _loss_weights(weights), params.config.pogz_gain)
     return total, terms
 
 
 class Gradients(dict):
-    """Param name -> gradient array; every array is a view into `flat`, one
-    contiguous vector laid out like the params' `flat`."""
+    """Param name -> gradient array, all views into one fresh vector `flat`
+    laid out like the params' `flat`; `stacks` holds the stacked group views
+    as in ModelParams.  backward fills every entry, and keeps its scratch
+    arrays in `work` for the next call."""
 
-    def __init__(self, views: dict[str, np.ndarray], flat: np.ndarray):
-        super().__init__(views)
-        self.flat = flat
+    def __init__(self, layout: ParamLayout):
+        self.flat = np.empty(layout.size)
+        arrays, self.stacks = layout.views(self.flat)
+        self.work: dict = {}
+        super().__init__(arrays)
 
 
-def backward(params: ModelParams, batch: Batch, weights: LossWeights):
+def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradients | None = None):
     """Analytic gradients of the batch loss.
 
     Returns (grads, total, per-task breakdown); grads maps each param name to
     its view into one flat gradient vector, `grads.flat`, laid out like
-    `params.flat`.  Gradients of heads whose task weight is zero are
-    identically zero; the L1 subgradient at zero residual is taken as 0.
+    `params.flat`.  `out`, a Gradients of the params' layout, is filled and
+    returned in place of a fresh one, and its scratch arrays are reused, so
+    that a training step allocates no large array.  Gradients of heads whose
+    task weight is zero are identically zero; the L1 subgradient at zero
+    residual is taken as 0.
     """
-    p, cfg = params.arrays, params.config
-    c = forward_batch(params, batch.features, batch.ray)
-    total, terms, resid, counts = _task_terms(c, batch, weights, cfg.pogz_gain)
+    p, s, cfg = params.arrays, params.stacks, params.config
+    g = Gradients(params.layout) if out is None else out
+    work = None if out is None else out.work
+    # backward owns this forward cache, and overwrites each large array after its last read
+    c = forward_batch(params, batch.features, batch.ray, work=work)
+    lam = _loss_weights(weights)
+    total, terms, resid, counts = _task_terms(c, batch, lam, cfg.pogz_gain)
 
     # d loss / d prediction on labelled rows: sign(resid) * lam / (label width *
     # labelled rows), exactly 0 for a zero-weight task; pogz loss is taken in
     # gain units, so the forward gain cancels here
-    lam = np.array([weights.value(t) for t in TASKS])
     task_scale = lam / (_WIDTHS * np.maximum(counts, 1.0))
-    delta = np.sign(resid) * (batch.mask * task_scale)[:, _COLUMN_TASK]
-    delta[:, (lam == 0.0)[_COLUMN_TASK]] = 0.0
+    delta = np.sign(resid) * (batch.mask * task_scale).take(_COLUMN_TASK, axis=1)
+    if not lam.all():
+        delta[:, (lam == 0.0)[_COLUMN_TASK]] = 0.0
     d_gn, d_go, d_pz, d_r, d_face = (delta[:, span] for _, span in TASK_LABELS.values())
 
     # face point = ray * softplus(d_raw)
@@ -505,38 +590,41 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights):
     d_draw = d_depth * _sigmoid(c["d_raw"])
 
     # every gradient is written in place into its view of one flat vector
-    layout = params.layout
-    gflat = np.empty(layout.size)
-    g = Gradients(layout.views(gflat), gflat)
+    for (w, b), d, x in (((g["head_gn_w"], g["head_gn_b"]), d_gn, c["Ed"]),
+                         ((g.stacks["joint_w"], g.stacks["joint_b"]), delta[:, _JOINT], c["C"]),
+                         ((g["head_depth_w"], g["head_depth_b"]), d_draw, c["Epos"])):
+        np.matmul(d.T, x, out=w)
+        d.sum(axis=0, out=b)
 
-    for head, d, x in (("head_gn", d_gn, c["Ed"]), ("head_go", d_go, c["C"]), ("head_pogz", d_pz, c["C"]),
-                       ("head_r", d_r, c["C"]), ("head_depth", d_draw, c["Epos"])):
-        np.matmul(d.T, x, out=g[head + "_w"])
-        d.sum(axis=0, out=g[head + "_b"])
-
-    e = cfg.embed
-    d_C = d_go @ p["head_go_w"] + d_pz @ p["head_pogz_w"] + d_r @ p["head_r_w"]
-    d_Ed = d_C[:, :e] + d_gn @ p["head_gn_w"]
-    d_Epos = d_C[:, e:] + d_draw @ p["head_depth_w"]
+    # the joint heads' terms of d_C one head at a time: one (N, 6) @ (6, 2 * embed)
+    # product would reorder the sum; sums run in place, some with their operands
+    # swapped (a + b and b + a round alike)
+    e, n = cfg.embed, len(batch)
+    product = _buffer(work, "product", (n, 2 * e))
+    d_C = np.matmul(d_go, p["head_go_w"], out=_buffer(work, "d_C", (n, 2 * e)))
+    d_C += np.matmul(d_pz, p["head_pogz_w"], out=product)
+    d_C += np.matmul(d_r, p["head_r_w"], out=product)
+    d_E = _buffer(work, "d_E", (len(_ENCODERS), n, e))   # stacked like the forward's E
+    d_Ed = np.matmul(d_gn, p["head_gn_w"], out=d_E[0])
+    d_Ed += d_C[:, :e]
+    d_Epos = np.matmul(d_draw, p["head_depth_w"], out=_buffer(work, "d_Epos", (n, e)))
+    d_Epos += d_C[:, e:]
 
     # fusion block
-    d_fuse_pre = d_Epos * (1.0 - c["Epos"] ** 2)
+    d_fuse_pre = _tanh_backward(d_Epos, c["Epos"], out=c["Epos"])
     np.matmul(d_fuse_pre.T, c["Cpb"], out=g["fuse_w"])
     d_fuse_pre.sum(axis=0, out=g["fuse_b"])
-    d_Cpb = d_fuse_pre @ p["fuse_w"]
-    d_Ep, d_Eb = d_Cpb[:, :e], d_Cpb[:, e:]
+    d_Cpb = np.matmul(d_fuse_pre, p["fuse_w"], out=product)
+    d_E[1:] = d_Cpb.reshape(n, 2, e).swapaxes(0, 1)
 
-    def encoder_grads(prefix: str, X, H1, E, d_E):
-        d2 = d_E * (1.0 - E ** 2)
-        np.matmul(d2.T, H1, out=g[prefix + "2_w"])
-        d2.sum(axis=0, out=g[prefix + "2_b"])
-        d1 = (d2 @ p[prefix + "2_w"]) * (1.0 - H1 ** 2)
-        np.matmul(d1.T, X, out=g[prefix + "1_w"])
-        d1.sum(axis=0, out=g[prefix + "1_b"])
-
-    encoder_grads("gaze", c["Xd"], c["G1"], c["Ed"], d_Ed)
-    encoder_grads("pose", c["Xp"], c["P1"], c["Ep"], d_Ep)
-    encoder_grads("box", c["Xb"], c["B1"], c["Eb"], d_Eb)
+    # the three encoders, stacked
+    d2 = _tanh_backward(d_E, c["E"], out=c["E"])
+    np.matmul(d2.mT, c["H1"], out=g.stacks["encoder2_w"])
+    d2.sum(axis=1, keepdims=True, out=g.stacks["encoder2_b"])
+    d1 = _tanh_backward(np.matmul(d2, s["encoder2_w"], out=d_E), c["H1"], out=c["H1"])
+    for d, x, enc in zip(d1, c["X"], _ENCODERS):
+        np.matmul(d.T, x, out=g[enc + "1_w"])
+    d1.sum(axis=1, keepdims=True, out=g.stacks["encoder1_b"])
     return g, total, terms
 
 
@@ -609,16 +697,33 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     def step(self, grad: np.ndarray) -> None:
-        """Update the params from the flat gradient vector `grad`."""
+        """Update the params from the flat gradient vector `grad`, in place."""
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         b1c = 1.0 - b1 ** self.t
         b2c = 1.0 - b2 ** self.t
-        self.m = b1 * self.m + (1.0 - b1) * grad
-        self.v = b2 * self.v + (1.0 - b2) * grad * grad
-        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.EPS)
+        m, v, flat = self.m, self.v, self.flat
+        a, b = self._scratch
+        # m = b1 * m + (1 - b1) * grad
+        np.multiply(m, b1, out=m)
+        np.multiply(grad, 1.0 - b1, out=a)
+        np.add(m, a, out=m)
+        # v = b2 * v + (1 - b2) * grad * grad
+        np.multiply(v, b2, out=v)
+        np.multiply(grad, 1.0 - b2, out=a)
+        np.multiply(a, grad, out=a)
+        np.add(v, a, out=v)
+        # flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+        np.divide(m, b1c, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.EPS, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(flat, a, out=flat)
 
 
 @dataclass(frozen=True)
@@ -640,7 +745,7 @@ def _val_stats(params: ModelParams, val: Batch, weights: LossWeights):
     if len(val) == 0:
         return float("nan"), float("nan")
     c = forward_batch(params, val.features, val.ray)
-    total, _, _, _ = _task_terms(c, val, weights, params.config.pogz_gain)
+    total, _, _, _ = _task_terms(c, val, _loss_weights(weights), params.config.pogz_gain)
     mask = val.mask[:, TASKS.index("g_n")] > 0
     if not mask.any():
         return total, float("nan")
@@ -657,6 +762,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     budget can be held fixed while the dataset size varies.
     """
     opt = Adam(params, lr)
+    grads = Gradients(params.layout)   # every step's backward fills this one buffer
     history: list[EpochStats] = []
     n = len(data)
     steps = 0
@@ -669,7 +775,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
             idx = perm[lo:lo + batch_size]
             # non-finite values are caught right below; numpy need not warn first
             with np.errstate(invalid="ignore", over="ignore"):
-                grads, total, terms = backward(params, data.subset(idx), weights)
+                _, total, terms = backward(params, data.subset(idx), weights, out=grads)
             if not np.isfinite(total):
                 bad = [t for t in TASKS if not np.isfinite(terms[t])]
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
@@ -771,8 +877,16 @@ class SixDofPrediction:
 
 
 def predict_6dof(params: ModelParams, features, bbox: BoundingBox, intr: CameraIntrinsics) -> SixDofPrediction:
-    """Assemble the 6-DoF gaze state for one sample."""
+    """Assemble the 6-DoF gaze state for one sample.
+
+    A face depth that the depth head's softplus rounds to 0 (a raw output
+    below about -745) is a GeometryError naming that raw output.
+    """
     out = forward(params, features)
+    if not out.face_depth > 0:
+        d_raw = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1))["d_raw"][0, 0]
+        raise GeometryError(f"predicted face depth is not positive: the depth head's raw "
+                            f"output {d_raw!r} gives softplus {out.face_depth!r}")
     origin = backproject(intr, bbox.center, out.face_depth)
     direction = vec_from_euler(out.g_o)
     try:

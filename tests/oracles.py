@@ -177,6 +177,44 @@ def _stable_sigmoid(x):
     return out
 
 
+def reference_forward(params, F, ray=None):
+    """The forward pass one layer and one head at a time over named arrays:
+    each task's (N, C) predictions by name, "face" only with the (N, 3) rays,
+    and every intermediate reference_backward reads."""
+    p, cfg = params.arrays, params.config
+    Xd = F[:, cfg.dir_lo:cfg.dir_hi]
+    Xp = F[:, cfg.pose_lo:cfg.pose_hi]
+    Xb = F[:, cfg.box_lo:cfg.box_hi]
+
+    G1 = np.tanh(Xd @ p["gaze1_w"].T + p["gaze1_b"])
+    Ed = np.tanh(G1 @ p["gaze2_w"].T + p["gaze2_b"])
+    P1 = np.tanh(Xp @ p["pose1_w"].T + p["pose1_b"])
+    Ep = np.tanh(P1 @ p["pose2_w"].T + p["pose2_b"])
+    B1 = np.tanh(Xb @ p["box1_w"].T + p["box1_b"])
+    Eb = np.tanh(B1 @ p["box2_w"].T + p["box2_b"])
+    Cpb = np.concatenate([Ep, Eb], axis=1)
+    Epos = np.tanh(Cpb @ p["fuse_w"].T + p["fuse_b"])
+    C = np.concatenate([Ed, Epos], axis=1)
+
+    d_raw = Epos @ p["head_depth_w"].T + p["head_depth_b"]
+    depth = np.logaddexp(0.0, d_raw)
+    out = {
+        "Xd": Xd, "Xp": Xp, "Xb": Xb,
+        "G1": G1, "Ed": Ed, "P1": P1, "Ep": Ep, "B1": B1, "Eb": Eb,
+        "Cpb": Cpb, "Epos": Epos, "C": C,
+        "g_n": Ed @ p["head_gn_w"].T + p["head_gn_b"],
+        "g_o": C @ p["head_go_w"].T + p["head_go_b"],
+        "pogz_raw": C @ p["head_pogz_w"].T + p["head_pogz_b"],
+        "r_on": C @ p["head_r_w"].T + p["head_r_b"],
+        "d_raw": d_raw,
+        "depth": depth,
+    }
+    out["pogz"] = out["pogz_raw"] * cfg.pogz_gain
+    if ray is not None:
+        out["face"] = ray * depth
+    return out
+
+
 def reference_backward(params, c, ray, labels, masks, weights):
     """(grads by name, total, terms) of the batch loss from the forward cache
     `c`, with each head's output delta built on its own."""

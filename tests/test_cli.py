@@ -471,6 +471,24 @@ def test_transform_file_errors_exit_2_and_name_the_file(tmp_path, capsys, small_
     assert err.startswith(f"error: {transform}: {message}") and "Traceback" not in err
 
 
+def test_eval_reports_a_bad_transform_before_loading_params_or_rows(tmp_path, capsys, monkeypatch,
+                                                                   small_run_inputs):
+    transform = tmp_path / "screen.json"
+    transform.write_text(json.dumps({"R": EYE9[:8], "t": [0, 0, 0]}))
+    params = tmp_path / "params.json"
+    params.write_text('{"format_version": 1')   # not JSON either
+
+    def no_load(path):
+        raise AssertionError(f"load_dataset({path}) called")
+
+    monkeypatch.setattr(cli.synth, "load_dataset", no_load)
+    capsys.readouterr()
+    assert run("eval", "--params", str(params), "--data", small_run_inputs["data"],
+               "--screen", str(transform), "--out", str(tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {transform}: R must be 9 finite values") and "Traceback" not in err
+
+
 def run_convert(monkeypatch, capsys, argv, lines):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = cli.main(argv)

@@ -145,6 +145,21 @@ def test_normalize_denormalize_round_trip():
         assert np.max(np.abs(back - g)) < 1e-12
 
 
+def test_normalize_and_denormalize_match_the_validated_matrix_bit_for_bit():
+    # both skip Rotation3's check, and must still apply exactly to_matrix's matrix
+    rng = np.random.default_rng(12)
+    for i in range(10_000):
+        if i % 10 == 0:
+            r = AxisAngle(*rng.uniform(-1e-13, 1e-13, size=2))   # under PARALLEL_EPS
+        else:
+            axis = oracles.random_unit_vector(rng)
+            r = AxisAngle(*(axis * rng.uniform(0.0, np.pi)))
+        g = rng.normal(size=3)
+        m = to_matrix(r).matrix
+        assert np.array_equal(normalize_gaze(g, r), to_matrix(r).apply(g)), i
+        assert np.array_equal(denormalize_gaze(g, r), m.T @ g), i
+
+
 def test_denormalize_sends_axis_to_face_ray():
     # inverse of the defining property
     rng = np.random.default_rng(10)

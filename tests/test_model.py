@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import oracles
 
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
 from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
-from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, LossWeights, ModelConfig,
+from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeights, ModelConfig,
                           ModelParams, TrainConfig, backward, batch_loss,
                           euler_from_vec, fine_tune, forward, forward_batch,
                           gradient_check, history_to_csv, init_params,
                           load_params, make_gradcheck_batch, predict_6dof,
                           save_params, train, vec_from_euler)
 from gaze6d.synth import SceneConfig, Subject, frame_rng, sample_frame
-from gaze6d.synth import Dataset, generate_dataset, load_dataset, make_subjects
+from gaze6d.synth import Dataset, calibration_view, generate_dataset, load_dataset, make_subjects
 
 INTR = CameraIntrinsics(600.0, 320.0, 240.0, 0.005, 640, 480)
 
@@ -112,6 +113,20 @@ def test_params_are_views_of_one_flat_vector():
     copy = params.copy()
     copy.arrays["fuse_w"][0, 0] = -1.0
     assert params.arrays["fuse_w"][0, 0] != -1.0
+
+
+def test_stacked_views_alias_the_named_arrays():
+    params = init_params(seed=9)
+    params.flat[:] = np.arange(params.flat.size)   # each value names its position
+    s, a = params.stacks, params.arrays
+    for k, enc in enumerate(("gaze", "pose", "box")):
+        assert np.array_equal(s["encoder1_b"][k, 0], a[enc + "1_b"])
+        assert np.array_equal(s["encoder2_w"][k], a[enc + "2_w"])
+        assert np.array_equal(s["encoder2_b"][k, 0], a[enc + "2_b"])
+    heads = ("head_go", "head_pogz", "head_r")
+    assert np.array_equal(s["joint_w"], np.concatenate([a[h + "_w"] for h in heads]))
+    assert np.array_equal(s["joint_b"], np.concatenate([a[h + "_b"] for h in heads]))
+    assert all(np.shares_memory(v, params.flat) for v in s.values())
 
 
 def test_save_params_bytes_match_per_float_json(tmp_path):
@@ -358,6 +373,84 @@ def test_loss_and_gradients_match_the_per_task_reference_bit_for_bit():
             assert same_bits(grads[name], ref), (i, name)
 
 
+# every prediction, and every forward entry that reference_backward reads
+FORWARD_KEYS = ("Xd", "Xp", "Xb", "G1", "P1", "B1", "Ed", "Ep", "Eb", "Cpb", "Epos", "C",
+                "d_raw", "depth") + TASKS
+
+
+def test_forward_batch_matches_the_per_layer_reference_bit_for_bit():
+    rng = np.random.default_rng(2025)
+    for i in range(1000):
+        params = init_params(seed=int(rng.integers(0, 5)))
+        params.flat += rng.normal(0.0, rng.uniform(0.0, 0.5), size=params.flat.size)
+        n = int(rng.integers(1, 201))
+        features = rng.normal(0.0, rng.choice([0.6, 5.0]), size=(n, 7))
+        ray = np.column_stack([rng.uniform(-0.3, 0.3, size=(n, 2)), np.ones(n)]) if i % 4 else None
+        c = forward_batch(params, features, ray)
+        ref = oracles.reference_forward(params, features, ray)
+        assert ("face" in c) == (ray is not None), i
+        for key in FORWARD_KEYS:
+            if key in ref:
+                assert same_bits(c[key], ref[key]), (i, key)
+
+
+def reference_fine_tune(params, cfg, data):
+    """fine_tune's loop over the same permutations, through reference_forward,
+    reference_backward and the per-array Adam; returns the tuned arrays."""
+    arrays = {k: v.copy() for k, v in params.arrays.items()}   # separate arrays, no flat vector
+    ref = SimpleNamespace(arrays=arrays, config=params.config)
+    opt = oracles.PerArrayAdam(arrays, lr=cfg.finetune_lr)
+    rng = np.random.default_rng(cfg.seed)
+    n, size = len(data), cfg.finetune_batch
+    batches = (n + size - 1) // size
+    epochs = (cfg.finetune_steps + batches - 1) // batches
+    steps = 0
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, size):
+            if steps == cfg.finetune_steps:
+                break
+            idx = perm[lo:lo + size]
+            labels, masks = oracles.split_labels(data.labels[idx], data.mask[idx])
+            c = oracles.reference_forward(ref, data.features[idx], data.ray[idx])
+            grads, _, _ = oracles.reference_backward(ref, c, data.ray[idx], labels, masks, cfg.weights)
+            opt.step(arrays, grads)
+            steps += 1
+    assert steps == cfg.finetune_steps
+    return arrays
+
+
+@pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(finetune_lr=1e-3, seed=3)],
+                         ids=["defaults", "lr-1e-3"])
+def test_fine_tune_matches_the_per_layer_reference_loop_bit_for_bit(tmp_path, cfg):
+    ds = make_dataset(tmp_path, n_subjects=1, n_frames=50, mode="calibration")
+    rows = calibration_view(ds.samples, ds.intrinsics)
+    data = Batch.from_samples(rows, ds.intrinsics)
+    # lens-fixation rows carry g_n and g_o only
+    assert data.mask[:, :2].all() and not data.mask[:, 2:].any()
+    params = init_params(seed=4)
+    tuned = fine_tune(params, cfg, rows, ds.intrinsics)
+    ref = reference_fine_tune(params, cfg, data)
+    assert not np.array_equal(tuned.flat, params.flat)
+    for name, array in ref.items():
+        assert np.array_equal(tuned.arrays[name], array), name
+
+
+def test_backward_fills_every_entry_of_a_reused_buffer():
+    params = init_params(seed=3)
+    buffer = Gradients(params.layout)
+    for i, n in enumerate((8, 3, 8, 1)):   # scratch arrays of one shape, reused after another's
+        batch = make_gradcheck_batch(params, seed=i, n=n)
+        buffer.flat[:] = np.nan
+        for scratch in buffer.work.values():
+            scratch[...] = np.nan
+        grads, total, terms = backward(params, batch, LossWeights(), out=buffer)
+        fresh, fresh_total, fresh_terms = backward(params, batch, LossWeights())
+        assert grads is buffer and fresh is not buffer
+        assert same_bits(buffer.flat, fresh.flat)
+        assert total == fresh_total and terms == fresh_terms
+
+
 TASK_HEADS = {"g_n": "head_gn", "g_o": "head_go", "pogz": "head_pogz",
               "r_on": "head_r", "face": "head_depth"}
 
@@ -549,6 +642,16 @@ def test_predict_6dof_on_axis_origin():
     params.arrays["head_depth_b"][:] = 700.0
     pred = predict_6dof(params, np.zeros(7), BoundingBox(320.0, 240.0, 100.0), INTR)
     assert np.allclose(pred.origin.xyz, [0.0, 0.0, 700.0])
+
+
+def test_predict_6dof_names_a_depth_underflow():
+    params = init_params(seed=0)
+    params.arrays["head_depth_b"][:] = -800.0   # softplus rounds to 0 below about -745
+    d_raw = forward_batch(params, np.zeros((1, 7)))["d_raw"][0, 0]
+    with pytest.raises(GeometryError) as err:
+        predict_6dof(params, np.zeros(7), BoundingBox(320.0, 240.0, 100.0), INTR)
+    assert str(err.value) == (f"predicted face depth is not positive: the depth head's raw "
+                              f"output {d_raw!r} gives softplus 0.0")
 
 
 def test_predict_6dof_parallel_ray_flagged():
