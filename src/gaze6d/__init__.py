@@ -18,7 +18,7 @@ from .errors import (BehindCameraError, ConfigError, FrameMismatchError,
                      GeometryError, GimbalLockError, InvalidIntrinsicsError,
                      RayParallelError, TrainingDiverged)
 from .metrics import EvalReport, SubjectStats, angular_error, evaluate, pog_error
-from .model import (LossWeights, ModelConfig, ModelParams, MultiTaskOutput,
+from .model import (LossWeights, ModelParams, MultiTaskOutput,
                     SixDofPrediction, TrainConfig, angular_deg, euler_from_vec,
                     fine_tune, forward, forward_batch, gradient_check,
                     init_params, load_params, predict_6dof, save_params,
@@ -38,7 +38,7 @@ __all__ = [
     "DEFAULT_INTRINSICS", "EvalReport", "FRAME_CAMERA", "FRAME_CAMERA_PLANE",
     "FRAME_NORMALIZED", "FRAME_SCREEN", "FRAME_SCREEN_PLANE",
     "FrameMismatchError", "GazeSample", "GeometryError", "GimbalLockError",
-    "InvalidIntrinsicsError", "LossWeights", "ModelConfig", "ModelParams",
+    "InvalidIntrinsicsError", "LossWeights", "ModelParams",
     "MultiTaskOutput", "PARALLEL_EPS", "PlanePoint", "Point3", "RAY_EPS",
     "RayParallelError", "RigidTransform", "Rotation3", "SceneConfig",
     "SixDofPrediction", "Subject", "SubjectStats", "TrainConfig",

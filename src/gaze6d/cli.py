@@ -212,7 +212,8 @@ def cmd_finetune(args) -> int:
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
     subject_filter = _pick(args, cfg, "subject", None)
-    if not isinstance(subject_filter, (int, type(None))):
+    # a JSON true is an int to isinstance, and no subject id
+    if isinstance(subject_filter, bool) or not isinstance(subject_filter, (int, type(None))):
         raise ConfigError(f"{args.config}: subject: expected an integer id, got {subject_filter!r}")
     tc = _train_config(args, cfg)
 
@@ -271,14 +272,21 @@ def cmd_eval(args) -> int:
 
 
 def _convert_record(rec: dict, direction: str, transform: RigidTransform) -> dict:
-    point = rec["point"]
-    gaze = np.asarray(rec["gaze"], dtype=float)
+    point, gaze = rec["point"], rec["gaze"]
+    if len(point) != 2 or len(gaze) != 3:
+        raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
+    x, y = float(point[0]), float(point[1])
+    g = [float(gaze[0]), float(gaze[1]), float(gaze[2])]
+    # json.loads accepts NaN and Infinity: check the plain floats before any arithmetic
+    if not (math.isfinite(x) and math.isfinite(y) and all(map(math.isfinite, g))):
+        raise ValueError(f"non-finite point {point} or gaze {gaze}")
+    gaze = np.array(g)
     if direction == "pogz2pog":
-        src = PlanePoint(float(point[0]), float(point[1]), frame=FRAME_CAMERA_PLANE)
+        src = PlanePoint(x, y, frame=FRAME_CAMERA_PLANE)
         dst = pogz_to_pog(src, gaze, transform)
         out_gaze = transform.apply_direction(gaze)
     else:
-        src = PlanePoint(float(point[0]), float(point[1]), frame=FRAME_SCREEN_PLANE)
+        src = PlanePoint(x, y, frame=FRAME_SCREEN_PLANE)
         dst = pog_to_pogz(src, gaze, transform)
         out_gaze = transform.apply_inverse_direction(gaze)
     return {

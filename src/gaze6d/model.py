@@ -28,7 +28,6 @@ along -z (toward the camera) and positive pitch looks up.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -98,49 +97,45 @@ def angular_deg(E_a, E_b) -> np.ndarray:
 # parameters
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    feature_dim: int = 7
-    dir_lo: int = 0
-    dir_hi: int = 2
-    pose_lo: int = 2
-    pose_hi: int = 4
-    box_lo: int = 4
-    box_hi: int = 7
-    hidden: int = 32
-    embed: int = 32
-    # pogz targets are mm-scale; a fixed output gain keeps head weights O(1)
-    pogz_gain: float = 500.0
-    # softplus(depth_bias) = depth_bias for any plausible mm value, so the
-    # depth head starts near the middle of the working range
-    depth_bias: float = 600.0
+# the architecture, fixed
+FEATURE_DIM = 7
+# the feature columns that the gaze, pose and box encoders read
+_GAZE_IN, _POSE_IN, _BOX_IN = slice(0, 2), slice(2, 4), slice(4, 7)
+_HIDDEN = 32   # width of each encoder's first layer
+_EMBED = 32    # width of each encoder's output and of the fusion block
+# pogz targets are mm-scale; a fixed output gain keeps head weights O(1)
+_POGZ_GAIN = 500.0
+# softplus(_DEPTH_BIAS) = _DEPTH_BIAS for any plausible mm value, so the
+# depth head starts near the middle of the working range
+_DEPTH_BIAS = 600.0
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+# the architecture as a params file records it under "model_config"
+_MODEL_CONFIG = {
+    "feature_dim": FEATURE_DIM,
+    "dir_lo": _GAZE_IN.start, "dir_hi": _GAZE_IN.stop,
+    "pose_lo": _POSE_IN.start, "pose_hi": _POSE_IN.stop,
+    "box_lo": _BOX_IN.start, "box_hi": _BOX_IN.stop,
+    "hidden": _HIDDEN,
+    "embed": _EMBED,
+    "pogz_gain": _POGZ_GAIN,
+    "depth_bias": _DEPTH_BIAS,
+}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
-
-def _layer_dims(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Affine layer -> (outputs, fan_in), in the order init_params draws them."""
-    h, e = config.hidden, config.embed
-    return {
-        "gaze1": (h, config.dir_hi - config.dir_lo),
-        "gaze2": (e, h),
-        "pose1": (h, config.pose_hi - config.pose_lo),
-        "pose2": (e, h),
-        "box1": (h, config.box_hi - config.box_lo),
-        "box2": (e, h),
-        "fuse": (e, 2 * e),
-        "head_gn": (2, e),
-        "head_go": (2, 2 * e),
-        "head_pogz": (2, 2 * e),
-        "head_r": (2, 2 * e),
-        "head_depth": (1, e),
-    }
-
+# affine layer -> (outputs, fan_in), in the order init_params draws them
+_LAYER_DIMS = {
+    "gaze1": (_HIDDEN, _GAZE_IN.stop - _GAZE_IN.start),
+    "gaze2": (_EMBED, _HIDDEN),
+    "pose1": (_HIDDEN, _POSE_IN.stop - _POSE_IN.start),
+    "pose2": (_EMBED, _HIDDEN),
+    "box1": (_HIDDEN, _BOX_IN.stop - _BOX_IN.start),
+    "box2": (_EMBED, _HIDDEN),
+    "fuse": (_EMBED, 2 * _EMBED),
+    "head_gn": (2, _EMBED),
+    "head_go": (2, 2 * _EMBED),
+    "head_pogz": (2, 2 * _EMBED),
+    "head_r": (2, 2 * _EMBED),
+    "head_depth": (1, _EMBED),
+}
 
 # layers in flat-vector order, in groups: a group's weights sit side by side,
 # then its biases, so that a group's arrays also form one stacked view
@@ -148,38 +143,20 @@ _LAYER_GROUPS = (("gaze1", "pose1", "box1"), ("gaze2", "pose2", "box2"), ("fuse"
                  ("head_go", "head_pogz", "head_r"), ("head_depth",))
 
 
-@dataclass(frozen=True)
-class ParamLayout:
-    """Where each named weight array, and each group's stacked arrays, live
-    in the flat parameter vector."""
-
-    entries: tuple[tuple[str, slice, tuple[int, ...]], ...]   # (name, span, shape), in order
-    stacks: tuple[tuple[str, slice, tuple[int, ...]], ...]    # (stack name, span, shape)
-    size: int
-
-    def views(self, flat: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """(name -> view of its array, stack name -> stacked view) in `flat`."""
-        if flat.shape != (self.size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
-            raise ConfigError(f"expected a contiguous float64 vector of {self.size} params, "
-                              f"got {flat.dtype} {flat.shape}")
-        return ({name: flat[span].reshape(shape) for name, span, shape in self.entries},
-                {name: flat[span].reshape(shape) for name, span, shape in self.stacks})
-
-
-@functools.lru_cache(maxsize=16)
-def param_layout(config: ModelConfig) -> ParamLayout:
-    """The flat layout of `config`'s params, group by group (_LAYER_GROUPS)."""
-    dims = _layer_dims(config)
+def _param_layout():
+    """(entries, stacks, size) of the flat parameter vector: the (name, span,
+    shape) of each array, group by group (_LAYER_GROUPS), and of each stacked
+    group view, and the vector's length."""
     entries, size = [], 0
     for layers in _LAYER_GROUPS:
         for suffix in ("_w", "_b"):
             for layer in layers:
-                shape = dims[layer] if suffix == "_w" else dims[layer][:1]
+                shape = _LAYER_DIMS[layer] if suffix == "_w" else _LAYER_DIMS[layer][:1]
                 n = math.prod(shape)
                 entries.append((layer + suffix, slice(size, size + n), shape))
                 size += n
     spans = {name: span for name, span, _ in entries}
-    h, e = config.hidden, config.embed
+    h, e = _HIDDEN, _EMBED
     # the encoders' layers run side by side on their own inputs, so they stack;
     # the joint heads all read the joint embedding, so they form one wider layer
     # (the first layers' weights differ in fan-in, so only their biases stack)
@@ -190,46 +167,53 @@ def param_layout(config: ModelConfig) -> ParamLayout:
                        ("encoder2_b", "gaze2_b", "box2_b", (3, 1, e)),
                        ("joint_w", "head_go_w", "head_r_w", (6, 2 * e)),
                        ("joint_b", "head_go_b", "head_r_b", (6,))))
-    return ParamLayout(tuple(entries), stacks, size)
+    return tuple(entries), stacks, size
+
+
+_ENTRIES, _STACKS, _PARAM_COUNT = _param_layout()
+
+
+def _views(flat: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """(name -> view of its array, stack name -> stacked view) in `flat`."""
+    if flat.shape != (_PARAM_COUNT,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+        raise ConfigError(f"expected a contiguous float64 vector of {_PARAM_COUNT} params, "
+                          f"got {flat.dtype} {flat.shape}")
+    return ({name: flat[span].reshape(shape) for name, span, shape in _ENTRIES},
+            {name: flat[span].reshape(shape) for name, span, shape in _STACKS})
 
 
 @dataclass
 class ModelParams:
-    """The architecture description plus every weight in one contiguous
-    float64 vector; `arrays` maps each name to its view into `flat`, and
-    `stacks` the stacked views of whole layer groups ("encoder1_b",
-    "encoder2_w", "encoder2_b", "joint_w", "joint_b"; see param_layout)."""
+    """Every weight in one contiguous float64 vector; `arrays` maps each name
+    to its view into `flat`, and `stacks` the stacked views of whole layer
+    groups ("encoder1_b", "encoder2_w", "encoder2_b", "joint_w", "joint_b";
+    see _param_layout)."""
 
-    config: ModelConfig
     flat: np.ndarray
     arrays: dict[str, np.ndarray] = field(init=False, repr=False)
     stacks: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.arrays, self.stacks = self.layout.views(self.flat)
-
-    @property
-    def layout(self) -> ParamLayout:
-        return param_layout(self.config)
+        self.arrays, self.stacks = _views(self.flat)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.flat.copy())
+        return ModelParams(self.flat.copy())
 
 
-def init_params(config: ModelConfig = ModelConfig(), seed: int = 0) -> ModelParams:
+def init_params(seed: int = 0) -> ModelParams:
     """Gaussian init scaled by 1/sqrt(fan_in); biases zero except depth."""
     rng = np.random.default_rng(seed)
-    params = ModelParams(config, np.zeros(param_layout(config).size))
-    for name, (out, fan_in) in _layer_dims(config).items():
+    params = ModelParams(np.zeros(_PARAM_COUNT))
+    for name, (out, fan_in) in _LAYER_DIMS.items():
         params.arrays[name + "_w"][...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out, fan_in))
-    params.arrays["head_depth_b"][0] = config.depth_bias
+    params.arrays["head_depth_b"][0] = _DEPTH_BIAS
     return params
 
 
 def save_params(params: ModelParams, path) -> None:
     doc = {
         "format_version": 1,
-        "model_config": params.config.to_dict(),
+        "model_config": _MODEL_CONFIG,
         "arrays": {
             k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
             for k, v in params.arrays.items()
@@ -242,37 +226,42 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Read a params file written by save_params.
 
-    The arrays must match, name for name and shape for shape, the layout
-    that the file's model_config implies, and every value must be finite;
-    anything else is a ConfigError naming the file.
+    Its model_config must be this model's architecture, key for key and
+    value for value; its arrays must match the layout name for name and
+    shape for shape; and every value must be finite.  Anything else, a
+    file that is not JSON included, is a ConfigError naming the file.
     """
-    with open(path) as f:
-        doc = json.load(f)
     try:
-        return _params_from_doc(doc)
+        with open(path) as f:
+            return _params_from_doc(json.load(f))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:  # ConfigError too
+    except (AttributeError, TypeError, ValueError) as exc:  # ConfigError and JSONDecodeError too
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _params_from_doc(doc: dict) -> ModelParams:
     if doc.get("format_version") != 1:
         raise ConfigError(f"unsupported params format {doc.get('format_version')}")
-    config = ModelConfig.from_dict(doc["model_config"])
-    if not np.isfinite([config.pogz_gain, config.depth_bias]).all():
-        raise ConfigError("model_config has a non-finite pogz_gain or depth_bias")
+    config = doc["model_config"]
+    for key in sorted(config.keys() | _MODEL_CONFIG.keys()):
+        if key not in _MODEL_CONFIG:
+            raise ConfigError(f"model_config has an unknown key {key!r}")
+        if key not in config:
+            raise ConfigError(f"model_config lacks {key!r}")
+        if config[key] != _MODEL_CONFIG[key]:
+            raise ConfigError(f"model_config {key} is {config[key]!r}; the model's is {_MODEL_CONFIG[key]!r}")
     stored = doc["arrays"]
-    params = ModelParams(config, np.empty(param_layout(config).size))
+    params = ModelParams(np.empty(_PARAM_COUNT))
     if set(stored) != set(params.arrays):
-        raise ConfigError(f"arrays do not match model_config: missing "
+        raise ConfigError(f"arrays do not match the model: missing "
                           f"{sorted(set(params.arrays) - set(stored))}, "
                           f"unexpected {sorted(set(stored) - set(params.arrays))}")
     for name, view in params.arrays.items():
         shape, data = stored[name]["shape"], stored[name]["data"]
         if list(shape) != list(view.shape) or len(data) != view.size:
             raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
-                              f"model_config needs shape {list(view.shape)}")
+                              f"the model needs shape {list(view.shape)}")
         view.reshape(-1)[:] = data
         if not np.isfinite(view).all():
             raise ConfigError(f"array {name} has non-finite values")
@@ -354,7 +343,7 @@ class Batch:
     """Dense training arrays, one row per sample: each task's label in its
     TASK_LABELS columns, `mask` 1 where the row carries the task's label."""
 
-    features: np.ndarray              # (N, 7)
+    features: np.ndarray              # (N, FEATURE_DIM)
     ray: np.ndarray                   # (N, 3) box-center backprojection at unit depth
     labels: np.ndarray                # (N, 11)
     mask: np.ndarray                  # (N, 5)
@@ -372,7 +361,7 @@ class Batch:
     @classmethod
     def from_samples(cls, samples, intr: CameraIntrinsics) -> "Batch":
         n = len(samples)
-        features = np.zeros((n, 7))
+        features = np.zeros((n, FEATURE_DIM))
         ray = np.zeros((n, 3))
         labels = np.zeros((n, _COLUMN_TASK.size))
         mask = np.zeros((n, len(TASKS)))
@@ -429,7 +418,7 @@ _ENCODERS = ("gaze", "pose", "box")
 
 def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None, *,
                   work: dict | None = None) -> dict:
-    """Forward pass over (N, 7) feature rows.
+    """Forward pass over (N, FEATURE_DIM) feature rows.
 
     Returns a dict holding "preds", the (N, 11) predictions in TASK_LABELS
     column order, a view of each task's (N, C) columns under its name in
@@ -440,14 +429,14 @@ def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = N
     With `work` (backward's scratch dict), the large intermediates live in
     arrays kept there, which the next call with it overwrites.
     """
-    p, s, cfg = params.arrays, params.stacks, params.config
-    if F.shape[1] != cfg.feature_dim:
-        raise ConfigError(f"expected {cfg.feature_dim} features, got {F.shape[1]}")
-    n, e = F.shape[0], cfg.embed
-    X = (F[:, cfg.dir_lo:cfg.dir_hi], F[:, cfg.pose_lo:cfg.pose_hi], F[:, cfg.box_lo:cfg.box_hi])
+    p, s = params.arrays, params.stacks
+    if F.shape[1] != FEATURE_DIM:
+        raise ConfigError(f"expected {FEATURE_DIM} features, got {F.shape[1]}")
+    n, e = F.shape[0], _EMBED
+    X = (F[:, _GAZE_IN], F[:, _POSE_IN], F[:, _BOX_IN])
 
     # both layers of the gaze, pose and box encoders, stacked in that order
-    H1 = _buffer(work, "H1", (len(_ENCODERS), n, cfg.hidden))
+    H1 = _buffer(work, "H1", (len(_ENCODERS), n, _HIDDEN))
     for h, x, enc in zip(H1, X, _ENCODERS):
         np.matmul(x, p[enc + "1_w"].T, out=h)
     H1 += s["encoder1_b"]
@@ -470,7 +459,7 @@ def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = N
     joint = preds[:, _JOINT]
     np.add(joint, s["joint_b"], out=joint)
     pogz = preds[:, _POGZ]
-    np.multiply(pogz, cfg.pogz_gain, out=pogz)
+    np.multiply(pogz, _POGZ_GAIN, out=pogz)
     d_raw = Epos @ p["head_depth_w"].T + p["head_depth_b"]
     depth = _softplus(d_raw)
     if ray is not None:
@@ -510,18 +499,18 @@ def _loss_weights(weights: LossWeights) -> np.ndarray:
     return np.array([weights.value(t) for t in TASKS])
 
 
-def _task_terms(preds: dict, batch: Batch, lam: np.ndarray, pogz_scale: float):
+def _task_terms(preds: dict, batch: Batch, lam: np.ndarray):
     """(total, task -> masked mean L1 term, residual matrix, labelled rows per task)
     for the loss weights `lam` in TASKS order.
 
-    The pogz residual is measured in units of pogz_scale (the head's output
-    gain), not millimetres: that keeps the task's subgradients the same
+    The pogz residual is measured in units of the pogz head's output gain,
+    not millimetres: that keeps the task's subgradients the same
     magnitude as the angular tasks', so no single task dominates the shared
     encoders.  Reported errors elsewhere stay metric.
     """
     resid = preds["preds"] - batch.labels
     pogz = resid[:, _POGZ]
-    np.divide(pogz, pogz_scale, out=pogz)
+    np.divide(pogz, _POGZ_GAIN, out=pogz)
     abs_resid = np.zeros((len(batch), _COLUMN_TASK.size + 1))   # last column stays 0
     np.abs(resid, out=abs_resid[:, :-1])
     # per-row mean over each task's columns, summed left to right as mean(axis=1) sums
@@ -540,7 +529,7 @@ def _task_terms(preds: dict, batch: Batch, lam: np.ndarray, pogz_scale: float):
 def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
     """(total, per-task breakdown) over a batch; used by training and checks."""
     c = forward_batch(params, batch.features, batch.ray)
-    total, terms, _, _ = _task_terms(c, batch, _loss_weights(weights), params.config.pogz_gain)
+    total, terms, _, _ = _task_terms(c, batch, _loss_weights(weights))
     return total, terms
 
 
@@ -550,9 +539,9 @@ class Gradients(dict):
     as in ModelParams.  backward fills every entry, and keeps its scratch
     arrays in `work` for the next call."""
 
-    def __init__(self, layout: ParamLayout):
-        self.flat = np.empty(layout.size)
-        arrays, self.stacks = layout.views(self.flat)
+    def __init__(self):
+        self.flat = np.empty(_PARAM_COUNT)
+        arrays, self.stacks = _views(self.flat)
         self.work: dict = {}
         super().__init__(arrays)
 
@@ -562,19 +551,19 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
 
     Returns (grads, total, per-task breakdown); grads maps each param name to
     its view into one flat gradient vector, `grads.flat`, laid out like
-    `params.flat`.  `out`, a Gradients of the params' layout, is filled and
-    returned in place of a fresh one, and its scratch arrays are reused, so
-    that a training step allocates no large array.  Gradients of heads whose
+    `params.flat`.  `out`, a Gradients, is filled and returned in place of a
+    fresh one, and its scratch arrays are reused, so that a training step
+    allocates no large array.  Gradients of heads whose
     task weight is zero are identically zero; the L1 subgradient at zero
     residual is taken as 0.
     """
-    p, s, cfg = params.arrays, params.stacks, params.config
-    g = Gradients(params.layout) if out is None else out
+    p, s = params.arrays, params.stacks
+    g = Gradients() if out is None else out
     work = None if out is None else out.work
     # backward owns this forward cache, and overwrites each large array after its last read
     c = forward_batch(params, batch.features, batch.ray, work=work)
     lam = _loss_weights(weights)
-    total, terms, resid, counts = _task_terms(c, batch, lam, cfg.pogz_gain)
+    total, terms, resid, counts = _task_terms(c, batch, lam)
 
     # d loss / d prediction on labelled rows: sign(resid) * lam / (label width *
     # labelled rows), exactly 0 for a zero-weight task; pogz loss is taken in
@@ -599,7 +588,7 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
     # the joint heads' terms of d_C one head at a time: one (N, 6) @ (6, 2 * embed)
     # product would reorder the sum; sums run in place, some with their operands
     # swapped (a + b and b + a round alike)
-    e, n = cfg.embed, len(batch)
+    e, n = _EMBED, len(batch)
     product = _buffer(work, "product", (n, 2 * e))
     d_C = np.matmul(d_go, p["head_go_w"], out=_buffer(work, "d_C", (n, 2 * e)))
     d_C += np.matmul(d_pz, p["head_pogz_w"], out=product)
@@ -745,7 +734,7 @@ def _val_stats(params: ModelParams, val: Batch, weights: LossWeights):
     if len(val) == 0:
         return float("nan"), float("nan")
     c = forward_batch(params, val.features, val.ray)
-    total, _, _, _ = _task_terms(c, val, _loss_weights(weights), params.config.pogz_gain)
+    total, _, _, _ = _task_terms(c, val, _loss_weights(weights))
     mask = val.mask[:, TASKS.index("g_n")] > 0
     if not mask.any():
         return total, float("nan")
@@ -762,7 +751,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     budget can be held fixed while the dataset size varies.
     """
     opt = Adam(params, lr)
-    grads = Gradients(params.layout)   # every step's backward fills this one buffer
+    grads = Gradients()   # every step's backward fills this one buffer
     history: list[EpochStats] = []
     n = len(data)
     steps = 0

@@ -34,7 +34,7 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
 from .errors import ConfigError
-from .model import TASK_LABELS, euler_from_vec, vec_from_euler
+from .model import FEATURE_DIM, TASK_LABELS, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
 SCHEMA_VERSION = 1
@@ -259,7 +259,7 @@ def render_features(
     channels carry i.i.d. Gaussian noise, the box channel is exact.
     """
     noise = rng.normal(0.0, 1.0, size=4) * subject.noise_sigma
-    f = np.empty(7)
+    f = np.empty(FEATURE_DIM)
     f[0] = sample.g_n[0] + subject.kappa_yaw + noise[0]
     f[1] = sample.g_n[1] + subject.kappa_pitch + noise[1]
     f[2] = sample.head_pose[0] + noise[2]
@@ -408,7 +408,7 @@ class Dataset:
 
 
 # serialized row fields and their lengths; `subject` is the one scalar field
-_ROW_LENGTHS = {"features": 7, "bbox": 3,
+_ROW_LENGTHS = {"features": FEATURE_DIM, "bbox": 3,
                 **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()}}
 
 

@@ -116,11 +116,23 @@ class PerArrayAdam:
             a -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
 
 
-def params_json_per_float(params, path):
-    """A params file written one Python float at a time through json.dump."""
+# the model's fixed architecture, stated here apart from the package: each
+# encoder's feature columns, the encoder widths and the pogz head's output gain
+REFERENCE_GAZE_IN, REFERENCE_POSE_IN, REFERENCE_BOX_IN = slice(0, 2), slice(2, 4), slice(4, 7)
+REFERENCE_EMBED = 32
+REFERENCE_POGZ_GAIN = 500.0
+REFERENCE_MODEL_CONFIG = {"feature_dim": 7, "dir_lo": 0, "dir_hi": 2, "pose_lo": 2, "pose_hi": 4,
+                          "box_lo": 4, "box_hi": 7, "hidden": 32, "embed": 32,
+                          "pogz_gain": 500.0, "depth_bias": 600.0}
+
+
+def params_json_per_float(params, path, **model_config):
+    """A params file written one Python float at a time through json.dump,
+    its model_config the reference architecture's with `model_config`'s
+    entries replaced."""
     doc = {
         "format_version": 1,
-        "model_config": params.config.to_dict(),
+        "model_config": {**REFERENCE_MODEL_CONFIG, **model_config},
         "arrays": {
             k: {"shape": list(v.shape), "data": [float(x) for x in v.reshape(-1)]}
             for k, v in params.arrays.items()
@@ -181,10 +193,10 @@ def reference_forward(params, F, ray=None):
     """The forward pass one layer and one head at a time over named arrays:
     each task's (N, C) predictions by name, "face" only with the (N, 3) rays,
     and every intermediate reference_backward reads."""
-    p, cfg = params.arrays, params.config
-    Xd = F[:, cfg.dir_lo:cfg.dir_hi]
-    Xp = F[:, cfg.pose_lo:cfg.pose_hi]
-    Xb = F[:, cfg.box_lo:cfg.box_hi]
+    p = params.arrays
+    Xd = F[:, REFERENCE_GAZE_IN]
+    Xp = F[:, REFERENCE_POSE_IN]
+    Xb = F[:, REFERENCE_BOX_IN]
 
     G1 = np.tanh(Xd @ p["gaze1_w"].T + p["gaze1_b"])
     Ed = np.tanh(G1 @ p["gaze2_w"].T + p["gaze2_b"])
@@ -209,7 +221,7 @@ def reference_forward(params, F, ray=None):
         "d_raw": d_raw,
         "depth": depth,
     }
-    out["pogz"] = out["pogz_raw"] * cfg.pogz_gain
+    out["pogz"] = out["pogz_raw"] * REFERENCE_POGZ_GAIN
     if ray is not None:
         out["face"] = ray * depth
     return out
@@ -218,8 +230,8 @@ def reference_forward(params, F, ray=None):
 def reference_backward(params, c, ray, labels, masks, weights):
     """(grads by name, total, terms) of the batch loss from the forward cache
     `c`, with each head's output delta built on its own."""
-    p, cfg = params.arrays, params.config
-    total, terms, resids, counts = reference_task_terms(c, labels, masks, weights, cfg.pogz_gain)
+    p = params.arrays
+    total, terms, resids, counts = reference_task_terms(c, labels, masks, weights, REFERENCE_POGZ_GAIN)
 
     def head_delta(task):
         lam = weights.value(task)
@@ -239,7 +251,7 @@ def reference_backward(params, c, ray, labels, masks, weights):
         g[head + "_w"] = d.T @ inp
         g[head + "_b"] = d.sum(axis=0)
 
-    e = cfg.embed
+    e = REFERENCE_EMBED
     d_C = d_go @ p["head_go_w"] + d_pz @ p["head_pogz_w"] + d_r @ p["head_r_w"]
     d_Ed = d_C[:, :e] + d_gn @ p["head_gn_w"]
     d_Epos = d_C[:, e:] + d_draw @ p["head_depth_w"]

@@ -4,14 +4,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
+
 import gaze6d
 from gaze6d import cli
 from gaze6d.easy_norm import Rotation3
-from gaze6d.model import LossWeights, TrainConfig, init_params, save_params
+from gaze6d.errors import ConfigError
+from gaze6d.model import LossWeights, TrainConfig, init_params, load_params, save_params
 from gaze6d.pogz import RigidTransform
 from gaze6d.synth import load_dataset
 
@@ -264,10 +268,11 @@ def test_config_file_errors_exit_2_and_name_the_file(tmp_path, capsys, text, mes
 
 def test_finetune_config_subject_must_be_an_id(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text('{"subject": "x"}')
-    assert run("finetune", "--params", str(tmp_path / "p.json"), "--calib", str(tmp_path / "c.jsonl"),
-               "--config", str(config), "--out", str(tmp_path / "f")) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}: subject: expected an integer id")
+    for subject in ('"x"', "true"):   # a JSON true is no subject 1
+        config.write_text(f'{{"subject": {subject}}}')
+        assert run("finetune", "--params", str(tmp_path / "p.json"), "--calib", str(tmp_path / "c.jsonl"),
+                   "--config", str(config), "--out", str(tmp_path / "f")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: subject: expected an integer id")
 
 
 def test_gen_config_errors_exit_2_and_name_the_file(tmp_path, capsys):
@@ -367,8 +372,6 @@ def test_eval_with_screen_transform(tmp_path, capsys):
 
 
 def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
-    from gaze6d.model import ModelConfig, init_params, save_params
-
     gen = tmp_path / "gen"
     run("gen", "--subjects", "1", "--frames", "5", "--seed", "2", "--out", str(gen))
     calib = tmp_path / "calib"
@@ -378,15 +381,17 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
     narrow = tmp_path / "narrow.json"
     save_params(init_params(seed=0), narrow)
     doc = json.loads(narrow.read_text())
-    doc["model_config"] = ModelConfig(hidden=16).to_dict()
+    doc["model_config"]["hidden"] = 16
     narrow.write_text(json.dumps(doc))
     nan = tmp_path / "nan.json"
     params = init_params(seed=0)
     params.arrays["fuse_w"][1, 2] = np.nan
     save_params(params, nan)
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json")
     capsys.readouterr()
 
-    for bad in (narrow, nan):
+    for bad in (narrow, nan, not_json):
         assert run("eval", "--params", str(bad), "--data", str(gen / "dataset.jsonl"),
                    "--out", str(tmp_path / "eval")) == 2
         err = capsys.readouterr().err
@@ -395,6 +400,29 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "ft")) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not (tmp_path / "ft" / "params_subject_0.json").exists()
+
+
+def test_a_params_file_of_another_architecture_exits_2(tmp_path, capsys, small_run_inputs):
+    # consistent in itself: first encoder layers 16 wide under a model_config.hidden of 16
+    rng = np.random.default_rng(16)
+    arrays = {}
+    for name, array in init_params().arrays.items():
+        shape = list(array.shape)
+        if name.endswith(("1_w", "1_b")):
+            shape[0] = 16
+        elif name.endswith("2_w"):
+            shape[1] = 16
+        arrays[name] = rng.normal(0.0, 0.1, size=shape)
+    path = tmp_path / "hidden16.json"
+    oracles.params_json_per_float(SimpleNamespace(arrays=arrays), path, hidden=16)
+    message = f"{path}: model_config hidden is 16; the model's is 32"
+    with pytest.raises(ConfigError) as info:
+        load_params(path)
+    assert str(info.value) == message
+    paths = small_run_inputs
+    for command, rows in (("eval", ["--data", paths["data"]]), ("finetune", ["--calib", paths["calib"]])):
+        assert run(command, "--params", str(path), *rows, "--out", str(tmp_path / command)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -536,15 +564,20 @@ def test_convert_bad_lines_keep_streaming(tmp_path, monkeypatch, capsys):
         json.dumps({"point": [0.0, 0.0]}),                          # missing gaze
         json.dumps({"point": [1.0, 2.0], "gaze": [1.0, 0.0, 0.0]}),  # parallel ray
         json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, -1.0]}),
+        '{"point": [NaN, 1.0], "gaze": [0.0, 0.0, -1.0]}',           # json.loads takes NaN
+        '{"point": [1.0, 2.0], "gaze": [Infinity, 0.0, -1.0]}',
+        json.dumps({"point": [1.0, 2.0, 3.0], "gaze": [0.0, 0.0, -1.0]}),  # a 3-value point
     ]
     code, out = run_convert(monkeypatch, capsys,
                             ["convert", "--dir", "pogz2pog", "--transform", str(t)], lines)
     assert code == 0
-    assert len(out) == 4
+    assert len(out) == 7
     assert "error" in out[0] and out[0]["line"] == 0
     assert "error" in out[1]
     assert "error" in out[2]
     assert out[3]["point"] == pytest.approx([3.0, 4.0])
+    for i in (4, 5, 6):
+        assert set(out[i]) == {"error", "line"} and out[i]["line"] == i, out[i]
 
 
 def test_convert_file_io(tmp_path):

@@ -8,8 +8,8 @@ import oracles
 
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
 from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
-from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeights, ModelConfig,
-                          ModelParams, TrainConfig, backward, batch_loss,
+from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeights, ModelParams,
+                          TrainConfig, backward, batch_loss,
                           euler_from_vec, fine_tune, forward, forward_batch,
                           gradient_check, history_to_csv, init_params,
                           load_params, make_gradcheck_batch, predict_6dof,
@@ -67,11 +67,6 @@ def test_euler_pole_and_zero():
 # params and config
 
 
-def test_model_config_round_trip():
-    cfg = ModelConfig(hidden=16, embed=8)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-
 def test_init_params_deterministic():
     a = init_params(seed=3)
     b = init_params(seed=3)
@@ -94,7 +89,6 @@ def test_params_save_load_round_trip(tmp_path):
     path = tmp_path / "params.json"
     save_params(params, path)
     loaded = load_params(path)
-    assert loaded.config == params.config
     for k in params.arrays:
         assert np.array_equal(loaded.arrays[k], params.arrays[k])
     blob = json.loads(path.read_text())
@@ -148,14 +142,15 @@ def write_params_doc(path, edit):
 
 @pytest.mark.parametrize("edit, message", [
     # arrays are 32 wide, the config says 16
-    (lambda d: d["model_config"].update(hidden=16), "gaze1_w has shape [32, 2]"),
+    (lambda d: d["model_config"].update(hidden=16), "model_config hidden is 16; the model's is 32"),
     (lambda d: d["arrays"].pop("fuse_b"), "missing ['fuse_b']"),
     (lambda d: d["arrays"].update(extra_w=d["arrays"]["fuse_b"]), "unexpected ['extra_w']"),
     (lambda d: d["arrays"]["head_r_b"]["data"].pop(), "head_r_b has shape [2] and 1 values"),
     (lambda d: d["arrays"]["head_gn_w"]["data"].__setitem__(3, float("nan")), "head_gn_w has non-finite"),
     (lambda d: d["arrays"]["box1_b"]["data"].__setitem__(0, float("inf")), "box1_b has non-finite"),
-    (lambda d: d["model_config"].update(pogz_gain=float("nan")), "non-finite pogz_gain"),
+    (lambda d: d["model_config"].update(pogz_gain=float("nan")), "model_config pogz_gain is nan"),
     (lambda d: d["model_config"].update(width=3), "width"),
+    (lambda d: d["model_config"].pop("depth_bias"), "model_config lacks 'depth_bias'"),
     (lambda d: d.pop("arrays"), "missing key 'arrays'"),
     (lambda d: d.update(format_version=2), "unsupported params format 2"),
 ])
@@ -167,8 +162,8 @@ def test_load_params_rejects_what_the_layout_does_not_hold(tmp_path, edit, messa
     assert message in str(info.value)
 
 
-def zero_params(config=ModelConfig()):
-    params = init_params(config, seed=0)
+def zero_params():
+    params = init_params(seed=0)
     for arr in params.arrays.values():
         arr[:] = 0.0
     return params
@@ -398,7 +393,7 @@ def reference_fine_tune(params, cfg, data):
     """fine_tune's loop over the same permutations, through reference_forward,
     reference_backward and the per-array Adam; returns the tuned arrays."""
     arrays = {k: v.copy() for k, v in params.arrays.items()}   # separate arrays, no flat vector
-    ref = SimpleNamespace(arrays=arrays, config=params.config)
+    ref = SimpleNamespace(arrays=arrays)
     opt = oracles.PerArrayAdam(arrays, lr=cfg.finetune_lr)
     rng = np.random.default_rng(cfg.seed)
     n, size = len(data), cfg.finetune_batch
@@ -438,7 +433,7 @@ def test_fine_tune_matches_the_per_layer_reference_loop_bit_for_bit(tmp_path, cf
 
 def test_backward_fills_every_entry_of_a_reused_buffer():
     params = init_params(seed=3)
-    buffer = Gradients(params.layout)
+    buffer = Gradients()
     for i, n in enumerate((8, 3, 8, 1)):   # scratch arrays of one shape, reused after another's
         batch = make_gradcheck_batch(params, seed=i, n=n)
         buffer.flat[:] = np.nan
@@ -468,7 +463,7 @@ def test_adam_matches_per_array_reference(weights):
     for _ in range(20):
         grads, _, _ = backward(params, batch, weights)
         opt.step(grads.flat)
-        ref_params = ModelParams(params.config, np.concatenate([a.reshape(-1) for a in ref.values()]))
+        ref_params = ModelParams(np.concatenate([a.reshape(-1) for a in ref.values()]))
         ref_grads, _, _ = backward(ref_params, batch, weights)
         ref_opt.step(ref, ref_grads, frozen)
         for k in ref:
@@ -619,7 +614,7 @@ def oracle_params_for(sample):
     a = params.arrays
     a["head_gn_b"][:] = sample.g_n
     a["head_go_b"][:] = sample.g_o
-    a["head_pogz_b"][:] = sample.pogz / params.config.pogz_gain
+    a["head_pogz_b"][:] = sample.pogz / oracles.REFERENCE_POGZ_GAIN
     a["head_r_b"][:] = sample.r_on
     a["head_depth_b"][:] = sample.o_face[2]  # softplus is exact at this scale
     return params
