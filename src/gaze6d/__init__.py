@@ -6,12 +6,9 @@ regresses everything with a small multi-task model that can be fine-tuned
 per subject from camera-lens fixation frames alone.
 """
 
-from .calibration import (CalibrationRecord, build_calibration_set,
-                          derive_calibration_label, read_calibration_set,
-                          write_calibration_set)
-from .camera import (FRAME_CAMERA, FRAME_NORMALIZED, FRAME_SCREEN,
-                     BoundingBox, CameraIntrinsics, Point3, backproject,
-                     project, standardize)
+from .calibration import derive_calibration_label, write_calibration_set
+from .camera import (FRAME_CAMERA, FRAME_SCREEN, BoundingBox,
+                     CameraIntrinsics, Point3, backproject, project)
 from .easy_norm import (PARALLEL_EPS, AxisAngle, Rotation3, denormalize_gaze,
                         norm_rotation, normalize_gaze, to_matrix)
 from .errors import (BehindCameraError, ConfigError, FrameMismatchError,
@@ -33,23 +30,20 @@ from .synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset, GazeSample,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAngle", "BehindCameraError", "BoundingBox", "CalibrationRecord",
-    "CameraIntrinsics", "ClippedGaussian", "ConfigError", "Dataset",
-    "DEFAULT_INTRINSICS", "EvalReport", "FRAME_CAMERA", "FRAME_CAMERA_PLANE",
-    "FRAME_NORMALIZED", "FRAME_SCREEN", "FRAME_SCREEN_PLANE",
-    "FrameMismatchError", "GazeSample", "GeometryError", "GimbalLockError",
-    "InvalidIntrinsicsError", "LossWeights", "ModelParams",
+    "AxisAngle", "BehindCameraError", "BoundingBox", "CameraIntrinsics",
+    "ClippedGaussian", "ConfigError", "Dataset", "DEFAULT_INTRINSICS",
+    "EvalReport", "FRAME_CAMERA", "FRAME_CAMERA_PLANE", "FRAME_SCREEN",
+    "FRAME_SCREEN_PLANE", "FrameMismatchError", "GazeSample", "GeometryError",
+    "GimbalLockError", "InvalidIntrinsicsError", "LossWeights", "ModelParams",
     "MultiTaskOutput", "PARALLEL_EPS", "PlanePoint", "Point3", "RAY_EPS",
     "RayParallelError", "RigidTransform", "Rotation3", "SceneConfig",
     "SixDofPrediction", "Subject", "SubjectStats", "TrainConfig",
     "TrainingDiverged", "angular_deg", "angular_error", "backproject",
-    "build_calibration_set", "calibration_view", "denormalize_gaze",
-    "derive_calibration_label",
+    "calibration_view", "denormalize_gaze", "derive_calibration_label",
     "euler_from_vec", "evaluate", "fine_tune", "forward", "forward_batch",
-    "generate_dataset",
-    "gradient_check", "init_params", "load_dataset", "load_params",
-    "make_subjects", "norm_rotation", "normalize_gaze", "pog_error",
-    "pog_to_pogz", "pogz_from_ray", "pogz_to_pog", "predict_6dof", "project",
-    "read_calibration_set", "sample_frame", "save_params", "standardize",
-    "to_matrix", "train", "vec_from_euler", "write_calibration_set",
+    "generate_dataset", "gradient_check", "init_params", "load_dataset",
+    "load_params", "make_subjects", "norm_rotation", "normalize_gaze",
+    "pog_error", "pog_to_pogz", "pogz_from_ray", "pogz_to_pog", "predict_6dof",
+    "project", "sample_frame", "save_params", "to_matrix", "train",
+    "vec_from_euler", "write_calibration_set",
 ]

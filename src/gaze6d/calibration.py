@@ -1,10 +1,9 @@
 """Screen-free calibration from lens-fixation frames.
 
 The subject looks at the camera lens center while moving the head freely.
-The true gaze direction is then
- fully determined by the face pixel: it is the
-backprojection ray reversed, so metric ground truth comes for free from the
-face box center
+The true gaze direction is then fully determined by the face pixel: it is
+the backprojection ray reversed, so metric ground truth comes for free from
+the face box center
 
     g_o = -[(x - x_p) k, (y - y_p) k, f k] / || . ||
 
@@ -16,50 +15,10 @@ is what makes the procedure screen-free.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import BoundingBox, CameraIntrinsics
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationRecord:
-    """One lens-fixation frame: face pixel, face box, derived gaze label."""
-
-    subject: int
-    face_px: np.ndarray
-    bbox: BoundingBox
-    g_o: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "face_px", np.asarray(self.face_px, dtype=float).reshape(2))
-        object.__setattr__(self, "g_o", np.asarray(self.g_o, dtype=float).reshape(3))
-
-    def __eq__(self, other):
-        if not isinstance(other, CalibrationRecord):
-            return NotImplemented
-        return (self.subject == other.subject
-                and self.bbox == other.bbox
-                and bool(np.all(self.face_px == other.face_px))
-                and bool(np.all(self.g_o == other.g_o)))
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "face_px": [float(v) for v in self.face_px],
-            "bbox": self.bbox.to_list(),
-            "g_o": [float(v) for v in self.g_o],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationRecord":
-        return cls(
-            subject=int(d["subject"]),
-            face_px=np.array(d["face_px"], dtype=float),
-            bbox=BoundingBox.from_list(d["bbox"]),
-            g_o=np.array(d["g_o"], dtype=float),
-        )
+from .camera import CameraIntrinsics
 
 
 def derive_calibration_label(intr: CameraIntrinsics, face_px) -> np.ndarray:
@@ -75,42 +34,13 @@ def derive_calibration_label(intr: CameraIntrinsics, face_px) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def build_calibration_set(subject, intr: CameraIntrinsics, n_frames: int, seed: int) -> list[CalibrationRecord]:
-    """Simulate a lens-fixation session and derive labels for every frame.
-
-    Head positions are drawn by the synthetic scene sampler; the gaze target
-    is pinned at the camera origin, so labels follow from the face pixel
-    alone.  Deterministic for a given (subject, seed).
-    """
-    from . import synth  # deferred: synth also calls back into this module
-
-    cfg = synth.SceneConfig(intrinsics=intr, seed=seed)
-    subj = subject if isinstance(subject, synth.Subject) else synth.Subject(id=int(subject))
-    records = []
-    for i in range(n_frames):
-        sample = synth.sample_frame(subj, cfg, synth.frame_rng(cfg.seed, subj.id, i), calibration=True)
-        records.append(
-            CalibrationRecord(
-                subject=subj.id,
-                face_px=sample.bbox.center,
-                bbox=sample.bbox,
-                g_o=derive_calibration_label(intr, sample.bbox.center),
-            )
-        )
-    return records
-
-
-def write_calibration_set(records: list[CalibrationRecord], path) -> None:
+def write_calibration_set(samples, intr: CameraIntrinsics, path) -> None:
+    """Write one JSON line per lens-fixation frame (a calibration-mode
+    `synth.GazeSample`): its subject, face box, face pixel (the box center)
+    and the gaze label derived from that pixel."""
     with open(path, "w") as f:
-        for r in records:
-            f.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-
-
-def read_calibration_set(path) -> list[CalibrationRecord]:
-    records = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(CalibrationRecord.from_dict(json.loads(line)))
-    return records
+        for s in samples:
+            face_px = s.bbox.center
+            record = {"subject": s.subject, "face_px": face_px.tolist(), "bbox": s.bbox.to_list(),
+                      "g_o": derive_calibration_label(intr, face_px).tolist()}
+            f.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""Pinhole camera model: intrinsics, projection, and intrinsics standardization.
+"""Pinhole camera model: intrinsics, face boxes, projection and backprojection.
 
 COORDINATE SYSTEM CONVENTION (OpenCV style)
     Camera frame: origin at the lens center, +x right, +y down, +z along the
@@ -11,7 +11,6 @@ focal length in pixels fully describes the projection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import BehindCameraError, FrameMismatchError, GeometryError, Invali
 
 # frame tags carried by 3-D points
 FRAME_CAMERA = "oCCS"
-FRAME_NORMALIZED = "nCCS"
 FRAME_SCREEN = "SCS"
 
 
@@ -57,10 +55,6 @@ class CameraIntrinsics:
     def principal(self) -> np.ndarray:
         return np.array([self.cx, self.cy], dtype=float)
 
-    @property
-    def focal_mm(self) -> float:
-        return self.focal_px * self.k_mm_per_px
-
     def to_dict(self) -> dict:
         return {
             "focal_px": self.focal_px,
@@ -81,15 +75,6 @@ class CameraIntrinsics:
             width=int(d["width"]),
             height=int(d["height"]),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "CameraIntrinsics":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)
@@ -137,21 +122,6 @@ class Point3:
     @property
     def z(self) -> float:
         return float(self.xyz[2])
-
-
-def standardize(orig: CameraIntrinsics, std: CameraIntrinsics, box: BoundingBox) -> BoundingBox:
-    """Re-express a face box under standardized intrinsics.
-
-    A pure rescale about the principal point: pixel offsets from the original
-    principal point scale by the focal ratio and re-anchor at the standardized
-    principal point.  The box side scales by the same ratio.
-    """
-    s = std.focal_px / orig.focal_px
-    return BoundingBox(
-        x=(box.x - orig.cx) * s + std.cx,
-        y=(box.y - orig.cy) * s + std.cy,
-        side=box.side * s,
-    )
 
 
 def backproject(intr: CameraIntrinsics, pixel, depth_mm: float) -> Point3:

@@ -81,7 +81,7 @@ def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
             continue
         try:
             out[key] = type(default)(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
     return out
 
@@ -115,7 +115,7 @@ def cmd_gen(args) -> int:
             scene = synth.SceneConfig.from_dict({**scene_dict, "seed": seed})
         except KeyError as exc:
             raise ConfigError(f"{args.config}: scene: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{args.config}: scene: {exc}") from None
     else:
         scene = synth.SceneConfig(seed=seed)
@@ -129,16 +129,8 @@ def cmd_gen(args) -> int:
 
     if mode == "calibration":
         ds = synth.load_dataset(out_dir / "dataset.jsonl")
-        records = [
-            calibration.CalibrationRecord(
-                subject=s.subject,
-                face_px=s.bbox.center,
-                bbox=s.bbox,
-                g_o=calibration.derive_calibration_label(scene.intrinsics, s.bbox.center),
-            )
-            for s in ds.samples
-        ]
-        calibration.write_calibration_set(records, out_dir / "calibration_records.jsonl")
+        calibration.write_calibration_set(ds.samples, scene.intrinsics,
+                                          out_dir / "calibration_records.jsonl")
 
     print(f"dataset: {out_dir / 'dataset.jsonl'} ({n_subjects} subjects x {frames} frames, mode={mode})")
     if stats:
@@ -308,7 +300,7 @@ def cmd_convert(args) -> int:
             try:
                 rec = json.loads(line)
                 out = _convert_record(rec, args.dir, transform)
-            except (ValueError, KeyError, TypeError, IndexError, GeometryError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError, GeometryError) as exc:
                 # keep streaming: emit an error record for the bad line
                 out = {"error": str(exc), "line": i}
             stream_out.write(json.dumps(out, sort_keys=True) + "\n")

@@ -236,7 +236,7 @@ def load_params(path) -> ModelParams:
             return _params_from_doc(json.load(f))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:  # ConfigError and JSONDecodeError too
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError and JSONDecodeError too
         raise ConfigError(f"{path}: {exc}") from None
 
 

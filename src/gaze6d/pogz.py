@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import ConfigError, FrameMismatchError, RayParallelError
+from .errors import ConfigError, FrameMismatchError, GeometryError, RayParallelError
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -100,13 +100,16 @@ class RigidTransform:
                 return cls.from_dict(json.load(f))
             except KeyError as exc:
                 raise ConfigError(f"{path}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:  # JSONDecodeError and GeometryError too
+            except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError and GeometryError too
                 raise ConfigError(f"{path}: {exc}") from None
 
 
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    norm = np.linalg.norm(d)
+    if not norm > 0:  # a zero vector, or one whose squared norm underflows
+        raise GeometryError(f"gaze direction {d} has no length")
+    d = d / norm
     if abs(d[2]) < RAY_EPS:
         raise RayParallelError(f"gaze direction {d} is parallel to the z=0 plane")
     lam = -origin[2] / d[2]

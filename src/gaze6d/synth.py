@@ -328,13 +328,10 @@ def sample_frame(
     )
 
 
-def _attribute_stats(samples: list[GazeSample], cfg: SceneConfig) -> dict:
-    cols = {
-        "gaze_yaw": (np.array([s.g_n[0] for s in samples]), cfg.gaze_yaw),
-        "gaze_pitch": (np.array([s.g_n[1] for s in samples]), cfg.gaze_pitch),
-        "head_yaw": (np.array([s.head_pose[0] for s in samples]), cfg.head_yaw),
-        "head_pitch": (np.array([s.head_pose[1] for s in samples]), cfg.head_pitch),
-    }
+def _attribute_stats(attributes: np.ndarray, cfg: SceneConfig) -> dict:
+    """Mean and std of each attribute row (one column per frame) and its target."""
+    targets = {"gaze_yaw": cfg.gaze_yaw, "gaze_pitch": cfg.gaze_pitch,
+               "head_yaw": cfg.head_yaw, "head_pitch": cfg.head_pitch}
     return {
         name: {
             "mean": float(vals.mean()),
@@ -342,7 +339,7 @@ def _attribute_stats(samples: list[GazeSample], cfg: SceneConfig) -> dict:
             "target_mean": dist.mean,
             "target_std": dist.std,
         }
-        for name, (vals, dist) in cols.items()
+        for (name, dist), vals in zip(targets.items(), attributes)
     }
 
 
@@ -368,18 +365,19 @@ def generate_dataset(
         raise ConfigError(f"n_per_subject must be >= 0, got {n_per_subject}")
 
     calibration = mode == "calibration"
-    stats_window: list[GazeSample] = []
+    # only the four sampled attributes are kept for the stats, not the frames
+    attributes = np.empty((4, len(subjects) * n_per_subject))
     with open(out_path, "w") as f:
         f.write(json.dumps(dataset_header(cfg, subjects, n_per_subject, mode), sort_keys=True) + "\n")
-        for subj in subjects:
+        for j, subj in enumerate(subjects):
             for i in range(n_per_subject):
                 s = sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
-                stats_window.append(s)
+                attributes[:, j * n_per_subject + i] = (s.g_n[0], s.g_n[1], s.head_pose[0], s.head_pose[1])
                 f.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
 
-    if not stats_window:
+    if not attributes.size:
         return {}
-    return _attribute_stats(stats_window, cfg)
+    return _attribute_stats(attributes, cfg)
 
 
 @dataclass
@@ -412,6 +410,10 @@ _ROW_LENGTHS = {"features": FEATURE_DIM, "bbox": 3,
                 **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()}}
 
 
+# JSON numbers parse to exactly these; a bool is no number here
+_NUMBERS = frozenset((int, float))
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite value {name}")
 
@@ -427,7 +429,12 @@ def _sample_from_line(line: str) -> GazeSample:
     for key, n in _ROW_LENGTHS.items():
         if len(d[key]) != n:
             raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
-    return GazeSample.from_dict(d)
+    sample = GazeSample.from_dict(d)
+    # float arrays also take nested lists, numeric strings, bools and null (as NaN)
+    for key, n in _ROW_LENGTHS.items():
+        if type(d[key]) is not list or not _NUMBERS.issuperset(map(type, d[key])):
+            raise ValueError(f"{key} must be a flat list of {n} numbers, got {d[key]!r}")
+    return sample
 
 
 def _header_from_line(line: str) -> dict:
@@ -446,9 +453,10 @@ def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset.
 
     A header line that is not JSON or lacks a known `mode` or valid
-    `config.intrinsics`, and a row with a missing key, a field of the wrong
-    length, a NaN or Infinity value, or anything else that does not parse,
-    are a ConfigError naming the file and line.
+    `config.intrinsics`, and a row with a missing key, a vector field that
+    is not a flat list of numbers of its length, a NaN or Infinity value, a
+    number too large for a float, or anything else that does not parse, are
+    a ConfigError naming the file and line.
     """
     header, samples = None, []
     with open(path) as f:
@@ -460,7 +468,7 @@ def load_dataset(path) -> Dataset:
                     samples.append(_sample_from_line(line))
             except KeyError as exc:
                 raise ConfigError(f"{path}:{line_no}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:  # JSONDecodeError too
+            except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")

@@ -1,13 +1,8 @@
-import json
-
 import numpy as np
-import pytest
 
 import oracles
-from gaze6d.calibration import (CalibrationRecord, build_calibration_set,
-                                derive_calibration_label, read_calibration_set,
-                                write_calibration_set)
-from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
+from gaze6d.calibration import derive_calibration_label
+from gaze6d.camera import CameraIntrinsics, backproject
 
 INTR = CameraIntrinsics(500.0, 320.0, 240.0, 0.05, 640, 480)
 
@@ -68,41 +63,3 @@ def test_label_noise_bound():
         g = derive_calibration_label(INTR, noisy)
         worst = max(worst, oracles.angular_gap_deg(g, true_dir))
     assert worst <= 0.12
-
-
-def test_build_calibration_set_deterministic():
-    a = build_calibration_set(subject=5, intr=INTR, n_frames=20, seed=42)
-    b = build_calibration_set(subject=5, intr=INTR, n_frames=20, seed=42)
-    assert len(a) == 20
-    assert all(ra == rb for ra, rb in zip(a, b))
-    c = build_calibration_set(subject=5, intr=INTR, n_frames=20, seed=43)
-    assert any(ra != rc for ra, rc in zip(a, c))
-
-
-def test_build_calibration_set_geometric_consistency():
-    records = build_calibration_set(subject=0, intr=INTR, n_frames=100, seed=1)
-    for r in records:
-        assert abs(np.linalg.norm(r.g_o) - 1.0) < 1e-9
-        # the label must agree with the face-center pixel it was derived from
-        want = derive_calibration_label(INTR, r.face_px)
-        assert np.max(np.abs(r.g_o - want)) == 0.0
-        assert r.subject == 0
-        assert r.bbox.side > 0
-
-
-def test_record_jsonl_round_trip(tmp_path):
-    records = build_calibration_set(subject=3, intr=INTR, n_frames=10, seed=9)
-    path = tmp_path / "records.jsonl"
-    write_calibration_set(records, path)
-    loaded = read_calibration_set(path)
-    assert loaded == records
-    fields = set(json.loads(path.read_text().splitlines()[0]))
-    assert fields == {"subject", "face_px", "bbox", "g_o"}
-
-
-def test_record_equality_and_fields():
-    r = CalibrationRecord(subject=1, face_px=(320.0, 240.0),
-                          bbox=BoundingBox(320.0, 240.0, 100.0),
-                          g_o=np.array([0.0, 0.0, -1.0]))
-    d = r.to_dict()
-    assert CalibrationRecord.from_dict(d) == r

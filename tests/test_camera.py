@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gaze6d.camera import (FRAME_CAMERA, FRAME_SCREEN, BoundingBox,
-                           CameraIntrinsics, Point3, backproject, project,
-                           standardize)
+                           CameraIntrinsics, Point3, backproject, project)
 from gaze6d.errors import (BehindCameraError, FrameMismatchError,
                            GeometryError, InvalidIntrinsicsError)
 
@@ -23,12 +22,11 @@ def test_intrinsics_validation():
         CameraIntrinsics(500, 700, 240, 0.005, 640, 480)
 
 
-def test_intrinsics_json_round_trip(tmp_path):
-    path = tmp_path / "intr.json"
-    INTR.save(path)
-    loaded = CameraIntrinsics.load(path)
+def test_intrinsics_json_round_trip():
+    text = json.dumps(INTR.to_dict(), sort_keys=True)
+    loaded = CameraIntrinsics.from_dict(json.loads(text))
     assert loaded == INTR
-    keys = set(json.loads(path.read_text()))
+    keys = set(json.loads(text))
     assert keys == {"focal_px", "cx", "cy", "k_mm_per_px", "width", "height"}
 
 
@@ -37,39 +35,6 @@ def test_bounding_box_validation():
         BoundingBox(100, 100, 0)
     box = BoundingBox(420.0, 240.0, 200.0)
     assert BoundingBox.from_list(box.to_list()) == box
-
-
-def test_standardize_identity():
-    box = BoundingBox(420.0, 240.0, 200.0)
-    out = standardize(INTR, INTR, box)
-    assert out == box
-
-
-def test_standardize_known_rescale():
-    orig = CameraIntrinsics(1000.0, 320.0, 240.0, 0.005, 640, 480)
-    std = CameraIntrinsics(500.0, 160.0, 120.0, 0.005, 320, 240)
-    out = standardize(orig, std, BoundingBox(420.0, 240.0, 200.0))
-    assert np.allclose(out.center, [210.0, 120.0])
-    assert out.side == pytest.approx(100.0)
-
-
-def test_standardize_fixes_principal_point():
-    orig = CameraIntrinsics(800.0, 300.0, 200.0, 0.005, 640, 480)
-    std = CameraIntrinsics(450.0, 160.0, 120.0, 0.005, 320, 240)
-    out = standardize(orig, std, BoundingBox(300.0, 200.0, 50.0))
-    assert np.allclose(out.center, std.principal)
-
-
-def test_standardize_invertible():
-    rng = np.random.default_rng(0)
-    orig = CameraIntrinsics(1000.0, 320.0, 240.0, 0.005, 640, 480)
-    std = CameraIntrinsics(640.0, 200.0, 150.0, 0.005, 400, 300)
-    for _ in range(200):
-        box = BoundingBox(rng.uniform(0, 640), rng.uniform(0, 480), rng.uniform(10, 200))
-        back = standardize(std, orig, standardize(orig, std, box))
-        assert abs(back.x - box.x) < 1e-9
-        assert abs(back.y - box.y) < 1e-9
-        assert abs(back.side - box.side) < 1e-9
 
 
 def test_backproject_on_axis():

@@ -13,6 +13,7 @@ import oracles
 
 import gaze6d
 from gaze6d import cli
+from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError
 from gaze6d.model import LossWeights, TrainConfig, init_params, load_params, save_params
@@ -44,10 +45,13 @@ def test_gen_writes_dataset_and_snapshot(tmp_path, capsys):
 
 
 def test_gen_deterministic_across_runs(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run("gen", "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(a))
-    run("gen", "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(b))
-    assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
+    for mode in ("general", "calibration"):
+        a, b = tmp_path / mode / "a", tmp_path / mode / "b"
+        run("gen", "--mode", mode, "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(a))
+        run("gen", "--mode", mode, "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(b))
+        assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
+    records = "calibration_records.jsonl"
+    assert (a / records).read_bytes() == (b / records).read_bytes()
 
 
 def test_gen_rerun_from_snapshot_is_byte_identical(tmp_path):
@@ -61,12 +65,22 @@ def test_gen_rerun_from_snapshot_is_byte_identical(tmp_path):
 
 def test_gen_calibration_mode_writes_records(tmp_path):
     out = tmp_path / "calib"
-    assert run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "4",
+    assert run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "50",
                "--seed", "0", "--out", str(out)) == 0
-    records = (out / "calibration_records.jsonl").read_text().splitlines()
-    assert len(records) == 8
-    assert set(json.loads(records[0])) == {"subject", "face_px", "bbox", "g_o"}
-    assert load_dataset(out / "dataset.jsonl").mode == "calibration"
+    lines = (out / "calibration_records.jsonl").read_text().splitlines()
+    assert len(lines) == 100
+    assert set(json.loads(lines[0])) == {"subject", "face_px", "bbox", "g_o"}
+    ds = load_dataset(out / "dataset.jsonl")
+    assert ds.mode == "calibration"
+    # one record per dataset row, in row order; the label follows from the box center alone
+    records = [json.loads(line) for line in lines]
+    assert [r["subject"] for r in records] == [s.subject for s in ds.samples]
+    for r, s in zip(records, ds.samples):
+        assert r["bbox"] == s.bbox.to_list() and r["bbox"][2] > 0
+        assert r["face_px"] == [s.bbox.x, s.bbox.y]
+        g_o = np.array(r["g_o"])
+        assert abs(np.linalg.norm(g_o) - 1.0) < 1e-9
+        assert np.max(np.abs(g_o - derive_calibration_label(ds.intrinsics, r["face_px"]))) == 0.0
 
 
 def test_gen_zero_frames(tmp_path):
@@ -118,6 +132,7 @@ def test_train_and_eval_reject_bad_rows_with_exit_2(tmp_path, capsys):
         "no_bbox": ({k: v for k, v in row.items() if k != "bbox"}, "missing key 'bbox'"),
         "short": ({**row, "features": row["features"][:5]}, "features has 5 values, expected 7"),
         "nan": ({**row, "features": [float("nan")] + row["features"][1:]}, "non-finite value NaN"),
+        "huge": ({**row, "features": [10**400] + row["features"][1:]}, "int too large to convert to float"),
     }
     capsys.readouterr()
     for name, (bad, message) in bad_rows.items():
@@ -250,6 +265,7 @@ def test_finetune_and_eval_rerun_from_snapshot_identical(tmp_path):
     ('{"weights": {"g_n": "heavy"}}', "weights.g_n: could not convert string to float"),
     ('{"weights": 2}', "weights: expected an object"),
     ('{"lr": null}', "lr: float() argument must be"),
+    pytest.param('{"lr": 1' + "0" * 400 + "}", "lr: int too large to convert to float", id="huge-lr"),
     ('{"epochs": 3,', "Expecting property name"),
     ('[1, 2]', "expected a JSON object, got list"),
 ])
@@ -389,9 +405,14 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
     save_params(params, nan)
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json")
+    huge = tmp_path / "huge.json"
+    save_params(init_params(seed=0), huge)
+    doc = json.loads(huge.read_text())
+    doc["arrays"]["fuse_w"]["data"][0] = 10**400   # valid JSON, too large for a float
+    huge.write_text(json.dumps(doc))
     capsys.readouterr()
 
-    for bad in (narrow, nan, not_json):
+    for bad in (narrow, nan, not_json, huge):
         assert run("eval", "--params", str(bad), "--data", str(gen / "dataset.jsonl"),
                    "--out", str(tmp_path / "eval")) == 2
         err = capsys.readouterr().err
@@ -479,6 +500,8 @@ EYE9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
                  "R must be 9 finite values, got [inf,", id="inf-R"),
     pytest.param(json.dumps({"R": EYE9, "t": [0, 0]}),
                  "t must be 3 finite values, got [0.0, 0.0]", id="short-t"),
+    pytest.param(json.dumps({"R": [10**400] + EYE9[1:], "t": [0, 0, 0]}),
+                 "int too large to convert to float", id="huge-R"),
     pytest.param("[1, 2]", "list indices must be integers", id="not-an-object"),
     pytest.param('{"R": ', "Expecting value", id="not-json"),
 ])
@@ -567,16 +590,19 @@ def test_convert_bad_lines_keep_streaming(tmp_path, monkeypatch, capsys):
         '{"point": [NaN, 1.0], "gaze": [0.0, 0.0, -1.0]}',           # json.loads takes NaN
         '{"point": [1.0, 2.0], "gaze": [Infinity, 0.0, -1.0]}',
         json.dumps({"point": [1.0, 2.0, 3.0], "gaze": [0.0, 0.0, -1.0]}),  # a 3-value point
+        json.dumps({"point": [10**400, 2.0], "gaze": [0.0, 0.0, -1.0]}),   # too large for a float
+        json.dumps({"point": [1.0, 2.0], "gaze": [0.0, 0.0, 0.0]}),        # no direction
+        json.dumps({"point": [1.0, 2.0], "gaze": [1e-320, 0.0, 1e-320]}),  # squared norm underflows
     ]
     code, out = run_convert(monkeypatch, capsys,
                             ["convert", "--dir", "pogz2pog", "--transform", str(t)], lines)
     assert code == 0
-    assert len(out) == 7
+    assert len(out) == 10
     assert "error" in out[0] and out[0]["line"] == 0
     assert "error" in out[1]
     assert "error" in out[2]
     assert out[3]["point"] == pytest.approx([3.0, 4.0])
-    for i in (4, 5, 6):
+    for i in (4, 5, 6, 7, 8, 9):
         assert set(out[i]) == {"error", "line"} and out[i]["line"] == i, out[i]
 
 

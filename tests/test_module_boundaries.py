@@ -1,6 +1,7 @@
 """The gaze6d modules use each other only through public names."""
 
 import ast
+import types
 from pathlib import Path
 
 import gaze6d
@@ -61,3 +62,13 @@ def test_the_check_sees_attribute_and_import_forms(tmp_path):
                    "y = _model.forward(1)\n")
     assert private_cross_module_uses(src) == ["probe.py:2: synth._split",
                                               "probe.py:3: model._forward"]
+
+
+def test_all_is_exactly_the_public_names_of_the_package():
+    exported = gaze6d.__all__
+    assert len(exported) == len(set(exported)), "duplicate entries in __all__"
+    missing = [name for name in exported if not hasattr(gaze6d, name)]
+    assert missing == [], "entries of __all__ that gaze6d does not define"
+    public = {name for name, value in vars(gaze6d).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == public

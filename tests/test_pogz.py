@@ -4,7 +4,7 @@ import pytest
 import oracles
 from gaze6d.camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from gaze6d.easy_norm import Rotation3
-from gaze6d.errors import FrameMismatchError, RayParallelError
+from gaze6d.errors import FrameMismatchError, GeometryError, RayParallelError
 from gaze6d.pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, RAY_EPS,
                          PlanePoint, RigidTransform, pog_to_pogz,
                          pogz_from_ray, pogz_to_pog)
@@ -78,6 +78,19 @@ def test_parallel_ray_raises():
     with pytest.raises(RayParallelError):
         pogz_from_ray(cam_point(0, 0, 500), np.array([1.0, 0.0, 0.0]))
     assert RAY_EPS == 1e-9
+
+
+@pytest.mark.parametrize("gaze", [[0.0, 0.0, 0.0], [1e-320, 0.0, 1e-320]])
+def test_zero_length_gaze_raises_without_numpy_warnings(gaze):
+    # the second gaze is nonzero, but its squared norm underflows to 0
+    g = np.array(gaze)
+    tr = RigidTransform(Rotation3(np.eye(3)), np.zeros(3))
+    with pytest.raises(GeometryError, match="has no length"):
+        pogz_from_ray(cam_point(0, 0, 500), g)
+    with pytest.raises(GeometryError, match="has no length"):
+        pogz_to_pog(PlanePoint(1.0, 2.0, FRAME_CAMERA_PLANE), g, tr)
+    with pytest.raises(GeometryError, match="has no length"):
+        pog_to_pogz(PlanePoint(1.0, 2.0, FRAME_SCREEN_PLANE), g, tr)
 
 
 def test_origin_frame_checked():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gaze6d.camera import CameraIntrinsics, backproject
@@ -10,9 +12,9 @@ from gaze6d.errors import ConfigError
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import pogz_from_ray
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset,
-                          GazeSample, SceneConfig, Subject, frame_rng,
-                          generate_dataset, load_dataset, make_subjects,
-                          sample_frame)
+                          GazeSample, SceneConfig, Subject, dataset_header,
+                          frame_rng, generate_dataset, load_dataset,
+                          make_subjects, sample_frame)
 
 
 class ScriptedRng:
@@ -304,6 +306,11 @@ def setting(key, value):
     (setting("pogz", [float("inf"), 0.0]), "non-finite value Infinity"),
     (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
     (setting("bbox", ["a", 1.0, 2.0]), "could not convert string to float"),
+    (setting("features", [10**400] + [0.1] * 6), "int too large to convert to float"),
+    (setting("features", [[0.1]] * 7), "features must be a flat list of 7 numbers"),
+    (setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 numbers"),
+    (setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 numbers"),
+    (setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 numbers"),
     ('{"features": [0.1,', "Expecting value"),
     ("[1, 2]", "row is not a JSON object"),
 ])
@@ -313,6 +320,44 @@ def test_load_dataset_names_the_bad_row(tmp_path, edit, message):
         load_dataset(path)
     assert str(info.value).startswith(f"{path}:3: ")
     assert message in str(info.value)
+
+
+VECTOR_LENGTHS = {"features": 7, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
+_FUZZ_CFG = SceneConfig(seed=15)
+VALID_HEADER = dataset_header(_FUZZ_CFG, [Subject(0)], 1, "general")
+VALID_ROW = sample_frame(Subject(0), _FUZZ_CFG, frame_rng(15, 0, 0)).to_dict()
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.sampled_from([10**400, -10**400])
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=4) | st.sampled_from(["0.5", "1e3"]))
+json_values = (json_scalars
+               | st.integers(0, 8).flatmap(lambda n: st.lists(json_scalars, min_size=n, max_size=n))
+               | st.lists(st.lists(json_scalars, max_size=3), max_size=8))
+
+
+def test_load_dataset_loads_a_fuzzed_row_or_names_it(tmp_path):
+    """A row with one field replaced by any JSON value loads with every vector
+    field a finite (n,) array, or is a ConfigError naming its line."""
+    path = tmp_path / "fuzzed_row.jsonl"
+
+    # called from a plain test: for a failing @given test item, the Hypothesis
+    # pytest plugin imports libcst, whose import warning the suite makes an error
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(field=st.sampled_from(sorted(VALID_ROW)), value=json_values)
+    def loads_or_names_the_row(field, value):
+        path.write_text(json.dumps(VALID_HEADER) + "\n" + json.dumps({**VALID_ROW, field: value}) + "\n")
+        try:
+            sample = load_dataset(path).samples[0]
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}:2: ")
+            return
+        for key, n in VECTOR_LENGTHS.items():
+            vec = getattr(sample, key)
+            assert vec.shape == (n,) and vec.dtype == float and np.isfinite(vec).all(), (key, vec)
+        assert all(type(v) is float for v in sample.bbox.to_list())
+
+    loads_or_names_the_row()
 
 
 def test_attribute_stats_track_targets(tmp_path):
