@@ -12,6 +12,7 @@ Set GAZE6D_LOG=DEBUG|INFO|WARNING for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -22,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics, model, synth
-from .camera import CameraIntrinsics
-from .errors import ConfigError, GeometryError, TrainingDiverged
+from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, describe
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
                    RigidTransform, pog_to_pogz, pogz_to_pog)
 
@@ -42,86 +42,92 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
-    return cfg
+# each command's settings and their defaults; a default that is a type is
+# an optional setting, absent (None) unless given
+_TRAIN_DEFAULTS = model.TrainConfig().to_dict()
+SETTINGS = {
+    "gen": {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
+            "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA, "scene": dict},
+    "train": {"data": str, "folds": 0, **_TRAIN_DEFAULTS},
+    "finetune": {"params": str, "calib": str, "subject": int, **_TRAIN_DEFAULTS},
+    "eval": {"params": str, "data": str, "screen": str},
+}
+_KIND_NAMES = {str: "a string", int: "an integer id", dict: "an object"}
 
 
-def _pick(args, cfg: dict, key: str, default):
-    """CLI flag wins over config file wins over default."""
-    cli = getattr(args, key, None)
-    if cli is not None:
-        return cli
-    if key in cfg:
-        return cfg[key]
-    return default
+def _configure(args) -> dict:
+    """The command's SETTINGS, overridden by the --config file, then by flags.
+    Any fault in the file, an unknown key included, is a ConfigError naming
+    the file, raised before the run directory is written."""
+    table, cfg = SETTINGS[args.command], {}
+    with bad_input(args.config):
+        if args.config is not None:
+            with open(args.config) as f:
+                cfg = json.load(f)
+            if not isinstance(cfg, dict):
+                raise ConfigError(f"expected a JSON object, got {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - set(table) - {"command"})
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}; expected keys from {sorted({'command', *table})}")
+        return _settings(args, cfg, table)
 
 
 def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
-    """`defaults`, overridden by the config file, then by flags of the same
-    dest; each value is cast to its default's type, dicts merge key by key.
-    Flags arrive typed, so a value that fails came from the config file."""
+    """`defaults`, overridden by `cfg`, then by flags of the same dest; dicts
+    merge key by key.  Flags arrive typed, so a value that fails came from
+    the config file."""
     out = {}
     for key, default in defaults.items():
-        value = _pick(args, cfg, key, default)
-        name = f"{args.config}: {where}{key}"
-        if isinstance(default, dict):
-            if not isinstance(value, dict) or not set(value) <= set(default):
-                raise ConfigError(f"{name}: expected an object with keys from {sorted(default)}, "
-                                  f"got {value!r}")
-            out[key] = _settings(args, value, default, f"{where}{key}.")
-            continue
-        try:
-            out[key] = type(default)(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+        name, value = where + key, getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key, None if isinstance(default, type) else default)
+        if not isinstance(default, dict):
+            with bad_input(name):
+                out[key] = _cast(default, value)
+        elif isinstance(value, dict) and set(value) <= set(default):
+            out[key] = _settings(args, value, default, name + ".")
+        else:
+            raise ConfigError(f"{name}: expected an object with keys from {sorted(default)}, got {value!r}")
     return out
 
 
-def _write_snapshot(args, cfg: dict, out_dir: Path, snapshot: dict) -> None:
-    """Write config.json; a config file key that the snapshot lacks is a ConfigError."""
-    unknown = sorted(set(cfg) - set(snapshot))
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown keys {unknown}; expected keys from {sorted(snapshot)}")
+def _cast(default, value):
+    """`value` as a setting with `default`.  A string or optional setting takes
+    exactly its JSON type (an optional one also None); a number is cast, but
+    from no bool, and an int from no fraction."""
+    if isinstance(default, (type, str)):
+        kind = default if isinstance(default, type) else str
+        if type(value) is kind or (value is None and default is kind):
+            return value
+        raise ValueError(f"expected {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return type(default)(value)
+
+
+def _write_snapshot(args, settings: dict, **more) -> Path:
+    """Make the run directory and write its config.json, the command and its
+    settings: replayed through --config, it reproduces the run."""
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w") as f:
-        json.dump(snapshot, f, indent=2, sort_keys=True)
+        json.dump({"command": args.command, **settings, **more}, f, indent=2, sort_keys=True)
+    return out_dir
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
-GEN_DEFAULTS = {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
-                "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA}
-
-
 def cmd_gen(args) -> int:
-    cfg = _load_config_file(args.config)
-    settings = _settings(args, cfg, GEN_DEFAULTS)
+    settings = _configure(args)
     mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
-
-    scene_dict = cfg.get("scene")
-    if scene_dict is not None:
-        try:
-            scene = synth.SceneConfig.from_dict({**scene_dict, "seed": seed})
-        except KeyError as exc:
-            raise ConfigError(f"{args.config}: scene: missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{args.config}: scene: {exc}") from None
-    else:
-        scene = synth.SceneConfig(seed=seed)
-
-    out_dir = Path(args.out)
-    _write_snapshot(args, cfg, out_dir, {"command": "gen", **settings, "scene": scene.to_dict()})
+    with bad_input(args.config), bad_input("scene"):  # a scene needs all its keys
+        scene = (synth.SceneConfig(seed=seed) if settings["scene"] is None
+                 else synth.SceneConfig.from_dict({**settings["scene"], "seed": seed}))
+    out_dir = _write_snapshot(args, settings, scene=scene.to_dict())
 
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
@@ -144,24 +150,15 @@ def cmd_gen(args) -> int:
 # train
 
 
-def _train_config(args, cfg: dict) -> model.TrainConfig:
-    """TrainConfig's own defaults, overridden by the config file, then by flags."""
-    return model.TrainConfig.from_dict(_settings(args, cfg, model.TrainConfig().to_dict()))
-
-
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    data_path = _pick(args, cfg, "data", None)
-    if data_path is None:
+    settings = _configure(args)
+    if settings["data"] is None:
         raise ConfigError("train needs --data")
-    folds = _settings(args, cfg, {"folds": 0})["folds"]
-    tc = _train_config(args, cfg)
+    folds = settings["folds"]
+    tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    out_dir = _write_snapshot(args, settings)
 
-    out_dir = Path(args.out)
-    snapshot = {"command": "train", "data": str(data_path), "folds": folds, **tc.to_dict()}
-    _write_snapshot(args, cfg, out_dir, snapshot)
-
-    dataset = synth.load_dataset(data_path)
+    dataset = synth.load_dataset(settings["data"])
     if folds <= 0:
         params, history = model.train(tc, dataset)
         model.save_params(params, out_dir / "params.json")
@@ -198,21 +195,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_config_file(args.config)
-    params_path = _pick(args, cfg, "params", None)
-    calib_path = _pick(args, cfg, "calib", None)
+    settings = _configure(args)
+    params_path, calib_path, subject_filter = (settings[k] for k in ("params", "calib", "subject"))
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
-    subject_filter = _pick(args, cfg, "subject", None)
-    # a JSON true is an int to isinstance, and no subject id
-    if isinstance(subject_filter, bool) or not isinstance(subject_filter, (int, type(None))):
-        raise ConfigError(f"{args.config}: subject: expected an integer id, got {subject_filter!r}")
-    tc = _train_config(args, cfg)
-
-    out_dir = Path(args.out)
-    snapshot = {"command": "finetune", "params": str(params_path), "calib": str(calib_path),
-                "subject": subject_filter, **tc.to_dict()}
-    _write_snapshot(args, cfg, out_dir, snapshot)
+    tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    out_dir = _write_snapshot(args, settings)
 
     base = model.load_params(params_path)
     calib = synth.load_dataset(calib_path)
@@ -237,17 +225,11 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config_file(args.config)
-    params_path = _pick(args, cfg, "params", None)
-    data_path = _pick(args, cfg, "data", None)
+    settings = _configure(args)
+    params_path, data_path, screen_path = (settings[k] for k in ("params", "data", "screen"))
     if params_path is None or data_path is None:
         raise ConfigError("eval needs --params and --data")
-    screen_path = _pick(args, cfg, "screen", None)
-
-    out_dir = Path(args.out)
-    snapshot = {"command": "eval", "params": str(params_path), "data": str(data_path),
-                "screen": None if screen_path is None else str(screen_path)}
-    _write_snapshot(args, cfg, out_dir, snapshot)
+    out_dir = _write_snapshot(args, settings)
 
     # the transform is small: a bad one is reported before the params and rows load
     transform = None if screen_path is None else RigidTransform.load(screen_path)
@@ -290,7 +272,9 @@ def _convert_record(rec: dict, direction: str, transform: RigidTransform) -> dic
 
 def cmd_convert(args) -> int:
     transform = RigidTransform.load(args.transform)
-    stream_in = open(args.input) if args.input else sys.stdin
+    stream_in = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
+        stream_in.reconfigure(errors="surrogateescape")
     stream_out = open(args.output, "w") if args.output else sys.stdout
     try:
         for i, line in enumerate(stream_in):
@@ -298,11 +282,11 @@ def cmd_convert(args) -> int:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                out = _convert_record(rec, args.dir, transform)
-            except (ValueError, KeyError, TypeError, IndexError, OverflowError, GeometryError) as exc:
+                line.encode()  # rejects a lone surrogate
+                out = _convert_record(json.loads(line), args.dir, transform)
+            except BAD_INPUT as exc:
                 # keep streaming: emit an error record for the bad line
-                out = {"error": str(exc), "line": i}
+                out = {"error": describe(exc), "line": i}
             stream_out.write(json.dumps(out, sort_keys=True) + "\n")
     finally:
         if args.input:
@@ -348,8 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-range", dest="kappa_range", type=float,
                    help="per-subject bias drawn uniformly from +-range (radians)")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--config", help="JSON config; flags override it")
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the multi-task model")
@@ -379,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="params JSON")
     p.add_argument("--data", help="dataset JSONL")
     p.add_argument("--screen", help="camera-to-screen rigid transform JSON")
-    p.add_argument("--config", help="JSON config; flags override it")
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("convert", help="convert plane points between camera and screen frames")
@@ -397,6 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8)
     p.set_defaults(func=cmd_gradcheck)
 
+    for name in SETTINGS:  # a command with settings snapshots them in its run directory
+        sub.choices[name].add_argument("--config", help="JSON config; flags override it")
+        sub.choices[name].add_argument("--out", required=True, help="run directory")
     return parser
 
 
@@ -405,8 +388,6 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     for flag, task in [("gn", "g_n"), ("go", "g_o"), ("pogz", "pogz"), ("r", "r_on"), ("face", "face")]:
         p.add_argument(f"--lambda-{flag}", dest=task, type=float, help=f"{task} loss weight")
-    p.add_argument("--config", help="JSON config; flags override it")
-    p.add_argument("--out", required=True, help="run directory")
 
 
 def main(argv=None) -> int:
@@ -418,8 +399,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError, OSError) as exc:
+        # an OSError (a file that cannot be opened, read or made) names its file apart
+        message = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

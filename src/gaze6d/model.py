@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .errors import ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged
+from .errors import ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged, bad_input
 from .pogz import PlanePoint, pogz_from_ray
 
 # task -> (GazeSample field holding its label, the label's columns in Batch.labels)
@@ -231,13 +231,8 @@ def load_params(path) -> ModelParams:
     shape for shape; and every value must be finite.  Anything else, a
     file that is not JSON included, is a ConfigError naming the file.
     """
-    try:
-        with open(path) as f:
-            return _params_from_doc(json.load(f))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError and JSONDecodeError too
-        raise ConfigError(f"{path}: {exc}") from None
+    with open(path) as f, bad_input(path):
+        return _params_from_doc(json.load(f))
 
 
 def _params_from_doc(doc: dict) -> ModelParams:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import ConfigError, FrameMismatchError, GeometryError, RayParallelError
+from .errors import FrameMismatchError, GeometryError, RayParallelError, bad_input
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -95,13 +95,8 @@ class RigidTransform:
     def load(cls, path) -> "RigidTransform":
         """Read a transform written by save.  R must be 9 finite values forming a
         proper rotation and t 3 finite values; else a ConfigError names the file."""
-        with open(path) as f:
-            try:
-                return cls.from_dict(json.load(f))
-            except KeyError as exc:
-                raise ConfigError(f"{path}: missing key {exc}") from None
-            except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError and GeometryError too
-                raise ConfigError(f"{path}: {exc}") from None
+        with open(path) as f, bad_input(path):
+            return cls.from_dict(json.load(f))
 
 
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:

@@ -33,7 +33,7 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
-from .errors import ConfigError
+from .errors import ConfigError, bad_input
 from .model import FEATURE_DIM, TASK_LABELS, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -114,6 +114,8 @@ class Subject:
 def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
                   noise_sigma: float = NOISE_SIGMA) -> list[Subject]:
     """Draw n subjects with kappa components uniform in [-kappa_range, kappa_range]."""
+    if n < 0:
+        raise ConfigError(f"subject count must be >= 0, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     return [
         Subject(
@@ -429,6 +431,8 @@ def _sample_from_line(line: str) -> GazeSample:
     for key, n in _ROW_LENGTHS.items():
         if len(d[key]) != n:
             raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
+    if type(d["subject"]) is not int:  # int() would take "3", 1.7 and true
+        raise ValueError(f"subject must be an integer id, got {d['subject']!r}")
     sample = GazeSample.from_dict(d)
     # float arrays also take nested lists, numeric strings, bools and null (as NaN)
     for key, n in _ROW_LENGTHS.items():
@@ -453,23 +457,20 @@ def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset.
 
     A header line that is not JSON or lacks a known `mode` or valid
-    `config.intrinsics`, and a row with a missing key, a vector field that
-    is not a flat list of numbers of its length, a NaN or Infinity value, a
-    number too large for a float, or anything else that does not parse, are
-    a ConfigError naming the file and line.
+    `config.intrinsics`, and a row with a missing key, a non-integer
+    `subject`, a vector field that is not a flat list of numbers of its
+    length, a NaN, Infinity or too large number, or a byte that is not
+    UTF-8, are a ConfigError naming the file and line.
     """
-    header, samples = None, []
-    with open(path) as f:
+    header, samples, line_no = None, [], 0
+    # decoded line by line: text mode decodes in chunks, past the line at fault
+    with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
         for line_no, line in enumerate(f, start=1):
-            try:
-                if header is None:
-                    header = _header_from_line(line)
-                elif line.strip():
-                    samples.append(_sample_from_line(line))
-            except KeyError as exc:
-                raise ConfigError(f"{path}:{line_no}: missing key {exc}") from None
-            except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
-                raise ConfigError(f"{path}:{line_no}: {exc}") from None
+            line = line.decode()
+            if header is None:
+                header = _header_from_line(line)
+            elif line.strip():
+                samples.append(_sample_from_line(line))
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
     return Dataset(header=header, samples=samples)

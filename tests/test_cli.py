@@ -8,8 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from fuzz import FUZZ, json_values
 
 import gaze6d
 from gaze6d import cli
@@ -87,6 +90,13 @@ def test_gen_zero_frames(tmp_path):
     out = tmp_path / "empty"
     assert run("gen", "--frames", "0", "--subjects", "2", "--out", str(out)) == 0
     assert len((out / "dataset.jsonl").read_text().splitlines()) == 1
+
+
+def test_gen_negative_counts_exit_2(tmp_path, capsys):
+    for flag, message in (("--subjects", "subject count must be >= 0, got -3"),
+                          ("--frames", "n_per_subject must be >= 0, got -3")):
+        assert run("gen", flag, "-3", "--out", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -267,6 +277,9 @@ def test_finetune_and_eval_rerun_from_snapshot_identical(tmp_path):
     ('{"lr": null}', "lr: float() argument must be"),
     pytest.param('{"lr": 1' + "0" * 400 + "}", "lr: int too large to convert to float", id="huge-lr"),
     ('{"epochs": 3,', "Expecting property name"),
+    ('{"epochs": 2.7}', "epochs: expected an integer, got 2.7"),
+    ('{"epochs": true}', "epochs: expected a number, got True"),
+    ('{"lr": true}', "lr: expected a number, got True"),
     ('[1, 2]', "expected a JSON object, got list"),
 ])
 def test_config_file_errors_exit_2_and_name_the_file(tmp_path, capsys, text, message):
@@ -293,11 +306,54 @@ def test_finetune_config_subject_must_be_an_id(tmp_path, capsys):
 
 def test_gen_config_errors_exit_2_and_name_the_file(tmp_path, capsys):
     for text, message in [('{"frames": "many"}', "frames: invalid literal"),
+                          ('{"subjects": true}', "subjects: expected a number, got True"),
                           ('{"scene": {"depth_lo": 1}}', "scene: missing key 'gaze_yaw'")]:
         config = tmp_path / "bad.json"
         config.write_text(text)
         assert run("gen", "--config", str(config), "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
+
+def setting_paths(table):
+    """The key path of every setting in a SETTINGS table, the keys of a nested
+    object included."""
+    for key, default in table.items():
+        yield (key,)
+        if isinstance(default, dict):
+            yield from ((key, inner) for inner in default)
+
+
+def has_its_type(setting, default) -> bool:
+    """Whether a setting, or a nested object of them, has its SETTINGS type."""
+    if isinstance(default, dict):
+        return set(setting) == set(default) and all(has_its_type(setting[k], d) for k, d in default.items())
+    if isinstance(default, type):   # an optional setting
+        return setting is None or type(setting) is default
+    return type(setting) is type(default)
+
+
+PARSER = cli._build_parser()
+
+
+@FUZZ
+@given(setting=st.sampled_from([(command, path) for command in sorted(cli.SETTINGS)
+                                 for path in setting_paths(cli.SETTINGS[command])]),
+       value=json_values)
+def test_a_fuzzed_config_value_gives_typed_settings_or_names_the_file(fuzz_dir, setting, value):
+    """The settings pass alone, so that no fuzzed value can start a run."""
+    command, path = setting
+    config = fuzz_dir / "config.json"
+    config.write_text(json.dumps({path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}))
+    args = PARSER.parse_args([command, "--config", str(config), "--out", str(fuzz_dir / "run")])
+    try:
+        settings = cli._configure(args)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{config}: {'.'.join(path)}: ")
+        return
+    assert has_its_type(settings, cli.SETTINGS[command])
+    got = settings[path[0]] if len(path) == 1 else settings[path[0]][path[1]]
+    # taken as given: no bool for a number, no fraction truncated; a string may be a number
+    assert not isinstance(value, bool) and (got == value or isinstance(value, str)), (got, value)
 
 
 # the TrainConfig and LossWeights fields each command reads, by flag dest
@@ -540,6 +596,77 @@ def test_eval_reports_a_bad_transform_before_loading_params_or_rows(tmp_path, ca
     assert err.startswith(f"error: {transform}: R must be 9 finite values") and "Traceback" not in err
 
 
+def with_a_bad_row(data, path, line_no, bad):
+    """`data`'s header and rows repeated to 40 lines, line `line_no` (1-based)
+    replaced by the bytes `bad`; past the first 8 KiB, where a text-mode read
+    decodes in chunks."""
+    lines = Path(data).read_bytes().splitlines()
+    lines = lines[:1] + [lines[1 + i % (len(lines) - 1)] for i in range(39)]
+    lines[line_no - 1] = bad
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert len(b"\n".join(lines[:line_no - 1])) > 8192 or line_no == 1
+    return path
+
+
+NOT_UTF8_ROW = b'{"subject": 0, "note": "\xff"}'
+DEEP = b"[" * 100_000
+
+
+# (argv, the name the error starts with, whether the --config file is at fault);
+# t is the test's tmp_path holding a directory "dir", a file "file" and the
+# config "bad.json", p the small_run_inputs
+HOLES = {
+    "dir-as-data": lambda t, p: (["train", "--data", t / "dir"], t / "dir", False),
+    "dir-as-params": lambda t, p: (["eval", "--params", t / "dir", "--data", p["data"]], t / "dir", False),
+    "dir-as-screen": lambda t, p: (["eval", "--params", p["params"], "--data", p["data"],
+                                    "--screen", t / "dir"], t / "dir", False),
+    "dir-as-transform": lambda t, p: (["convert", "--dir", "pogz2pog", "--transform", t / "dir",
+                                       "--input", t / "file"], t / "dir", False),
+    "dir-as-config": lambda t, p: (["eval", "--config", t / "dir"], t / "dir", True),
+    "out-is-a-file": lambda t, p: (["gen", "--subjects", "1", "--frames", "1", "--out", t / "file"],
+                                   t / "file", False),
+    "not-utf8-row": lambda t, p: (["train", "--data", with_a_bad_row(p["data"], t / "d.jsonl", 33,
+                                                                     NOT_UTF8_ROW)],
+                                  f"{t / 'd.jsonl'}:33", False),
+    "not-utf8-header": lambda t, p: (["eval", "--params", p["params"], "--data",
+                                      with_a_bad_row(p["data"], t / "d.jsonl", 1, b'{"mode": "\xff"}')],
+                                     f"{t / 'd.jsonl'}:1", False),
+    "deep-row": lambda t, p: (["train", "--data", with_a_bad_row(p["data"], t / "d.jsonl", 35, DEEP)],
+                              f"{t / 'd.jsonl'}:35", False),
+    "not-utf8-config": lambda t, p: (["train", "--data", p["data"], "--config", t / "bad.json"],
+                                     t / "bad.json", True),
+    "deep-config": lambda t, p: (["train", "--data", p["data"], "--config", t / "bad.json"],
+                                 t / "bad.json", True),
+    "config-data-list": lambda t, p: (["train", "--config", t / "bad.json"], f"{t / 'bad.json'}: data", True),
+    # an int path would be a file descriptor to open(); one surely not open here
+    "config-data-int": lambda t, p: (["train", "--config", t / "bad.json"], f"{t / 'bad.json'}: data", True),
+    "config-screen-int": lambda t, p: (["eval", "--params", p["params"], "--data", p["data"],
+                                        "--config", t / "bad.json"], f"{t / 'bad.json'}: screen", True),
+}
+HOLE_CONFIGS = {"not-utf8-config": b'{"epochs": 1, "seed": "\xff"}', "deep-config": b'{"a": ' + DEEP,
+                "config-data-list": b'{"data": [1]}', "config-data-int": b'{"data": 999999}',
+                "config-screen-int": b'{"screen": 999999}'}
+
+
+@pytest.mark.parametrize("case", sorted(HOLES))
+def test_bad_input_exits_2_and_names_the_file(tmp_path, capsys, small_run_inputs, case):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text(json.dumps({"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0]}) + "\n")
+    (tmp_path / "bad.json").write_bytes(HOLE_CONFIGS.get(case, b"{}"))
+    argv, where, config_at_fault = HOLES[case](tmp_path, small_run_inputs)
+    argv = [str(a) for a in argv]
+    out = tmp_path / "run"
+    if "--out" not in argv and argv[0] != "convert":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and "Traceback" not in err, err
+    assert err.count("\n") == 1, err
+    if config_at_fault:
+        assert not (out / "config.json").exists()
+
+
 def run_convert(monkeypatch, capsys, argv, lines):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = cli.main(argv)
@@ -604,6 +731,28 @@ def test_convert_bad_lines_keep_streaming(tmp_path, monkeypatch, capsys):
     assert out[3]["point"] == pytest.approx([3.0, 4.0])
     for i in (4, 5, 6, 7, 8, 9):
         assert set(out[i]) == {"error", "line"} and out[i]["line"] == i, out[i]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "text-stream"])
+def test_convert_turns_a_line_that_is_not_utf8_into_an_error_record(tmp_path, monkeypatch, capsys, source):
+    t = write_transform(tmp_path / "id.json")
+    good = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, -1.0]}).encode()
+    bad = b'{"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0], "note": "\xff"}'
+    data = b"\n".join([good, bad, good]) + b"\n"
+    argv = ["convert", "--dir", "pogz2pog", "--transform", str(t)]
+    if source == "file":
+        (tmp_path / "in.jsonl").write_bytes(data)
+        argv += ["--input", str(tmp_path / "in.jsonl")]
+    elif source == "stdin":   # a strict UTF-8 text stream over bytes, like a pipe
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    else:                     # a text stream holding the byte as a lone surrogate
+        monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", "surrogateescape")))
+    assert cli.main(argv) == 0
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(out) == 3
+    assert set(out[1]) == {"error", "line"} and out[1]["line"] == 1, out[1]
+    for i in (0, 2):
+        assert out[i]["point"] == pytest.approx([3.0, 4.0])
 
 
 def test_convert_file_io(tmp_path):

@@ -1,10 +1,13 @@
 """The gaze6d modules use each other only through public names."""
 
 import ast
+import builtins
+import json
 import types
 from pathlib import Path
 
 import gaze6d
+from gaze6d.errors import BAD_INPUT
 
 PACKAGE_DIR = Path(gaze6d.__file__).parent
 MODULES = {p.stem for p in PACKAGE_DIR.glob("*.py")} - {"__init__"}
@@ -62,6 +65,44 @@ def test_the_check_sees_attribute_and_import_forms(tmp_path):
                    "y = _model.forward(1)\n")
     assert private_cross_module_uses(src) == ["probe.py:2: synth._split",
                                               "probe.py:3: model._forward"]
+
+
+def _catches_bad_input(name: str) -> bool:
+    """Whether the builtin or json exception `name` is one of BAD_INPUT, or a
+    subclass (JSONDecodeError) or base (Exception) of one."""
+    exc = getattr(builtins, name, None) or getattr(json, name, None)
+    return isinstance(exc, type) and any(issubclass(exc, b) or issubclass(b, exc) for b in BAD_INPUT)
+
+
+def bad_input_catches(path: Path) -> list[str]:
+    """`except` clauses in the source file at `path` that name a bad-input
+    exception, rather than leave it to gaze6d.errors."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for n in named:
+                name = n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", "")
+                if _catches_bad_input(name):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_errors_py_decides_what_bad_input_is():
+    found = [catch for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "errors.py"
+             for catch in bad_input_catches(path)]
+    assert found == []
+
+
+def test_the_bad_input_check_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("try:\n    pass\n"
+                   "except (ConfigError, KeyError):\n    pass\n"
+                   "except json.JSONDecodeError:\n    pass\n"
+                   "except Exception:\n    pass\n"
+                   "except (OSError, RayParallelError, BAD_INPUT):\n    pass\n")
+    assert bad_input_catches(src) == ["probe.py:3: KeyError", "probe.py:5: JSONDecodeError",
+                                      "probe.py:7: Exception"]
 
 
 def test_all_is_exactly_the_public_names_of_the_package():

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from fuzz import FUZZ, json_values
 from gaze6d.camera import CameraIntrinsics, backproject
 from gaze6d.easy_norm import norm_rotation, normalize_gaze, denormalize_gaze
 from gaze6d.errors import ConfigError
@@ -308,6 +309,9 @@ def setting(key, value):
     (setting("bbox", ["a", 1.0, 2.0]), "could not convert string to float"),
     (setting("features", [10**400] + [0.1] * 6), "int too large to convert to float"),
     (setting("features", [[0.1]] * 7), "features must be a flat list of 7 numbers"),
+    (setting("subject", "3"), "subject must be an integer id, got '3'"),
+    (setting("subject", 1.7), "subject must be an integer id, got 1.7"),
+    (setting("subject", True), "subject must be an integer id, got True"),
     (setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 numbers"),
     (setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 numbers"),
     (setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 numbers"),
@@ -327,37 +331,60 @@ _FUZZ_CFG = SceneConfig(seed=15)
 VALID_HEADER = dataset_header(_FUZZ_CFG, [Subject(0)], 1, "general")
 VALID_ROW = sample_frame(Subject(0), _FUZZ_CFG, frame_rng(15, 0, 0)).to_dict()
 
-json_scalars = (st.none() | st.booleans() | st.integers()
-                | st.sampled_from([10**400, -10**400])
-                | st.floats(allow_nan=False, allow_infinity=False)
-                | st.text(max_size=4) | st.sampled_from(["0.5", "1e3"]))
-json_values = (json_scalars
-               | st.integers(0, 8).flatmap(lambda n: st.lists(json_scalars, min_size=n, max_size=n))
-               | st.lists(st.lists(json_scalars, max_size=3), max_size=8))
 
-
-def test_load_dataset_loads_a_fuzzed_row_or_names_it(tmp_path):
+@FUZZ
+@given(field=st.sampled_from(sorted(VALID_ROW)), value=json_values)
+def test_load_dataset_loads_a_fuzzed_row_or_names_it(fuzz_dir, field, value):
     """A row with one field replaced by any JSON value loads with every vector
-    field a finite (n,) array, or is a ConfigError naming its line."""
-    path = tmp_path / "fuzzed_row.jsonl"
+    field a finite (n,) array and a JSON integer subject, or is a ConfigError
+    naming its line."""
+    path = fuzz_dir / "fuzzed_row.jsonl"
+    row = {**VALID_ROW, field: value}
+    path.write_text(json.dumps(VALID_HEADER) + "\n" + json.dumps(row) + "\n")
+    try:
+        sample = load_dataset(path).samples[0]
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:2: ")
+        return
+    for key, n in VECTOR_LENGTHS.items():
+        vec = getattr(sample, key)
+        assert vec.shape == (n,) and vec.dtype == float and np.isfinite(vec).all(), (key, vec)
+    assert all(type(v) is float for v in sample.bbox.to_list())
+    assert type(row["subject"]) is int and sample.subject == row["subject"]
 
-    # called from a plain test: for a failing @given test item, the Hypothesis
-    # pytest plugin imports libcst, whose import warning the suite makes an error
-    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-    @given(field=st.sampled_from(sorted(VALID_ROW)), value=json_values)
-    def loads_or_names_the_row(field, value):
-        path.write_text(json.dumps(VALID_HEADER) + "\n" + json.dumps({**VALID_ROW, field: value}) + "\n")
-        try:
-            sample = load_dataset(path).samples[0]
-        except ConfigError as exc:
-            assert str(exc).startswith(f"{path}:2: ")
-            return
-        for key, n in VECTOR_LENGTHS.items():
-            vec = getattr(sample, key)
-            assert vec.shape == (n,) and vec.dtype == float and np.isfinite(vec).all(), (key, vec)
-        assert all(type(v) is float for v in sample.bbox.to_list())
 
-    loads_or_names_the_row()
+def header_fields(header, prefix=()):
+    """The key path of every field of `header`, nested objects' fields included."""
+    for key, value in header.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from header_fields(value, prefix + (key,))
+
+
+def replaced(doc, keys, value):
+    """A copy of `doc` with the field at the key path `keys` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
+@FUZZ
+@given(field=st.sampled_from(sorted(header_fields(VALID_HEADER))), value=json_values)
+def test_load_dataset_loads_a_fuzzed_header_or_names_it(fuzz_dir, field, value):
+    """A header with one field, at any depth, replaced by any JSON value loads
+    with a known mode and valid intrinsics, or is a ConfigError naming line 1."""
+    path = fuzz_dir / "fuzzed_header.jsonl"
+    path.write_text(json.dumps(replaced(VALID_HEADER, field, value)) + "\n" + json.dumps(VALID_ROW) + "\n")
+    try:
+        dataset = load_dataset(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:1: ")
+        return
+    assert dataset.mode in ("general", "calibration")
+    assert isinstance(dataset.intrinsics, CameraIntrinsics)
 
 
 def test_attribute_stats_track_targets(tmp_path):
