@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics, model, synth
-from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, describe
+from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, check_seed, describe
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
                    RigidTransform, pog_to_pogz, pogz_to_pog)
 
@@ -124,12 +124,13 @@ def _write_snapshot(args, settings: dict, **more) -> Path:
 def cmd_gen(args) -> int:
     settings = _configure(args)
     mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
+    # drawn first: a bad count, seed, kappa range or noise sigma stops the run before any file
+    subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     with bad_input(args.config), bad_input("scene"):  # a scene needs all its keys
         scene = (synth.SceneConfig(seed=seed) if settings["scene"] is None
                  else synth.SceneConfig.from_dict({**settings["scene"], "seed": seed}))
     out_dir = _write_snapshot(args, settings, scene=scene.to_dict())
 
-    subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
     log.info("wrote %s", out_dir / "dataset.jsonl")
 
@@ -301,6 +302,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_seed(args.seed)
     worst = 0.0
     for restart in range(args.restarts):
         seed = args.seed + restart

@@ -55,3 +55,9 @@ def bad_input(where):
         yield
     except BAD_INPUT as exc:
         raise ConfigError(f"{where() if callable(where) else where}: {describe(exc)}") from None
+
+
+def check_seed(seed: int) -> None:
+    """The one rule for a seed: numpy's SeedSequence takes only integers >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")

@@ -28,6 +28,7 @@ along -z (toward the camera) and positive pitch looks up.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .errors import ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged, bad_input
+from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged,
+                     bad_input, check_seed)
 from .pogz import PlanePoint, pogz_from_ray
 
 # task -> (GazeSample field holding its label, the label's columns in Batch.labels)
@@ -211,11 +213,14 @@ def init_params(seed: int = 0) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
+    """Write params as format 2: each named array as its shape and the base64
+    of its little-endian float64 bytes, so the file holds the exact values."""
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "model_config": _MODEL_CONFIG,
         "arrays": {
-            k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+            k: {"shape": list(v.shape),
+                "data": base64.b64encode(v.astype("<f8", copy=False).tobytes()).decode()}
             for k, v in params.arrays.items()
         },
     }
@@ -224,20 +229,32 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Read a params file written by save_params.
+    """Read a params file written by save_params, in format 2 or in format 1
+    (each array's values as a JSON list of numbers).
 
     Its model_config must be this model's architecture, key for key and
     value for value; its arrays must match the layout name for name and
-    shape for shape; and every value must be finite.  Anything else, a
-    file that is not JSON included, is a ConfigError naming the file.
+    shape for shape, a format-2 payload in whole float64 values; and every
+    value must be finite.  Anything else, a file that is not JSON included,
+    is a ConfigError naming the file.
     """
     with open(path) as f, bad_input(path):
         return _params_from_doc(json.load(f))
 
 
+def _float64_payload(name: str, data: str) -> np.ndarray:
+    """The values of a format-2 array: base64 of little-endian float64 bytes."""
+    with bad_input(f"array {name}"):
+        raw = base64.b64decode(data, validate=True)
+        if len(raw) % 8:
+            raise ValueError(f"{len(raw)} bytes, not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def _params_from_doc(doc: dict) -> ModelParams:
-    if doc.get("format_version") != 1:
-        raise ConfigError(f"unsupported params format {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if version not in (1, 2):
+        raise ConfigError(f"unsupported params format {version}")
     config = doc["model_config"]
     for key in sorted(config.keys() | _MODEL_CONFIG.keys()):
         if key not in _MODEL_CONFIG:
@@ -254,6 +271,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
                           f"unexpected {sorted(set(stored) - set(params.arrays))}")
     for name, view in params.arrays.items():
         shape, data = stored[name]["shape"], stored[name]["data"]
+        if version == 2:
+            data = _float64_payload(name, data)
         if list(shape) != list(view.shape) or len(data) != view.size:
             raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
                               f"the model needs shape {list(view.shape)}")
@@ -315,6 +334,7 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not 0 < self.calibration_fraction <= 1:
             raise ConfigError(f"calibration_fraction must be in (0, 1], got {self.calibration_fraction}")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -356,21 +376,18 @@ class Batch:
     @classmethod
     def from_samples(cls, samples, intr: CameraIntrinsics) -> "Batch":
         n = len(samples)
-        features = np.zeros((n, FEATURE_DIM))
-        ray = np.zeros((n, 3))
+        features = np.array([s.features for s in samples], dtype=float).reshape(n, FEATURE_DIM)
+        centres = np.array([(s.bbox.x, s.bbox.y) for s in samples], dtype=float).reshape(n, 2)
+        ray = np.ones((n, 3))   # backproject(intr, box centre, 1.0) of every row
+        np.divide(centres - intr.principal, intr.focal_px, out=ray[:, :2])
         labels = np.zeros((n, _COLUMN_TASK.size))
         mask = np.zeros((n, len(TASKS)))
-        # per task: its sample field, and views of its label columns and mask column
-        columns = [(attr, labels[:, span], mask[:, j])
-                   for j, (attr, span) in enumerate(TASK_LABELS.values())]
-        for i, s in enumerate(samples):
-            features[i] = s.features
-            ray[i] = backproject(intr, s.bbox.center, 1.0).xyz
-            for attr, task_labels, task_mask in columns:
-                value = getattr(s, attr)
-                if value is not None:
-                    task_labels[i] = value
-                    task_mask[i] = 1.0
+        for j, (attr, span) in enumerate(TASK_LABELS.values()):
+            values = [getattr(s, attr) for s in samples]
+            rows = [i for i, value in enumerate(values) if value is not None]
+            if rows:
+                labels[rows, span] = [values[i] for i in rows]
+                mask[rows, j] = 1.0
         return cls(features, ray, labels, mask)
 
 
@@ -753,27 +770,28 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     for epoch in range(epochs):
         perm = rng.permutation(n)
         seen, loss_sum = 0, 0.0
-        for lo in range(0, n, batch_size):
-            if max_steps is not None and steps >= max_steps:
-                break
-            idx = perm[lo:lo + batch_size]
-            # non-finite values are caught right below; numpy need not warn first
-            with np.errstate(invalid="ignore", over="ignore"):
+        # each step's non-finite values are caught right after its backward;
+        # numpy need not warn first (one errstate per epoch, not per step)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lo in range(0, n, batch_size):
+                if max_steps is not None and steps >= max_steps:
+                    break
+                idx = perm[lo:lo + batch_size]
                 _, total, terms = backward(params, data.subset(idx), weights, out=grads)
-            if not np.isfinite(total):
-                bad = [t for t in TASKS if not np.isfinite(terms[t])]
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
-                                       f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
-            # a finite loss can still have non-finite gradients, e.g. from an
-            # inf feature behind a saturated tanh; one such step spoils every param
-            if not np.isfinite(grads.flat).all():
-                bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
-                raise TrainingDiverged(f"non-finite gradients at epoch {epoch}, step {steps} "
-                                       f"(batch offset {lo}), arrays: {', '.join(bad)}")
-            opt.step(grads.flat)
-            loss_sum += total * len(idx)
-            seen += len(idx)
-            steps += 1
+                if not np.isfinite(total):
+                    bad = [t for t in TASKS if not np.isfinite(terms[t])]
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
+                                           f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
+                # a finite loss can still have non-finite gradients, e.g. from an
+                # inf feature behind a saturated tanh; one such step spoils every param
+                if not np.isfinite(grads.flat).all():
+                    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                    raise TrainingDiverged(f"non-finite gradients at epoch {epoch}, step {steps} "
+                                           f"(batch offset {lo}), arrays: {', '.join(bad)}")
+                opt.step(grads.flat)
+                loss_sum += total * len(idx)
+                seen += len(idx)
+                steps += 1
         train_loss = loss_sum / max(seen, 1)
         if val is not None:
             val_loss, val_ang = _val_stats(params, val, weights)

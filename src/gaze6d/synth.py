@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
-from .errors import ConfigError, bad_input
+from .easy_norm import PARALLEL_EPS, denormalize_gaze, norm_rotation, normalize_gaze
+from .errors import ConfigError, GimbalLockError, bad_input, check_seed
 from .model import FEATURE_DIM, TASK_LABELS, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -43,9 +44,11 @@ MAX_REJECTION_DRAWS = 1000
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
 
-# default per-subject bias range and feature noise (radians)
+# default per-subject bias range and feature noise (radians), and the largest
+# bias a subject may carry
 KAPPA_RANGE = 0.09
 NOISE_SIGMA = 0.035
+MAX_KAPPA = 0.15
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     focal_px=600.0, cx=320.0, cy=240.0, k_mm_per_px=0.005, width=640, height=480
@@ -93,10 +96,10 @@ class Subject:
     noise_sigma: float = NOISE_SIGMA
 
     def __post_init__(self):
-        if abs(self.kappa_yaw) > 0.15 or abs(self.kappa_pitch) > 0.15:
+        if not (abs(self.kappa_yaw) <= MAX_KAPPA and abs(self.kappa_pitch) <= MAX_KAPPA):
             raise ConfigError(f"kappa bias out of range: ({self.kappa_yaw}, {self.kappa_pitch})")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def to_dict(self) -> dict:
         return {
@@ -113,9 +116,18 @@ class Subject:
 
 def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
                   noise_sigma: float = NOISE_SIGMA) -> list[Subject]:
-    """Draw n subjects with kappa components uniform in [-kappa_range, kappa_range]."""
+    """Draw n subjects with kappa components uniform in [-kappa_range, kappa_range].
+
+    Every argument is checked before the first draw: n >= 0, a valid seed,
+    kappa_range in [0, MAX_KAPPA] and a finite noise_sigma >= 0.
+    """
     if n < 0:
         raise ConfigError(f"subject count must be >= 0, got {n}")
+    check_seed(seed)
+    if not 0 <= kappa_range <= MAX_KAPPA:
+        raise ConfigError(f"kappa_range must be in [0, {MAX_KAPPA}], got {kappa_range}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     return [
         Subject(
@@ -151,6 +163,7 @@ class SceneConfig:
             raise ConfigError(f"bad depth range [{self.depth_lo}, {self.depth_hi}]")
         if self.face_size_mm <= 0:
             raise ConfigError(f"face_size_mm must be positive, got {self.face_size_mm}")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -219,6 +232,22 @@ class GazeSample:
                    **{k: np.array(d[k], dtype=float) for k in _VECTOR_FIELDS})
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of V, bit for bit: vecdot runs the same dot
+    product as the norm of one vector, where (V * V).sum(1), einsum and
+    norm(axis=1) sum in another order and can differ in the last bit."""
+    return np.sqrt(np.vecdot(V, V))
+
+
+def _euler_rows(G: np.ndarray) -> np.ndarray:
+    """euler_from_vec of each row of G, bit for bit: an (N, 2) array.  The
+    rows here are unit length up to rounding, so none is zero."""
+    vx, vy, vz = (G / _row_norms(G)[:, None]).T
+    if (np.abs(vy) >= 1.0).any():
+        raise GimbalLockError("gaze along the y-axis: yaw is undefined")
+    return np.column_stack([np.arctan2(-vx, -vz), np.arcsin(-vy)])
+
+
 def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     """Reduce lens-fixation frames to what a calibration session observes.
 
@@ -227,24 +256,48 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     direction for g_o, and its normalized image for g_n.  Positional labels
     are absent, so rows from this view supervise only the two gaze heads
     during fine-tuning.
+
+    All rows go through one pass over the (N, 2) box centres; each row's
+    labels are bit for bit what derive_calibration_label, norm_rotation,
+    normalize_gaze and euler_from_vec give for its pixel alone.
     """
-    out = []
-    for s in samples:
-        label = _calibration.derive_calibration_label(intr, s.bbox.center)
-        r_on = norm_rotation(intr, s.bbox.center)
-        out.append(
-            GazeSample(
-                features=np.array(s.features, dtype=float),
-                bbox=s.bbox,
-                g_n=euler_from_vec(normalize_gaze(label, r_on)),
-                g_o=euler_from_vec(label),
-                pogz=None,
-                r_on=None,
-                o_face=None,
-                subject=s.subject,
-            )
-        )
-    return out
+    if not samples:
+        return []
+    n = len(samples)
+    features = np.array([s.features for s in samples], dtype=float)
+    d = np.array([(s.bbox.x, s.bbox.y) for s in samples], dtype=float) - intr.principal
+
+    # derive_calibration_label: the backprojection ray reversed, unit length
+    k = intr.k_mm_per_px
+    g_o = -np.column_stack([d * k, np.full(n, intr.focal_px * k)])
+    g_o /= _row_norms(g_o)[:, None]
+
+    # norm_rotation: axis * angle taking the face direction z_n onto the optical axis
+    z_n = np.column_stack([d, np.full(n, intr.focal_px)])
+    z_n /= _row_norms(z_n)[:, None]
+    sin_theta = np.hypot(z_n[:, 0], z_n[:, 1])
+    theta = np.arctan2(sin_theta, z_n[:, 2])
+    on_axis = theta < PARALLEL_EPS
+    sin_theta[on_axis] = 1.0   # on-axis rows get the zero rotation; no 0 / 0 on the way
+    r = np.zeros((n, 3))
+    r[:, 0] = theta * (z_n[:, 1] / sin_theta)
+    r[:, 1] = theta * (-z_n[:, 0] / sin_theta)
+    r[on_axis] = 0.0
+
+    # normalize_gaze: R @ g_o, R from Rodrigues' formula, the identity below PARALLEL_EPS
+    angle = _row_norms(r)
+    identity = angle < PARALLEL_EPS
+    kx, ky, kz = (r / np.where(identity, 1.0, angle)[:, None]).T
+    K = np.zeros((n, 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 0] = -kz, ky, kz
+    K[:, 1, 2], K[:, 2, 0], K[:, 2, 1] = -kx, -ky, kx
+    R = np.eye(3) + np.sin(angle)[:, None, None] * K + (1.0 - np.cos(angle))[:, None, None] * (K @ K)
+    R[identity] = np.eye(3)
+    g_n = np.matmul(R, g_o[:, :, None])[:, :, 0]
+
+    return [GazeSample(features=f, bbox=s.bbox, g_n=e_n, g_o=e_o, pogz=None, r_on=None, o_face=None,
+                       subject=s.subject)
+            for s, f, e_n, e_o in zip(samples, features, _euler_rows(g_n), _euler_rows(g_o))]
 
 
 def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:

@@ -5,7 +5,9 @@ rotations go through quaternions instead of Rodrigues, plane intersections
 solve the general parametric form instead of the z=0 special case.
 """
 
+import base64
 import json
+import struct
 
 import numpy as np
 
@@ -140,6 +142,82 @@ def params_json_per_float(params, path, **model_config):
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
+
+
+def params_json_base64(params, path, **model_config):
+    """A format-2 params file: each array's values packed one at a time with
+    struct as little-endian doubles, the bytes in base64, the document through
+    json.dump; model_config as in params_json_per_float."""
+    def payload(v):
+        return base64.b64encode(b"".join(struct.pack("<d", float(x)) for x in v.reshape(-1))).decode("ascii")
+
+    doc = {
+        "format_version": 2,
+        "model_config": {**REFERENCE_MODEL_CONFIG, **model_config},
+        "arrays": {k: {"shape": list(v.shape), "data": payload(v)} for k, v in params.arrays.items()},
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# calibration rows and training batches, one row at a time
+
+REFERENCE_PARALLEL_EPS = 1e-12
+
+
+def _reference_euler(g):
+    v = g / np.linalg.norm(g)
+    return np.array([np.arctan2(-v[0], -v[2]), np.arcsin(-v[1])])
+
+
+def reference_calibration_row(px, intr):
+    """(g_n, g_o) of one lens-fixation frame from its box centre `px`: the
+    reversed backprojection ray, the in-plane normalization rotation built
+    by Rodrigues' formula (the identity on the optical axis), and the
+    (yaw, pitch) of the ray before and after the rotation."""
+    k = intr.k_mm_per_px
+    dx, dy = float(px[0]) - intr.cx, float(px[1]) - intr.cy
+    ray = -np.array([dx * k, dy * k, intr.focal_px * k])
+    g_o = ray / np.linalg.norm(ray)
+
+    z = np.array([dx, dy, intr.focal_px])
+    z = z / np.linalg.norm(z)
+    sin_theta = np.hypot(z[0], z[1])
+    theta = np.arctan2(sin_theta, z[2])
+    r = (np.zeros(3) if theta < REFERENCE_PARALLEL_EPS
+         else np.array([theta * (z[1] / sin_theta), theta * (-z[0] / sin_theta), 0.0]))
+    angle = float(np.linalg.norm(r))
+    if angle < REFERENCE_PARALLEL_EPS:
+        R = np.eye(3)
+    else:
+        kx, ky, kz = r / angle
+        K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+        R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return _reference_euler(R @ g_o), _reference_euler(g_o)
+
+
+REFERENCE_LABEL_FIELDS = ("g_n", "g_o", "pogz", "r_on", "o_face")
+
+
+def reference_batch_rows(samples, intr):
+    """(features, ray, labels, mask) of a training batch built row by row: the
+    unit-depth backprojection of each box centre, each present label in its
+    columns (field order as REFERENCE_LABEL_FIELDS) with a 1 in its mask."""
+    features, rays, labels, mask = [], [], [], []
+    for s in samples:
+        features.append(np.array(s.features, dtype=float))
+        rays.append([(s.bbox.x - intr.cx) * 1.0 / intr.focal_px,
+                     (s.bbox.y - intr.cy) * 1.0 / intr.focal_px, 1.0])
+        row, present = [], []
+        for field, width in zip(REFERENCE_LABEL_FIELDS, (2, 2, 2, 2, 3)):
+            value = getattr(s, field)
+            row.extend([0.0] * width if value is None else value)
+            present.append(0.0 if value is None else 1.0)
+        labels.append(row)
+        mask.append(present)
+    return (np.array(features).reshape(-1, 7), np.array(rays).reshape(-1, 3),
+            np.array(labels).reshape(-1, 11), np.array(mask).reshape(-1, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from fuzz import FUZZ
 from gaze6d.calibration import derive_calibration_label
-from gaze6d.camera import CameraIntrinsics, backproject
+from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
+from gaze6d.synth import GazeSample, calibration_view
 
 INTR = CameraIntrinsics(500.0, 320.0, 240.0, 0.05, 640, 480)
 
@@ -63,3 +69,42 @@ def test_label_noise_bound():
         g = derive_calibration_label(INTR, noisy)
         worst = max(worst, oracles.angular_gap_deg(g, true_dir))
     assert worst <= 0.12
+
+
+def lens_frames(centres):
+    """Lens-fixation frames at the given box centres, with distinct features."""
+    return [GazeSample(features=np.arange(7.0) + i, bbox=BoundingBox(x, y, 40.0), g_n=None, g_o=None,
+                       pogz=None, r_on=None, o_face=None, subject=3)
+            for i, (x, y) in enumerate(centres)]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# anywhere in the image, or within 1e-9 px of the principal point, where the
+# normalization rotation is the identity (angle below PARALLEL_EPS) or just above it
+near_axis = st.floats(-1e-9, 1e-9)
+centres = st.tuples(st.floats(0.0, 640.0) | near_axis.map(lambda e: INTR.cx + e),
+                    st.floats(0.0, 480.0) | near_axis.map(lambda e: INTR.cy + e))
+
+
+@FUZZ
+@given(boxes=st.lists(centres, max_size=20), at=st.integers(0, 20))
+def test_calibration_view_matches_the_per_row_reference_bit_for_bit(boxes, at):
+    boxes.insert(at % (len(boxes) + 1), (INTR.cx, INTR.cy))   # one box exactly on the principal point
+    samples = lens_frames(boxes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the on-axis rows divide nothing by zero
+        rows = calibration_view(samples, INTR)
+    assert len(rows) == len(samples)
+    for s, row in zip(samples, rows):
+        g_n, g_o = oracles.reference_calibration_row((s.bbox.x, s.bbox.y), INTR)
+        assert np.array_equal(bits(row.g_n), bits(g_n)) and np.array_equal(bits(row.g_o), bits(g_o))
+        assert np.array_equal(row.features, s.features) and not np.shares_memory(row.features, s.features)
+        assert row.bbox == s.bbox and row.subject == s.subject
+        assert row.pogz is None and row.r_on is None and row.o_face is None
+
+
+def test_calibration_view_of_no_frames_is_empty():
+    assert calibration_view([], INTR) == []

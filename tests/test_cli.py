@@ -21,7 +21,7 @@ from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError
 from gaze6d.model import LossWeights, TrainConfig, init_params, load_params, save_params
 from gaze6d.pogz import RigidTransform
-from gaze6d.synth import load_dataset
+from gaze6d.synth import Subject, load_dataset
 
 
 def run(*argv):
@@ -455,24 +455,30 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
     doc = json.loads(narrow.read_text())
     doc["model_config"]["hidden"] = 16
     narrow.write_text(json.dumps(doc))
-    nan = tmp_path / "nan.json"
+    # a NaN weight, as the bytes of a format-2 payload and as a format-1 NaN literal
     params = init_params(seed=0)
     params.arrays["fuse_w"][1, 2] = np.nan
+    nan, nan_format1 = tmp_path / "nan.json", tmp_path / "nan_format1.json"
     save_params(params, nan)
+    oracles.params_json_per_float(params, nan_format1)
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json")
-    huge = tmp_path / "huge.json"
-    save_params(init_params(seed=0), huge)
+    huge = tmp_path / "huge.json"   # format 1, whose values are JSON numbers
+    oracles.params_json_per_float(init_params(seed=0), huge)
     doc = json.loads(huge.read_text())
     doc["arrays"]["fuse_w"]["data"][0] = 10**400   # valid JSON, too large for a float
     huge.write_text(json.dumps(doc))
+    assert [json.loads(p.read_text())["format_version"] for p in (nan, nan_format1, huge)] == [2, 1, 1]
     capsys.readouterr()
 
-    for bad in (narrow, nan, not_json, huge):
+    messages = {narrow: "model_config hidden is 16", nan: "array fuse_w has non-finite values",
+                nan_format1: "array fuse_w has non-finite values", not_json: "Expecting value",
+                huge: "int too large to convert to float"}
+    for bad, message in messages.items():
         assert run("eval", "--params", str(bad), "--data", str(gen / "dataset.jsonl"),
                    "--out", str(tmp_path / "eval")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
         assert run("finetune", "--params", str(bad), "--calib", str(calib / "dataset.jsonl"),
                    "--out", str(tmp_path / "ft")) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
@@ -538,6 +544,68 @@ def test_unknown_config_keys_exit_2_before_the_snapshot(tmp_path, capsys, small_
     assert err.startswith(f"error: {config}: unknown keys ['epoch', 'fraction']")
     assert "Traceback" not in err
     assert not (bad_run / "config.json").exists()
+
+
+@pytest.mark.parametrize("command, via", [("gen", "flag"), ("train", "flag"), ("finetune", "flag"),
+                                          ("gradcheck", "flag"), ("gen", "config"), ("train", "config"),
+                                          ("finetune", "config")])
+def test_a_negative_seed_exits_2_before_the_snapshot(tmp_path, capsys, small_run_inputs, command, via):
+    paths = small_run_inputs
+    argv = {"gen": ["--subjects", "1", "--frames", "2"],
+            "train": ["--data", paths["data"], "--epochs", "1"],
+            "finetune": ["--params", paths["params"], "--calib", paths["calib"], "--finetune-steps", "1"],
+            "gradcheck": ["--restarts", "1"]}[command]
+    if via == "flag":
+        argv += ["--seed=-1"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(command, *argv, *(["--out", str(out)] if command != "gradcheck" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kappa-range", "nan", "kappa_range must be in [0, 0.15], got nan"),
+    ("--kappa-range", "1e308", "kappa_range must be in [0, 0.15], got 1e+308"),
+    ("--kappa-range", "-inf", "kappa_range must be in [0, 0.15], got -inf"),
+    ("--kappa-range", "0.1500001", "kappa_range must be in [0, 0.15], got 0.1500001"),
+    ("--kappa-range", "-0.01", "kappa_range must be in [0, 0.15], got -0.01"),
+    ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("--noise-sigma", "-1e-9", "noise_sigma must be finite and >= 0, got -1e-09"),
+])
+def test_gen_takes_only_a_finite_kappa_range_and_noise_sigma_in_range(tmp_path, capsys, monkeypatch,
+                                                                      flag, value, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random stream was made")
+
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "SeedSequence", no_draw)
+        assert run("gen", "--subjects", "2", "--frames", "2", f"{flag}={value}", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+    # the same value through --config, where JSON spells NaN and the infinities
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
+    assert run("gen", "--subjects", "2", "--frames", "2", "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_takes_the_ends_of_the_kappa_and_noise_ranges(tmp_path):
+    for kappa, sigma in (("0", "0"), ("0.15", "1e3")):
+        out = tmp_path / f"run_{kappa}"
+        assert run("gen", "--subjects", "3", "--frames", "2", "--kappa-range", kappa,
+                   "--noise-sigma", sigma, "--out", str(out)) == 0
+        subjects = [Subject.from_dict(d) for d in load_dataset(out / "dataset.jsonl").header["subjects"]]
+        assert all(abs(s.kappa_yaw) <= float(kappa) and s.noise_sigma == float(sigma) for s in subjects)
 
 
 EYE9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]

@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,7 +94,7 @@ def test_params_save_load_round_trip(tmp_path):
     for k in params.arrays:
         assert np.array_equal(loaded.arrays[k], params.arrays[k])
     blob = json.loads(path.read_text())
-    assert blob["format_version"] == 1
+    assert blob["format_version"] == 2
     assert set(blob["arrays"]) == set(params.arrays)
 
 
@@ -123,12 +125,26 @@ def test_stacked_views_alias_the_named_arrays():
     assert all(np.shares_memory(v, params.flat) for v in s.values())
 
 
-def test_save_params_bytes_match_per_float_json(tmp_path):
+def trained_params(tmp_path):
     params, _ = train(TrainConfig(epochs=1, batch_size=8, seed=0),
                       make_dataset(tmp_path, n_subjects=1, n_frames=10))
+    params.arrays["fuse_b"][:3] = (-0.0, 5e-324, -1.7976931348623157e308)   # sign, subnormal, extreme
+    return params
+
+
+def test_save_params_bytes_match_the_struct_base64_writer(tmp_path):
+    params = trained_params(tmp_path)
     save_params(params, tmp_path / "new.json")
-    oracles.params_json_per_float(params, tmp_path / "ref.json")
+    oracles.params_json_base64(params, tmp_path / "ref.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert same_bits(load_params(tmp_path / "new.json").flat, params.flat)
+
+
+def test_format_1_params_files_load_bit_exactly(tmp_path):
+    params = trained_params(tmp_path)
+    oracles.params_json_per_float(params, tmp_path / "format1.json")
+    assert json.loads((tmp_path / "format1.json").read_text())["format_version"] == 1
+    assert same_bits(load_params(tmp_path / "format1.json").flat, params.flat)
 
 
 def write_params_doc(path, edit):
@@ -140,19 +156,32 @@ def write_params_doc(path, edit):
     return path
 
 
+def payload(values) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
+
+def edit_values(doc, name, edit):
+    """Apply `edit` to the list of values of array `name` in a format-2 document."""
+    raw = base64.b64decode(doc["arrays"][name]["data"])
+    values = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    edit(values)
+    doc["arrays"][name]["data"] = payload(values)
+
+
 @pytest.mark.parametrize("edit, message", [
     # arrays are 32 wide, the config says 16
     (lambda d: d["model_config"].update(hidden=16), "model_config hidden is 16; the model's is 32"),
     (lambda d: d["arrays"].pop("fuse_b"), "missing ['fuse_b']"),
     (lambda d: d["arrays"].update(extra_w=d["arrays"]["fuse_b"]), "unexpected ['extra_w']"),
-    (lambda d: d["arrays"]["head_r_b"]["data"].pop(), "head_r_b has shape [2] and 1 values"),
-    (lambda d: d["arrays"]["head_gn_w"]["data"].__setitem__(3, float("nan")), "head_gn_w has non-finite"),
-    (lambda d: d["arrays"]["box1_b"]["data"].__setitem__(0, float("inf")), "box1_b has non-finite"),
+    (lambda d: edit_values(d, "head_r_b", list.pop), "head_r_b has shape [2] and 1 values"),
+    (lambda d: edit_values(d, "head_gn_w", lambda v: v.__setitem__(3, float("nan"))),
+     "head_gn_w has non-finite"),
+    (lambda d: edit_values(d, "box1_b", lambda v: v.__setitem__(0, float("inf"))), "box1_b has non-finite"),
     (lambda d: d["model_config"].update(pogz_gain=float("nan")), "model_config pogz_gain is nan"),
     (lambda d: d["model_config"].update(width=3), "width"),
     (lambda d: d["model_config"].pop("depth_bias"), "model_config lacks 'depth_bias'"),
     (lambda d: d.pop("arrays"), "missing key 'arrays'"),
-    (lambda d: d.update(format_version=2), "unsupported params format 2"),
+    (lambda d: d.update(format_version=3), "unsupported params format 3"),
 ])
 def test_load_params_rejects_what_the_layout_does_not_hold(tmp_path, edit, message):
     path = write_params_doc(tmp_path / "params.json", edit)
@@ -160,6 +189,40 @@ def test_load_params_rejects_what_the_layout_does_not_hold(tmp_path, edit, messa
         load_params(path)
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+def set_data(doc, name, data):
+    doc["arrays"][name]["data"] = data
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: set_data(d, "fuse_b", "*" + d["arrays"]["fuse_b"]["data"][1:]),
+                 "array fuse_b: Only base64 data is allowed", id="bad-base64"),
+    pytest.param(lambda d: set_data(d, "fuse_b", d["arrays"]["fuse_b"]["data"][:-1]),
+                 "array fuse_b: Incorrect padding", id="cut-base64"),
+    pytest.param(lambda d: set_data(d, "fuse_b", base64.b64encode(bytes(251)).decode()),
+                 "array fuse_b: 251 bytes, not a whole number of float64 values", id="partial-value"),
+    pytest.param(lambda d: edit_values(d, "fuse_b", lambda v: v.append(0.0)),
+                 "array fuse_b has shape [32] and 33 values", id="8-bytes-long"),
+    pytest.param(lambda d: edit_values(d, "fuse_b", list.pop),
+                 "array fuse_b has shape [32] and 31 values", id="8-bytes-short"),
+    pytest.param(lambda d: edit_values(d, "gaze2_w", lambda v: v.__setitem__(5, float("-inf"))),
+                 "array gaze2_w has non-finite values", id="inf-bytes"),
+    pytest.param(lambda d: set_data(d, "head_go_b", payload([1.0, float("nan")])),
+                 "array head_go_b has non-finite values", id="nan-bytes"),
+    pytest.param(lambda d: d["arrays"]["head_go_b"].update(shape=[1, 2]),
+                 "array head_go_b has shape [1, 2] and 2 values, the model needs shape [2]", id="shape"),
+    pytest.param(lambda d: set_data(d, "head_go_b", [1.0, 2.0]),
+                 "array head_go_b: argument should be a bytes-like object or ASCII string",
+                 id="a-list-in-format-2"),
+    pytest.param(lambda d: d.update(format_version=1),
+                 "array gaze1_w has shape [32, 2] and 684 values", id="base64-in-format-1"),
+])
+def test_load_params_rejects_a_bad_format_2_payload(tmp_path, edit, message):
+    path = write_params_doc(tmp_path / "params.json", edit)
+    with pytest.raises(ConfigError) as info:
+        load_params(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def zero_params():
@@ -415,6 +478,26 @@ def reference_fine_tune(params, cfg, data):
     return arrays
 
 
+def test_batch_from_samples_matches_the_per_row_reference_bit_for_bit(tmp_path):
+    general = make_dataset(tmp_path, n_subjects=2, n_frames=20)
+    lens = make_dataset(tmp_path, n_subjects=1, n_frames=10, mode="calibration")
+    samples = general.samples + calibration_view(lens.samples, lens.intrinsics)
+    # drop each label from a random third of the rows: every mix of present and absent tasks
+    rng = np.random.default_rng(11)
+    for s in samples:
+        for attr, _ in TASK_LABELS.values():
+            if rng.uniform() < 1 / 3:
+                setattr(s, attr, None)
+    order = rng.permutation(len(samples))
+    samples = [samples[i] for i in order]
+    assert 0 < Batch.from_samples(samples, general.intrinsics).mask.mean() < 1
+    for rows in (samples, samples[:1], []):
+        batch = Batch.from_samples(rows, general.intrinsics)
+        ref = oracles.reference_batch_rows(rows, general.intrinsics)
+        for got, want in zip((batch.features, batch.ray, batch.labels, batch.mask), ref):
+            assert got.shape == want.shape and same_bits(got, want)
+
+
 @pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(finetune_lr=1e-3, seed=3)],
                          ids=["defaults", "lr-1e-3"])
 def test_fine_tune_matches_the_per_layer_reference_loop_bit_for_bit(tmp_path, cfg):
@@ -491,6 +574,13 @@ def test_train_empty_dataset_rejected():
     ds = Dataset(header={"mode": "general", "config": SceneConfig().to_dict()}, samples=[])
     with pytest.raises(ConfigError):
         train(TrainConfig(epochs=1), ds)
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig.from_dict({**TrainConfig().to_dict(), "seed": -2})
 
 
 def test_train_lr_zero_leaves_params_at_init(tmp_path):

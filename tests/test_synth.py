@@ -66,6 +66,28 @@ def test_make_subjects_deterministic_and_bounded():
     assert len(kappas) == 10  # distinct draws per subject
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"kappa_range": float("nan")}, "kappa_range must be in [0, 0.15], got nan"),
+    ({"kappa_range": 0.2}, "kappa_range must be in [0, 0.15], got 0.2"),
+    ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0, got inf"),
+])
+def test_make_subjects_checks_its_arguments_before_drawing(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        make_subjects(2, **{"seed": 0, **kwargs})
+    assert str(info.value) == message
+
+
+def test_a_subject_and_a_scene_reject_non_finite_bias_noise_and_negative_seeds():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            Subject(id=0, kappa_pitch=bad)
+        with pytest.raises(ConfigError):
+            Subject(id=0, noise_sigma=bad)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        SceneConfig(seed=-3)
+
+
 def test_scene_config_round_trip_and_hash():
     cfg = SceneConfig(seed=5)
     assert SceneConfig.from_dict(cfg.to_dict()) == cfg
