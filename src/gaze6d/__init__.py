@@ -22,7 +22,7 @@ from .model import (LossWeights, ModelParams, MultiTaskOutput,
                     train, vec_from_euler)
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, RAY_EPS,
                    PlanePoint, RigidTransform, pog_to_pogz, pogz_from_ray,
-                   pogz_to_pog)
+                   pogz_to_pog, pogz_to_pog_rows)
 from .synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset, GazeSample,
                     SceneConfig, Subject, calibration_view, generate_dataset,
                     load_dataset, make_subjects, sample_frame)
@@ -43,7 +43,7 @@ __all__ = [
     "euler_from_vec", "evaluate", "fine_tune", "forward", "forward_batch",
     "generate_dataset", "gradient_check", "init_params", "load_dataset",
     "load_params", "make_subjects", "norm_rotation", "normalize_gaze",
-    "pog_error", "pog_to_pogz", "pogz_from_ray", "pogz_to_pog", "predict_6dof",
-    "project", "sample_frame", "save_params", "to_matrix", "train",
+    "pog_error", "pog_to_pogz", "pogz_from_ray", "pogz_to_pog", "pogz_to_pog_rows",
+    "predict_6dof", "project", "sample_frame", "save_params", "to_matrix", "train",
     "vec_from_euler", "write_calibration_set",
 ]

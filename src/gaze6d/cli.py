@@ -126,6 +126,7 @@ def cmd_gen(args) -> int:
     mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
     # drawn first: a bad count, seed, kappa range or noise sigma stops the run before any file
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
+    synth.check_frame_count(frames)
     with bad_input(args.config), bad_input("scene"):  # a scene needs all its keys
         scene = (synth.SceneConfig(seed=seed) if settings["scene"] is None
                  else synth.SceneConfig.from_dict({**settings["scene"], "seed": seed}))
@@ -173,18 +174,15 @@ def cmd_train(args) -> int:
     # cross-subject folds: subject id modulo fold count picks the held-out fold
     for fold in range(folds):
         held = [sid for sid in dataset.subject_ids() if sid % folds == fold]
-        train_rows = [s for s in dataset.samples if s.subject % folds != fold]
-        test_rows = [s for s in dataset.samples if s.subject % folds == fold]
-        if not train_rows or not test_rows:
+        in_fold = dataset.subjects % folds == fold
+        if in_fold.all() or not in_fold.any():
             raise ConfigError(f"fold {fold}: empty split (subjects {dataset.subject_ids()})")
         fold_dir = out_dir / f"fold_{fold}"
         fold_dir.mkdir(parents=True, exist_ok=True)
-        sub_ds = synth.Dataset(header=dataset.header, samples=train_rows)
-        params, history = model.train(tc, sub_ds)
+        params, history = model.train(tc, dataset.subset(~in_fold))
         model.save_params(params, fold_dir / "params.json")
         (fold_dir / "history.csv").write_text(model.history_to_csv(history))
-        held_ds = synth.Dataset(header=dataset.header, samples=test_rows)
-        report = metrics.evaluate(params, held_ds)
+        report = metrics.evaluate(params, dataset.subset(in_fold))
         (fold_dir / "report.csv").write_text(report.to_csv())
         print(f"fold {fold}: held-out subjects {held}, "
               f"g_n mean {report.overall.gn_deg_mean:.3f} deg over {report.overall.n} samples")

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatchError, GeometryError, RayParallelError
-from .pogz import FRAME_CAMERA_PLANE, PlanePoint, RigidTransform, pogz_to_pog
-from .model import Batch, angular_deg, forward_batch, vec_from_euler
+from .errors import FrameMismatchError, GeometryError
+from .pogz import PlanePoint, RigidTransform, pogz_to_pog_rows
+from .model import angular_deg, forward_batch, vec_from_euler
 
 
 def angular_error(g_a, g_b) -> float:
@@ -95,12 +95,12 @@ def evaluate(params, dataset, screen_transform: RigidTransform | None = None) ->
 
     Angular errors compare predicted and labeled directions for both gaze
     frames; plane errors are Euclidean in mm.  Point-of-gaze on the screen is
-    only reported when a camera-to-screen transform is supplied.
+    only reported when a camera-to-screen transform is supplied; a row whose
+    true or predicted gaze has no screen intersection is left out of it.
     """
-    samples = dataset.samples
-    if not samples:
+    if not len(dataset):
         raise GeometryError("cannot evaluate an empty dataset")
-    batch = Batch.from_samples(samples, dataset.intrinsics)
+    batch = dataset.batch()
     c = forward_batch(params, batch.features, batch.ray)
 
     gn_deg = angular_deg(c["g_n"], batch.task_labels("g_n"))
@@ -109,22 +109,15 @@ def evaluate(params, dataset, screen_transform: RigidTransform | None = None) ->
 
     pog_mm = None
     if screen_transform is not None:
-        pog_mm = np.full(len(samples), np.nan)
-        pred_dirs = vec_from_euler(c["g_o"])
-        true_dirs = vec_from_euler(batch.task_labels("g_o"))
-        for i, s in enumerate(samples):
-            try:
-                truth = pogz_to_pog(PlanePoint(s.pogz[0], s.pogz[1]), true_dirs[i], screen_transform)
-                pred = pogz_to_pog(PlanePoint(c["pogz"][i, 0], c["pogz"][i, 1]), pred_dirs[i], screen_transform)
-            except RayParallelError:
-                continue  # no screen intersection for this ray; skip the row
-            pog_mm[i] = pog_error(truth, pred)
+        truth, _, true_hit = pogz_to_pog_rows(batch.task_labels("pogz"),
+                                              vec_from_euler(batch.task_labels("g_o")), screen_transform)
+        pred, _, pred_hit = pogz_to_pog_rows(c["pogz"], vec_from_euler(c["g_o"]), screen_transform)
+        pog_mm = np.hypot(*(truth - pred).T)
+        pog_mm[~(true_hit & pred_hit)] = np.nan   # no screen intersection; skip the row
 
-    subjects = sorted({s.subject for s in samples})
     rows = []
-    sub_arr = np.array([s.subject for s in samples])
-    for sid in subjects:
-        sel = sub_arr == sid
+    for sid in dataset.subject_ids():
+        sel = dataset.subjects == sid
         rows.append(_stats_for(
             str(sid), gn_deg[sel], go_deg[sel], pogz_mm[sel],
             None if pog_mm is None else pog_mm[sel][~np.isnan(pog_mm[sel])],

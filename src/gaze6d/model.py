@@ -324,8 +324,9 @@ class TrainConfig:
     calibration_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.lr < 0 or self.finetune_lr < 0:
-            raise ConfigError("learning rates must be >= 0")
+        if not (0 <= self.lr < math.inf and 0 <= self.finetune_lr < math.inf):
+            raise ConfigError(f"learning rates must be finite and >= 0, got lr {self.lr}, "
+                              f"finetune_lr {self.finetune_lr}")
         if self.batch_size < 1 or self.finetune_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
         if self.epochs < 0 or self.finetune_steps < 0:
@@ -374,12 +375,18 @@ class Batch:
         return Batch(self.features[idx], self.ray[idx], self.labels[idx], self.mask[idx])
 
     @classmethod
+    def from_columns(cls, features: np.ndarray, centres: np.ndarray, labels: np.ndarray,
+                     mask: np.ndarray, intr: CameraIntrinsics) -> "Batch":
+        """The batch of (N, 2) box centres and the rows' other columns."""
+        ray = np.ones((len(centres), 3))   # backproject(intr, box centre, 1.0) of every row
+        np.divide(centres - intr.principal, intr.focal_px, out=ray[:, :2])
+        return cls(features, ray, labels, mask)
+
+    @classmethod
     def from_samples(cls, samples, intr: CameraIntrinsics) -> "Batch":
         n = len(samples)
         features = np.array([s.features for s in samples], dtype=float).reshape(n, FEATURE_DIM)
         centres = np.array([(s.bbox.x, s.bbox.y) for s in samples], dtype=float).reshape(n, 2)
-        ray = np.ones((n, 3))   # backproject(intr, box centre, 1.0) of every row
-        np.divide(centres - intr.principal, intr.focal_px, out=ray[:, :2])
         labels = np.zeros((n, _COLUMN_TASK.size))
         mask = np.zeros((n, len(TASKS)))
         for j, (attr, span) in enumerate(TASK_LABELS.values()):
@@ -388,7 +395,7 @@ class Batch:
             if rows:
                 labels[rows, span] = [values[i] for i in rows]
                 mask[rows, j] = 1.0
-        return cls(features, ray, labels, mask)
+        return cls.from_columns(features, centres, labels, mask, intr)
 
 
 # ---------------------------------------------------------------------------
@@ -803,33 +810,29 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     return history
 
 
-def _split_by_subject(samples, val_fraction: float):
-    """Last val_fraction of each subject's rows (file order) go to validation."""
-    by_subject: dict[int, list] = {}
-    for s in samples:
-        by_subject.setdefault(s.subject, []).append(s)
+def _split_rows(subjects: np.ndarray, val_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(train, val) row indices: subject by subject in id order, each
+    subject's rows in file order, the last val_fraction of them for val."""
     train_rows, val_rows = [], []
-    for sid in sorted(by_subject):
-        rows = by_subject[sid]
-        n_val = int(len(rows) * val_fraction)
-        cut = len(rows) - n_val
-        train_rows.extend(rows[:cut])
-        val_rows.extend(rows[cut:])
-    return train_rows, val_rows
+    for sid in np.unique(subjects):
+        rows = np.flatnonzero(subjects == sid)
+        cut = len(rows) - int(len(rows) * val_fraction)
+        train_rows.append(rows[:cut])
+        val_rows.append(rows[cut:])
+    return np.concatenate(train_rows), np.concatenate(val_rows)
 
 
 def train(cfg: TrainConfig, dataset):
     """Train from scratch on a loaded dataset.
 
     Returns (params, history).  The validation split is the last
-    cfg.val_fraction of each subject's samples in file order.
+    cfg.val_fraction of each subject's rows in file order.
     """
-    samples, intr = dataset.samples, dataset.intrinsics
-    if not samples:
+    if not len(dataset):
         raise ConfigError("cannot train on an empty dataset")
-    train_rows, val_rows = _split_by_subject(samples, cfg.val_fraction)
-    data = Batch.from_samples(train_rows, intr)
-    val = Batch.from_samples(val_rows, intr) if val_rows else Batch.from_samples([], intr)
+    train_rows, val_rows = _split_rows(dataset.subjects, cfg.val_fraction)
+    batch = dataset.batch()
+    data, val = batch.subset(train_rows), batch.subset(val_rows)
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(seed=cfg.seed)

@@ -99,6 +99,13 @@ class RigidTransform:
             return cls.from_dict(json.load(f))
 
 
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of V, bit for bit: vecdot runs the same dot
+    product as the norm of one vector, where (V * V).sum(1), einsum and
+    norm(axis=1) sum in another order and can differ in the last bit."""
+    return np.sqrt(np.vecdot(V, V))
+
+
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
@@ -149,3 +156,31 @@ def pog_to_pogz(pog: PlanePoint, g_s: np.ndarray, cam_to_screen: RigidTransform)
     origin_c = cam_to_screen.apply_inverse_point([pog.x, pog.y, 0.0])
     g_o = cam_to_screen.apply_inverse_direction(g_s)
     return _intersect_z0(origin_c, g_o, FRAME_CAMERA_PLANE)
+
+
+def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform):
+    """pogz_to_pog of each row: (N, 2) camera-plane points and (N, 3) gaze
+    directions in, (screen points (N, 2), behind (N,), hit (N,)) out.
+
+    Each hit row is bit for bit what pogz_to_pog gives that row alone.  A row
+    whose gaze is parallel to the screen (where pogz_to_pog raises
+    RayParallelError) has hit False, a NaN point and behind False; a
+    zero-length gaze is a GeometryError, as in pogz_to_pog.
+    """
+    n = len(P)
+    R = cam_to_screen.rotation.matrix
+    lifted = np.zeros((n, 3, 1))
+    lifted[:, :2, 0] = P
+    # R @ each column vector: the per-row arithmetic of R @ p; P @ R.T is not
+    origin = (R @ lifted)[:, :, 0] + cam_to_screen.translation
+    d = (R @ np.asarray(G, dtype=float)[:, :, None])[:, :, 0]
+    norm = row_norms(d)
+    empty = ~(norm > 0)   # a zero vector, or one whose squared norm underflows
+    if empty.any():
+        raise GeometryError(f"gaze direction {d[np.argmax(empty)]} has no length")
+    d /= norm[:, None]
+    hit = ~(np.abs(d[:, 2]) < RAY_EPS)
+    lam = np.full(n, np.nan)
+    lam[hit] = -origin[hit, 2] / d[hit, 2]
+    points = origin[:, :2] + lam[:, None] * d[:, :2]
+    return points, lam < 0, hit

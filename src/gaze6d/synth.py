@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .easy_norm import PARALLEL_EPS, denormalize_gaze, norm_rotation, normalize_gaze
 from .errors import ConfigError, GimbalLockError, bad_input, check_seed
-from .model import FEATURE_DIM, TASK_LABELS, euler_from_vec, vec_from_euler
-from .pogz import pogz_from_ray
+from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
+from .pogz import pogz_from_ray, row_norms
 
 SCHEMA_VERSION = 1
 MAX_REJECTION_DRAWS = 1000
@@ -232,17 +233,10 @@ class GazeSample:
                    **{k: np.array(d[k], dtype=float) for k in _VECTOR_FIELDS})
 
 
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of V, bit for bit: vecdot runs the same dot
-    product as the norm of one vector, where (V * V).sum(1), einsum and
-    norm(axis=1) sum in another order and can differ in the last bit."""
-    return np.sqrt(np.vecdot(V, V))
-
-
 def _euler_rows(G: np.ndarray) -> np.ndarray:
     """euler_from_vec of each row of G, bit for bit: an (N, 2) array.  The
     rows here are unit length up to rounding, so none is zero."""
-    vx, vy, vz = (G / _row_norms(G)[:, None]).T
+    vx, vy, vz = (G / row_norms(G)[:, None]).T
     if (np.abs(vy) >= 1.0).any():
         raise GimbalLockError("gaze along the y-axis: yaw is undefined")
     return np.column_stack([np.arctan2(-vx, -vz), np.arcsin(-vy)])
@@ -270,11 +264,11 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     # derive_calibration_label: the backprojection ray reversed, unit length
     k = intr.k_mm_per_px
     g_o = -np.column_stack([d * k, np.full(n, intr.focal_px * k)])
-    g_o /= _row_norms(g_o)[:, None]
+    g_o /= row_norms(g_o)[:, None]
 
     # norm_rotation: axis * angle taking the face direction z_n onto the optical axis
     z_n = np.column_stack([d, np.full(n, intr.focal_px)])
-    z_n /= _row_norms(z_n)[:, None]
+    z_n /= row_norms(z_n)[:, None]
     sin_theta = np.hypot(z_n[:, 0], z_n[:, 1])
     theta = np.arctan2(sin_theta, z_n[:, 2])
     on_axis = theta < PARALLEL_EPS
@@ -285,7 +279,7 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     r[on_axis] = 0.0
 
     # normalize_gaze: R @ g_o, R from Rodrigues' formula, the identity below PARALLEL_EPS
-    angle = _row_norms(r)
+    angle = row_norms(r)
     identity = angle < PARALLEL_EPS
     kx, ky, kz = (r / np.where(identity, 1.0, angle)[:, None]).T
     K = np.zeros((n, 3, 3))
@@ -410,14 +404,19 @@ def dataset_header(cfg: SceneConfig, subjects: list[Subject], n_per_subject: int
     }
 
 
+def check_frame_count(n_per_subject: int) -> None:
+    """The one rule for a per-subject frame count: >= 0."""
+    if n_per_subject < 0:
+        raise ConfigError(f"n_per_subject must be >= 0, got {n_per_subject}")
+
+
 def generate_dataset(
     cfg: SceneConfig, subjects: list[Subject], n_per_subject: int, mode: str, out_path
 ) -> dict:
     """Write a JSONL dataset (header line first) and return attribute stats."""
     if mode not in ("general", "calibration"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if n_per_subject < 0:
-        raise ConfigError(f"n_per_subject must be >= 0, got {n_per_subject}")
+    check_frame_count(n_per_subject)
 
     calibration = mode == "calibration"
     # only the four sampled attributes are kept for the stats, not the frames
@@ -437,13 +436,24 @@ def generate_dataset(
 
 @dataclass
 class Dataset:
-    """Loaded JSONL dataset: header metadata plus samples."""
+    """A loaded JSONL dataset: its header, and its rows as columns.
+
+    features (N, FEATURE_DIM); labels (N, 11), each task's label in its
+    TASK_LABELS columns, and mask (N, 5), 1 where a row carries the task's
+    label; boxes (N, 3), each face box as (x, y, side); subjects (N,), the
+    subject ids.  `samples` gives the rows as GazeSamples, built on first
+    use, whose arrays are views of the columns.
+    """
 
     header: dict
-    samples: list[GazeSample]
+    features: np.ndarray
+    labels: np.ndarray
+    mask: np.ndarray
+    boxes: np.ndarray
+    subjects: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.subjects)
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
@@ -453,20 +463,48 @@ class Dataset:
     def mode(self) -> str:
         return self.header["mode"]
 
+    def batch(self) -> Batch:
+        """The rows as a training batch."""
+        return Batch.from_columns(self.features, self.boxes[:, :2], self.labels, self.mask, self.intrinsics)
+
+    def subset(self, rows) -> "Dataset":
+        """The dataset of the given rows (an index array or a boolean mask)."""
+        return Dataset(self.header, self.features[rows], self.labels[rows], self.mask[rows],
+                       self.boxes[rows], self.subjects[rows])
+
     def subject_ids(self) -> list[int]:
-        return sorted({s.subject for s in self.samples})
+        return np.unique(self.subjects).tolist()
 
     def by_subject(self, subject_id: int) -> list[GazeSample]:
-        return [s for s in self.samples if s.subject == subject_id]
+        samples = self.samples
+        return [samples[i] for i in np.flatnonzero(self.subjects == subject_id)]
+
+    @cached_property
+    def samples(self) -> list[GazeSample]:
+        # each task's row views, None where a row lacks the label; GazeSample
+        # takes its label fields in TASK_LABELS order
+        labels = [[row if present else None for row, present in zip(self.labels[:, span], self.mask[:, j].tolist())]
+                  for j, (_, span) in enumerate(TASK_LABELS.values())]
+        return [GazeSample(features, BoundingBox(*box), *row_labels, subject=subject)
+                for features, box, subject, *row_labels
+                in zip(self.features, self.boxes.tolist(), self.subjects.tolist(), *labels)]
 
 
 # serialized row fields and their lengths; `subject` is the one scalar field
 _ROW_LENGTHS = {"features": FEATURE_DIM, "bbox": 3,
                 **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()}}
+# the row fields in column order: the features, the labels in TASK_LABELS order, the box
+_COLUMN_FIELDS = _VECTOR_FIELDS + ("bbox",)
+_COLUMN_WIDTHS = [_ROW_LENGTHS[k] for k in _COLUMN_FIELDS]
+_LIST_TYPES = [list] * len(_COLUMN_FIELDS)
+_LABEL_COLUMNS = slice(FEATURE_DIM, FEATURE_DIM + sum(_COLUMN_WIDTHS[1:-1]))
 
+# a subject id is a JSON integer that fits the int64 subject column
+_SUBJECT_RANGE = range(-2**63, 2**63)
 
 # JSON numbers parse to exactly these; a bool is no number here
 _NUMBERS = frozenset((int, float))
+_FLOATS = {float}
 
 
 def _reject_constant(name: str):
@@ -478,6 +516,8 @@ _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _sample_from_line(line: str) -> GazeSample:
+    """A row through every field check, one at a time: its GazeSample, or the
+    error that says what is wrong with it first."""
     d = _ROW_DECODER.decode(line)
     if not isinstance(d, dict):
         raise ValueError("row is not a JSON object")
@@ -486,12 +526,39 @@ def _sample_from_line(line: str) -> GazeSample:
             raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
     if type(d["subject"]) is not int:  # int() would take "3", 1.7 and true
         raise ValueError(f"subject must be an integer id, got {d['subject']!r}")
+    if d["subject"] not in _SUBJECT_RANGE:
+        raise ValueError(f"subject id {d['subject']} does not fit in 64 bits")
     sample = GazeSample.from_dict(d)
     # float arrays also take nested lists, numeric strings, bools and null (as NaN)
     for key, n in _ROW_LENGTHS.items():
         if type(d[key]) is not list or not _NUMBERS.issuperset(map(type, d[key])):
             raise ValueError(f"{key} must be a flat list of {n} numbers, got {d[key]!r}")
+    # a literal such as 1e999 parses to inf
+    for key in _ROW_LENGTHS:
+        if not all(map(math.isfinite, d[key])):
+            raise ValueError(f"{key} must be finite, got {d[key]!r}")
     return sample
+
+
+def _row_from_line(line: str) -> tuple[list, int]:
+    """A row's values in column order, and its subject id.
+
+    A row of float lists of the right lengths, a finite sum and a positive
+    box side passes as it is; any other row goes through _sample_from_line,
+    which raises the row's error or gives its values.
+    """
+    d = _ROW_DECODER.decode(line)
+    if type(d) is dict:
+        fields = [d.get(k) for k in _COLUMN_FIELDS]
+        if list(map(type, fields)) == _LIST_TYPES and list(map(len, fields)) == _COLUMN_WIDTHS:
+            features, g_n, g_o, pogz, r_on, o_face, bbox = fields   # the _COLUMN_FIELDS
+            values = [*features, *g_n, *g_o, *pogz, *r_on, *o_face, *bbox]
+            subject = d.get("subject")
+            if (set(map(type, values)) == _FLOATS and bbox[2] > 0 and math.isfinite(sum(values))
+                    and type(subject) is int and subject in _SUBJECT_RANGE):
+                return values, subject
+    s = _sample_from_line(line)
+    return [v for k in _VECTOR_FIELDS for v in getattr(s, k).tolist()] + s.bbox.to_list(), s.subject
 
 
 def _header_from_line(line: str) -> dict:
@@ -507,15 +574,16 @@ def _header_from_line(line: str) -> dict:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset written by generate_dataset.
+    """Read a JSONL dataset written by generate_dataset, as columns.
 
     A header line that is not JSON or lacks a known `mode` or valid
-    `config.intrinsics`, and a row with a missing key, a non-integer
-    `subject`, a vector field that is not a flat list of numbers of its
-    length, a NaN, Infinity or too large number, or a byte that is not
-    UTF-8, are a ConfigError naming the file and line.
+    `config.intrinsics`, and a row with a missing key, a subject that is not
+    a 64-bit integer, a vector field that is not a flat list of numbers of
+    its length, a box side that is not positive, a NaN, Infinity, too large
+    or non-finite number (1e999 included), or a byte that is not UTF-8, are a
+    ConfigError naming the file and line.
     """
-    header, samples, line_no = None, [], 0
+    header, values, subjects, line_no = None, [], [], 0
     # decoded line by line: text mode decodes in chunks, past the line at fault
     with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
         for line_no, line in enumerate(f, start=1):
@@ -523,7 +591,16 @@ def load_dataset(path) -> Dataset:
             if header is None:
                 header = _header_from_line(line)
             elif line.strip():
-                samples.append(_sample_from_line(line))
+                row, subject = _row_from_line(line)
+                values += row
+                subjects.append(subject)
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
-    return Dataset(header=header, samples=samples)
+    columns = np.array(values, dtype=float).reshape(len(subjects), sum(_COLUMN_WIDTHS))
+    # a row carries every task's label: the mask is all ones
+    return Dataset(header=header,
+                   features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
+                   labels=np.ascontiguousarray(columns[:, _LABEL_COLUMNS]),
+                   mask=np.ones((len(subjects), len(TASK_LABELS))),
+                   boxes=np.ascontiguousarray(columns[:, _LABEL_COLUMNS.stop:]),
+                   subjects=np.array(subjects, dtype=np.int64))

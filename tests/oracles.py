@@ -347,3 +347,84 @@ def reference_backward(params, c, ray, labels, masks, weights):
         g[prefix + "1_w"] = d1.T @ X
         g[prefix + "1_b"] = d1.sum(axis=0)
     return g, total, terms
+
+
+# ---------------------------------------------------------------------------
+# datasets and eval reports, one row at a time
+
+
+def dataset_from_samples(header, samples):
+    """A gaze6d Dataset holding in-memory frames (sample_frame's GazeSamples),
+    its columns built by Batch.from_samples."""
+    from gaze6d.model import Batch
+    from gaze6d.synth import Dataset
+
+    intr = _intrinsics(header)
+    batch = Batch.from_samples(samples, intr)
+    boxes = np.array([s.bbox.to_list() for s in samples], dtype=float).reshape(-1, 3)
+    return Dataset(header, batch.features, batch.labels, batch.mask, boxes,
+                   np.array([s.subject for s in samples], dtype=np.int64))
+
+
+def _intrinsics(header):
+    from gaze6d.camera import CameraIntrinsics
+    return CameraIntrinsics.from_dict(header["config"]["intrinsics"])
+
+
+def reference_load_dataset(path):
+    """(header, samples, batch) of a dataset file read the way gaze6d read it
+    before its loader parsed into columns: each row's JSON object to a
+    GazeSample, then every row into one Batch.from_samples."""
+    from gaze6d.model import Batch
+    from gaze6d.synth import GazeSample
+
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    header = json.loads(lines[0])
+    samples = [GazeSample.from_dict(json.loads(line)) for line in lines[1:]]
+    return header, samples, Batch.from_samples(samples, _intrinsics(header))
+
+
+def reference_evaluate(params, samples, intr, screen_transform=None):
+    """The eval report as gaze6d built it with a per-row screen loop: the
+    batch forward pass, then pogz_to_pog once for the true and once for the
+    predicted gaze of each row, a row without a screen intersection left out
+    of the PoG mean."""
+    from gaze6d.errors import RayParallelError
+    from gaze6d.metrics import EvalReport, SubjectStats, pog_error
+    from gaze6d.model import Batch, angular_deg, forward_batch, vec_from_euler
+    from gaze6d.pogz import PlanePoint, pogz_to_pog
+
+    batch = Batch.from_samples(samples, intr)
+    c = forward_batch(params, batch.features, batch.ray)
+    gn_deg = angular_deg(c["g_n"], batch.task_labels("g_n"))
+    go_deg = angular_deg(c["g_o"], batch.task_labels("g_o"))
+    pogz_mm = np.linalg.norm(c["pogz"] - batch.task_labels("pogz"), axis=1)
+
+    pog_mm = None
+    if screen_transform is not None:
+        pog_mm = np.full(len(samples), np.nan)
+        pred_dirs = vec_from_euler(c["g_o"])
+        true_dirs = vec_from_euler(batch.task_labels("g_o"))
+        for i, s in enumerate(samples):
+            try:
+                truth = pogz_to_pog(PlanePoint(s.pogz[0], s.pogz[1]), true_dirs[i], screen_transform)
+                pred = pogz_to_pog(PlanePoint(c["pogz"][i, 0], c["pogz"][i, 1]), pred_dirs[i],
+                                   screen_transform)
+            except RayParallelError:
+                continue
+            pog_mm[i] = pog_error(truth, pred)
+
+    def stats(tag, sel):
+        pog = None if pog_mm is None else pog_mm[sel][~np.isnan(pog_mm[sel])]
+        return SubjectStats(
+            subject=tag, n=int(sel.sum()),
+            gn_deg_mean=float(np.mean(gn_deg[sel])), gn_deg_median=float(np.median(gn_deg[sel])),
+            go_deg_mean=float(np.mean(go_deg[sel])), go_deg_median=float(np.median(go_deg[sel])),
+            pogz_mm_mean=float(np.mean(pogz_mm[sel])),
+            pog_mm_mean=float(np.mean(pog)) if pog is not None and len(pog) else None)
+
+    subject_of = np.array([s.subject for s in samples])
+    return EvalReport(per_subject=[stats(str(sid), subject_of == sid) for sid in sorted(set(subject_of.tolist()))],
+                      overall=stats("all", np.ones(len(samples), dtype=bool)))
+

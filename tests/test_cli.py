@@ -18,9 +18,10 @@ import gaze6d
 from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
-from gaze6d.errors import ConfigError
-from gaze6d.model import LossWeights, TrainConfig, init_params, load_params, save_params
-from gaze6d.pogz import RigidTransform
+from gaze6d.errors import ConfigError, RayParallelError
+from gaze6d.model import (LossWeights, TrainConfig, forward, init_params, load_params, save_params,
+                          vec_from_euler)
+from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
 from gaze6d.synth import Subject, load_dataset
 
 
@@ -97,6 +98,26 @@ def test_gen_negative_counts_exit_2(tmp_path, capsys):
                           ("--frames", "n_per_subject must be >= 0, got -3")):
         assert run("gen", flag, "-3", "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("setting", ["lr", "finetune_lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_learning_rate_exits_2_before_the_snapshot(tmp_path, capsys, small_run_inputs,
+                                                               setting, value):
+    paths = small_run_inputs
+    argv = {"lr": ["train", "--data", paths["data"], "--epochs", "1"],
+            "finetune_lr": ["finetune", "--params", paths["params"], "--calib", paths["calib"]]}[setting]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({setting: value}))   # NaN, Infinity or -Infinity
+    flag = f"--{setting.replace('_', '-')}={value}"
+    out = tmp_path / "run"
+    for via in ([flag], ["--config", str(config)]):
+        capsys.readouterr()
+        assert run(*argv, *via, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: learning rates must be finite and >= 0") and captured.out == ""
+        assert not out.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -143,11 +164,13 @@ def test_train_and_eval_reject_bad_rows_with_exit_2(tmp_path, capsys):
         "short": ({**row, "features": row["features"][:5]}, "features has 5 values, expected 7"),
         "nan": ({**row, "features": [float("nan")] + row["features"][1:]}, "non-finite value NaN"),
         "huge": ({**row, "features": [10**400] + row["features"][1:]}, "int too large to convert to float"),
+        # 12345.5 is written as 1e999, which parses to inf
+        "inf": ({**row, "features": [12345.5] + row["features"][1:]}, "features must be finite, got [inf, "),
     }
     capsys.readouterr()
     for name, (bad, message) in bad_rows.items():
         data = tmp_path / f"{name}.jsonl"
-        data.write_text("\n".join(lines[:3] + [json.dumps(bad)] + lines[4:]) + "\n")
+        data.write_text("\n".join(lines[:3] + [json.dumps(bad).replace("12345.5", "1e999")] + lines[4:]) + "\n")
         for argv in (["train", "--data", str(data), "--epochs", "1"],
                      ["eval", "--params", str(train / "params.json"), "--data", str(data)]):
             assert run(*argv, "--out", str(tmp_path / name)) == 2, (name, argv[0])
@@ -166,40 +189,38 @@ def test_train_rerun_from_snapshot_identical(tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
-def write_inf_feature_set(tmp_path):
-    """A 6-row dataset whose fourth row has a feature written 1e999; 1e999
-    loads as inf, and tanh saturates, so only the gradients go non-finite."""
+def write_huge_label_set(tmp_path):
+    """A 6-row dataset whose fourth row has a finite face label of 1.7e308 mm
+    per axis: the row loads, and its face term overflows to inf in training."""
     gen = tmp_path / "gen"
     run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
     lines = (gen / "dataset.jsonl").read_text().splitlines()
-    row = json.loads(lines[3])
-    row["features"][0] = 12345.5
-    lines[3] = json.dumps(row).replace("12345.5", "1e999")
+    lines[3] = json.dumps({**json.loads(lines[3]), "o_face": [1.7e308] * 3})
     (gen / "dataset.jsonl").write_text("\n".join(lines) + "\n")
     return gen / "dataset.jsonl"
 
 
-def test_train_stops_on_non_finite_gradients_with_exit_3(tmp_path, capsys):
-    data = write_inf_feature_set(tmp_path)
+def test_train_stops_on_a_non_finite_loss_with_exit_3(tmp_path, capsys):
+    data = write_huge_label_set(tmp_path)
     capsys.readouterr()
     out = tmp_path / "train"
     assert run("train", "--data", str(data), "--epochs", "1",
                "--batch-size", "8", "--out", str(out)) == 3
-    assert ("numeric failure: non-finite gradients at epoch 0, step 0 (batch offset 0), arrays: "
-            in capsys.readouterr().err)
+    assert (capsys.readouterr().err == "numeric failure: non-finite loss at epoch 0, step 0 "
+                                       "(batch offset 0), task terms: face\n")
     assert not (out / "params.json").exists()
 
 
-def test_non_finite_gradient_exit_writes_only_the_failure_line(tmp_path):
+def test_non_finite_loss_exit_writes_only_the_failure_line(tmp_path):
     # a separate process, so that any numpy warning reaches the real stderr
-    data = write_inf_feature_set(tmp_path)
+    data = write_huge_label_set(tmp_path)
     src = str(Path(gaze6d.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "gaze6d.cli", "train", "--data", str(data),
                            "--epochs", "1", "--out", str(tmp_path / "train")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("numeric failure: non-finite gradients at epoch 0, step 0 ")
+    assert proc.stderr.startswith("numeric failure: non-finite loss at epoch 0, step 0 ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
 
 
@@ -441,6 +462,36 @@ def test_eval_with_screen_transform(tmp_path, capsys):
     assert "n/a" not in capsys.readouterr().out
     last = (out / "report.csv").read_text().splitlines()[-1]
     assert not last.endswith(",")  # PoG column populated
+
+
+def test_eval_report_matches_the_per_row_reference_byte_for_byte(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "3", "--frames", "20", "--seed", "6", "--out", str(gen))
+    data = gen / "dataset.jsonl"
+    save_params(init_params(seed=1), tmp_path / "params.json")
+    params = load_params(tmp_path / "params.json")
+    _, samples, _ = oracles.reference_load_dataset(data)
+    intr = load_dataset(data).intrinsics
+    # a screen plane parallel to row 4's true gaze and to row 11's predicted gaze
+    true_dir = vec_from_euler(samples[4].g_o)
+    pred_dir = vec_from_euler(forward(params, samples[11].features).g_o)
+    z = np.cross(true_dir, pred_dir)
+    z /= np.linalg.norm(z)
+    screen = write_transform(tmp_path / "screen.json", R=[true_dir, np.cross(z, true_dir), z],
+                             t=(10.0, 200.0, -30.0))
+    transform = RigidTransform.load(screen)
+    for row, direction in ((samples[4], true_dir), (samples[11], pred_dir)):
+        with pytest.raises(RayParallelError):
+            pogz_to_pog(PlanePoint(row.pogz[0], row.pogz[1]), direction, transform)
+
+    for flags, screen_transform in (([], None), (["--screen", str(screen)], transform)):
+        out = tmp_path / f"eval_{len(flags)}"
+        assert run("eval", "--params", str(tmp_path / "params.json"), "--data", str(data),
+                   *flags, "--out", str(out)) == 0
+        want = oracles.reference_evaluate(params, samples, intr, screen_transform).to_csv()
+        assert (out / "report.csv").read_text() == want
+    assert not want.splitlines()[-1].endswith(",")   # the PoG column is filled
+    capsys.readouterr()
 
 
 def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):

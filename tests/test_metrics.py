@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import oracles
+
+import gaze6d.metrics
+import gaze6d.pogz
+
 from gaze6d.errors import FrameMismatchError, GeometryError
 from gaze6d.metrics import EvalReport, angular_error, evaluate, pog_error
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint, RigidTransform
 from gaze6d.easy_norm import Rotation3
-from gaze6d.synth import Dataset, SceneConfig, Subject, frame_rng, sample_frame
+from gaze6d.synth import SceneConfig, Subject, frame_rng, sample_frame
 
 from test_model import oracle_params_for, zero_params
 
@@ -70,7 +75,7 @@ def make_oracle_dataset(n_subjects=2, n_frames=8, seed=33):
         for i in range(n_frames):
             samples.append(sample_frame(Subject(id=sid), cfg, frame_rng(seed, sid, i)))
     header = {"schema_version": 1, "mode": "general", "config": cfg.to_dict()}
-    return Dataset(header=header, samples=samples)
+    return oracles.dataset_from_samples(header, samples)
 
 
 def test_evaluate_oracle_params_single_sample():
@@ -119,8 +124,19 @@ def test_evaluate_pog_zero_for_oracle_params():
     assert report.overall.pog_mm_mean == pytest.approx(0.0, abs=1e-6)
 
 
+def test_evaluate_with_a_screen_makes_no_scalar_pogz_to_pog_call(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("evaluate called the scalar pogz_to_pog")
+
+    monkeypatch.setattr(gaze6d.pogz, "pogz_to_pog", scalar)
+    monkeypatch.setattr(gaze6d.metrics, "pogz_to_pog", scalar, raising=False)
+    transform = RigidTransform(Rotation3(np.diag([1.0, -1.0, -1.0])), np.array([10.0, 20.0, 30.0]))
+    report = evaluate(zero_params(), make_oracle_dataset(n_subjects=2, n_frames=5), screen_transform=transform)
+    assert report.overall.pog_mm_mean is not None
+
+
 def test_evaluate_empty_dataset():
-    ds = Dataset(header={"mode": "general", "config": SceneConfig().to_dict()}, samples=[])
+    ds = oracles.dataset_from_samples({"mode": "general", "config": SceneConfig().to_dict()}, [])
     with pytest.raises(GeometryError):
         evaluate(zero_params(), ds)
 

@@ -17,7 +17,7 @@ from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeight
                           load_params, make_gradcheck_batch, predict_6dof,
                           save_params, train, vec_from_euler)
 from gaze6d.synth import SceneConfig, Subject, frame_rng, sample_frame
-from gaze6d.synth import Dataset, calibration_view, generate_dataset, load_dataset, make_subjects
+from gaze6d.synth import calibration_view, generate_dataset, load_dataset, make_subjects
 
 INTR = CameraIntrinsics(600.0, 320.0, 240.0, 0.005, 640, 480)
 
@@ -571,7 +571,7 @@ def make_dataset(tmp_path, n_subjects=3, n_frames=40, seed=0, kappa_range=0.0,
 
 
 def test_train_empty_dataset_rejected():
-    ds = Dataset(header={"mode": "general", "config": SceneConfig().to_dict()}, samples=[])
+    ds = oracles.dataset_from_samples({"mode": "general", "config": SceneConfig().to_dict()}, [])
     with pytest.raises(ConfigError):
         train(TrainConfig(epochs=1), ds)
 
@@ -645,14 +645,14 @@ def test_inf_feature_gradients_stop_training(tmp_path):
 
 def test_val_split_is_last_fraction_per_subject(tmp_path):
     ds = make_dataset(tmp_path, n_subjects=2, n_frames=20)
-    from gaze6d.model import _split_by_subject
-    train_rows, val_rows = _split_by_subject(ds.samples, 0.1)
-    assert len(train_rows) == 36 and len(val_rows) == 4
-    # the validation rows are each subject's final file-order rows
-    for sid in (0, 1):
-        sub = [s for s in ds.samples if s.subject == sid]
-        val_sub = [s for s in val_rows if s.subject == sid]
-        assert all(any(s is t for t in sub[-2:]) for s in val_sub)
+    from gaze6d.model import _split_rows
+    # the subjects interleaved in file order
+    subjects = ds.subjects[np.random.default_rng(5).permutation(len(ds))]
+    train_rows, val_rows = _split_rows(subjects, 0.1)
+    # subject by subject in id order, each subject's rows in file order, its last two for validation
+    per_subject = [np.flatnonzero(subjects == sid) for sid in (0, 1)]
+    assert np.array_equal(train_rows, np.concatenate([rows[:-2] for rows in per_subject]))
+    assert np.array_equal(val_rows, np.concatenate([rows[-2:] for rows in per_subject]))
 
 
 def test_history_csv_format():

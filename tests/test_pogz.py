@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
+from fuzz import FUZZ
 from gaze6d.camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import FrameMismatchError, GeometryError, RayParallelError
 from gaze6d.pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, RAY_EPS,
                          PlanePoint, RigidTransform, pog_to_pogz,
-                         pogz_from_ray, pogz_to_pog)
+                         pogz_from_ray, pogz_to_pog, pogz_to_pog_rows)
 
 
 def cam_point(x, y, z):
@@ -212,3 +215,59 @@ def test_apply_inverse_matches_inverse_bit_for_bit():
         inv = tr.inverse
         assert np.array_equal(tr.apply_inverse_point(p), inv.apply_point(p))
         assert np.array_equal(tr.apply_inverse_direction(d), inv.apply_direction(d))
+
+
+coordinates = st.floats(-2000.0, 2000.0)
+gaze_rows = st.tuples(coordinates, coordinates, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                      st.floats(-1.0, 1.0), st.sampled_from(["free"] * 3 + ["parallel"] * 2 + ["zero"]))
+
+
+@FUZZ
+@given(quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4), translation=st.tuples(*[coordinates] * 3),
+       rows=st.lists(gaze_rows, min_size=1, max_size=12))
+def test_pogz_to_pog_rows_matches_pogz_to_pog_bit_for_bit(quaternion, translation, rows):
+    """Each row of the batched intersection is pogz_to_pog of that row alone:
+    the same point bits and behind flag, no hit where it raises
+    RayParallelError, and the same GeometryError for a zero-length gaze."""
+    q = np.array(quaternion)
+    assume(np.linalg.norm(q) > 0.1)
+    R = oracles.quat_to_matrix(q / np.linalg.norm(q))
+    transform = RigidTransform(Rotation3(R), np.array(translation))
+    P = np.array([row[:2] for row in rows])
+    G = np.array([row[2:5] for row in rows])
+    for i, kind in enumerate(row[5] for row in rows):
+        if kind == "parallel":   # in the screen plane, up to rounding
+            G[i] = R.T @ np.array([G[i, 0], G[i, 1], 0.0])
+        elif kind == "zero":
+            G[i] = 0.0
+
+    errors = []
+    for p, g in zip(P, G):
+        try:
+            errors.append(pogz_to_pog(PlanePoint(p[0], p[1]), g, transform))
+        except GeometryError as exc:
+            errors.append(exc)
+    empty = [e for e in errors if type(e) is GeometryError]
+    if empty:
+        with pytest.raises(GeometryError) as info:
+            pogz_to_pog_rows(P, G, transform)
+        assert str(info.value) == str(empty[0])
+        return
+    points, behind, hit = pogz_to_pog_rows(P, G, transform)
+    assert points.shape == (len(rows), 2) and behind.shape == hit.shape == (len(rows),)
+    for i, want in enumerate(errors):
+        if isinstance(want, RayParallelError):
+            assert not hit[i] and not behind[i] and np.isnan(points[i]).all()
+        else:
+            assert hit[i] and behind[i] == want.behind
+            assert points[i, 0].tobytes() == np.float64(want.x).tobytes()
+            assert points[i, 1].tobytes() == np.float64(want.y).tobytes()
+
+
+def test_pogz_to_pog_rows_covers_parallel_and_behind_rows():
+    transform = RigidTransform(Rotation3(np.eye(3)), np.array([0.0, 0.0, -50.0]))
+    points, behind, hit = pogz_to_pog_rows(np.zeros((3, 2)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                                                       [0.0, 0.0, -1.0]]), transform)
+    assert hit.tolist() == [False, True, True]
+    assert behind.tolist() == [False, False, True]
+    assert points[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]

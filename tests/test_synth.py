@@ -317,6 +317,15 @@ def setting(key, value):
     return lambda row: json.dumps({**row, key: value})
 
 
+def written_as(key, index, literal):
+    """The row with value `index` of `key` written as the JSON number `literal`."""
+    def edit(row):
+        values = list(row[key])
+        values[index] = 12345.5
+        return json.dumps({**row, key: values}).replace("12345.5", literal)
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (drop("bbox"), "missing key 'bbox'"),
     (drop("subject"), "missing key 'subject'"),
@@ -330,6 +339,11 @@ def setting(key, value):
     (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
     (setting("bbox", ["a", 1.0, 2.0]), "could not convert string to float"),
     (setting("features", [10**400] + [0.1] * 6), "int too large to convert to float"),
+    (written_as("features", 0, "1e999"), "features must be finite, got [inf, "),
+    (written_as("pogz", 1, "-1e999"), "pogz must be finite, got ["),
+    (written_as("bbox", 0, "1e999"), "bbox must be finite, got [inf, "),
+    (written_as("bbox", 2, "-1e999"), "box side must be positive, got -inf"),
+    (setting("subject", 2**63), "subject id 9223372036854775808 does not fit in 64 bits"),
     (setting("features", [[0.1]] * 7), "features must be a flat list of 7 numbers"),
     (setting("subject", "3"), "subject must be an integer id, got '3'"),
     (setting("subject", 1.7), "subject must be an integer id, got 1.7"),
@@ -423,3 +437,36 @@ def test_default_intrinsics_shape():
     assert DEFAULT_INTRINSICS.width == 640
     assert DEFAULT_INTRINSICS.height == 480
     assert DEFAULT_INTRINSICS.focal_px == 600.0
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["general", "calibration"])
+def test_loaded_columns_match_the_per_row_reference_bit_for_bit(tmp_path, mode):
+    path = tmp_path / f"{mode}.jsonl"
+    generate_dataset(SceneConfig(seed=16), make_subjects(3, seed=16), 40, mode, path)
+    # rows the fast parse leaves to the per-row parser: integer values, and a blank line
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[5])
+    lines[5] = json.dumps({**row, "features": [0] + row["features"][1:], "bbox": [320, 240, 90]})
+    lines.insert(9, "")
+    path.write_text("\n".join(lines) + "\n")
+
+    ds = load_dataset(path)
+    header, samples, batch = oracles.reference_load_dataset(path)
+    assert ds.header == header and len(ds) == len(samples) == 120
+    got = ds.batch()
+    for name in ("features", "ray", "labels", "mask"):
+        assert same_bits(getattr(got, name), getattr(batch, name)), name
+    assert same_bits(ds.boxes, np.array([s.bbox.to_list() for s in samples]))
+    assert same_bits(ds.subjects, np.array([s.subject for s in samples], dtype=np.int64))
+    # the samples built from the columns are the rows as the per-row parser read them
+    for s, want in zip(ds.samples, samples):
+        for key in VECTOR_LENGTHS:
+            assert same_bits(getattr(s, key), getattr(want, key)), key
+        assert s.bbox == want.bbox and s.subject == want.subject
+    assert ds.subject_ids() == [0, 1, 2]
+    assert [s.subject for s in ds.by_subject(1)] == [1] * 40
+    assert same_bits(ds.subset(ds.subjects == 2).features, batch.features[80:])
