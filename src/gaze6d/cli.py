@@ -157,6 +157,8 @@ def cmd_train(args) -> int:
     if settings["data"] is None:
         raise ConfigError("train needs --data")
     folds = settings["folds"]
+    if folds < 0:
+        raise ConfigError(f"folds must be >= 0, got {folds}")
     tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
     out_dir = _write_snapshot(args, settings)
 
@@ -301,6 +303,9 @@ def cmd_convert(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check_seed(args.seed)
+    for flag, value in (("--restarts", args.restarts), ("--batch", args.batch)):
+        if value < 1:   # 0 would check nothing and still print OK
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     worst = 0.0
     for restart in range(args.restarts):
         seed = args.seed + restart

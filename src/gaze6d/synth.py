@@ -34,7 +34,7 @@ import numpy as np
 
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .easy_norm import PARALLEL_EPS, denormalize_gaze, norm_rotation, normalize_gaze
+from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
 from .errors import ConfigError, GimbalLockError, bad_input, check_seed
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray, row_norms
@@ -246,14 +246,15 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     """Reduce lens-fixation frames to what a calibration session observes.
 
     Keeps features, box and subject.  The labels are re-derived from the
-    face pixel alone, which is all a real recording provides: the camera
-    direction for g_o, and its normalized image for g_n.  Positional labels
-    are absent, so rows from this view supervise only the two gaze heads
-    during fine-tuning.
+    face pixel alone, which is all a real recording provides: g_o is the
+    camera direction, and g_n is (0, 0), since normalization turns the face
+    direction, and with it a gaze into the lens, onto the optical axis.
+    Positional labels are absent, so rows from this view supervise only the
+    two gaze heads during fine-tuning.
 
-    All rows go through one pass over the (N, 2) box centres; each row's
-    labels are bit for bit what derive_calibration_label, norm_rotation,
-    normalize_gaze and euler_from_vec give for its pixel alone.
+    All rows go through one pass over the (N, 2) box centres; each row's g_o
+    is bit for bit what derive_calibration_label and euler_from_vec give for
+    its pixel alone.
     """
     if not samples:
         return []
@@ -266,32 +267,9 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
     g_o = -np.column_stack([d * k, np.full(n, intr.focal_px * k)])
     g_o /= row_norms(g_o)[:, None]
 
-    # norm_rotation: axis * angle taking the face direction z_n onto the optical axis
-    z_n = np.column_stack([d, np.full(n, intr.focal_px)])
-    z_n /= row_norms(z_n)[:, None]
-    sin_theta = np.hypot(z_n[:, 0], z_n[:, 1])
-    theta = np.arctan2(sin_theta, z_n[:, 2])
-    on_axis = theta < PARALLEL_EPS
-    sin_theta[on_axis] = 1.0   # on-axis rows get the zero rotation; no 0 / 0 on the way
-    r = np.zeros((n, 3))
-    r[:, 0] = theta * (z_n[:, 1] / sin_theta)
-    r[:, 1] = theta * (-z_n[:, 0] / sin_theta)
-    r[on_axis] = 0.0
-
-    # normalize_gaze: R @ g_o, R from Rodrigues' formula, the identity below PARALLEL_EPS
-    angle = row_norms(r)
-    identity = angle < PARALLEL_EPS
-    kx, ky, kz = (r / np.where(identity, 1.0, angle)[:, None]).T
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1], K[:, 0, 2], K[:, 1, 0] = -kz, ky, kz
-    K[:, 1, 2], K[:, 2, 0], K[:, 2, 1] = -kx, -ky, kx
-    R = np.eye(3) + np.sin(angle)[:, None, None] * K + (1.0 - np.cos(angle))[:, None, None] * (K @ K)
-    R[identity] = np.eye(3)
-    g_n = np.matmul(R, g_o[:, :, None])[:, :, 0]
-
-    return [GazeSample(features=f, bbox=s.bbox, g_n=e_n, g_o=e_o, pogz=None, r_on=None, o_face=None,
+    return [GazeSample(features=f, bbox=s.bbox, g_n=np.zeros(2), g_o=e_o, pogz=None, r_on=None, o_face=None,
                        subject=s.subject)
-            for s, f, e_n, e_o in zip(samples, features, _euler_rows(g_n), _euler_rows(g_o))]
+            for s, f, e_o in zip(samples, features, _euler_rows(g_o))]
 
 
 def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:
@@ -439,16 +417,15 @@ class Dataset:
     """A loaded JSONL dataset: its header, and its rows as columns.
 
     features (N, FEATURE_DIM); labels (N, 11), each task's label in its
-    TASK_LABELS columns, and mask (N, 5), 1 where a row carries the task's
-    label; boxes (N, 3), each face box as (x, y, side); subjects (N,), the
-    subject ids.  `samples` gives the rows as GazeSamples, built on first
-    use, whose arrays are views of the columns.
+    TASK_LABELS columns (a dataset row carries every label); boxes (N, 3),
+    each face box as (x, y, side); subjects (N,), the subject ids.  `samples`
+    gives the rows as GazeSamples, built on first use, whose arrays are views
+    of the columns.
     """
 
     header: dict
     features: np.ndarray
     labels: np.ndarray
-    mask: np.ndarray
     boxes: np.ndarray
     subjects: np.ndarray
 
@@ -464,13 +441,14 @@ class Dataset:
         return self.header["mode"]
 
     def batch(self) -> Batch:
-        """The rows as a training batch."""
-        return Batch.from_columns(self.features, self.boxes[:, :2], self.labels, self.mask, self.intrinsics)
+        """The rows as a training batch, every task's label present."""
+        mask = np.ones((len(self), len(TASK_LABELS)))
+        return Batch.from_columns(self.features, self.boxes[:, :2], self.labels, mask, self.intrinsics)
 
     def subset(self, rows) -> "Dataset":
         """The dataset of the given rows (an index array or a boolean mask)."""
-        return Dataset(self.header, self.features[rows], self.labels[rows], self.mask[rows],
-                       self.boxes[rows], self.subjects[rows])
+        return Dataset(self.header, self.features[rows], self.labels[rows], self.boxes[rows],
+                       self.subjects[rows])
 
     def subject_ids(self) -> list[int]:
         return np.unique(self.subjects).tolist()
@@ -481,10 +459,8 @@ class Dataset:
 
     @cached_property
     def samples(self) -> list[GazeSample]:
-        # each task's row views, None where a row lacks the label; GazeSample
-        # takes its label fields in TASK_LABELS order
-        labels = [[row if present else None for row, present in zip(self.labels[:, span], self.mask[:, j].tolist())]
-                  for j, (_, span) in enumerate(TASK_LABELS.values())]
+        # each task's row views; GazeSample takes its label fields in TASK_LABELS order
+        labels = [self.labels[:, span] for _, span in TASK_LABELS.values()]
         return [GazeSample(features, BoundingBox(*box), *row_labels, subject=subject)
                 for features, box, subject, *row_labels
                 in zip(self.features, self.boxes.tolist(), self.subjects.tolist(), *labels)]
@@ -597,10 +573,8 @@ def load_dataset(path) -> Dataset:
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
     columns = np.array(values, dtype=float).reshape(len(subjects), sum(_COLUMN_WIDTHS))
-    # a row carries every task's label: the mask is all ones
     return Dataset(header=header,
                    features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
                    labels=np.ascontiguousarray(columns[:, _LABEL_COLUMNS]),
-                   mask=np.ones((len(subjects), len(TASK_LABELS))),
                    boxes=np.ascontiguousarray(columns[:, _LABEL_COLUMNS.stop:]),
                    subjects=np.array(subjects, dtype=np.int64))

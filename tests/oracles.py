@@ -163,38 +163,18 @@ def params_json_base64(params, path, **model_config):
 # ---------------------------------------------------------------------------
 # calibration rows and training batches, one row at a time
 
-REFERENCE_PARALLEL_EPS = 1e-12
-
-
 def _reference_euler(g):
     v = g / np.linalg.norm(g)
     return np.array([np.arctan2(-v[0], -v[2]), np.arcsin(-v[1])])
 
 
 def reference_calibration_row(px, intr):
-    """(g_n, g_o) of one lens-fixation frame from its box centre `px`: the
-    reversed backprojection ray, the in-plane normalization rotation built
-    by Rodrigues' formula (the identity on the optical axis), and the
-    (yaw, pitch) of the ray before and after the rotation."""
+    """g_o of one lens-fixation frame from its box centre `px`: the (yaw,
+    pitch) of the reversed backprojection ray."""
     k = intr.k_mm_per_px
     dx, dy = float(px[0]) - intr.cx, float(px[1]) - intr.cy
     ray = -np.array([dx * k, dy * k, intr.focal_px * k])
-    g_o = ray / np.linalg.norm(ray)
-
-    z = np.array([dx, dy, intr.focal_px])
-    z = z / np.linalg.norm(z)
-    sin_theta = np.hypot(z[0], z[1])
-    theta = np.arctan2(sin_theta, z[2])
-    r = (np.zeros(3) if theta < REFERENCE_PARALLEL_EPS
-         else np.array([theta * (z[1] / sin_theta), theta * (-z[0] / sin_theta), 0.0]))
-    angle = float(np.linalg.norm(r))
-    if angle < REFERENCE_PARALLEL_EPS:
-        R = np.eye(3)
-    else:
-        kx, ky, kz = r / angle
-        K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-        R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-    return _reference_euler(R @ g_o), _reference_euler(g_o)
+    return _reference_euler(ray / np.linalg.norm(ray))
 
 
 REFERENCE_LABEL_FIELDS = ("g_n", "g_o", "pogz", "r_on", "o_face")
@@ -362,7 +342,7 @@ def dataset_from_samples(header, samples):
     intr = _intrinsics(header)
     batch = Batch.from_samples(samples, intr)
     boxes = np.array([s.bbox.to_list() for s in samples], dtype=float).reshape(-1, 3)
-    return Dataset(header, batch.features, batch.labels, batch.mask, boxes,
+    return Dataset(header, batch.features, batch.labels, boxes,
                    np.array([s.subject for s in samples], dtype=np.int64))
 
 

@@ -82,8 +82,7 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-# anywhere in the image, or within 1e-9 px of the principal point, where the
-# normalization rotation is the identity (angle below PARALLEL_EPS) or just above it
+# anywhere in the image, or within 1e-9 px of the principal point
 near_axis = st.floats(-1e-9, 1e-9)
 centres = st.tuples(st.floats(0.0, 640.0) | near_axis.map(lambda e: INTR.cx + e),
                     st.floats(0.0, 480.0) | near_axis.map(lambda e: INTR.cy + e))
@@ -92,6 +91,8 @@ centres = st.tuples(st.floats(0.0, 640.0) | near_axis.map(lambda e: INTR.cx + e)
 @FUZZ
 @given(boxes=st.lists(centres, max_size=20), at=st.integers(0, 20))
 def test_calibration_view_matches_the_per_row_reference_bit_for_bit(boxes, at):
+    """g_o has the per-row reference's bits; g_n is (+0.0, +0.0), a gaze into
+    the lens running along the normalized optical axis, in an array of its own."""
     boxes.insert(at % (len(boxes) + 1), (INTR.cx, INTR.cy))   # one box exactly on the principal point
     samples = lens_frames(boxes)
     with warnings.catch_warnings():
@@ -99,11 +100,13 @@ def test_calibration_view_matches_the_per_row_reference_bit_for_bit(boxes, at):
         rows = calibration_view(samples, INTR)
     assert len(rows) == len(samples)
     for s, row in zip(samples, rows):
-        g_n, g_o = oracles.reference_calibration_row((s.bbox.x, s.bbox.y), INTR)
-        assert np.array_equal(bits(row.g_n), bits(g_n)) and np.array_equal(bits(row.g_o), bits(g_o))
+        g_o = oracles.reference_calibration_row((s.bbox.x, s.bbox.y), INTR)
+        assert np.array_equal(bits(row.g_o), bits(g_o))
+        assert bits(row.g_n).tolist() == [0, 0]
         assert np.array_equal(row.features, s.features) and not np.shares_memory(row.features, s.features)
         assert row.bbox == s.bbox and row.subject == s.subject
         assert row.pogz is None and row.r_on is None and row.o_face is None
+    assert not any(np.shares_memory(a.g_n, b.g_n) for a, b in zip(rows, rows[1:]))
 
 
 def test_calibration_view_of_no_frames_is_empty():

@@ -238,6 +238,19 @@ def test_train_folds(tmp_path, capsys):
     assert "held-out subjects [1, 3]" in printed
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_negative_folds_exit_2_before_the_snapshot(tmp_path, capsys, small_run_inputs, via):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"folds": -2}))
+    out = tmp_path / "run"
+    argv = ["--folds=-2"] if via == "flag" else ["--config", str(config)]
+    capsys.readouterr()
+    assert run("train", "--data", small_run_inputs["data"], "--epochs", "1", *argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: folds must be >= 0, got -2\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_finetune_flow(tmp_path, capsys):
     calib = tmp_path / "calib"
     run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "10",
@@ -895,3 +908,12 @@ def test_gradcheck_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.model, "gradient_check", lambda *a, **k: 1.0)
     assert run("gradcheck", "--restarts", "1", "--batch", "2") == 3
     assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--batch"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_that_would_check_nothing_exits_2(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(cli.model, "gradient_check", lambda *a, **k: pytest.fail("nothing to check"))
+    assert run("gradcheck", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be >= 1, got {value}\n" and captured.out == ""

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 import oracles
+from fuzz import FUZZ
+from gaze6d.calibration import derive_calibration_label
 from gaze6d.camera import CameraIntrinsics
 from gaze6d.easy_norm import (PARALLEL_EPS, AxisAngle, Rotation3,
                               denormalize_gaze, norm_rotation, normalize_gaze,
                               to_matrix)
 from gaze6d.errors import GeometryError
+from gaze6d.model import euler_from_vec
 
 INTR = CameraIntrinsics(500.0, 320.0, 240.0, 0.005, 640, 480)
 
@@ -46,6 +51,36 @@ def test_defining_property_maps_face_ray_to_optical_axis():
         z_n = z_s / np.linalg.norm(z_s)
         mapped = to_matrix(norm_rotation(INTR, px)).apply(z_n)
         assert np.max(np.abs(mapped - [0.0, 0.0, 1.0])) < 1e-9
+
+
+@st.composite
+def cameras_and_faces(draw):
+    """Intrinsics (focal 200-2000 px, any principal point in a 640x480 image,
+    pitch 0.001-0.02 mm) and a box centre anywhere in the image, exactly on
+    the principal point or within 1e-9 px of it."""
+    intr = CameraIntrinsics(draw(st.floats(200.0, 2000.0)), draw(st.floats(0.0, 640.0)),
+                            draw(st.floats(0.0, 480.0)), draw(st.floats(0.001, 0.02)), 640, 480)
+    near = st.floats(-1e-9, 1e-9)
+    dx, dy = draw(st.tuples(near, near) | st.just((0.0, 0.0)))
+    px = draw(st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0)) | st.just((intr.cx + dx, intr.cy + dy)))
+    return intr, px
+
+
+@FUZZ
+@given(cameras_and_faces())
+def test_norm_rotation_takes_the_face_ray_and_a_lens_gaze_onto_the_optical_axis(camera_and_face):
+    """The defining property of norm_rotation, and the fact calibration_view's
+    constant g_n rests on: a gaze into the lens normalizes to (0, 0)."""
+    intr, px = camera_and_face
+    r = norm_rotation(intr, px)
+    assert r.rz == 0.0
+    z_s = np.array([px[0] - intr.cx, px[1] - intr.cy, intr.focal_px])
+    mapped = to_matrix(r).apply(z_s / np.linalg.norm(z_s))
+    assert np.max(np.abs(mapped - [0.0, 0.0, 1.0])) < 1e-9
+    g_n = euler_from_vec(normalize_gaze(derive_calibration_label(intr, px), r))
+    # ~4e-16 where the face is rotated onto the axis; under PARALLEL_EPS off the
+    # axis the rotation is the identity and g_n keeps that offset angle
+    assert np.max(np.abs(g_n)) < PARALLEL_EPS
 
 
 def test_to_matrix_identity():

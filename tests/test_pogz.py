@@ -271,3 +271,34 @@ def test_pogz_to_pog_rows_covers_parallel_and_behind_rows():
     assert hit.tolist() == [False, True, True]
     assert behind.tolist() == [False, False, True]
     assert points[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+round_trip_rows = st.tuples(coordinates, coordinates, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                            st.floats(-1.0, 1.0))
+
+
+@FUZZ
+@given(quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4), translation=st.tuples(*[coordinates] * 3),
+       rows=st.lists(round_trip_rows, min_size=1, max_size=12))
+def test_pog_to_pogz_returns_each_point_and_negates_behind(quaternion, translation, rows):
+    """pog_to_pogz(pogz_to_pog(p, g, T), T g, T) is p to 1e-9 x max(1 mm, |PoG|),
+    and the return trip's behind flag is the outbound one negated.  Gazes within
+    1e-3 of either plane are skipped, as is the flag of a point that lies on
+    the screen plane to rounding, where the ray starts at its own PoG."""
+    q = np.array(quaternion)
+    assume(np.linalg.norm(q) > 0.1)
+    transform = RigidTransform(Rotation3(oracles.quat_to_matrix(q / np.linalg.norm(q))), np.array(translation))
+    for x, y, *g in rows:
+        g = np.array(g)
+        norm = np.linalg.norm(g)
+        if not norm > 0 or min(abs(g[2]), abs(transform.apply_direction(g)[2])) < 1e-3 * norm:
+            continue
+        p = PlanePoint(x, y)
+        pog = pogz_to_pog(p, g, transform)
+        back = pog_to_pogz(pog, transform.apply_direction(g), transform)
+        scale = max(1.0, np.hypot(pog.x, pog.y))
+        assert back.frame == FRAME_CAMERA_PLANE
+        assert np.max(np.abs(back.xy - p.xy)) <= 1e-9 * scale
+        gap = np.linalg.norm(transform.apply_point([x, y, 0.0]) - [pog.x, pog.y, 0.0])
+        if gap > 1e-9 * max(scale, np.linalg.norm(transform.translation)):
+            assert back.behind == (not pog.behind)
