@@ -14,11 +14,12 @@ is what makes the procedure screen-free.
 
 from __future__ import annotations
 
-import json
+import math
 
 import numpy as np
 
 from .camera import CameraIntrinsics
+from .jsonl import LINE_ENCODER
 
 
 def derive_calibration_label(intr: CameraIntrinsics, face_px) -> np.ndarray:
@@ -31,7 +32,7 @@ def derive_calibration_label(intr: CameraIntrinsics, face_px) -> np.ndarray:
             intr.focal_px * k,
         ]
     )
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))   # np.linalg.norm's arithmetic for a 1-D vector
 
 
 def write_calibration_set(samples, intr: CameraIntrinsics, path) -> None:
@@ -43,4 +44,4 @@ def write_calibration_set(samples, intr: CameraIntrinsics, path) -> None:
             face_px = s.bbox.center
             record = {"subject": s.subject, "face_px": face_px.tolist(), "bbox": s.bbox.to_list(),
                       "g_o": derive_calibration_label(intr, face_px).tolist()}
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(LINE_ENCODER.encode(record) + "\n")

@@ -128,13 +128,14 @@ def backproject(intr: CameraIntrinsics, pixel, depth_mm: float) -> Point3:
     """Lift a pixel to the 3-D camera-frame point at the given depth (mm)."""
     if depth_mm <= 0:
         raise GeometryError(f"depth must be positive, got {depth_mm}")
-    u, v = float(pixel[0]), float(pixel[1])
+    # Python floats: the same IEEE operations as numpy scalars, without their overhead
+    u, v, depth = float(pixel[0]), float(pixel[1]), float(depth_mm)
     return Point3(
         np.array(
             [
-                (u - intr.cx) * depth_mm / intr.focal_px,
-                (v - intr.cy) * depth_mm / intr.focal_px,
-                depth_mm,
+                (u - intr.cx) * depth / intr.focal_px,
+                (v - intr.cy) * depth / intr.focal_px,
+                depth,
             ]
         ),
         frame=FRAME_CAMERA,

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import calibration, metrics, model, synth
 from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, check_seed, describe
+from .jsonl import LINE_ENCODER
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
                    RigidTransform, pog_to_pogz, pogz_to_pog)
 
@@ -173,12 +174,14 @@ def cmd_train(args) -> int:
                   f"val_angular_deg={last.val_angular_deg:.3f}")
         return EXIT_OK
 
-    # cross-subject folds: subject id modulo fold count picks the held-out fold
-    for fold in range(folds):
-        held = [sid for sid in dataset.subject_ids() if sid % folds == fold]
-        in_fold = dataset.subjects % folds == fold
+    # cross-subject folds: subject id modulo fold count picks the held-out fold;
+    # every split is checked before the first fold trains
+    splits = [dataset.subjects % folds == fold for fold in range(folds)]
+    for fold, in_fold in enumerate(splits):
         if in_fold.all() or not in_fold.any():
             raise ConfigError(f"fold {fold}: empty split (subjects {dataset.subject_ids()})")
+    for fold, in_fold in enumerate(splits):
+        held = [sid for sid in dataset.subject_ids() if sid % folds == fold]
         fold_dir = out_dir / f"fold_{fold}"
         fold_dir.mkdir(parents=True, exist_ok=True)
         params, history = model.train(tc, dataset.subset(~in_fold))
@@ -266,7 +269,7 @@ def _convert_record(rec: dict, direction: str, transform: RigidTransform) -> dic
         out_gaze = transform.apply_inverse_direction(gaze)
     return {
         "point": [dst.x, dst.y],
-        "gaze": [float(v) for v in out_gaze],
+        "gaze": out_gaze.tolist(),
         "behind": dst.behind,
     }
 
@@ -288,7 +291,7 @@ def cmd_convert(args) -> int:
             except BAD_INPUT as exc:
                 # keep streaming: emit an error record for the bad line
                 out = {"error": describe(exc), "line": i}
-            stream_out.write(json.dumps(out, sort_keys=True) + "\n")
+            stream_out.write(LINE_ENCODER.encode(out) + "\n")
     finally:
         if args.input:
             stream_in.close()

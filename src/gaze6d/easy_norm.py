@@ -15,6 +15,7 @@ this rotation; no image warp or metric head pose is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,8 @@ class AxisAngle:
 
     @property
     def angle(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        v = self.vector
+        return math.sqrt(v.dot(v))   # np.linalg.norm's arithmetic for a 1-D vector
 
     @property
     def xy(self) -> np.ndarray:
@@ -64,7 +66,10 @@ class Rotation3:
         # each as one comparison; NaN fails both
         if not (np.abs(m.T @ m - _EYE3) <= _ORTHO_TOL).all():
             raise GeometryError("matrix is not orthonormal")
-        det = np.linalg.det(m)
+        # cofactor expansion along the first row: np.linalg.det's LU costs more
+        # than the check it serves, and both agree far inside the tolerance
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if not abs(det - 1.0) <= 1e-9 + 1e-5:
             raise GeometryError(f"matrix determinant {det:.6f} != 1")
 
@@ -83,17 +88,19 @@ def norm_rotation(intr: CameraIntrinsics, face_px) -> AxisAngle:
     dx = float(face_px[0]) - intr.cx
     dy = float(face_px[1]) - intr.cy
     z_s = np.array([dx, dy, intr.focal_px])
-    z_n = z_s / np.linalg.norm(z_s)
+    norm = math.sqrt(z_s.dot(z_s))
+    # z_n = z_s / |z_s| as Python floats: the same IEEE operations as numpy's
+    zx, zy, zz = dx / norm, dy / norm, intr.focal_px / norm
 
-    sin_theta = np.hypot(z_n[0], z_n[1])
-    theta = np.arctan2(sin_theta, z_n[2])
+    sin_theta = float(np.hypot(zx, zy))
+    theta = float(np.arctan2(sin_theta, zz))
     if theta < PARALLEL_EPS:
         return AxisAngle(0.0, 0.0)
 
     # axis = z_n x [0,0,1], unit length; this sign makes the rotation move
     # z_n onto the optical axis rather than away from it
-    axis_x = z_n[1] / sin_theta
-    axis_y = -z_n[0] / sin_theta
+    axis_x = zy / sin_theta
+    axis_y = -zx / sin_theta
     return AxisAngle(theta * axis_x, theta * axis_y)
 
 
@@ -106,9 +113,10 @@ def _rodrigues(r: AxisAngle) -> np.ndarray:
     theta = r.angle
     if theta < PARALLEL_EPS:
         return np.eye(3)
-    kx, ky, kz = r.vector / theta
+    x, y, z = r.vector.tolist()
+    kx, ky, kz = x / theta, y / theta, z / theta
     K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    return _EYE3 + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
 def to_matrix(r: AxisAngle) -> Rotation3:

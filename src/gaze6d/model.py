@@ -38,6 +38,7 @@ import numpy as np
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged,
                      bad_input, check_seed)
+from .jsonl import LINE_ENCODER
 from .pogz import PlanePoint, pogz_from_ray
 
 # task -> (GazeSample field holding its label, the label's columns in Batch.labels)
@@ -68,6 +69,10 @@ _SUM_COLUMNS = [np.where(k < _WIDTHS, _STARTS + k, _COLUMN_TASK.size) for k in r
 def vec_from_euler(e) -> np.ndarray:
     """Unit gaze direction(s) from (yaw, pitch): a (..., 2) array in, (..., 3) out."""
     e = np.asarray(e, dtype=float)
+    if e.ndim == 1:   # one pair: the products as Python floats, the same IEEE operations
+        yaw, pitch = e.tolist()
+        cp = float(np.cos(pitch))
+        return np.array([-cp * float(np.sin(yaw)), -float(np.sin(pitch)), -cp * float(np.cos(yaw))])
     yaw, pitch = e[..., 0], e[..., 1]
     cp = np.cos(pitch)
     out = np.empty(e.shape[:-1] + (3,))
@@ -80,13 +85,14 @@ def vec_from_euler(e) -> np.ndarray:
 def euler_from_vec(g) -> np.ndarray:
     """(yaw, pitch) of a gaze direction; the input need not be unit length."""
     g = np.asarray(g, dtype=float)
-    n = np.linalg.norm(g)
+    n = math.sqrt(g.dot(g))   # np.linalg.norm's arithmetic for a 1-D vector
     if n == 0:
         raise GeometryError("zero gaze vector has no direction")
-    v = g / n
-    if abs(v[1]) >= 1.0:
+    x, y, z = g.tolist()
+    vx, vy, vz = x / n, y / n, z / n
+    if abs(vy) >= 1.0:
         raise GimbalLockError("gaze along the y-axis: yaw is undefined")
-    return np.array([np.arctan2(-v[0], -v[2]), np.arcsin(-v[1])])
+    return np.array([np.arctan2(-vx, -vz), np.arcsin(-vy)])
 
 
 def angular_deg(E_a, E_b) -> np.ndarray:
@@ -225,7 +231,7 @@ def save_params(params: ModelParams, path) -> None:
         },
     }
     with open(path, "w") as f:
-        f.write(json.dumps(doc, sort_keys=True))
+        f.write(LINE_ENCODER.encode(doc))
 
 
 def load_params(path) -> ModelParams:
@@ -786,7 +792,8 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
                 idx = perm[lo:lo + batch_size]
                 _, total, terms = backward(params, data.subset(idx), weights, out=grads)
                 if not np.isfinite(total):
-                    bad = [t for t in TASKS if not np.isfinite(terms[t])]
+                    # a weighted term: a finite term times a huge weight overflows too
+                    bad = [t for t in TASKS if not np.isfinite(weights.value(t) * terms[t])]
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
                                            f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
                 # a finite loss can still have non-finite gradients, e.g. from an

@@ -10,6 +10,7 @@ with the screen surface as the plane z = 0 of the screen frame.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,19 +109,17 @@ def row_norms(V: np.ndarray) -> np.ndarray:
 
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
+    norm = math.sqrt(d.dot(d))   # np.linalg.norm's arithmetic for a 1-D vector
     if not norm > 0:  # a zero vector, or one whose squared norm underflows
         raise GeometryError(f"gaze direction {d} has no length")
-    d = d / norm
-    if abs(d[2]) < RAY_EPS:
-        raise RayParallelError(f"gaze direction {d} is parallel to the z=0 plane")
-    lam = -origin[2] / d[2]
-    return PlanePoint(
-        x=float(origin[0] + lam * d[0]),
-        y=float(origin[1] + lam * d[1]),
-        frame=frame,
-        behind=bool(lam < 0),
-    )
+    # the rest as Python floats: the same IEEE operations as numpy's
+    x, y, z = d.tolist()
+    dx, dy, dz = x / norm, y / norm, z / norm
+    if abs(dz) < RAY_EPS:
+        raise RayParallelError(f"gaze direction {d / norm} is parallel to the z=0 plane")
+    ox, oy, oz = origin.tolist()
+    lam = -oz / dz
+    return PlanePoint(x=ox + lam * dx, y=oy + lam * dy, frame=frame, behind=lam < 0)
 
 
 def pogz_from_ray(origin: Point3, g_o: np.ndarray) -> PlanePoint:

@@ -25,6 +25,7 @@ frames can be produced independently in any order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
 from .errors import ConfigError, GimbalLockError, bad_input, check_seed
+from .jsonl import LINE_ENCODER
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray, row_norms
 
@@ -44,6 +46,10 @@ MAX_REJECTION_DRAWS = 1000
 
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
+
+# the largest magnitude a loaded row value may have, in its field's unit
+# (millimetres, pixels or radians): no desk-scale quantity comes near it
+MAX_ABS_VALUE = 1e9
 
 # default per-subject bias range and feature noise (radians), and the largest
 # bias a subject may carry
@@ -72,7 +78,8 @@ class ClippedGaussian:
             raise ConfigError(f"empty range [{self.lo}, {self.hi}]")
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(np.clip(rng.normal(self.mean, self.std), self.lo, self.hi))
+        # np.clip's result for a scalar, without its array dispatch
+        return min(max(float(rng.normal(self.mean, self.std)), self.lo), self.hi)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean, "std": self.std, "lo": self.lo, "hi": self.hi}
@@ -224,7 +231,7 @@ class GazeSample:
     head_pose: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {**{k: [float(v) for v in getattr(self, k)] for k in _VECTOR_FIELDS},
+        return {**{k: getattr(self, k).tolist() for k in _VECTOR_FIELDS},
                 "bbox": self.bbox.to_list(), "subject": self.subject}
 
     @classmethod
@@ -285,16 +292,12 @@ def render_features(
     The gaze channel carries the subject's kappa offset, the four angular
     channels carry i.i.d. Gaussian noise, the box channel is exact.
     """
-    noise = rng.normal(0.0, 1.0, size=4) * subject.noise_sigma
-    f = np.empty(FEATURE_DIM)
-    f[0] = sample.g_n[0] + subject.kappa_yaw + noise[0]
-    f[1] = sample.g_n[1] + subject.kappa_pitch + noise[1]
-    f[2] = sample.head_pose[0] + noise[2]
-    f[3] = sample.head_pose[1] + noise[3]
-    f[4] = sample.bbox.x / intr.width
-    f[5] = sample.bbox.y / intr.height
-    f[6] = sample.bbox.side / intr.width
-    return f
+    n0, n1, n2, n3 = (rng.normal(0.0, 1.0, size=4) * subject.noise_sigma).tolist()
+    (gaze_yaw, gaze_pitch), (head_yaw, head_pitch) = sample.g_n.tolist(), sample.head_pose.tolist()
+    box = sample.bbox
+    return np.array([gaze_yaw + subject.kappa_yaw + n0, gaze_pitch + subject.kappa_pitch + n1,
+                     head_yaw + n2, head_pitch + n3,
+                     box.x / intr.width, box.y / intr.height, box.side / intr.width])
 
 
 def sample_frame(
@@ -400,12 +403,12 @@ def generate_dataset(
     # only the four sampled attributes are kept for the stats, not the frames
     attributes = np.empty((4, len(subjects) * n_per_subject))
     with open(out_path, "w") as f:
-        f.write(json.dumps(dataset_header(cfg, subjects, n_per_subject, mode), sort_keys=True) + "\n")
+        f.write(LINE_ENCODER.encode(dataset_header(cfg, subjects, n_per_subject, mode)) + "\n")
         for j, subj in enumerate(subjects):
             for i in range(n_per_subject):
                 s = sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
-                attributes[:, j * n_per_subject + i] = (s.g_n[0], s.g_n[1], s.head_pose[0], s.head_pose[1])
-                f.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
+                attributes[:, j * n_per_subject + i] = (*s.g_n.tolist(), *s.head_pose.tolist())
+                f.write(LINE_ENCODER.encode(s.to_dict()) + "\n")
 
     if not attributes.size:
         return {}
@@ -474,6 +477,10 @@ _COLUMN_FIELDS = _VECTOR_FIELDS + ("bbox",)
 _COLUMN_WIDTHS = [_ROW_LENGTHS[k] for k in _COLUMN_FIELDS]
 _LIST_TYPES = [list] * len(_COLUMN_FIELDS)
 _LABEL_COLUMNS = slice(FEATURE_DIM, FEATURE_DIM + sum(_COLUMN_WIDTHS[1:-1]))
+# each field's first column, each column's field, and the face depth's column
+_COLUMN_STARTS = dict(zip(_COLUMN_FIELDS, itertools.accumulate(_COLUMN_WIDTHS, initial=0)))
+_COLUMN_NAMES = [k for k, n in zip(_COLUMN_FIELDS, _COLUMN_WIDTHS) for _ in range(n)]
+_FACE_DEPTH = _COLUMN_STARTS["o_face"] + 2
 
 # a subject id is a JSON integer that fits the int64 subject column
 _SUBJECT_RANGE = range(-2**63, 2**63)
@@ -549,6 +556,27 @@ def _header_from_line(line: str) -> dict:
     return header
 
 
+def _row_line(path, row: int) -> int:
+    """The file line of the data row at index `row`: line 1 is the header,
+    and a blank line holds no row."""
+    with open(path, "rb") as f:
+        lines = (n for n, line in enumerate(f, start=1) if n > 1 and line.decode().strip())
+        return next(itertools.islice(lines, row, None))
+
+
+def _check_physical(path, columns: np.ndarray) -> None:
+    """The physical rule of load_dataset, over the loaded columns at once."""
+    huge = np.abs(columns) > MAX_ABS_VALUE
+    rows = np.flatnonzero(huge.any(axis=1) | ~(columns[:, _FACE_DEPTH] > 0))
+    if rows.size:
+        row = rows[0]
+        key = _COLUMN_NAMES[np.argmax(huge[row])] if huge[row].any() else "o_face"
+        values = columns[row, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
+        what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge[row].any()
+                else "o_face must lie in front of the camera (z > 0)")
+        raise ConfigError(f"{path}:{_row_line(path, row)}: {what}, got {values!r}")
+
+
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset, as columns.
 
@@ -558,6 +586,13 @@ def load_dataset(path) -> Dataset:
     its length, a box side that is not positive, a NaN, Infinity, too large
     or non-finite number (1e999 included), or a byte that is not UTF-8, are a
     ConfigError naming the file and line.
+
+    Every row must also be physical: each value at most MAX_ABS_VALUE (1e9)
+    in magnitude, in millimetres, pixels or radians, and the face centre
+    `o_face` in front of the camera (z > 0).  This is checked over the
+    columns once every row has parsed, so a row that breaks a rule above is
+    reported first; a row that breaks this one is a ConfigError naming the
+    file and line as well.
     """
     header, values, subjects, line_no = None, [], [], 0
     # decoded line by line: text mode decodes in chunks, past the line at fault
@@ -573,6 +608,7 @@ def load_dataset(path) -> Dataset:
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
     columns = np.array(values, dtype=float).reshape(len(subjects), sum(_COLUMN_WIDTHS))
+    _check_physical(path, columns)
     return Dataset(header=header,
                    features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
                    labels=np.ascontiguousarray(columns[:, _LABEL_COLUMNS]),

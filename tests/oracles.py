@@ -408,3 +408,56 @@ def reference_evaluate(params, samples, intr, screen_transform=None):
     return EvalReport(per_subject=[stats(str(sid), subject_of == sid) for sid in sorted(set(subject_of.tolist()))],
                       overall=stats("all", np.ones(len(samples), dtype=bool)))
 
+
+
+# ---------------------------------------------------------------------------
+# JSONL writers: one json.dumps(sort_keys=True) per line, float() per value
+
+def reference_dataset_text(cfg, subjects, n_per_subject, mode):
+    """The dataset file generate_dataset writes for these arguments, over the
+    same sample_frame draws: the header, then one row per frame."""
+    from gaze6d.synth import dataset_header, frame_rng, sample_frame
+
+    lines = [json.dumps(dataset_header(cfg, subjects, n_per_subject, mode), sort_keys=True)]
+    for subject in subjects:
+        for i in range(n_per_subject):
+            s = sample_frame(subject, cfg, frame_rng(cfg.seed, subject.id, i), calibration=mode == "calibration")
+            row = {field: [float(v) for v in getattr(s, field)] for field in ("features",) + REFERENCE_LABEL_FIELDS}
+            row.update(bbox=[s.bbox.x, s.bbox.y, s.bbox.side], subject=s.subject)
+            lines.append(json.dumps(row, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_calibration_records_text(samples, intr):
+    """calibration_records.jsonl for lens-fixation frames: each frame's
+    subject, box, face pixel (the box centre) and the unit reversed
+    backprojection ray of that pixel."""
+    k = intr.k_mm_per_px
+    lines = []
+    for s in samples:
+        ray = -np.array([(s.bbox.x - intr.cx) * k, (s.bbox.y - intr.cy) * k, intr.focal_px * k])
+        record = {"subject": s.subject, "face_px": [s.bbox.x, s.bbox.y], "bbox": [s.bbox.x, s.bbox.y, s.bbox.side],
+                  "g_o": [float(v) for v in ray / np.linalg.norm(ray)]}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def reference_convert_record(point, gaze, R, t, direction, line):
+    """What `convert --dir direction` writes for the finite record on input
+    line `line`, in numpy arithmetic throughout: the point carried to the
+    other plane with the gaze rotated, or the error record of a gaze with no
+    length or parallel to the target plane."""
+    R, t, g = np.asarray(R, dtype=float), np.asarray(t, dtype=float), np.asarray(gaze, dtype=float)
+    if direction == "pog2pogz":   # the inverse motion p = R^T p' - R^T t
+        R, t = R.T, -R.T @ t
+    origin = R @ np.array([point[0], point[1], 0.0]) + t
+    d = R @ g
+    norm = np.linalg.norm(d)
+    if not norm > 0:
+        return {"error": f"gaze direction {d} has no length", "line": line}
+    d = d / norm
+    if abs(d[2]) < 1e-9:
+        return {"error": f"gaze direction {d} is parallel to the z=0 plane", "line": line}
+    lam = -origin[2] / d[2]
+    return {"point": [float(origin[0] + lam * d[0]), float(origin[1] + lam * d[1])],
+            "gaze": [float(v) for v in R @ g], "behind": bool(lam < 0)}

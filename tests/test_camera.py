@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fuzz import FUZZ
 from gaze6d.camera import (FRAME_CAMERA, FRAME_SCREEN, BoundingBox,
                            CameraIntrinsics, Point3, backproject, project)
 from gaze6d.errors import (BehindCameraError, FrameMismatchError,
@@ -100,3 +103,34 @@ def test_backproject_matches_similar_triangles():
         p = backproject(INTR, px, depth).xyz
         assert p[0] / p[2] == pytest.approx((px[0] - INTR.cx) / INTR.focal_px, abs=1e-12)
         assert p[1] / p[2] == pytest.approx((px[1] - INTR.cy) / INTR.focal_px, abs=1e-12)
+
+
+@st.composite
+def cameras(draw):
+    """Intrinsics: focal 100-5000 px and any principal point of a 640x480 image."""
+    return CameraIntrinsics(draw(st.floats(100.0, 5000.0)), draw(st.floats(0.0, 640.0)),
+                            draw(st.floats(0.0, 480.0)), draw(st.floats(0.001, 0.02)), 640, 480)
+
+
+depths = st.floats(1e-3, 1e6)
+
+
+@FUZZ
+@given(cameras(), st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0)), depths)
+def test_project_returns_the_pixel_backproject_lifted(intr, px, depth):
+    """A box centre anywhere in the image, lifted to any depth, projects back
+    onto itself; the lifted point sits at exactly that depth."""
+    p = backproject(intr, px, depth)
+    assert p.frame == FRAME_CAMERA and p.z == depth
+    assert np.max(np.abs(project(intr, p) - px)) < 1e-10
+
+
+@FUZZ
+@given(cameras(), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), depths)
+def test_backproject_at_its_depth_returns_the_projected_point(intr, slope, depth):
+    """Any point in front of the camera (lateral offsets up to twice its depth)
+    is recovered from its pixel and its depth, to rounding: the pixel's
+    absolute error of ~1e-13 px grows by depth / focal."""
+    point = np.array([slope[0] * depth, slope[1] * depth, depth])
+    back = backproject(intr, project(intr, Point3(point, FRAME_CAMERA)), depth).xyz
+    assert np.all(np.abs(back - point) <= 1e-12 * (np.abs(point) + depth * 640 / intr.focal_px))

@@ -190,8 +190,8 @@ def test_train_rerun_from_snapshot_identical(tmp_path):
 
 
 def write_huge_label_set(tmp_path):
-    """A 6-row dataset whose fourth row has a finite face label of 1.7e308 mm
-    per axis: the row loads, and its face term overflows to inf in training."""
+    """A 6-row dataset whose fourth row (file line 4) has a finite face label
+    of 1.7e308 mm per axis, whose loss term would overflow to inf."""
     gen = tmp_path / "gen"
     run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
     lines = (gen / "dataset.jsonl").read_text().splitlines()
@@ -200,12 +200,33 @@ def write_huge_label_set(tmp_path):
     return gen / "dataset.jsonl"
 
 
-def test_train_stops_on_a_non_finite_loss_with_exit_3(tmp_path, capsys):
+def test_train_rejects_an_overflow_sized_label_at_load(tmp_path, capsys):
     data = write_huge_label_set(tmp_path)
     capsys.readouterr()
     out = tmp_path / "train"
+    assert run("train", "--data", str(data), "--epochs", "1", "--batch-size", "8", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: {data}:4: o_face values must be at most 1e+09 in magnitude, "
+                                       f"got [1.7e+308, 1.7e+308, 1.7e+308]\n")
+    assert not (out / "params.json").exists()
+
+
+def write_small_set(tmp_path):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
+    return gen / "dataset.jsonl"
+
+
+# a loss weight of 1e308 makes the face task's weighted term overflow to inf
+# on the first step; a loaded dataset cannot, as load_dataset bounds its values
+HUGE_FACE_WEIGHT = ("--lambda-face", "1e308")
+
+
+def test_train_stops_on_a_non_finite_loss_with_exit_3(tmp_path, capsys):
+    data = write_small_set(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "train"
     assert run("train", "--data", str(data), "--epochs", "1",
-               "--batch-size", "8", "--out", str(out)) == 3
+               "--batch-size", "8", *HUGE_FACE_WEIGHT, "--out", str(out)) == 3
     assert (capsys.readouterr().err == "numeric failure: non-finite loss at epoch 0, step 0 "
                                        "(batch offset 0), task terms: face\n")
     assert not (out / "params.json").exists()
@@ -213,11 +234,11 @@ def test_train_stops_on_a_non_finite_loss_with_exit_3(tmp_path, capsys):
 
 def test_non_finite_loss_exit_writes_only_the_failure_line(tmp_path):
     # a separate process, so that any numpy warning reaches the real stderr
-    data = write_huge_label_set(tmp_path)
+    data = write_small_set(tmp_path)
     src = str(Path(gaze6d.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "gaze6d.cli", "train", "--data", str(data),
-                           "--epochs", "1", "--out", str(tmp_path / "train")],
+                           "--epochs", "1", *HUGE_FACE_WEIGHT, "--out", str(tmp_path / "train")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numeric failure: non-finite loss at epoch 0, step 0 ")
@@ -236,6 +257,22 @@ def test_train_folds(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "held-out subjects [0, 2]" in printed
     assert "held-out subjects [1, 3]" in printed
+
+
+def test_train_folds_checks_every_split_before_any_fold_trains(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run("gen", "--subjects", "2", "--frames", "10", "--seed", "6", "--out", str(gen))
+    data = str(gen / "dataset.jsonl")
+    for folds, empty in ((1, 0), (3, 2)):
+        out = tmp_path / f"folds_{folds}"
+        capsys.readouterr()
+        assert run("train", "--data", data, "--folds", str(folds), "--epochs", "1",
+                   "--batch-size", "8", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: fold {empty}: empty split (subjects [0, 1])\n"
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    out = tmp_path / "folds_2"
+    assert run("train", "--data", data, "--folds", "2", "--epochs", "1", "--batch-size", "8", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("fold_*")) == ["fold_0", "fold_1"]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -896,6 +933,46 @@ def test_convert_file_io(tmp_path):
                "--input", str(src), "--output", str(dst)) == 0
     rec = json.loads(dst.read_text())
     assert rec["point"] == pytest.approx([7.0, 8.0])
+
+
+def test_convert_writes_the_reference_bytes_in_both_directions(tmp_path):
+    """Every output line, error records included, is json.dumps(sort_keys=True)
+    of the reference record."""
+    R = oracles.rotation_matrix_from_axis_angle([0.6, 0.0, 0.8], 0.4)
+    t = (210.0, -40.0, 15.0)
+    transform = write_transform(tmp_path / "t.json", R=R, t=t)
+    rng = np.random.default_rng(61)
+    records = [(rng.normal(0.0, 200.0, 2).tolist(), rng.normal(size=3).tolist()) for _ in range(200)]
+    records[5] = ([1.0, 2.0], [0.0, 0.0, 0.0])                       # no direction
+    records[6] = ([1.0, 2.0], (R.T @ [0.6, 0.8, 0.0]).tolist())       # parallel to the screen
+    records[8] = ([1.0, 2.0], (R @ [0.6, 0.8, 0.0]).tolist())         # parallel to the camera plane
+    lines = [json.dumps({"point": p, "gaze": g}) for p, g in records]
+    errors = {3: ('{"point": [NaN, 1.0], "gaze": [0.0, 0.0, -1.0]}',
+                  "non-finite point [nan, 1.0] or gaze [0.0, 0.0, -1.0]"),
+              11: ("not json", "Expecting value: line 1 column 1 (char 0)"),
+              12: (json.dumps({"point": [1.0, 2.0]}), "missing key 'gaze'")}
+    for i, (line, _) in errors.items():
+        lines[i] = line
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    for direction in ("pogz2pog", "pog2pogz"):
+        dst = tmp_path / f"{direction}.jsonl"
+        assert run("convert", "--dir", direction, "--transform", str(transform),
+                   "--input", str(src), "--output", str(dst)) == 0
+        want = [{"error": errors[i][1], "line": i} if i in errors
+                else oracles.reference_convert_record(p, g, R, t, direction, i)
+                for i, (p, g) in enumerate(records)]
+        assert sum("error" in w for w in want) == 5   # one of records 6 and 8 is parallel
+        assert dst.read_text() == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
+
+
+def test_gen_calibration_records_are_the_reference_bytes(tmp_path):
+    out = tmp_path / "cal"
+    assert run("gen", "--mode", "calibration", "--subjects", "3", "--frames", "20", "--seed", "9",
+               "--out", str(out)) == 0
+    ds = load_dataset(out / "dataset.jsonl")
+    assert ((out / "calibration_records.jsonl").read_text()
+            == oracles.reference_calibration_records_text(ds.samples, ds.intrinsics))
 
 
 def test_gradcheck_passes(capsys):

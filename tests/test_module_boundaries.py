@@ -105,6 +105,38 @@ def test_the_bad_input_check_sees_every_form(tmp_path):
                                       "probe.py:7: Exception"]
 
 
+def per_line_dumps(path: Path) -> list[str]:
+    """`json.dumps(..., sort_keys=True)` calls with default separators and no
+    indent in the source file at `path`: JSONL line encodings, which belong
+    to gaze6d.jsonl.LINE_ENCODER."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            keywords = {k.arg: k.value for k in node.keywords}
+            sort_keys = keywords.get("sort_keys")
+            if (name == "dumps" and isinstance(sort_keys, ast.Constant) and sort_keys.value is True
+                    and not {"indent", "separators"} & set(keywords)):
+                found.append((node.lineno, f"{path.name}:{node.lineno}: dumps"))
+    return [call for _, call in sorted(found)]
+
+
+def test_every_jsonl_line_goes_through_the_shared_encoder():
+    found = [call for path in sorted(PACKAGE_DIR.glob("*.py")) for call in per_line_dumps(path)]
+    assert found == []
+
+
+def test_the_line_encoder_check_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("f.write(json.dumps(row, sort_keys=True) + '\\n')\n"
+                   "line = dumps({'a': 1}, sort_keys=True)\n"
+                   "blob = json.dumps(cfg, sort_keys=True, separators=(',', ':'))\n"
+                   "text = json.dumps(doc, indent=2, sort_keys=True)\n"
+                   "plain = json.dumps(rec)\n"
+                   "line = LINE_ENCODER.encode(row)\n")
+    assert per_line_dumps(src) == ["probe.py:1: dumps", "probe.py:2: dumps"]
+
+
 def test_all_is_exactly_the_public_names_of_the_package():
     exported = gaze6d.__all__
     assert len(exported) == len(set(exported)), "duplicate entries in __all__"

@@ -362,6 +362,36 @@ def test_load_dataset_names_the_bad_row(tmp_path, edit, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (setting("o_face", [0.0, 0.0, 0.0]), "o_face must lie in front of the camera (z > 0), got [0.0, 0.0, 0.0]"),
+    (setting("o_face", [10.0, -5.0, -600.0]),
+     "o_face must lie in front of the camera (z > 0), got [10.0, -5.0, -600.0]"),
+    (setting("o_face", [1.7e308] * 3),
+     "o_face values must be at most 1e+09 in magnitude, got [1.7e+308, 1.7e+308, 1.7e+308]"),
+    (setting("pogz", [0.5, -2e9]), "pogz values must be at most 1e+09 in magnitude, got [0.5, -2000000000.0]"),
+    (setting("features", [0.0] * 6 + [1e10]), "features values must be at most 1e+09 in magnitude, got [0.0, "),
+    (setting("bbox", [1e12, 240.0, 90.0]),
+     "bbox values must be at most 1e+09 in magnitude, got [1000000000000.0, 240.0, 90.0]"),
+])
+def test_load_dataset_names_a_row_that_is_not_physical(tmp_path, edit, message):
+    path = write_with_bad_row(tmp_path / "bad.jsonl", edit)
+    lines = path.read_text().splitlines()
+    lines.insert(2, "")   # a blank line: the bad row moves to line 4
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:4: {message}")
+
+
+def test_load_dataset_reports_a_row_that_does_not_parse_before_one_that_is_not_physical(tmp_path):
+    path = write_with_bad_row(tmp_path / "bad.jsonl", '{"features": [0.1,')
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "o_face": [0.0, 0.0, -1.0]})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^{path}:3: Expecting value"):
+        load_dataset(path)
+
+
 VECTOR_LENGTHS = {"features": 7, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
 _FUZZ_CFG = SceneConfig(seed=15)
 VALID_HEADER = dataset_header(_FUZZ_CFG, [Subject(0)], 1, "general")
@@ -470,3 +500,11 @@ def test_loaded_columns_match_the_per_row_reference_bit_for_bit(tmp_path, mode):
     assert ds.subject_ids() == [0, 1, 2]
     assert [s.subject for s in ds.by_subject(1)] == [1] * 40
     assert same_bits(ds.subset(ds.subjects == 2).features, batch.features[80:])
+
+
+@pytest.mark.parametrize("mode", ["general", "calibration"])
+def test_generate_dataset_writes_the_reference_bytes(tmp_path, mode):
+    cfg, subjects = SceneConfig(seed=18), make_subjects(3, seed=18)
+    path = tmp_path / f"{mode}.jsonl"
+    generate_dataset(cfg, subjects, 40, mode, path)
+    assert path.read_text() == oracles.reference_dataset_text(cfg, subjects, 40, mode)
