@@ -2,8 +2,8 @@
 
 Subcommands cover the whole pipeline: dataset generation, training,
 per-subject fine-tuning, evaluation, plane-point conversion, and a gradient
-self-check.  Every run directory gets a config.json snapshot; rerunning a
-command from its snapshot reproduces the outputs byte for byte.
+self-check.  A run directory gets its config.json snapshot once the inputs
+are read; rerunning a command from it reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or config error, 3 numeric failure.
 Set GAZE6D_LOG=DEBUG|INFO|WARNING for logging verbosity.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, metrics, model, synth
+from . import metrics, model, synth
 from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, check_seed, describe
 from .jsonl import LINE_ENCODER
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
@@ -118,6 +118,14 @@ def _write_snapshot(args, settings: dict, **more) -> Path:
     return out_dir
 
 
+def _load_rows(path) -> synth.Dataset:
+    """The dataset at `path`; one with no rows is a ConfigError naming the file."""
+    dataset = synth.load_dataset(path)
+    if not len(dataset):
+        raise ConfigError(f"{path}: no rows after the header")
+    return dataset
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -135,12 +143,6 @@ def cmd_gen(args) -> int:
 
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
     log.info("wrote %s", out_dir / "dataset.jsonl")
-
-    if mode == "calibration":
-        ds = synth.load_dataset(out_dir / "dataset.jsonl")
-        calibration.write_calibration_set(ds.samples, scene.intrinsics,
-                                          out_dir / "calibration_records.jsonl")
-
     print(f"dataset: {out_dir / 'dataset.jsonl'} ({n_subjects} subjects x {frames} frames, mode={mode})")
     if stats:
         print(f"{'attribute':>12}  {'mean':>8} {'target':>8}  {'std':>8} {'target':>8}")
@@ -161,9 +163,15 @@ def cmd_train(args) -> int:
     if folds < 0:
         raise ConfigError(f"folds must be >= 0, got {folds}")
     tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    dataset = _load_rows(settings["data"])
+    # cross-subject folds: subject id modulo fold count picks the held-out fold;
+    # every split is checked before the run directory is made
+    splits = [dataset.subjects % folds == fold for fold in range(folds)]
+    for fold, in_fold in enumerate(splits):
+        if in_fold.all() or not in_fold.any():
+            raise ConfigError(f"fold {fold}: empty split (subjects {dataset.subject_ids()})")
     out_dir = _write_snapshot(args, settings)
 
-    dataset = synth.load_dataset(settings["data"])
     if folds <= 0:
         params, history = model.train(tc, dataset)
         model.save_params(params, out_dir / "params.json")
@@ -174,12 +182,6 @@ def cmd_train(args) -> int:
                   f"val_angular_deg={last.val_angular_deg:.3f}")
         return EXIT_OK
 
-    # cross-subject folds: subject id modulo fold count picks the held-out fold;
-    # every split is checked before the first fold trains
-    splits = [dataset.subjects % folds == fold for fold in range(folds)]
-    for fold, in_fold in enumerate(splits):
-        if in_fold.all() or not in_fold.any():
-            raise ConfigError(f"fold {fold}: empty split (subjects {dataset.subject_ids()})")
     for fold, in_fold in enumerate(splits):
         held = [sid for sid in dataset.subject_ids() if sid % folds == fold]
         fold_dir = out_dir / f"fold_{fold}"
@@ -204,15 +206,15 @@ def cmd_finetune(args) -> int:
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
     tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    base = model.load_params(params_path)
+    calib = _load_rows(calib_path)
+    if subject_filter not in (None, *calib.subject_ids()):
+        raise ConfigError(f"no calibration frames for subject {subject_filter} in {calib_path}")
+    subjects = calib.subject_ids() if subject_filter is None else [subject_filter]
     out_dir = _write_snapshot(args, settings)
 
-    base = model.load_params(params_path)
-    calib = synth.load_dataset(calib_path)
-    subjects = calib.subject_ids() if subject_filter is None else [subject_filter]
     for sid in subjects:
         rows = calib.by_subject(sid)
-        if not rows:
-            raise ConfigError(f"no calibration frames for subject {sid} in {calib_path}")
         used = rows[: math.ceil(len(rows) * tc.calibration_fraction)]
         if calib.mode == "calibration":
             # lens-fixation frames: labels come from the pixel derivation only
@@ -233,12 +235,12 @@ def cmd_eval(args) -> int:
     params_path, data_path, screen_path = (settings[k] for k in ("params", "data", "screen"))
     if params_path is None or data_path is None:
         raise ConfigError("eval needs --params and --data")
-    out_dir = _write_snapshot(args, settings)
-
     # the transform is small: a bad one is reported before the params and rows load
     transform = None if screen_path is None else RigidTransform.load(screen_path)
     params = model.load_params(params_path)
-    dataset = synth.load_dataset(data_path)
+    dataset = _load_rows(data_path)
+    out_dir = _write_snapshot(args, settings)
+
     report = metrics.evaluate(params, dataset, screen_transform=transform)
     (out_dir / "report.csv").write_text(report.to_csv())
     print(report.table())

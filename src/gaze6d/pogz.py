@@ -50,9 +50,11 @@ class RigidTransform:
 
     rotation: Rotation3
     translation: np.ndarray
+    inverse_translation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
+        object.__setattr__(self, "inverse_translation", -self.rotation.matrix.T @ self.translation)
 
     def apply_point(self, p: np.ndarray) -> np.ndarray:
         return self.rotation.matrix @ np.asarray(p, dtype=float) + self.translation
@@ -63,15 +65,13 @@ class RigidTransform:
 
     @property
     def inverse(self) -> "RigidTransform":
-        rt = self.rotation.matrix.T
-        return RigidTransform(Rotation3(rt), -rt @ self.translation)
+        return RigidTransform(Rotation3(self.rotation.matrix.T), self.inverse_translation)
 
     # the inverse motion p = R^T p' - R^T t, applied without building (and
     # validating) a new transform; same arithmetic as `inverse`'s methods
 
     def apply_inverse_point(self, p: np.ndarray) -> np.ndarray:
-        rt = self.rotation.matrix.T
-        return rt @ np.asarray(p, dtype=float) + (-rt @ self.translation)
+        return self.rotation.matrix.T @ np.asarray(p, dtype=float) + self.inverse_translation
 
     def apply_inverse_direction(self, d: np.ndarray) -> np.ndarray:
         return self.rotation.matrix.T @ np.asarray(d, dtype=float)

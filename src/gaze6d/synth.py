@@ -34,12 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from . import calibration as _calibration
-from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .easy_norm import denormalize_gaze, norm_rotation, normalize_gaze
-from .errors import ConfigError, GimbalLockError, bad_input, check_seed
+from .camera import BoundingBox, CameraIntrinsics, backproject
+from .easy_norm import denormalize_gaze, norm_rotation
+from .errors import ConfigError, bad_input, check_seed
 from .jsonl import LINE_ENCODER
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
-from .pogz import pogz_from_ray, row_norms
+from .pogz import pogz_from_ray
 
 SCHEMA_VERSION = 1
 MAX_REJECTION_DRAWS = 1000
@@ -240,43 +240,17 @@ class GazeSample:
                    **{k: np.array(d[k], dtype=float) for k in _VECTOR_FIELDS})
 
 
-def _euler_rows(G: np.ndarray) -> np.ndarray:
-    """euler_from_vec of each row of G, bit for bit: an (N, 2) array.  The
-    rows here are unit length up to rounding, so none is zero."""
-    vx, vy, vz = (G / row_norms(G)[:, None]).T
-    if (np.abs(vy) >= 1.0).any():
-        raise GimbalLockError("gaze along the y-axis: yaw is undefined")
-    return np.column_stack([np.arctan2(-vx, -vz), np.arcsin(-vy)])
-
-
 def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
-    """Reduce lens-fixation frames to what a calibration session observes.
-
-    Keeps features, box and subject.  The labels are re-derived from the
-    face pixel alone, which is all a real recording provides: g_o is the
-    camera direction, and g_n is (0, 0), since normalization turns the face
-    direction, and with it a gaze into the lens, onto the optical axis.
-    Positional labels are absent, so rows from this view supervise only the
-    two gaze heads during fine-tuning.
-
-    All rows go through one pass over the (N, 2) box centres; each row's g_o
-    is bit for bit what derive_calibration_label and euler_from_vec give for
-    its pixel alone.
-    """
-    if not samples:
-        return []
-    n = len(samples)
-    features = np.array([s.features for s in samples], dtype=float)
-    d = np.array([(s.bbox.x, s.bbox.y) for s in samples], dtype=float) - intr.principal
-
-    # derive_calibration_label: the backprojection ray reversed, unit length
-    k = intr.k_mm_per_px
-    g_o = -np.column_stack([d * k, np.full(n, intr.focal_px * k)])
-    g_o /= row_norms(g_o)[:, None]
-
-    return [GazeSample(features=f, bbox=s.bbox, g_n=np.zeros(2), g_o=e_o, pogz=None, r_on=None, o_face=None,
-                       subject=s.subject)
-            for s, f, e_o in zip(samples, features, _euler_rows(g_o))]
+    """Reduce lens-fixation frames to what a calibration session observes: a
+    copy of each frame's features, its box and subject, and the labels a real
+    recording provides, from the face pixel alone.  g_o is the camera
+    direction, derived as sample_frame derives it, and g_n is (0, 0), the
+    normalized optical axis.  Positional labels are absent, so these rows
+    supervise only the two gaze heads during fine-tuning."""
+    return [GazeSample(features=np.array(s.features, dtype=float), bbox=s.bbox, g_n=np.zeros(2),
+                       g_o=euler_from_vec(_calibration.derive_calibration_label(intr, (s.bbox.x, s.bbox.y))),
+                       pogz=None, r_on=None, o_face=None, subject=s.subject)
+            for s in samples]
 
 
 def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:
@@ -305,8 +279,9 @@ def sample_frame(
 ) -> GazeSample:
     """Draw one frame and compute all labels through the camera geometry.
 
-    With calibration=True the gaze target is pinned at the camera origin
-    (lens fixation) and the gaze label comes from the face pixel.
+    With calibration=True the gaze target is the camera origin (lens
+    fixation): g_o comes from the face pixel, and g_n is (0, 0), since
+    normalization turns a gaze into the lens onto the optical axis.
     """
     intr = cfg.intrinsics
     W, H = intr.width, intr.height
@@ -326,12 +301,10 @@ def sample_frame(
 
         if calibration:
             g_o_vec = _calibration.derive_calibration_label(intr, face_px)
-            g_n_vec = normalize_gaze(g_o_vec, r_on)
-            gaze_n = euler_from_vec(g_n_vec)
+            gaze_n = np.zeros(2)
         else:
             gaze_n = np.array([cfg.gaze_yaw.sample(rng), cfg.gaze_pitch.sample(rng)])
-            g_n_vec = vec_from_euler(gaze_n)
-            g_o_vec = denormalize_gaze(g_n_vec, r_on)
+            g_o_vec = denormalize_gaze(vec_from_euler(gaze_n), r_on)
             if abs(g_o_vec[2]) < MIN_ABS_GZ:
                 continue  # no usable plane intersection; reject the draw
 

@@ -1,0 +1,103 @@
+"""Hash every output of a small, pinned gaze6d pipeline.
+
+    PYTHONPATH=src python tests/pipeline_digest.py OUT
+
+runs, in-process and inside the new directory OUT: gen of a training, an
+evaluation and a calibration set; train; train --folds 2; finetune; eval
+with and without --screen; and convert in both directions over records that
+include NaN, zero-length, plane-parallel and unparsable lines.  It prints
+`relative_path sha256` for every file under OUT, sorted by path.
+
+Every path the commands see is relative to OUT, so the config.json
+snapshots hold the same bytes wherever OUT is: run it against two checkouts
+(`PYTHONPATH=<checkout>/src`) and diff the listings to find each output that
+changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+from gaze6d import cli
+
+# the screen is tilted TILT rad about the camera's x-axis
+TILT = 0.3
+C, S = math.cos(TILT), math.sin(TILT)
+SCREEN = {"R": [1.0, 0.0, 0.0, 0.0, C, -S, 0.0, S, C], "t": [10.0, 180.0, -25.0]}
+
+# one record per line of convert's input: finite records, then the faults
+CONVERT_LINES = [
+    json.dumps({"point": [12.5, -40.0], "gaze": [0.1, 0.2, -0.97]}),
+    json.dumps({"point": [-150.0, 75.25], "gaze": [-0.3, 0.05, -0.9]}),
+    json.dumps({"point": [0.0, 0.0], "gaze": [0.2, -0.1, 0.8]}),          # behind the screen
+    '{"point": [1.0, NaN], "gaze": [0.0, 0.0, -1.0]}',                   # NaN
+    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, 0.0]}),           # zero length
+    json.dumps({"point": [3.0, 4.0], "gaze": [1.0, 0.0, 0.0]}),           # parallel to both planes
+    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, -S]}),              # pogz2pog: parallel to the screen
+    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, S]}),               # pog2pogz: parallel to the camera plane
+    '{"point": [1.0, 2.0], "gaze": ',                                    # unparsable
+]
+
+PIPELINE = [
+    ["gen", "--subjects", "3", "--frames", "40", "--seed", "1", "--out", "gen_train"],
+    ["gen", "--subjects", "3", "--frames", "20", "--seed", "2", "--out", "gen_eval"],
+    ["gen", "--mode", "calibration", "--subjects", "3", "--frames", "10", "--seed", "2", "--out", "gen_calib"],
+    ["train", "--data", "gen_train/dataset.jsonl", "--epochs", "4", "--batch-size", "16", "--seed", "3",
+     "--out", "train"],
+    ["train", "--data", "gen_train/dataset.jsonl", "--folds", "2", "--epochs", "2", "--batch-size", "16",
+     "--out", "folds"],
+    ["finetune", "--params", "train/params.json", "--calib", "gen_calib/dataset.jsonl", "--finetune-steps", "10",
+     "--out", "tuned"],
+    ["eval", "--params", "train/params.json", "--data", "gen_eval/dataset.jsonl", "--out", "eval_base"],
+    ["eval", "--params", "train/params.json", "--data", "gen_eval/dataset.jsonl", "--screen", "screen.json",
+     "--out", "eval_base_screen"],
+    ["eval", "--params", "tuned/params_subject_0.json", "--data", "gen_eval/dataset.jsonl", "--out", "eval_tuned"],
+    ["eval", "--params", "tuned/params_subject_0.json", "--data", "gen_eval/dataset.jsonl",
+     "--screen", "screen.json", "--out", "eval_tuned_screen"],
+    ["convert", "--dir", "pogz2pog", "--transform", "screen.json", "--input", "records.jsonl",
+     "--output", "pogz2pog.jsonl"],
+    ["convert", "--dir", "pog2pogz", "--transform", "screen.json", "--input", "records.jsonl",
+     "--output", "pog2pogz.jsonl"],
+]
+
+
+def digest(out) -> dict[str, str]:
+    """Run the pipeline inside the new directory `out`; {relative path: sha256}
+    of every file under it.  A command that does not exit 0 is a RuntimeError."""
+    out = Path(out)
+    out.mkdir(parents=True)
+    (out / "screen.json").write_text(json.dumps(SCREEN))
+    (out / "records.jsonl").write_text("".join(line + "\n" for line in CONVERT_LINES))
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        for argv in PIPELINE:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    finally:
+        os.chdir(cwd)
+    files = {path.relative_to(out).as_posix(): path for path in out.rglob("*") if path.is_file()}
+    return {name: hashlib.sha256(files[name].read_bytes()).hexdigest() for name in sorted(files)}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: pipeline_digest.py OUT", file=sys.stderr)
+        return 2
+    for path, sha in digest(args[0]).items():
+        print(path, sha)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

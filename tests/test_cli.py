@@ -19,8 +19,8 @@ from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError, RayParallelError
-from gaze6d.model import (LossWeights, TrainConfig, forward, init_params, load_params, save_params,
-                          vec_from_euler)
+from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
+                          save_params, vec_from_euler)
 from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
 from gaze6d.synth import Subject, load_dataset
 
@@ -54,8 +54,6 @@ def test_gen_deterministic_across_runs(tmp_path):
         run("gen", "--mode", mode, "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(a))
         run("gen", "--mode", mode, "--subjects", "2", "--frames", "8", "--seed", "3", "--out", str(b))
         assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
-    records = "calibration_records.jsonl"
-    assert (a / records).read_bytes() == (b / records).read_bytes()
 
 
 def test_gen_rerun_from_snapshot_is_byte_identical(tmp_path):
@@ -67,24 +65,34 @@ def test_gen_rerun_from_snapshot_is_byte_identical(tmp_path):
     assert (a / "config.json").read_bytes() == (b / "config.json").read_bytes()
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
 def test_gen_calibration_mode_writes_records(tmp_path):
     out = tmp_path / "calib"
     assert run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "50",
                "--seed", "0", "--out", str(out)) == 0
-    lines = (out / "calibration_records.jsonl").read_text().splitlines()
-    assert len(lines) == 100
-    assert set(json.loads(lines[0])) == {"subject", "face_px", "bbox", "g_o"}
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "dataset.jsonl"]
     ds = load_dataset(out / "dataset.jsonl")
-    assert ds.mode == "calibration"
-    # one record per dataset row, in row order; the label follows from the box center alone
-    records = [json.loads(line) for line in lines]
-    assert [r["subject"] for r in records] == [s.subject for s in ds.samples]
-    for r, s in zip(records, ds.samples):
-        assert r["bbox"] == s.bbox.to_list() and r["bbox"][2] > 0
-        assert r["face_px"] == [s.bbox.x, s.bbox.y]
-        g_o = np.array(r["g_o"])
-        assert abs(np.linalg.norm(g_o) - 1.0) < 1e-9
-        assert np.max(np.abs(g_o - derive_calibration_label(ds.intrinsics, r["face_px"]))) == 0.0
+    assert ds.mode == "calibration" and len(ds) == 100
+    assert ds.subjects.tolist() == [0] * 50 + [1] * 50
+    # g_o follows from the box center alone, and g_n is the normalized optical axis, (+0.0, +0.0)
+    for s in ds.samples:
+        assert s.bbox.side > 0
+        assert bits(s.g_o) == bits(euler_from_vec(derive_calibration_label(ds.intrinsics, s.bbox.center)))
+        assert bits(s.g_n) == [0, 0]
+
+
+def test_calibration_view_gives_the_labels_gen_wrote_bit_for_bit(tmp_path):
+    out = tmp_path / "calib"
+    assert run("gen", "--mode", "calibration", "--subjects", "3", "--frames", "20",
+               "--seed", "5", "--out", str(out)) == 0
+    ds = load_dataset(out / "dataset.jsonl")
+    rows = gaze6d.calibration_view(ds.samples, ds.intrinsics)
+    assert len(rows) == len(ds) == 60
+    for s, row in zip(ds.samples, rows):
+        assert bits(row.g_o) == bits(s.g_o) and bits(row.g_n) == bits(s.g_n) == [0, 0]
 
 
 def test_gen_zero_frames(tmp_path):
@@ -269,7 +277,7 @@ def test_train_folds_checks_every_split_before_any_fold_trains(tmp_path, capsys)
         assert run("train", "--data", data, "--folds", str(folds), "--epochs", "1",
                    "--batch-size", "8", "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: fold {empty}: empty split (subjects [0, 1])\n"
-        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+        assert not out.exists()
     out = tmp_path / "folds_2"
     assert run("train", "--data", data, "--folds", "2", "--epochs", "1", "--batch-size", "8", "--out", str(out)) == 0
     assert sorted(p.name for p in out.glob("fold_*")) == ["fold_0", "fold_1"]
@@ -623,6 +631,41 @@ def small_run_inputs(tmp_path_factory):
             "params": str(root / "params.json")}
 
 
+def faulty_inputs(root, paths) -> dict:
+    """case -> (argv, the start of its error), one input at fault in each."""
+    header_only, sheared, missing = root / "header_only.jsonl", root / "sheared.json", root / "missing.json"
+    header_only.write_text('{"schema_version": 1}\n')
+    sheared.write_text(json.dumps({"R": [1, 0, 0, 0, 1, 0, 0, 0.5, 1], "t": [0, 0, 0]}))
+    run("gen", "--subjects", "0", "--out", str(root / "empty"))
+    run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "2", "--out", str(root / "two"))
+    empty, two = root / "empty" / "dataset.jsonl", root / "two" / "dataset.jsonl"
+    return {
+        "train_header_only": (["train", "--data", header_only], f"{header_only}:1: "),
+        "eval_sheared_screen": (["eval", "--params", paths["params"], "--data", paths["data"],
+                                 "--screen", sheared], f"{sheared}: "),
+        "finetune_missing_params": (["finetune", "--params", missing, "--calib", paths["calib"]], f"{missing}: "),
+        "finetune_absent_subject": (["finetune", "--params", paths["params"], "--calib", two, "--subject", "7"],
+                                    f"no calibration frames for subject 7 in {two}"),
+        "train_no_rows": (["train", "--data", empty], f"{empty}: no rows after the header\n"),
+        "eval_no_rows": (["eval", "--params", paths["params"], "--data", empty], f"{empty}: no rows after the header\n"),
+        "finetune_no_rows": (["finetune", "--params", paths["params"], "--calib", empty],
+                             f"{empty}: no rows after the header\n"),
+    }
+
+
+@pytest.mark.parametrize("case", ["train_header_only", "eval_sheared_screen", "finetune_missing_params",
+                                  "finetune_absent_subject", "train_no_rows", "eval_no_rows",
+                                  "finetune_no_rows"])
+def test_inputs_are_read_before_the_snapshot(tmp_path, capsys, small_run_inputs, case):
+    argv, where = faulty_inputs(tmp_path, small_run_inputs)[case]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(*map(str, argv), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "finetune", "eval"])
 def test_unknown_config_keys_exit_2_before_the_snapshot(tmp_path, capsys, small_run_inputs, command):
     paths = small_run_inputs
@@ -971,7 +1014,8 @@ def test_gen_calibration_records_are_the_reference_bytes(tmp_path):
     assert run("gen", "--mode", "calibration", "--subjects", "3", "--frames", "20", "--seed", "9",
                "--out", str(out)) == 0
     ds = load_dataset(out / "dataset.jsonl")
-    assert ((out / "calibration_records.jsonl").read_text()
+    gaze6d.write_calibration_set(ds.samples, ds.intrinsics, tmp_path / "records.jsonl")
+    assert ((tmp_path / "records.jsonl").read_text()
             == oracles.reference_calibration_records_text(ds.samples, ds.intrinsics))
 
 

@@ -1,0 +1,34 @@
+import json
+import os
+import re
+
+import pipeline_digest
+
+OUTPUTS = {
+    "screen.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl",
+    *(f"{d}/{f}" for d in ("gen_train", "gen_eval", "gen_calib") for f in ("config.json", "dataset.jsonl")),
+    "train/config.json", "train/params.json", "train/history.csv", "folds/config.json",
+    *(f"folds/fold_{k}/{f}" for k in (0, 1) for f in ("params.json", "history.csv", "report.csv")),
+    "tuned/config.json", *(f"tuned/params_subject_{sid}.json" for sid in (0, 1, 2)),
+    *(f"{d}/{f}" for d in ("eval_base", "eval_base_screen", "eval_tuned", "eval_tuned_screen")
+      for f in ("config.json", "report.csv")),
+}
+
+
+def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, capsys):
+    cwd = os.getcwd()
+    assert pipeline_digest.main([str(tmp_path / "out")]) == 0
+    assert os.getcwd() == cwd
+    lines = capsys.readouterr().out.splitlines()
+    listing = dict(line.split(" ") for line in lines)
+    assert set(listing) == OUTPUTS and len(lines) == len(OUTPUTS)
+    assert [line.split(" ")[0] for line in lines] == sorted(listing)
+    assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha in listing.values())
+    # the snapshots name their inputs relative to the run root, so they match across checkouts
+    snapshot = json.loads((tmp_path / "out" / "eval_tuned_screen" / "config.json").read_text())
+    assert (snapshot["params"], snapshot["screen"]) == ("tuned/params_subject_0.json", "screen.json")
+    # convert streamed an error record for each faulty line, in both directions
+    for direction in ("pogz2pog", "pog2pogz"):
+        records = [json.loads(line) for line in (tmp_path / "out" / f"{direction}.jsonl").read_text().splitlines()]
+        assert len(records) == len(pipeline_digest.CONVERT_LINES)
+        assert sum("error" in r for r in records) == 5

@@ -217,6 +217,15 @@ def test_apply_inverse_matches_inverse_bit_for_bit():
         assert np.array_equal(tr.apply_inverse_direction(d), inv.apply_direction(d))
 
 
+
+def test_inverse_translation_is_the_per_call_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        tr = random_transform(rng)
+        p, rt = rng.uniform(-300, 300, size=3), tr.rotation.matrix.T
+        assert np.array_equal(tr.inverse_translation, -rt @ tr.translation)
+        assert np.array_equal(tr.apply_inverse_point(p), rt @ p + (-rt @ tr.translation))
+
 coordinates = st.floats(-2000.0, 2000.0)
 gaze_rows = st.tuples(coordinates, coordinates, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                       st.floats(-1.0, 1.0), st.sampled_from(["free"] * 3 + ["parallel"] * 2 + ["zero"]))
