@@ -12,7 +12,10 @@ Set GAZE6D_LOG=DEBUG|INFO|WARNING for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -26,7 +29,7 @@ from . import metrics, model, synth
 from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, check_seed, describe
 from .jsonl import LINE_ENCODER
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
-                   RigidTransform, pog_to_pogz, pogz_to_pog)
+                   RigidTransform, pog_to_pogz, pogz_to_pog, pogz_to_pog_rows)
 
 log = logging.getLogger("gaze6d")
 
@@ -251,54 +254,97 @@ def cmd_eval(args) -> int:
 # convert
 
 
-def _convert_record(rec: dict, direction: str, transform: RigidTransform) -> dict:
+# input lines read, converted and written together: one pogz_to_pog_rows
+# call costs about as much per row at 1024; a smaller block answers a pipe sooner
+_CONVERT_BLOCK = 256
+
+
+def _read_record(line: str) -> tuple[list, list]:
+    """The point and gaze of one input line, as plain floats; malformed input
+    raises a BAD_INPUT exception."""
+    line.encode()  # rejects a lone surrogate
+    rec = json.loads(line)
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    x, y = float(point[0]), float(point[1])
+    xy = [float(point[0]), float(point[1])]
     g = [float(gaze[0]), float(gaze[1]), float(gaze[2])]
     # json.loads accepts NaN and Infinity: check the plain floats before any arithmetic
-    if not (math.isfinite(x) and math.isfinite(y) and all(map(math.isfinite, g))):
+    if not all(map(math.isfinite, xy + g)):
         raise ValueError(f"non-finite point {point} or gaze {gaze}")
+    return xy, g
+
+
+def _convert_record(i: int, xy: list, g: list, direction: str, transform: RigidTransform) -> dict:
+    """The output record of the checked record on input line `i`, one record
+    at a time; a gaze with no direction or parallel to the target plane gives
+    an error record."""
     gaze = np.array(g)
-    if direction == "pogz2pog":
-        src = PlanePoint(x, y, frame=FRAME_CAMERA_PLANE)
-        dst = pogz_to_pog(src, gaze, transform)
-        out_gaze = transform.apply_direction(gaze)
-    else:
-        src = PlanePoint(x, y, frame=FRAME_SCREEN_PLANE)
-        dst = pog_to_pogz(src, gaze, transform)
-        out_gaze = transform.apply_inverse_direction(gaze)
-    return {
-        "point": [dst.x, dst.y],
-        "gaze": out_gaze.tolist(),
-        "behind": dst.behind,
-    }
+    try:
+        if direction == "pogz2pog":
+            dst = pogz_to_pog(PlanePoint(*xy, frame=FRAME_CAMERA_PLANE), gaze, transform)
+            out_gaze = transform.apply_direction(gaze)
+        else:
+            dst = pog_to_pogz(PlanePoint(*xy, frame=FRAME_SCREEN_PLANE), gaze, transform)
+            out_gaze = transform.apply_inverse_direction(gaze)
+    except GeometryError as exc:
+        return {"error": describe(exc), "line": i}
+    return {"point": [dst.x, dst.y], "gaze": out_gaze.tolist(), "behind": dst.behind}
+
+
+def _convert_rows(rows: list, direction: str, transform: RigidTransform) -> list[dict]:
+    """The output records of checked records [(line, xy, g)], in order.
+
+    pogz2pog maps the rows with one pogz_to_pog_rows call, which gives each
+    row the bits _convert_record gives it.  A row without a finite screen
+    point (no screen hit, or an overflow), and every row of a call that meets
+    a zero-length gaze, goes through _convert_record, so its error record
+    names its own fault and its warnings are those of the one-record path.
+    """
+    if direction == "pogz2pog" and rows:
+        try:
+            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
+                points, behind, _, gazes = pogz_to_pog_rows(
+                    np.array([xy for _, xy, _ in rows]), np.array([g for _, _, g in rows]), transform)
+        except GeometryError:
+            pass
+        else:
+            done = np.isfinite(points).all(axis=1)
+            return [{"point": p, "gaze": g, "behind": b} if ok else _convert_record(*row, direction, transform)
+                    for row, p, b, ok, g in zip(rows, points.tolist(), behind.tolist(), done.tolist(),
+                                                gazes.tolist())]
+    return [_convert_record(*row, direction, transform) for row in rows]
+
+
+def _convert_block(numbered_lines, direction: str, transform: RigidTransform) -> list[dict]:
+    """The output records of [(line number, line)], in input order: a blank
+    line gives none, a malformed one its error record."""
+    out, rows = [], []
+    for i, line in numbered_lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append((i, *_read_record(line)))
+            out.append(None)   # the place of a checked record, filled below
+        except BAD_INPUT as exc:
+            # keep streaming: emit an error record for the bad line
+            out.append({"error": describe(exc), "line": i})
+    converted = iter(_convert_rows(rows, direction, transform))
+    return [rec or next(converted) for rec in out]
 
 
 def cmd_convert(args) -> int:
     transform = RigidTransform.load(args.transform)
-    stream_in = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
-        stream_in.reconfigure(errors="surrogateescape")
-    stream_out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for i, line in enumerate(stream_in):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                line.encode()  # rejects a lone surrogate
-                out = _convert_record(json.loads(line), args.dir, transform)
-            except BAD_INPUT as exc:
-                # keep streaming: emit an error record for the bad line
-                out = {"error": describe(exc), "line": i}
-            stream_out.write(LINE_ENCODER.encode(out) + "\n")
-    finally:
-        if args.input:
-            stream_in.close()
-        if args.output:
-            stream_out.close()
+    with contextlib.ExitStack() as stack:
+        stream_in = stack.enter_context(open(args.input, encoding="utf-8")) if args.input else sys.stdin
+        if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
+            stream_in.reconfigure(errors="surrogateescape")
+        stream_out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
+        numbered = enumerate(stream_in)
+        while block := list(itertools.islice(numbered, _CONVERT_BLOCK)):
+            records = _convert_block(block, args.dir, transform)
+            stream_out.write("".join(LINE_ENCODER.encode(rec) + "\n" for rec in records))
     return EXIT_OK
 
 
@@ -330,6 +376,7 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache   # built once per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gaze6d", description="desk-scale 6-DoF gaze pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -109,9 +109,9 @@ def evaluate(params, dataset, screen_transform: RigidTransform | None = None) ->
 
     pog_mm = None
     if screen_transform is not None:
-        truth, _, true_hit = pogz_to_pog_rows(batch.task_labels("pogz"),
-                                              vec_from_euler(batch.task_labels("g_o")), screen_transform)
-        pred, _, pred_hit = pogz_to_pog_rows(c["pogz"], vec_from_euler(c["g_o"]), screen_transform)
+        truth, _, true_hit, _ = pogz_to_pog_rows(batch.task_labels("pogz"),
+                                                 vec_from_euler(batch.task_labels("g_o")), screen_transform)
+        pred, _, pred_hit, _ = pogz_to_pog_rows(c["pogz"], vec_from_euler(c["g_o"]), screen_transform)
         pog_mm = np.hypot(*(truth - pred).T)
         pog_mm[~(true_hit & pred_hit)] = np.nan   # no screen intersection; skip the row
 

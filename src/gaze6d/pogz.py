@@ -159,12 +159,14 @@ def pog_to_pogz(pog: PlanePoint, g_s: np.ndarray, cam_to_screen: RigidTransform)
 
 def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform):
     """pogz_to_pog of each row: (N, 2) camera-plane points and (N, 3) gaze
-    directions in, (screen points (N, 2), behind (N,), hit (N,)) out.
+    directions in, (screen points (N, 2), behind (N,), hit (N,), gaze (N, 3))
+    out, the last the gaze directions rotated into the screen frame.
 
-    Each hit row is bit for bit what pogz_to_pog gives that row alone.  A row
-    whose gaze is parallel to the screen (where pogz_to_pog raises
-    RayParallelError) has hit False, a NaN point and behind False; a
-    zero-length gaze is a GeometryError, as in pogz_to_pog.
+    Each hit row is bit for bit what pogz_to_pog gives that row alone, and
+    each gaze row what cam_to_screen.apply_direction gives.  A row whose gaze
+    is parallel to the screen (where pogz_to_pog raises RayParallelError) has
+    hit False, a NaN point and behind False; a zero-length gaze is a
+    GeometryError, as in pogz_to_pog.
     """
     n = len(P)
     R = cam_to_screen.rotation.matrix
@@ -172,14 +174,14 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     lifted[:, :2, 0] = P
     # R @ each column vector: the per-row arithmetic of R @ p; P @ R.T is not
     origin = (R @ lifted)[:, :, 0] + cam_to_screen.translation
-    d = (R @ np.asarray(G, dtype=float)[:, :, None])[:, :, 0]
-    norm = row_norms(d)
+    gaze = (R @ np.asarray(G, dtype=float)[:, :, None])[:, :, 0]
+    norm = row_norms(gaze)
     empty = ~(norm > 0)   # a zero vector, or one whose squared norm underflows
     if empty.any():
-        raise GeometryError(f"gaze direction {d[np.argmax(empty)]} has no length")
-    d /= norm[:, None]
+        raise GeometryError(f"gaze direction {gaze[np.argmax(empty)]} has no length")
+    d = gaze / norm[:, None]
     hit = ~(np.abs(d[:, 2]) < RAY_EPS)
     lam = np.full(n, np.nan)
     lam[hit] = -origin[hit, 2] / d[hit, 2]
     points = origin[:, :2] + lam[:, None] * d[:, :2]
-    return points, lam < 0, hit
+    return points, lam < 0, hit, gaze

@@ -367,7 +367,9 @@ def check_frame_count(n_per_subject: int) -> None:
 def generate_dataset(
     cfg: SceneConfig, subjects: list[Subject], n_per_subject: int, mode: str, out_path
 ) -> dict:
-    """Write a JSONL dataset (header line first) and return attribute stats."""
+    """Write a JSONL dataset (header line first) and return attribute stats:
+    of gaze and head pose, or in calibration mode of head pose alone, as a
+    lens-fixation g_n is (0, 0) by construction."""
     if mode not in ("general", "calibration"):
         raise ConfigError(f"unknown mode {mode!r}")
     check_frame_count(n_per_subject)
@@ -385,7 +387,8 @@ def generate_dataset(
 
     if not attributes.size:
         return {}
-    return _attribute_stats(attributes, cfg)
+    stats = _attribute_stats(attributes, cfg)
+    return {name: s for name, s in stats.items() if not (calibration and name.startswith("gaze_"))}
 
 
 @dataclass

@@ -5,7 +5,8 @@
 runs, in-process and inside the new directory OUT: gen of a training, an
 evaluation and a calibration set; train; train --folds 2; finetune; eval
 with and without --screen; and convert in both directions over records that
-include NaN, zero-length, plane-parallel and unparsable lines.  It prints
+include NaN, zero-length, plane-parallel and unparsable lines, some of them on
+each side of the first two seams between convert's input blocks.  It prints
 `relative_path sha256` for every file under OUT, sorted by path.
 
 Every path the commands see is relative to OUT, so the config.json
@@ -32,17 +33,37 @@ TILT = 0.3
 C, S = math.cos(TILT), math.sin(TILT)
 SCREEN = {"R": [1.0, 0.0, 0.0, 0.0, C, -S, 0.0, S, C], "t": [10.0, 180.0, -25.0]}
 
-# one record per line of convert's input: finite records, then the faults
+NAN = '{"point": [1.0, NaN], "gaze": [0.0, 0.0, -1.0]}'
+ZERO = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, 0.0]})
+PARALLEL_TO_SCREEN = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, -S]})   # a pogz2pog fault
+PARALLEL_TO_CAMERA = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, S]})    # a pog2pogz fault
+UNPARSABLE = '{"point": [1.0, 2.0], "gaze": '
+
+
+def finite_line(k: int) -> str:
+    return json.dumps({"point": [12.5 - 0.75 * k, -40.0 + 0.5 * k], "gaze": [0.1 - k / 1000, 0.2, -0.97]})
+
+
+# convert reads its input in blocks of this many lines (cli._CONVERT_BLOCK,
+# written out so that the script runs against checkouts from before blocks)
+SEAM = 256
+# one record per line of convert's input: finite records, then the faults;
+# then finite records up to the first two block seams, with faults on each side
 CONVERT_LINES = [
     json.dumps({"point": [12.5, -40.0], "gaze": [0.1, 0.2, -0.97]}),
     json.dumps({"point": [-150.0, 75.25], "gaze": [-0.3, 0.05, -0.9]}),
     json.dumps({"point": [0.0, 0.0], "gaze": [0.2, -0.1, 0.8]}),          # behind the screen
-    '{"point": [1.0, NaN], "gaze": [0.0, 0.0, -1.0]}',                   # NaN
-    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, 0.0]}),           # zero length
+    NAN,
+    ZERO,
     json.dumps({"point": [3.0, 4.0], "gaze": [1.0, 0.0, 0.0]}),           # parallel to both planes
-    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, -S]}),              # pogz2pog: parallel to the screen
-    json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, S]}),               # pog2pogz: parallel to the camera plane
-    '{"point": [1.0, 2.0], "gaze": ',                                    # unparsable
+    PARALLEL_TO_SCREEN,
+    PARALLEL_TO_CAMERA,
+    UNPARSABLE,
+    *(finite_line(k) for k in range(9, SEAM - 1)),
+    ZERO, PARALLEL_TO_SCREEN,                                            # the first seam
+    *(finite_line(k) for k in range(SEAM + 1, 2 * SEAM - 1)),
+    PARALLEL_TO_CAMERA, NAN,                                             # the second seam
+    UNPARSABLE, finite_line(2 * SEAM + 2), finite_line(2 * SEAM + 3),
 ]
 
 PIPELINE = [

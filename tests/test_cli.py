@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -93,6 +95,19 @@ def test_calibration_view_gives_the_labels_gen_wrote_bit_for_bit(tmp_path):
     assert len(rows) == len(ds) == 60
     for s, row in zip(ds.samples, rows):
         assert bits(row.g_o) == bits(s.g_o) and bits(row.g_n) == bits(s.g_n) == [0, 0]
+
+
+@pytest.mark.parametrize("mode, attributes", [
+    ("general", ["gaze_yaw", "gaze_pitch", "head_yaw", "head_pitch"]),
+    # a lens-fixation g_n is (0, 0) by construction: only the head pose is sampled
+    ("calibration", ["head_yaw", "head_pitch"]),
+])
+def test_gen_prints_the_statistics_of_the_attributes_it_samples(tmp_path, capsys, mode, attributes):
+    assert run("gen", "--mode", mode, "--subjects", "2", "--frames", "8", "--seed", "3",
+               "--out", str(tmp_path / "run")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("dataset: ") and lines[1].split() == ["attribute", "mean", "target", "std", "target"]
+    assert [line.split()[0] for line in lines[2:]] == attributes
 
 
 def test_gen_zero_frames(tmp_path):
@@ -451,6 +466,35 @@ OTHER_FLAGS = {
 def subcommand_dests(command):
     sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     return {a.dest for a in sub.choices[command]._actions}
+
+
+def test_consecutive_commands_each_see_only_their_own_flags_and_defaults(tmp_path, capsys, small_run_inputs):
+    """main builds its parser once per process; each call still parses into a
+    fresh namespace holding its own command's flags and defaults alone."""
+    assert cli._build_parser() is cli._build_parser()
+    t = write_transform(tmp_path / "t.json")
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"point": [7.0, 8.0], "gaze": [0.0, 0.0, -1.0]}) + "\n")
+    data, params = small_run_inputs["data"], small_run_inputs["params"]
+    assert run("eval", "--params", params, "--data", data, "--screen", str(t), "--out", str(tmp_path / "e1")) == 0
+    assert run("convert", "--dir", "pog2pogz", "--transform", str(t), "--input", str(src),
+               "--output", str(tmp_path / "out.jsonl")) == 0
+    assert run("gen", "--subjects", "1", "--frames", "1", "--seed", "5", "--out", str(tmp_path / "g1")) == 0
+    assert run("eval", "--params", params, "--data", data, "--out", str(tmp_path / "e2")) == 0
+    assert run("gen", "--subjects", "1", "--frames", "1", "--out", str(tmp_path / "g2")) == 0
+    snapshot = {name: json.loads((tmp_path / name / "config.json").read_text()) for name in ("e1", "e2", "g1", "g2")}
+    assert snapshot["e1"]["screen"] == str(t) and snapshot["e2"]["screen"] is None
+    assert (snapshot["g1"]["seed"], snapshot["g2"]["seed"]) == (5, cli.SETTINGS["gen"]["seed"])
+    for name, command in (("e1", "eval"), ("e2", "eval"), ("g1", "gen"), ("g2", "gen")):
+        assert set(snapshot[name]) == {"command", *cli.SETTINGS[command]}
+    parsed = {argv[0]: vars(PARSER.parse_args(argv)) for argv in (
+        ["eval", "--params", "p", "--screen", "s", "--out", "o"],
+        ["convert", "--dir", "pogz2pog", "--transform", "t"],
+        ["gen", "--out", "o"])}
+    assert parsed["eval"].keys() == {"command", "func", "params", "data", "screen", "config", "out"}
+    assert parsed["convert"] == {"command": "convert", "func": cli.cmd_convert, "dir": "pogz2pog",
+                                 "transform": "t", "input": None, "output": None}
+    assert parsed["gen"]["out"] == "o" and "screen" not in parsed["gen"] and "dir" not in parsed["gen"]
 
 
 @pytest.mark.parametrize("command", sorted(READS))
@@ -1007,6 +1051,71 @@ def test_convert_writes_the_reference_bytes_in_both_directions(tmp_path):
                 for i, (p, g) in enumerate(records)]
         assert sum("error" in w for w in want) == 5   # one of records 6 and 8 is parallel
         assert dst.read_text() == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
+
+
+def block_seam_lines(R):
+    """(records, input lines, {line: error}) over 2 x _CONVERT_BLOCK + 3 lines
+    with a fault on the first or last line of each block: the output must not
+    depend on where a block starts or ends."""
+    B = cli._CONVERT_BLOCK
+    rng = np.random.default_rng(62)
+    records = [(rng.normal(0.0, 200.0, 2).tolist(), rng.normal(size=3).tolist()) for _ in range(2 * B + 3)]
+    records[B + 1] = ([1.0, 2.0], [0.0, 0.0, 0.0])                         # no direction
+    records[2 * B - 1] = ([1.0, 2.0], (R @ [0.6, 0.8, 0.0]).tolist())      # parallel to the camera plane
+    records[2 * B] = ([1.0, 2.0], (R.T @ [0.6, 0.8, 0.0]).tolist())        # parallel to the screen
+    lines = [json.dumps({"point": p, "gaze": g}) for p, g in records]
+    not_utf8 = '{"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0], "note": "\udcff"}'
+    try:
+        not_utf8.encode()
+    except UnicodeEncodeError as exc:
+        not_utf8_error = str(exc)
+    errors = {0: ("not json", "Expecting value: line 1 column 1 (char 0)"),
+              B - 1: ('{"point": [NaN, 1.0], "gaze": [0.0, 0.0, -1.0]}',
+                      "non-finite point [nan, 1.0] or gaze [0.0, 0.0, -1.0]"),
+              2 * B + 2: (not_utf8, not_utf8_error)}
+    for i, (line, _) in errors.items():
+        lines[i] = line
+    lines[B] = "   "                                                       # blank: no output record
+    return records, lines, {i: error for i, (_, error) in errors.items()}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_convert_across_block_seams_writes_the_reference_bytes_in_both_directions(tmp_path, monkeypatch, capsys,
+                                                                                source):
+    """Every input line is answered in order by EOF, with the bytes of the
+    one-record reference, faults on the blocks' first and last lines included."""
+    R = oracles.rotation_matrix_from_axis_angle([0.6, 0.0, 0.8], 0.4)
+    t = (210.0, -40.0, 15.0)
+    transform = write_transform(tmp_path / "t.json", R=R, t=t)
+    records, lines, errors = block_seam_lines(R)
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    for direction in ("pogz2pog", "pog2pogz"):
+        argv = ["convert", "--dir", direction, "--transform", str(transform)]
+        if source == "file":
+            (tmp_path / "in.jsonl").write_bytes(data)
+            argv += ["--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+        else:   # a strict UTF-8 text stream over bytes, like a pipe
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert cli.main(argv) == 0
+        out = (tmp_path / "out.jsonl").read_text() if source == "file" else capsys.readouterr().out
+        want = [{"error": errors[i], "line": i} if i in errors
+                else oracles.reference_convert_record(p, g, R, t, direction, i)
+                for i, (p, g) in enumerate(records) if lines[i].strip()]
+        assert len(want) == len(lines) - 1 and sum("error" in w for w in want) == 5
+        assert out == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
+
+
+def test_convert_closes_its_input_when_the_output_cannot_be_opened(tmp_path, capsys):
+    t = write_transform(tmp_path / "id.json")
+    src, dst = tmp_path / "rec.jsonl", tmp_path / "missing" / "x.jsonl"
+    src.write_text(json.dumps({"point": [7.0, 8.0], "gaze": [0.0, 0.0, -1.0]}) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("convert", "--dir", "pogz2pog", "--transform", str(t), "--input", str(src),
+                   "--output", str(dst)) == 2
+        gc.collect()
+    assert capsys.readouterr().err == f"error: {dst}: No such file or directory\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], [str(w.message) for w in caught]
 
 
 def test_gen_calibration_records_are_the_reference_bytes(tmp_path):

@@ -27,8 +27,10 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
     # the snapshots name their inputs relative to the run root, so they match across checkouts
     snapshot = json.loads((tmp_path / "out" / "eval_tuned_screen" / "config.json").read_text())
     assert (snapshot["params"], snapshot["screen"]) == ("tuned/params_subject_0.json", "screen.json")
-    # convert streamed an error record for each faulty line, in both directions
+    # convert streamed an error record for each faulty line, in both directions,
+    # faults on each side of two block seams included
+    assert pipeline_digest.SEAM == pipeline_digest.cli._CONVERT_BLOCK
     for direction in ("pogz2pog", "pog2pogz"):
         records = [json.loads(line) for line in (tmp_path / "out" / f"{direction}.jsonl").read_text().splitlines()]
         assert len(records) == len(pipeline_digest.CONVERT_LINES)
-        assert sum("error" in r for r in records) == 5
+        assert sum("error" in r for r in records) == 9

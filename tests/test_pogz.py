@@ -237,7 +237,8 @@ gaze_rows = st.tuples(coordinates, coordinates, st.floats(-1.0, 1.0), st.floats(
 def test_pogz_to_pog_rows_matches_pogz_to_pog_bit_for_bit(quaternion, translation, rows):
     """Each row of the batched intersection is pogz_to_pog of that row alone:
     the same point bits and behind flag, no hit where it raises
-    RayParallelError, and the same GeometryError for a zero-length gaze."""
+    RayParallelError, and the same GeometryError for a zero-length gaze; each
+    returned gaze row has the bits of transform.apply_direction of that row."""
     q = np.array(quaternion)
     assume(np.linalg.norm(q) > 0.1)
     R = oracles.quat_to_matrix(q / np.linalg.norm(q))
@@ -262,9 +263,11 @@ def test_pogz_to_pog_rows_matches_pogz_to_pog_bit_for_bit(quaternion, translatio
             pogz_to_pog_rows(P, G, transform)
         assert str(info.value) == str(empty[0])
         return
-    points, behind, hit = pogz_to_pog_rows(P, G, transform)
+    points, behind, hit, gaze = pogz_to_pog_rows(P, G, transform)
     assert points.shape == (len(rows), 2) and behind.shape == hit.shape == (len(rows),)
+    assert gaze.shape == (len(rows), 3)
     for i, want in enumerate(errors):
+        assert gaze[i].tobytes() == transform.apply_direction(G[i]).tobytes()
         if isinstance(want, RayParallelError):
             assert not hit[i] and not behind[i] and np.isnan(points[i]).all()
         else:
@@ -275,8 +278,8 @@ def test_pogz_to_pog_rows_matches_pogz_to_pog_bit_for_bit(quaternion, translatio
 
 def test_pogz_to_pog_rows_covers_parallel_and_behind_rows():
     transform = RigidTransform(Rotation3(np.eye(3)), np.array([0.0, 0.0, -50.0]))
-    points, behind, hit = pogz_to_pog_rows(np.zeros((3, 2)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                                                       [0.0, 0.0, -1.0]]), transform)
+    points, behind, hit, _ = pogz_to_pog_rows(np.zeros((3, 2)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                                                          [0.0, 0.0, -1.0]]), transform)
     assert hit.tolist() == [False, True, True]
     assert behind.tolist() == [False, False, True]
     assert points[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
