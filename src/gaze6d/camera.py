@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, FrameMismatchError, GeometryError, InvalidIntrinsicsError
+from .errors import BehindCameraError, FrameMismatchError, GeometryError, InvalidIntrinsicsError, check_finite
 
 # frame tags carried by 3-D points
 FRAME_CAMERA = "oCCS"
@@ -40,6 +40,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        # an int too large for a float (OverflowError) is bad input too
+        check_finite(self, ("focal_px", "cx", "cy", "k_mm_per_px", "width", "height"), InvalidIntrinsicsError)
         if self.focal_px <= 0:
             raise InvalidIntrinsicsError(f"focal_px must be positive, got {self.focal_px}")
         if self.k_mm_per_px <= 0:
@@ -54,27 +56,6 @@ class CameraIntrinsics:
     @property
     def principal(self) -> np.ndarray:
         return np.array([self.cx, self.cy], dtype=float)
-
-    def to_dict(self) -> dict:
-        return {
-            "focal_px": self.focal_px,
-            "cx": self.cx,
-            "cy": self.cy,
-            "k_mm_per_px": self.k_mm_per_px,
-            "width": self.width,
-            "height": self.height,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(
-            focal_px=float(d["focal_px"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            k_mm_per_px=float(d["k_mm_per_px"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
 
 
 @dataclass(frozen=True)

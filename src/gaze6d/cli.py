@@ -21,12 +21,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, model, synth
-from .errors import BAD_INPUT, ConfigError, GeometryError, TrainingDiverged, bad_input, check_seed, describe
+from .errors import (BAD_INPUT, JSON_NUMBERS, ConfigError, GeometryError, TrainingDiverged, bad_input, cast,
+                     check_seed, describe, from_dict)
 from .jsonl import LINE_ENCODER
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
                    RigidTransform, pog_to_pogz, pogz_to_pog, pogz_to_pog_rows)
@@ -47,16 +49,17 @@ def _setup_logging() -> None:
 
 
 # each command's settings and their defaults; a default that is a type is
-# an optional setting, absent (None) unless given
-_TRAIN_DEFAULTS = model.TrainConfig().to_dict()
+# an optional setting, absent (None) unless given, and one that is a dict a
+# nested setting, merged key by key
+_TRAIN_DEFAULTS = asdict(model.TrainConfig())
 SETTINGS = {
     "gen": {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
-            "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA, "scene": dict},
+            "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA,
+            "scene": asdict(synth.SceneConfig())},
     "train": {"data": str, "folds": 0, **_TRAIN_DEFAULTS},
     "finetune": {"params": str, "calib": str, "subject": int, **_TRAIN_DEFAULTS},
     "eval": {"params": str, "data": str, "screen": str},
 }
-_KIND_NAMES = {str: "a string", int: "an integer id", dict: "an object"}
 
 
 def _configure(args) -> dict:
@@ -78,16 +81,17 @@ def _configure(args) -> dict:
 
 def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
     """`defaults`, overridden by `cfg`, then by flags of the same dest; dicts
-    merge key by key.  Flags arrive typed, so a value that fails came from
-    the config file."""
+    merge key by key, and each value is cast to its default's type.  Flags
+    arrive typed, so a value that fails came from the config file."""
     out = {}
     for key, default in defaults.items():
         name, value = where + key, getattr(args, key, None)
         if value is None:
             value = cfg.get(key, None if isinstance(default, type) else default)
         if not isinstance(default, dict):
+            optional = isinstance(default, type)
             with bad_input(name):
-                out[key] = _cast(default, value)
+                out[key] = cast(default if optional else type(default), value, optional)
         elif isinstance(value, dict) and set(value) <= set(default):
             out[key] = _settings(args, value, default, name + ".")
         else:
@@ -95,29 +99,13 @@ def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
     return out
 
 
-def _cast(default, value):
-    """`value` as a setting with `default`.  A string or optional setting takes
-    exactly its JSON type (an optional one also None); a number is cast, but
-    from no bool, and an int from no fraction."""
-    if isinstance(default, (type, str)):
-        kind = default if isinstance(default, type) else str
-        if type(value) is kind or (value is None and default is kind):
-            return value
-        raise ValueError(f"expected {_KIND_NAMES[kind]}, got {value!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return type(default)(value)
-
-
-def _write_snapshot(args, settings: dict, **more) -> Path:
+def _write_snapshot(args, settings: dict) -> Path:
     """Make the run directory and write its config.json, the command and its
     settings: replayed through --config, it reproduces the run."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w") as f:
-        json.dump({"command": args.command, **settings, **more}, f, indent=2, sort_keys=True)
+        json.dump({"command": args.command, **settings}, f, indent=2, sort_keys=True)
     return out_dir
 
 
@@ -139,10 +127,10 @@ def cmd_gen(args) -> int:
     # drawn first: a bad count, seed, kappa range or noise sigma stops the run before any file
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
     synth.check_frame_count(frames)
-    with bad_input(args.config), bad_input("scene"):  # a scene needs all its keys
-        scene = (synth.SceneConfig(seed=seed) if settings["scene"] is None
-                 else synth.SceneConfig.from_dict({**settings["scene"], "seed": seed}))
-    out_dir = _write_snapshot(args, settings, scene=scene.to_dict())
+    settings["scene"]["seed"] = seed   # the scene draws with gen's seed
+    with bad_input(args.config):
+        scene = from_dict(synth.SceneConfig, settings["scene"], "scene")
+    out_dir = _write_snapshot(args, settings)
 
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
     log.info("wrote %s", out_dir / "dataset.jsonl")
@@ -165,7 +153,7 @@ def cmd_train(args) -> int:
     folds = settings["folds"]
     if folds < 0:
         raise ConfigError(f"folds must be >= 0, got {folds}")
-    tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    tc = from_dict(model.TrainConfig, settings)
     dataset = _load_rows(settings["data"])
     # cross-subject folds: subject id modulo fold count picks the held-out fold;
     # every split is checked before the run directory is made
@@ -208,7 +196,7 @@ def cmd_finetune(args) -> int:
     params_path, calib_path, subject_filter = (settings[k] for k in ("params", "calib", "subject"))
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
-    tc = model.TrainConfig.from_dict({k: settings[k] for k in _TRAIN_DEFAULTS})
+    tc = from_dict(model.TrainConfig, settings)
     base = model.load_params(params_path)
     calib = _load_rows(calib_path)
     if subject_filter not in (None, *calib.subject_ids()):
@@ -257,21 +245,33 @@ def cmd_eval(args) -> int:
 # input lines read, converted and written together: one pogz_to_pog_rows
 # call costs about as much per row at 1024; a smaller block answers a pipe sooner
 _CONVERT_BLOCK = 256
+_FLOATS = {float}
 
 
 def _read_record(line: str) -> tuple[list, list]:
     """The point and gaze of one input line, as plain floats; malformed input
-    raises a BAD_INPUT exception."""
+    raises a BAD_INPUT exception.  A record follows the physical rule of a
+    dataset row: JSON numbers, each at most synth.MAX_ABS_VALUE in magnitude."""
     line.encode()  # rejects a lone surrogate
     rec = json.loads(line)
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    xy = [float(point[0]), float(point[1])]
-    g = [float(gaze[0]), float(gaze[1]), float(gaze[2])]
+    # the usual record, floats whose sum of magnitudes is within the bound,
+    # has no value NaN, inf or beyond it: two passes in all; any other record
+    # goes through the checks below, which name its fault
+    values = [*point, *gaze]
+    if set(map(type, values)) == _FLOATS and sum(map(abs, values)) <= synth.MAX_ABS_VALUE:
+        return point, gaze
+    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
+        raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
+    xy, g = [float(v) for v in point], [float(v) for v in gaze]
     # json.loads accepts NaN and Infinity: check the plain floats before any arithmetic
     if not all(map(math.isfinite, xy + g)):
         raise ValueError(f"non-finite point {point} or gaze {gaze}")
+    if max(map(abs, xy + g)) > synth.MAX_ABS_VALUE:
+        raise ValueError(f"point and gaze values must be at most {synth.MAX_ABS_VALUE:g} in magnitude, "
+                         f"got point {point} and gaze {gaze}")
     return xy, g
 
 

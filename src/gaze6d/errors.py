@@ -1,5 +1,9 @@
 """Exception types shared across the package, and the one rule for bad input."""
 
+import dataclasses
+import functools
+import math
+import typing
 from contextlib import contextmanager
 
 
@@ -48,16 +52,75 @@ def describe(exc: BaseException) -> str:
 
 @contextmanager
 def bad_input(where):
-    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>").
-    `where` is a name, or a callable giving one when the error is raised: a
-    reader enters the guard once per file and still names the line."""
+    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>"),
+    or as ConfigError("<what>") for an empty `where`.  `where` is a name, or a
+    callable giving one when the error is raised: a reader enters the guard
+    once per file and still names the line."""
     try:
         yield
     except BAD_INPUT as exc:
-        raise ConfigError(f"{where() if callable(where) else where}: {describe(exc)}") from None
+        name = where() if callable(where) else where
+        raise ConfigError(f"{name}: {describe(exc)}" if name else describe(exc)) from None
 
 
 def check_seed(seed: int) -> None:
     """The one rule for a seed: numpy's SeedSequence takes only integers >= 0."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def check_finite(obj, names, error=ConfigError) -> None:
+    """The one rule for a real-valued field: finite.  An `error` names the
+    first field of `names` that is not."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+
+
+# what json.loads gives a number; a bool is no number here
+JSON_NUMBERS = frozenset((int, float))
+
+_KIND_NAMES = {str: "a string", int: "an integer id"}
+
+
+def cast(kind: type, value, optional: bool = False):
+    """`value` as a setting of type `kind` (float, int or str), None allowed
+    if `optional`.  A string or optional setting takes exactly its JSON type;
+    a number is cast, from a number or a numeric string, but from no bool,
+    and an int from no fraction."""
+    if kind is str or optional:
+        if type(value) is kind or (optional and value is None):
+            return value
+        raise ValueError(f"expected {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
+
+
+@functools.cache   # typing.get_type_hints evaluates every annotation anew
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def from_dict(cls, d: dict, where: str = ""):
+    """The dataclass `cls` built from `d`, what dataclasses.asdict wrote, field
+    by field: a dataclass field from its own dict, any other through `cast`;
+    other keys are ignored.  A missing or bad field, or one that `cls`
+    rejects, is a ConfigError naming its key path, which starts with `where`."""
+    fields = _field_types(cls)
+    with bad_input(where):
+        values = [d[name] for name in fields]
+    kwargs = {}
+    for (name, kind), value in zip(fields.items(), values):
+        path = f"{where}.{name}" if where else name
+        if dataclasses.is_dataclass(kind):
+            kwargs[name] = from_dict(kind, value, path)
+        else:
+            with bad_input(path):
+                kwargs[name] = cast(kind, value)
+    with bad_input(where):
+        return cls(**kwargs)

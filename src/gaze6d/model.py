@@ -303,16 +303,6 @@ class LossWeights:
     r_on: float = 0.5
     face: float = 0.1
 
-    def value(self, task: str) -> float:
-        return getattr(self, task)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in TASKS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -342,18 +332,6 @@ class TrainConfig:
         if not 0 < self.calibration_fraction <= 1:
             raise ConfigError(f"calibration_fraction must be in (0, 1], got {self.calibration_fraction}")
         check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["weights"] = self.weights.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "weights" in d:
-            d["weights"] = LossWeights.from_dict(d["weights"])
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +499,7 @@ def forward(params: ModelParams, features) -> MultiTaskOutput:
 
 
 def _loss_weights(weights: LossWeights) -> np.ndarray:
-    return np.array([weights.value(t) for t in TASKS])
+    return np.array([getattr(weights, t) for t in TASKS])
 
 
 def _task_terms(preds: dict, batch: Batch, lam: np.ndarray):
@@ -793,7 +771,7 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
                 _, total, terms = backward(params, data.subset(idx), weights, out=grads)
                 if not np.isfinite(total):
                     # a weighted term: a finite term times a huge weight overflows too
-                    bad = [t for t in TASKS if not np.isfinite(weights.value(t) * terms[t])]
+                    bad = [t for t in TASKS if not np.isfinite(getattr(weights, t) * terms[t])]
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
                                            f"(batch offset {lo}), task terms: {', '.join(bad) or 'none'}")
                 # a finite loss can still have non-finite gradients, e.g. from an

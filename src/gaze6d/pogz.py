@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import FrameMismatchError, GeometryError, RayParallelError, bad_input
+from .errors import JSON_NUMBERS, FrameMismatchError, GeometryError, RayParallelError, bad_input
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -82,11 +82,14 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RigidTransform":
-        R, t = np.array(d["R"], dtype=float), np.array(d["t"], dtype=float)
+        R, t = d["R"], d["t"]
         for name, value, size in (("R", R, 9), ("t", t, 3)):
-            if value.size != size or not np.isfinite(value).all():
-                raise ValueError(f"{name} must be {size} finite values, got {value.tolist()}")
-        return cls(Rotation3(R.reshape(3, 3)), t)
+            # np.array would take true as 1.0, "1" and nested lists
+            if type(value) is not list or not JSON_NUMBERS.issuperset(map(type, value)):
+                raise ValueError(f"{name} must be a flat list of {size} numbers, got {value!r}")
+            if len(value) != size or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be {size} finite values, got {[float(v) for v in value]}")
+        return cls(Rotation3(np.array(R, dtype=float).reshape(3, 3)), np.array(t, dtype=float))
 
     def save(self, path) -> None:
         with open(path, "w") as f:

@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
-from .errors import ConfigError, bad_input, check_seed
+from .errors import JSON_NUMBERS, ConfigError, bad_input, check_finite, check_seed, from_dict
 from .jsonl import LINE_ENCODER
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
@@ -72,6 +72,7 @@ class ClippedGaussian:
     hi: float
 
     def __post_init__(self):
+        check_finite(self, ("mean", "std", "lo", "hi"))
         if self.std < 0:
             raise ConfigError(f"std must be >= 0, got {self.std}")
         if self.lo >= self.hi:
@@ -80,13 +81,6 @@ class ClippedGaussian:
     def sample(self, rng: np.random.Generator) -> float:
         # np.clip's result for a scalar, without its array dispatch
         return min(max(float(rng.normal(self.mean, self.std)), self.lo), self.hi)
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClippedGaussian":
-        return cls(float(d["mean"]), float(d["std"]), float(d["lo"]), float(d["hi"]))
 
 
 @dataclass(frozen=True)
@@ -108,18 +102,6 @@ class Subject:
             raise ConfigError(f"kappa bias out of range: ({self.kappa_yaw}, {self.kappa_pitch})")
         if not 0 <= self.noise_sigma < math.inf:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kappa_yaw": self.kappa_yaw,
-            "kappa_pitch": self.kappa_pitch,
-            "noise_sigma": self.noise_sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Subject":
-        return cls(int(d["id"]), float(d["kappa_yaw"]), float(d["kappa_pitch"]), float(d["noise_sigma"]))
 
 
 def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
@@ -167,41 +149,15 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, ("depth_lo", "depth_hi", "face_size_mm"))
         if self.depth_lo <= 0 or self.depth_lo >= self.depth_hi:
             raise ConfigError(f"bad depth range [{self.depth_lo}, {self.depth_hi}]")
         if self.face_size_mm <= 0:
             raise ConfigError(f"face_size_mm must be positive, got {self.face_size_mm}")
         check_seed(self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "gaze_yaw": self.gaze_yaw.to_dict(),
-            "gaze_pitch": self.gaze_pitch.to_dict(),
-            "head_yaw": self.head_yaw.to_dict(),
-            "head_pitch": self.head_pitch.to_dict(),
-            "depth_lo": self.depth_lo,
-            "depth_hi": self.depth_hi,
-            "face_size_mm": self.face_size_mm,
-            "intrinsics": self.intrinsics.to_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneConfig":
-        return cls(
-            gaze_yaw=ClippedGaussian.from_dict(d["gaze_yaw"]),
-            gaze_pitch=ClippedGaussian.from_dict(d["gaze_pitch"]),
-            head_yaw=ClippedGaussian.from_dict(d["head_yaw"]),
-            head_pitch=ClippedGaussian.from_dict(d["head_pitch"]),
-            depth_lo=float(d["depth_lo"]),
-            depth_hi=float(d["depth_hi"]),
-            face_size_mm=float(d["face_size_mm"]),
-            intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-            seed=int(d["seed"]),
-        )
-
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -353,8 +309,8 @@ def dataset_header(cfg: SceneConfig, subjects: list[Subject], n_per_subject: int
         "seed": cfg.seed,
         "mode": mode,
         "n_per_subject": n_per_subject,
-        "config": cfg.to_dict(),
-        "subjects": [s.to_dict() for s in subjects],
+        "config": asdict(cfg),
+        "subjects": [asdict(s) for s in subjects],
     }
 
 
@@ -413,7 +369,7 @@ class Dataset:
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics.from_dict(self.header["config"]["intrinsics"])
+        return from_dict(CameraIntrinsics, self.header["config"]["intrinsics"], "config.intrinsics")
 
     @property
     def mode(self) -> str:
@@ -460,9 +416,7 @@ _FACE_DEPTH = _COLUMN_STARTS["o_face"] + 2
 
 # a subject id is a JSON integer that fits the int64 subject column
 _SUBJECT_RANGE = range(-2**63, 2**63)
-
-# JSON numbers parse to exactly these; a bool is no number here
-_NUMBERS = frozenset((int, float))
+# the value types of a row that takes the fast path
 _FLOATS = {float}
 
 
@@ -490,7 +444,7 @@ def _sample_from_line(line: str) -> GazeSample:
     sample = GazeSample.from_dict(d)
     # float arrays also take nested lists, numeric strings, bools and null (as NaN)
     for key, n in _ROW_LENGTHS.items():
-        if type(d[key]) is not list or not _NUMBERS.issuperset(map(type, d[key])):
+        if type(d[key]) is not list or not JSON_NUMBERS.issuperset(map(type, d[key])):
             raise ValueError(f"{key} must be a flat list of {n} numbers, got {d[key]!r}")
     # a literal such as 1e999 parses to inf
     for key in _ROW_LENGTHS:
@@ -528,7 +482,7 @@ def _header_from_line(line: str) -> dict:
         raise ValueError(f"unsupported schema version {header['schema_version']}")
     if header["mode"] not in ("general", "calibration"):
         raise ValueError(f"unknown mode {header['mode']!r}")
-    CameraIntrinsics.from_dict(header["config"]["intrinsics"])
+    from_dict(CameraIntrinsics, header["config"]["intrinsics"], "config.intrinsics")
     return header
 
 

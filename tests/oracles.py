@@ -234,7 +234,7 @@ def reference_task_terms(preds, labels, masks, weights, pogz_scale):
         terms[task] = term
         resids[task] = resid
         counts[task] = n
-        total += weights.value(task) * term
+        total += getattr(weights, task) * term
     return total, terms, resids, counts
 
 
@@ -292,7 +292,7 @@ def reference_backward(params, c, ray, labels, masks, weights):
     total, terms, resids, counts = reference_task_terms(c, labels, masks, weights, REFERENCE_POGZ_GAIN)
 
     def head_delta(task):
-        lam = weights.value(task)
+        lam = getattr(weights, task)
         if lam == 0.0:
             return np.zeros_like(resids[task])
         scale = lam / (REFERENCE_COMPONENTS[task] * max(counts[task], 1.0))
@@ -348,7 +348,8 @@ def dataset_from_samples(header, samples):
 
 def _intrinsics(header):
     from gaze6d.camera import CameraIntrinsics
-    return CameraIntrinsics.from_dict(header["config"]["intrinsics"])
+    from gaze6d.errors import from_dict
+    return from_dict(CameraIntrinsics, header["config"]["intrinsics"])
 
 
 def reference_load_dataset(path):
@@ -408,6 +409,41 @@ def reference_evaluate(params, samples, intr, screen_transform=None):
     return EvalReport(per_subject=[stats(str(sid), subject_of == sid) for sid in sorted(set(subject_of.tolist()))],
                       overall=stats("all", np.ones(len(samples), dtype=bool)))
 
+
+
+# ---------------------------------------------------------------------------
+# config dataclasses as dicts, each spelled out the way the class's own
+# to_dict wrote it before dataclasses.asdict replaced it: the form of a
+# dataset header, its config_hash and every config.json snapshot
+
+
+def reference_config_dict(obj):
+    """The dict form of a ClippedGaussian, Subject, SceneConfig,
+    CameraIntrinsics, LossWeights or TrainConfig, nested objects included."""
+    kind = type(obj).__name__
+    if kind == "ClippedGaussian":
+        return {"mean": obj.mean, "std": obj.std, "lo": obj.lo, "hi": obj.hi}
+    if kind == "Subject":
+        return {"id": obj.id, "kappa_yaw": obj.kappa_yaw, "kappa_pitch": obj.kappa_pitch,
+                "noise_sigma": obj.noise_sigma}
+    if kind == "CameraIntrinsics":
+        return {"focal_px": obj.focal_px, "cx": obj.cx, "cy": obj.cy, "k_mm_per_px": obj.k_mm_per_px,
+                "width": obj.width, "height": obj.height}
+    if kind == "SceneConfig":
+        return {"gaze_yaw": reference_config_dict(obj.gaze_yaw),
+                "gaze_pitch": reference_config_dict(obj.gaze_pitch),
+                "head_yaw": reference_config_dict(obj.head_yaw),
+                "head_pitch": reference_config_dict(obj.head_pitch),
+                "depth_lo": obj.depth_lo, "depth_hi": obj.depth_hi, "face_size_mm": obj.face_size_mm,
+                "intrinsics": reference_config_dict(obj.intrinsics), "seed": obj.seed}
+    if kind == "LossWeights":
+        return {"g_n": obj.g_n, "g_o": obj.g_o, "pogz": obj.pogz, "r_on": obj.r_on, "face": obj.face}
+    if kind == "TrainConfig":
+        return {"lr": obj.lr, "batch_size": obj.batch_size, "epochs": obj.epochs, "seed": obj.seed,
+                "weights": reference_config_dict(obj.weights), "val_fraction": obj.val_fraction,
+                "finetune_lr": obj.finetune_lr, "finetune_steps": obj.finetune_steps,
+                "finetune_batch": obj.finetune_batch, "calibration_fraction": obj.calibration_fraction}
+    raise TypeError(f"no reference dict form for {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
     PYTHONPATH=src python tests/pipeline_digest.py OUT
 
 runs, in-process and inside the new directory OUT: gen of a training, an
-evaluation and a calibration set; train; train --folds 2; finetune; eval
-with and without --screen; and convert in both directions over records that
-include NaN, zero-length, plane-parallel and unparsable lines, some of them on
-each side of the first two seams between convert's input blocks.  It prints
+evaluation and a calibration set; gen --config of a full, non-default scene;
+a gen replayed from the training set's config.json; train; train --folds 2;
+finetune; eval with and without --screen; and convert in both directions over
+records that include NaN, zero-length, plane-parallel and unparsable lines,
+some of them on each side of the first two seams between convert's input
+blocks.  It prints
 `relative_path sha256` for every file under OUT, sorted by path.
 
 Every path the commands see is relative to OUT, so the config.json
@@ -39,6 +41,17 @@ PARALLEL_TO_SCREEN = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, -S]})   #
 PARALLEL_TO_CAMERA = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, S]})    # a pog2pogz fault
 UNPARSABLE = '{"point": [1.0, 2.0], "gaze": '
 
+# a scene with every key present and no value at its default, the intrinsics
+# included; its seed is gen's, so the 4 here is replaced by --seed
+SCENE = {"gaze_yaw": {"mean": 0.1, "std": 0.2, "lo": -0.5, "hi": 0.75},
+         "gaze_pitch": {"mean": -0.05, "std": 0.15, "lo": -0.4, "hi": 0.6},
+         "head_yaw": {"mean": 0.0, "std": 0.3, "lo": -1.0, "hi": 1.0},
+         "head_pitch": {"mean": 0.02, "std": 0.1, "lo": -0.5, "hi": 0.5},
+         "depth_lo": 450.0, "depth_hi": 750.0, "face_size_mm": 150.0,
+         "intrinsics": {"focal_px": 700.0, "cx": 330.5, "cy": 250.0, "k_mm_per_px": 0.004,
+                        "width": 660, "height": 500},
+         "seed": 4}
+
 
 def finite_line(k: int) -> str:
     return json.dumps({"point": [12.5 - 0.75 * k, -40.0 + 0.5 * k], "gaze": [0.1 - k / 1000, 0.2, -0.97]})
@@ -70,6 +83,8 @@ PIPELINE = [
     ["gen", "--subjects", "3", "--frames", "40", "--seed", "1", "--out", "gen_train"],
     ["gen", "--subjects", "3", "--frames", "20", "--seed", "2", "--out", "gen_eval"],
     ["gen", "--mode", "calibration", "--subjects", "3", "--frames", "10", "--seed", "2", "--out", "gen_calib"],
+    ["gen", "--config", "scene.json", "--subjects", "2", "--frames", "15", "--seed", "5", "--out", "gen_scene"],
+    ["gen", "--config", "gen_train/config.json", "--out", "gen_replay"],
     ["train", "--data", "gen_train/dataset.jsonl", "--epochs", "4", "--batch-size", "16", "--seed", "3",
      "--out", "train"],
     ["train", "--data", "gen_train/dataset.jsonl", "--folds", "2", "--epochs", "2", "--batch-size", "16",
@@ -95,6 +110,7 @@ def digest(out) -> dict[str, str]:
     out = Path(out)
     out.mkdir(parents=True)
     (out / "screen.json").write_text(json.dumps(SCREEN))
+    (out / "scene.json").write_text(json.dumps({"scene": SCENE}))
     (out / "records.jsonl").write_text("".join(line + "\n" for line in CONVERT_LINES))
     cwd = os.getcwd()
     os.chdir(out)

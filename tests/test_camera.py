@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fuzz import FUZZ
 from gaze6d.camera import (FRAME_CAMERA, FRAME_SCREEN, BoundingBox,
                            CameraIntrinsics, Point3, backproject, project)
 from gaze6d.errors import (BehindCameraError, FrameMismatchError,
-                           GeometryError, InvalidIntrinsicsError)
+                           GeometryError, InvalidIntrinsicsError, from_dict)
 
 INTR = CameraIntrinsics(500.0, 320.0, 240.0, 0.005, 640, 480)
 
@@ -26,8 +27,8 @@ def test_intrinsics_validation():
 
 
 def test_intrinsics_json_round_trip():
-    text = json.dumps(INTR.to_dict(), sort_keys=True)
-    loaded = CameraIntrinsics.from_dict(json.loads(text))
+    text = json.dumps(asdict(INTR), sort_keys=True)
+    loaded = from_dict(CameraIntrinsics, json.loads(text))
     assert loaded == INTR
     keys = set(json.loads(text))
     assert keys == {"focal_px", "cx", "cy", "k_mm_per_px", "width", "height"}

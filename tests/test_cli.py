@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ import gaze6d
 from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
-from gaze6d.errors import ConfigError, RayParallelError
+from gaze6d.errors import ConfigError, RayParallelError, from_dict
 from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
                           save_params, vec_from_euler)
 from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
@@ -401,20 +402,27 @@ def test_finetune_config_subject_must_be_an_id(tmp_path, capsys):
 def test_gen_config_errors_exit_2_and_name_the_file(tmp_path, capsys):
     for text, message in [('{"frames": "many"}', "frames: invalid literal"),
                           ('{"subjects": true}', "subjects: expected a number, got True"),
-                          ('{"scene": {"depth_lo": 1}}', "scene: missing key 'gaze_yaw'")]:
+                          ('{"scene": {"face_size_mm": true}}', "scene.face_size_mm: expected a number, got True")]:
         config = tmp_path / "bad.json"
         config.write_text(text)
         assert run("gen", "--config", str(config), "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
 
 
-def setting_paths(table):
-    """The key path of every setting in a SETTINGS table, the keys of a nested
-    object included."""
+def setting_paths(table, prefix=()):
+    """The key path of every setting in a SETTINGS table, the keys of nested
+    objects at any depth included."""
     for key, default in table.items():
-        yield (key,)
+        yield prefix + (key,)
         if isinstance(default, dict):
-            yield from ((key, inner) for inner in default)
+            yield from setting_paths(default, prefix + (key,))
+
+
+def nested(path, value):
+    """The config object that sets the key path `path` to `value`."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
 
 
 def has_its_type(setting, default) -> bool:
@@ -437,7 +445,7 @@ def test_a_fuzzed_config_value_gives_typed_settings_or_names_the_file(fuzz_dir, 
     """The settings pass alone, so that no fuzzed value can start a run."""
     command, path = setting
     config = fuzz_dir / "config.json"
-    config.write_text(json.dumps({path[0]: value} if len(path) == 1 else {path[0]: {path[1]: value}}))
+    config.write_text(json.dumps(nested(path, value)))
     args = PARSER.parse_args([command, "--config", str(config), "--out", str(fuzz_dir / "run")])
     try:
         settings = cli._configure(args)
@@ -445,13 +453,15 @@ def test_a_fuzzed_config_value_gives_typed_settings_or_names_the_file(fuzz_dir, 
         assert str(exc).startswith(f"{config}: {'.'.join(path)}: ")
         return
     assert has_its_type(settings, cli.SETTINGS[command])
-    got = settings[path[0]] if len(path) == 1 else settings[path[0]][path[1]]
+    got = settings
+    for key in path:
+        got = got[key]
     # taken as given: no bool for a number, no fraction truncated; a string may be a number
     assert not isinstance(value, bool) and (got == value or isinstance(value, str)), (got, value)
 
 
 # the TrainConfig and LossWeights fields each command reads, by flag dest
-WEIGHT_FIELDS = set(LossWeights().to_dict())
+WEIGHT_FIELDS = set(asdict(LossWeights()))
 READS = {
     "train": {"lr", "batch_size", "epochs", "val_fraction", "seed"} | WEIGHT_FIELDS,
     "finetune": {"finetune_lr", "finetune_steps", "finetune_batch", "calibration_fraction",
@@ -499,7 +509,7 @@ def test_consecutive_commands_each_see_only_their_own_flags_and_defaults(tmp_pat
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_train_flags_are_the_fields_the_command_reads(command):
-    assert READS[command] <= set(TrainConfig().to_dict()) | WEIGHT_FIELDS
+    assert READS[command] <= set(asdict(TrainConfig())) | WEIGHT_FIELDS
     assert subcommand_dests(command) - OTHER_FLAGS[command] == READS[command]
 
 
@@ -513,10 +523,6 @@ def test_reads_table_matches_what_train_and_fine_tune_read(tmp_path):
             self._read.add(name)
             value = getattr(self._cfg, name)
             return Recorder(value, self._read) if name == "weights" else value
-
-        def value(self, task):
-            self._read.add(task)
-            return self._cfg.value(task)
 
     gen = tmp_path / "gen"
     run("gen", "--subjects", "1", "--frames", "6", "--seed", "5", "--out", str(gen))
@@ -792,7 +798,7 @@ def test_gen_takes_the_ends_of_the_kappa_and_noise_ranges(tmp_path):
         out = tmp_path / f"run_{kappa}"
         assert run("gen", "--subjects", "3", "--frames", "2", "--kappa-range", kappa,
                    "--noise-sigma", sigma, "--out", str(out)) == 0
-        subjects = [Subject.from_dict(d) for d in load_dataset(out / "dataset.jsonl").header["subjects"]]
+        subjects = [from_dict(Subject, d) for d in load_dataset(out / "dataset.jsonl").header["subjects"]]
         assert all(abs(s.kappa_yaw) <= float(kappa) and s.noise_sigma == float(sigma) for s in subjects)
 
 
@@ -1116,6 +1122,64 @@ def test_convert_closes_its_input_when_the_output_cannot_be_opened(tmp_path, cap
         gc.collect()
     assert capsys.readouterr().err == f"error: {dst}: No such file or directory\n"
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)], [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"R": [v == 1.0 for v in EYE9], "t": [0, 0, 0]},
+                 "R must be a flat list of 9 numbers, got [True, False, False, False, True,", id="bool-R"),
+    pytest.param({"R": EYE9, "t": [0, 0, True]}, "t must be a flat list of 3 numbers, got [0, 0, True]",
+                 id="bool-t"),
+    pytest.param({"R": EYE9, "t": [0, 0, "1"]}, "t must be a flat list of 3 numbers, got [0, 0, '1']",
+                 id="string-t"),
+    pytest.param({"R": [EYE9[:3], EYE9[3:6], EYE9[6:]], "t": [0, 0, 0]},
+                 "R must be a flat list of 9 numbers, got [[1.0, 0.0, 0.0],", id="nested-R"),
+])
+def test_a_transform_takes_json_numbers_only(tmp_path, capsys, doc, message):
+    transform = tmp_path / "t.json"
+    transform.write_text(json.dumps(doc))
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0]}) + "\n")
+    assert run("convert", "--dir", "pogz2pog", "--transform", str(transform), "--input", str(src),
+               "--output", str(tmp_path / "out.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {transform}: {message}") and err.count("\n") == 1, err
+
+
+def out_of_bounds(point, gaze):
+    return f"point and gaze values must be at most 1e+09 in magnitude, got point {point} and gaze {gaze}"
+
+
+@pytest.mark.parametrize("direction", ["pogz2pog", "pog2pogz"])
+def test_convert_takes_json_numbers_within_the_physical_bound_only(tmp_path, capsys, direction):
+    """A record follows the physical rule of a dataset row, every value at most
+    1e9 in magnitude, and holds JSON numbers only: any other record is an error
+    record that says so, with nothing on stderr."""
+    R = oracles.rotation_matrix_from_axis_angle([1.0, 0.0, 0.0], 0.3)
+    t = (10.0, 180.0, -25.0)
+    transform = write_transform(tmp_path / "t.json", R=R, t=t)
+    ok = [([12.5, -40.0], [0.1, 0.2, -0.97]), ([1e9, -1e9], [0.1, 0.2, -0.97]),
+          ([3.0, 4.0], [-1e9, 5e8, 1e9])]
+    bad = [({"point": [1.0, 2.0], "gaze": [1e308, 1e308, 1e308]}, out_of_bounds([1.0, 2.0], [1e308] * 3)),
+           ({"point": [1.0, 2.0], "gaze": [1e200, 1e200, 1e200]}, out_of_bounds([1.0, 2.0], [1e200] * 3)),
+           ({"point": [1.7e308, 1.7e308], "gaze": [0.1, 0.2, -0.97]},
+            out_of_bounds([1.7e308, 1.7e308], [0.1, 0.2, -0.97])),
+           ({"point": [1000000001.0, 0.0], "gaze": [0.1, 0.2, -0.97]},
+            out_of_bounds([1000000001.0, 0.0], [0.1, 0.2, -0.97])),
+           ({"point": [1.0, 2.0], "gaze": [True, 0.0, -1.0]},
+            "point and gaze must be JSON numbers, got point [1.0, 2.0] and gaze [True, 0.0, -1.0]"),
+           ({"point": ["1", 2.0], "gaze": [0.0, 0.0, -1.0]},
+            "point and gaze must be JSON numbers, got point ['1', 2.0] and gaze [0.0, 0.0, -1.0]")]
+    lines = [json.dumps({"point": p, "gaze": g}) for p, g in ok] + [json.dumps(rec) for rec, _ in bad]
+    lines.append('{"point": [1.0, 2.0], "gaze": [0.0, Infinity, -1.0]}')   # today's non-finite text
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+    assert run("convert", "--dir", direction, "--transform", str(transform), "--input", str(src),
+               "--output", str(dst)) == 0
+    assert capsys.readouterr().err == ""
+    want = [oracles.reference_convert_record(p, g, R, t, direction, i) for i, (p, g) in enumerate(ok)]
+    want += [{"error": error, "line": len(ok) + i} for i, (_, error) in enumerate(bad)]
+    want.append({"error": "non-finite point [1.0, 2.0] or gaze [0.0, inf, -1.0]", "line": len(lines) - 1})
+    assert [json.loads(line) for line in dst.read_text().splitlines()] == want
 
 
 def test_gen_calibration_records_are_the_reference_bytes(tmp_path):

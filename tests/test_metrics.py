@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ def make_oracle_dataset(n_subjects=2, n_frames=8, seed=33):
     for sid in range(n_subjects):
         for i in range(n_frames):
             samples.append(sample_frame(Subject(id=sid), cfg, frame_rng(seed, sid, i)))
-    header = {"schema_version": 1, "mode": "general", "config": cfg.to_dict()}
+    header = {"schema_version": 1, "mode": "general", "config": asdict(cfg)}
     return oracles.dataset_from_samples(header, samples)
 
 
@@ -136,7 +138,7 @@ def test_evaluate_with_a_screen_makes_no_scalar_pogz_to_pog_call(monkeypatch):
 
 
 def test_evaluate_empty_dataset():
-    ds = oracles.dataset_from_samples({"mode": "general", "config": SceneConfig().to_dict()}, [])
+    ds = oracles.dataset_from_samples({"mode": "general", "config": asdict(SceneConfig())}, [])
     with pytest.raises(GeometryError):
         evaluate(zero_params(), ds)
 

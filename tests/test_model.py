@@ -1,6 +1,7 @@
 import base64
 import json
 import struct
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import oracles
 
 from gaze6d.camera import BoundingBox, CameraIntrinsics, backproject
-from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged
+from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged, from_dict
 from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeights, ModelParams,
                           TrainConfig, backward, batch_loss,
                           euler_from_vec, fine_tune, forward, forward_batch,
@@ -313,7 +314,7 @@ def test_loss_decomposition_exact():
     w = LossWeights(g_n=0.7, g_o=0.3, pogz=0.05, r_on=1.1, face=0.2)
     params, batch = one_row_batch(UNIT_OFFSETS)
     total, terms = batch_loss(params, batch, w)
-    recomputed = sum(w.value(t) * terms[t] for t in TASKS)
+    recomputed = sum(getattr(w, t) * terms[t] for t in TASKS)
     assert abs(total - recomputed) < 1e-12
 
 
@@ -411,7 +412,7 @@ def test_loss_and_gradients_match_the_per_task_reference_bit_for_bit():
         weights = LossWeights()
         if i % 2:
             zeroed = TASKS[i // 2 % len(TASKS)]
-            weights = LossWeights(**{**weights.to_dict(), zeroed: 0.0})
+            weights = LossWeights(**{**asdict(weights), zeroed: 0.0})
             if i % 4 == 3:
                 # a NaN residual in the zero-weight task: its head still gets exactly 0
                 rows = rng.random(len(batch)) < 0.3
@@ -539,7 +540,7 @@ def test_adam_matches_per_array_reference(weights):
     # updates every entry, and must leave those heads bit-equal anyway
     params = init_params(seed=5)
     batch = make_gradcheck_batch(params, seed=1)
-    frozen = {TASK_HEADS[t] + s for t in TASKS if weights.value(t) == 0.0 for s in ("_w", "_b")}
+    frozen = {TASK_HEADS[t] + s for t in TASKS if getattr(weights, t) == 0.0 for s in ("_w", "_b")}
     ref = {k: v.copy() for k, v in params.arrays.items()}
     ref_opt = oracles.PerArrayAdam(ref, lr=1e-2)
     opt = Adam(params, lr=1e-2)
@@ -571,7 +572,7 @@ def make_dataset(tmp_path, n_subjects=3, n_frames=40, seed=0, kappa_range=0.0,
 
 
 def test_train_empty_dataset_rejected():
-    ds = oracles.dataset_from_samples({"mode": "general", "config": SceneConfig().to_dict()}, [])
+    ds = oracles.dataset_from_samples({"mode": "general", "config": asdict(SceneConfig())}, [])
     with pytest.raises(ConfigError):
         train(TrainConfig(epochs=1), ds)
 
@@ -580,7 +581,7 @@ def test_train_config_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
-        TrainConfig.from_dict({**TrainConfig().to_dict(), "seed": -2})
+        from_dict(TrainConfig, {**asdict(TrainConfig()), "seed": -2})
 
 
 def test_train_lr_zero_leaves_params_at_init(tmp_path):

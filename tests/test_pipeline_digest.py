@@ -5,8 +5,9 @@ import re
 import pipeline_digest
 
 OUTPUTS = {
-    "screen.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl",
-    *(f"{d}/{f}" for d in ("gen_train", "gen_eval", "gen_calib") for f in ("config.json", "dataset.jsonl")),
+    "screen.json", "scene.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl",
+    *(f"{d}/{f}" for d in ("gen_train", "gen_eval", "gen_calib", "gen_scene", "gen_replay")
+      for f in ("config.json", "dataset.jsonl")),
     "train/config.json", "train/params.json", "train/history.csv", "folds/config.json",
     *(f"folds/fold_{k}/{f}" for k in (0, 1) for f in ("params.json", "history.csv", "report.csv")),
     "tuned/config.json", *(f"tuned/params_subject_{sid}.json" for sid in (0, 1, 2)),
@@ -27,6 +28,11 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
     # the snapshots name their inputs relative to the run root, so they match across checkouts
     snapshot = json.loads((tmp_path / "out" / "eval_tuned_screen" / "config.json").read_text())
     assert (snapshot["params"], snapshot["screen"]) == ("tuned/params_subject_0.json", "screen.json")
+    # the scene that ran is the given one, with gen's seed; a replayed gen writes the same files
+    snapshot = json.loads((tmp_path / "out" / "gen_scene" / "config.json").read_text())
+    assert snapshot["scene"] == {**pipeline_digest.SCENE, "seed": 5}
+    for name in ("config.json", "dataset.jsonl"):
+        assert listing[f"gen_replay/{name}"] == listing[f"gen_train/{name}"], name
     # convert streamed an error record for each faulty line, in both directions,
     # faults on each side of two block seams included
     assert pipeline_digest.SEAM == pipeline_digest.cli._CONVERT_BLOCK

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import oracles
 from fuzz import FUZZ, json_values
 from gaze6d.camera import CameraIntrinsics, backproject
 from gaze6d.easy_norm import norm_rotation, normalize_gaze, denormalize_gaze
-from gaze6d.errors import ConfigError
+from gaze6d.errors import ConfigError, from_dict
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import pogz_from_ray
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset,
@@ -34,7 +35,7 @@ def test_clipped_gaussian_bounds_and_dict():
     rng = np.random.default_rng(30)
     draws = [dist.sample(rng) for _ in range(2000)]
     assert min(draws) >= -1.0 and max(draws) <= 2.0
-    assert ClippedGaussian.from_dict(dist.to_dict()) == dist
+    assert from_dict(ClippedGaussian, asdict(dist)) == dist
 
 
 def test_clipped_gaussian_validation():
@@ -46,7 +47,7 @@ def test_clipped_gaussian_validation():
 
 def test_subject_validation_and_dict():
     s = Subject(id=4, kappa_yaw=0.05, kappa_pitch=-0.02, noise_sigma=0.01)
-    assert Subject.from_dict(s.to_dict()) == s
+    assert from_dict(Subject, asdict(s)) == s
     with pytest.raises(ConfigError):
         Subject(id=0, kappa_yaw=0.2)
     with pytest.raises(ConfigError):
@@ -90,7 +91,7 @@ def test_a_subject_and_a_scene_reject_non_finite_bias_noise_and_negative_seeds()
 
 def test_scene_config_round_trip_and_hash():
     cfg = SceneConfig(seed=5)
-    assert SceneConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_dict(SceneConfig, asdict(cfg)) == cfg
     assert cfg.hash() == SceneConfig(seed=5).hash()
     assert cfg.hash() != SceneConfig(seed=6).hash()
 
