@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics, model, synth
 from .errors import (BAD_INPUT, JSON_NUMBERS, ConfigError, GeometryError, TrainingDiverged, bad_input, cast,
-                     check_seed, describe, from_dict)
+                     check_seed, describe, field_types, from_dict)
 from .jsonl import LINE_ENCODER
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
                    RigidTransform, pog_to_pogz, pogz_to_pog, pogz_to_pog_rows)
@@ -60,6 +60,10 @@ SETTINGS = {
     "finetune": {"params": str, "calib": str, "subject": int, **_TRAIN_DEFAULTS},
     "eval": {"params": str, "data": str, "screen": str},
 }
+# the settings that are fields of a config dataclass, by command: each takes
+# its field's type, any other setting its default's
+_FIELDS = {"gen": {"scene": synth.SceneConfig}, "train": field_types(model.TrainConfig),
+           "finetune": field_types(model.TrainConfig)}
 
 
 def _configure(args) -> dict:
@@ -76,27 +80,34 @@ def _configure(args) -> dict:
         unknown = sorted(set(cfg) - set(table) - {"command"})
         if unknown:
             raise ConfigError(f"unknown keys {unknown}; expected keys from {sorted({'command', *table})}")
-        return _settings(args, cfg, table)
+        return _settings(args, cfg, table, _FIELDS.get(args.command, {}))
 
 
-def _settings(args, cfg: dict, defaults: dict, where: str = "") -> dict:
+def _settings(args, cfg: dict, defaults: dict, kinds: dict, where: str = "") -> dict:
     """`defaults`, overridden by `cfg`, then by flags of the same dest; dicts
-    merge key by key, and each value is cast to its default's type.  Flags
+    merge key by key.  Each value is cast to its type in `kinds`, the field
+    types of its config dataclass, or else to its default's type.  Flags
     arrive typed, so a value that fails came from the config file."""
     out = {}
     for key, default in defaults.items():
         name, value = where + key, getattr(args, key, None)
+        optional = isinstance(default, type)
         if value is None:
-            value = cfg.get(key, None if isinstance(default, type) else default)
+            value = cfg.get(key, None if optional else default)
         if not isinstance(default, dict):
-            optional = isinstance(default, type)
             with bad_input(name):
-                out[key] = cast(default if optional else type(default), value, optional)
+                out[key] = cast(default if optional else kinds.get(key, type(default)), value, optional)
         elif isinstance(value, dict) and set(value) <= set(default):
-            out[key] = _settings(args, value, default, name + ".")
+            out[key] = _settings(args, value, default, field_types(kinds[key]), name + ".")
         else:
             raise ConfigError(f"{name}: expected an object with keys from {sorted(default)}, got {value!r}")
     return out
+
+
+def _train_config(settings: dict) -> model.TrainConfig:
+    """The TrainConfig of train's or finetune's settings, typed already."""
+    weights = model.LossWeights(**settings["weights"])
+    return model.TrainConfig(**{key: settings[key] for key in _TRAIN_DEFAULTS if key != "weights"}, weights=weights)
 
 
 def _write_snapshot(args, settings: dict) -> Path:
@@ -153,7 +164,7 @@ def cmd_train(args) -> int:
     folds = settings["folds"]
     if folds < 0:
         raise ConfigError(f"folds must be >= 0, got {folds}")
-    tc = from_dict(model.TrainConfig, settings)
+    tc = _train_config(settings)
     dataset = _load_rows(settings["data"])
     # cross-subject folds: subject id modulo fold count picks the held-out fold;
     # every split is checked before the run directory is made
@@ -196,7 +207,7 @@ def cmd_finetune(args) -> int:
     params_path, calib_path, subject_filter = (settings[k] for k in ("params", "calib", "subject"))
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
-    tc = from_dict(model.TrainConfig, settings)
+    tc = _train_config(settings)
     base = model.load_params(params_path)
     calib = _load_rows(calib_path)
     if subject_filter not in (None, *calib.subject_ids()):
@@ -245,7 +256,6 @@ def cmd_eval(args) -> int:
 # input lines read, converted and written together: one pogz_to_pog_rows
 # call costs about as much per row at 1024; a smaller block answers a pipe sooner
 _CONVERT_BLOCK = 256
-_FLOATS = {float}
 
 
 def _read_record(line: str) -> tuple[list, list]:
@@ -257,19 +267,14 @@ def _read_record(line: str) -> tuple[list, list]:
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    # the usual record, floats whose sum of magnitudes is within the bound,
-    # has no value NaN, inf or beyond it: two passes in all; any other record
-    # goes through the checks below, which name its fault
-    values = [*point, *gaze]
-    if set(map(type, values)) == _FLOATS and sum(map(abs, values)) <= synth.MAX_ABS_VALUE:
-        return point, gaze
-    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
+    if not JSON_NUMBERS.issuperset(map(type, [*point, *gaze])):   # float() would take true and "1"
         raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
-    xy, g = [float(v) for v in point], [float(v) for v in gaze]
-    # json.loads accepts NaN and Infinity: check the plain floats before any arithmetic
-    if not all(map(math.isfinite, xy + g)):
-        raise ValueError(f"non-finite point {point} or gaze {gaze}")
-    if max(map(abs, xy + g)) > synth.MAX_ABS_VALUE:
+    xy, g = list(map(float, point)), list(map(float, gaze))
+    # json.loads accepts NaN and Infinity: one pass over the plain floats, before
+    # any arithmetic, finds a value that is NaN, inf or beyond the bound
+    if not all(map(synth.MAX_ABS_VALUE.__ge__, map(abs, xy + g))):
+        if not all(map(math.isfinite, xy + g)):
+            raise ValueError(f"non-finite point {point} or gaze {gaze}")
         raise ValueError(f"point and gaze values must be at most {synth.MAX_ABS_VALUE:g} in magnitude, "
                          f"got point {point} and gaze {gaze}")
     return xy, g

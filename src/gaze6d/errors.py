@@ -52,15 +52,13 @@ def describe(exc: BaseException) -> str:
 
 @contextmanager
 def bad_input(where):
-    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>"),
-    or as ConfigError("<what>") for an empty `where`.  `where` is a name, or a
-    callable giving one when the error is raised: a reader enters the guard
-    once per file and still names the line."""
+    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>").
+    `where` is a name, or a callable giving one when the error is raised: a
+    reader enters the guard once per file and still names the line."""
     try:
         yield
     except BAD_INPUT as exc:
-        name = where() if callable(where) else where
-        raise ConfigError(f"{name}: {describe(exc)}" if name else describe(exc)) from None
+        raise ConfigError(f"{where() if callable(where) else where}: {describe(exc)}") from None
 
 
 def check_seed(seed: int) -> None:
@@ -101,22 +99,23 @@ def cast(kind: type, value, optional: bool = False):
 
 
 @functools.cache   # typing.get_type_hints evaluates every annotation anew
-def _field_types(cls) -> dict:
+def field_types(cls) -> dict:
+    """The type of each field of the dataclass `cls`, by name."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
-def from_dict(cls, d: dict, where: str = ""):
+def from_dict(cls, d: dict, where: str):
     """The dataclass `cls` built from `d`, what dataclasses.asdict wrote, field
     by field: a dataclass field from its own dict, any other through `cast`;
     other keys are ignored.  A missing or bad field, or one that `cls`
     rejects, is a ConfigError naming its key path, which starts with `where`."""
-    fields = _field_types(cls)
+    fields = field_types(cls)
     with bad_input(where):
         values = [d[name] for name in fields]
     kwargs = {}
     for (name, kind), value in zip(fields.items(), values):
-        path = f"{where}.{name}" if where else name
+        path = f"{where}.{name}"
         if dataclasses.is_dataclass(kind):
             kwargs[name] = from_dict(kind, value, path)
         else:

@@ -349,7 +349,7 @@ def dataset_from_samples(header, samples):
 def _intrinsics(header):
     from gaze6d.camera import CameraIntrinsics
     from gaze6d.errors import from_dict
-    return from_dict(CameraIntrinsics, header["config"]["intrinsics"])
+    return from_dict(CameraIntrinsics, header["config"]["intrinsics"], "config.intrinsics")
 
 
 def reference_load_dataset(path):

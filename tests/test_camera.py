@@ -28,7 +28,7 @@ def test_intrinsics_validation():
 
 def test_intrinsics_json_round_trip():
     text = json.dumps(asdict(INTR), sort_keys=True)
-    loaded = from_dict(CameraIntrinsics, json.loads(text))
+    loaded = from_dict(CameraIntrinsics, json.loads(text), "intrinsics")
     assert loaded == INTR
     keys = set(json.loads(text))
     assert keys == {"focal_px", "cx", "cy", "k_mm_per_px", "width", "height"}

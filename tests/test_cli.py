@@ -798,7 +798,7 @@ def test_gen_takes_the_ends_of_the_kappa_and_noise_ranges(tmp_path):
         out = tmp_path / f"run_{kappa}"
         assert run("gen", "--subjects", "3", "--frames", "2", "--kappa-range", kappa,
                    "--noise-sigma", sigma, "--out", str(out)) == 0
-        subjects = [from_dict(Subject, d) for d in load_dataset(out / "dataset.jsonl").header["subjects"]]
+        subjects = [from_dict(Subject, d, "subject") for d in load_dataset(out / "dataset.jsonl").header["subjects"]]
         assert all(abs(s.kappa_yaw) <= float(kappa) and s.noise_sigma == float(sigma) for s in subjects)
 
 

@@ -581,7 +581,7 @@ def test_train_config_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
-        from_dict(TrainConfig, {**asdict(TrainConfig()), "seed": -2})
+        from_dict(TrainConfig, {**asdict(TrainConfig()), "seed": -2}, "train")
 
 
 def test_train_lr_zero_leaves_params_at_init(tmp_path):

@@ -3,10 +3,11 @@ reader, errors.from_dict, which types every field through errors.cast: in
 `--config`, at every depth of gen's scene, and in a dataset header's
 intrinsics."""
 
+import argparse
 import json
 import math
 import typing
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import pytest
 
@@ -56,19 +57,19 @@ def test_asdict_writes_the_bytes_of_the_reference_dict_form(name):
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_from_dict_reads_back_what_asdict_wrote(name):
     obj = INSTANCES[name]
-    assert from_dict(type(obj), asdict(obj)) == obj
-    back = from_dict(type(obj), json.loads(json.dumps(asdict(obj))))
+    assert from_dict(type(obj), asdict(obj), name) == obj
+    back = from_dict(type(obj), json.loads(json.dumps(asdict(obj))), name)
     assert back == obj and asdict(back) == asdict(obj)
 
 
 def test_from_dict_resolves_each_class_s_field_types_once(monkeypatch):
-    from_dict(TrainConfig, asdict(TrainConfig()))
+    from_dict(TrainConfig, asdict(TrainConfig()), "train")
 
     def no_resolving(*args, **kwargs):
         raise AssertionError("field types resolved again")
 
     monkeypatch.setattr(typing, "get_type_hints", no_resolving)
-    assert from_dict(TrainConfig, asdict(INSTANCES["train-other"])) == INSTANCES["train-other"]
+    assert from_dict(TrainConfig, asdict(INSTANCES["train-other"]), "train") == INSTANCES["train-other"]
 
 
 @pytest.mark.parametrize("kind, value, want", [
@@ -101,11 +102,11 @@ def test_from_dict_names_a_missing_or_bad_field_by_its_key_path():
         from_dict(SceneConfig, scene, "scene")
     scene = asdict(SceneConfig())
     scene["gaze_pitch"]["lo"] = "low"
-    with pytest.raises(ConfigError, match=r"^gaze_pitch\.lo: could not convert string to float: 'low'$"):
-        from_dict(SceneConfig, scene)
+    with pytest.raises(ConfigError, match=r"^scene\.gaze_pitch\.lo: could not convert string to float: 'low'$"):
+        from_dict(SceneConfig, scene, "scene")
     scene["gaze_pitch"]["lo"] = 2.0
-    with pytest.raises(ConfigError, match=r"^gaze_pitch: empty range \[2\.0, 0\.84\]$"):
-        from_dict(SceneConfig, scene)
+    with pytest.raises(ConfigError, match=r"^scene\.gaze_pitch: empty range \[2\.0, 0\.84\]$"):
+        from_dict(SceneConfig, scene, "scene")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,23 @@ def test_a_non_finite_header_intrinsic_names_line_1(tmp_path, key, value, messag
     with pytest.raises(ConfigError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path}:1: {message}"
+
+
+@dataclass(frozen=True)
+class IntDefault:
+    rate: float = 1   # a float field whose default is written as an int
+
+
+def test_a_dataclass_setting_takes_its_field_type_not_its_default_s():
+    """--config types a config dataclass's setting as from_dict does, by its
+    field's annotation, at the top level and nested."""
+    defaults = {"rate": 1, "nested": asdict(IntDefault()), "count": 1}
+    cfg = {"rate": 0.5, "nested": {"rate": "0.25"}, "count": "2"}
+    got = cli._settings(argparse.Namespace(), cfg, defaults, {"rate": float, "nested": IntDefault})
+    assert got == {"rate": 0.5, "nested": {"rate": 0.25}, "count": 2}
+    assert type(got["count"]) is int   # no field: its default's type
+    with pytest.raises(ConfigError, match=r"^count: expected an integer, got 1\.5$"):
+        cli._settings(argparse.Namespace(), {"count": 1.5}, defaults, {"rate": float, "nested": IntDefault})
 
 
 def test_a_partial_scene_merges_over_the_defaults_and_runs_with_gen_s_seed(tmp_path):

@@ -35,7 +35,7 @@ def test_clipped_gaussian_bounds_and_dict():
     rng = np.random.default_rng(30)
     draws = [dist.sample(rng) for _ in range(2000)]
     assert min(draws) >= -1.0 and max(draws) <= 2.0
-    assert from_dict(ClippedGaussian, asdict(dist)) == dist
+    assert from_dict(ClippedGaussian, asdict(dist), "gaze_yaw") == dist
 
 
 def test_clipped_gaussian_validation():
@@ -47,7 +47,7 @@ def test_clipped_gaussian_validation():
 
 def test_subject_validation_and_dict():
     s = Subject(id=4, kappa_yaw=0.05, kappa_pitch=-0.02, noise_sigma=0.01)
-    assert from_dict(Subject, asdict(s)) == s
+    assert from_dict(Subject, asdict(s), "subject") == s
     with pytest.raises(ConfigError):
         Subject(id=0, kappa_yaw=0.2)
     with pytest.raises(ConfigError):
@@ -91,7 +91,7 @@ def test_a_subject_and_a_scene_reject_non_finite_bias_noise_and_negative_seeds()
 
 def test_scene_config_round_trip_and_hash():
     cfg = SceneConfig(seed=5)
-    assert from_dict(SceneConfig, asdict(cfg)) == cfg
+    assert from_dict(SceneConfig, asdict(cfg), "scene") == cfg
     assert cfg.hash() == SceneConfig(seed=5).hash()
     assert cfg.hash() != SceneConfig(seed=6).hash()
 
