@@ -267,17 +267,17 @@ def _read_record(line: str) -> tuple[list, list]:
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    if not JSON_NUMBERS.issuperset(map(type, [*point, *gaze])):   # float() would take true and "1"
+    values = [*point, *gaze]
+    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
         raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
-    xy, g = list(map(float, point)), list(map(float, gaze))
-    # json.loads accepts NaN and Infinity: one pass over the plain floats, before
-    # any arithmetic, finds a value that is NaN, inf or beyond the bound
-    if not all(map(synth.MAX_ABS_VALUE.__ge__, map(abs, xy + g))):
-        if not all(map(math.isfinite, xy + g)):
+    # json.loads accepts NaN and Infinity: one pass, before any arithmetic, finds
+    # a value that is NaN, inf or beyond the bound (NaN fails every comparison)
+    if not all(map(synth.MAX_ABS_VALUE.__ge__, map(abs, values))):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite point {point} or gaze {gaze}")
         raise ValueError(f"point and gaze values must be at most {synth.MAX_ABS_VALUE:g} in magnitude, "
                          f"got point {point} and gaze {gaze}")
-    return xy, g
+    return [float(point[0]), float(point[1])], [float(gaze[0]), float(gaze[1]), float(gaze[2])]
 
 
 def _convert_record(i: int, xy: list, g: list, direction: str, transform: RigidTransform) -> dict:
