@@ -27,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, model, synth
-from .errors import (BAD_INPUT, JSON_NUMBERS, ConfigError, GeometryError, TrainingDiverged, bad_input, cast,
-                     check_seed, describe, field_types, from_dict)
-from .jsonl import LINE_ENCODER
-from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint,
-                   RigidTransform, pog_to_pogz, pogz_to_pog, pogz_to_pog_rows)
+from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, GeometryError, TrainingDiverged,
+                     bad_input, cast, check_seed, describe, field_types, from_dict)
+from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE
+from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint, RigidTransform,
+                   pog_to_pogz, pogz_to_pog, pogz_to_pog_rows, rotate_rows)
 
 log = logging.getLogger("gaze6d")
 
@@ -258,85 +258,137 @@ def cmd_eval(args) -> int:
 _CONVERT_BLOCK = 256
 
 
-def _read_record(line: str) -> tuple[list, list]:
-    """The point and gaze of one input line, as plain floats; malformed input
-    raises a BAD_INPUT exception.  A record follows the physical rule of a
-    dataset row: JSON numbers, each at most synth.MAX_ABS_VALUE in magnitude."""
+# json.loads' decoder without its wrapper and its whitespace scans
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _read_record(line: str) -> tuple:
+    """The point and gaze of one stripped input line, as its JSON holds them,
+    each of its length; malformed input raises a BAD_INPUT exception.  Their
+    values are checked over a block's columns at once, or by _check_values."""
     line.encode()  # rejects a lone surrogate
-    rec = json.loads(line)
+    try:   # a stripped line has no whitespace at either end to scan
+        rec, end = _DECODE(line)
+    except BAD_INPUT:
+        end = None
+    if end != len(line):   # not one JSON text: json.loads raises its own error for it
+        rec = json.loads(line)
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
+    return point, gaze
+
+
+def _check_values(point, gaze) -> list[float]:
+    """The five values of a record read by _read_record, as floats, if they
+    follow the physical rule of a dataset row: JSON numbers, each at most
+    MAX_ABS_VALUE in magnitude; else a BAD_INPUT exception names the rule
+    they break."""
     values = [*point, *gaze]
     if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
         raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
     # json.loads accepts NaN and Infinity: one pass, before any arithmetic, finds
     # a value that is NaN, inf or beyond the bound (NaN fails every comparison)
-    if not all(map(synth.MAX_ABS_VALUE.__ge__, map(abs, values))):
+    if not all(map(MAX_ABS_VALUE.__ge__, map(abs, values))):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite point {point} or gaze {gaze}")
-        raise ValueError(f"point and gaze values must be at most {synth.MAX_ABS_VALUE:g} in magnitude, "
+        raise ValueError(f"point and gaze values must be at most {MAX_ABS_VALUE:g} in magnitude, "
                          f"got point {point} and gaze {gaze}")
-    return [float(point[0]), float(point[1])], [float(gaze[0]), float(gaze[1]), float(gaze[2])]
+    return [float(v) for v in values]
 
 
-def _convert_record(i: int, xy: list, g: list, direction: str, transform: RigidTransform) -> dict:
-    """The output record of the checked record on input line `i`, one record
-    at a time; a gaze with no direction or parallel to the target plane gives
-    an error record."""
-    gaze = np.array(g)
-    try:
-        if direction == "pogz2pog":
-            dst = pogz_to_pog(PlanePoint(*xy, frame=FRAME_CAMERA_PLANE), gaze, transform)
-            out_gaze = transform.apply_direction(gaze)
-        else:
-            dst = pog_to_pogz(PlanePoint(*xy, frame=FRAME_SCREEN_PLANE), gaze, transform)
-            out_gaze = transform.apply_inverse_direction(gaze)
-    except GeometryError as exc:
-        return {"error": describe(exc), "line": i}
-    return {"point": [dst.x, dst.y], "gaze": out_gaze.tolist(), "behind": dst.behind}
+def _error_line(i: int, exc: BaseException) -> str:
+    """The output line of input line `i`, whose record raised `exc`."""
+    return LINE_ENCODER.encode({"error": describe(exc), "line": i}) + "\n"
 
 
-def _convert_rows(rows: list, direction: str, transform: RigidTransform) -> list[dict]:
-    """The output records of checked records [(line, xy, g)], in order.
+def _convert_record(xy: list, g: np.ndarray, direction: str, transform: RigidTransform) -> PlanePoint:
+    """The target-plane point of one checked record, one record at a time; a
+    gaze with no direction or parallel to the target plane raises
+    GeometryError."""
+    if direction == "pogz2pog":
+        return pogz_to_pog(PlanePoint(*xy, frame=FRAME_CAMERA_PLANE), g, transform)
+    return pog_to_pogz(PlanePoint(*xy, frame=FRAME_SCREEN_PLANE), g, transform)
 
-    pogz2pog maps the rows with one pogz_to_pog_rows call, which gives each
-    row the bits _convert_record gives it.  A row without a finite screen
-    point (no screen hit, or an overflow), and every row of a call that meets
-    a zero-length gaze, goes through _convert_record, so its error record
-    names its own fault and its warnings are those of the one-record path.
+
+def _convert_block(numbered_lines, direction: str, transform: RigidTransform) -> str:
+    """The output text of [(line number, line)], one line per record in input
+    order: a blank line gives none, a malformed one its error record.
+
+    Each line is read once for its structure (_read_record).  The values of
+    the block's records are checked at once, over their (n, 5) float columns;
+    a record that fails, and every record of a block holding a value that is
+    no JSON number or an int too large for a float, goes through
+    _check_values, which gives its error record its message.
+
+    pogz2pog maps the passing records with one pogz_to_pog_rows call, which
+    gives each row the bits the one-record pogz_to_pog gives it, and its
+    rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
+    bit for bit apply_inverse_direction of each.  A record without a finite
+    point (every pog2pogz record; a pogz2pog one with no screen hit, and
+    every one of a block that meets a zero-length gaze) goes through
+    _convert_record, so its error record names its own fault and its
+    warnings are those of the one-record path.  A converted record's line is
+    written from RECORD_LINE: within the physical rule, and with the
+    transform's t within it too, its values are finite.
     """
-    if direction == "pogz2pog" and rows:
-        try:
-            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
-                points, behind, _, gazes = pogz_to_pog_rows(
-                    np.array([xy for _, xy, _ in rows]), np.array([g for _, _, g in rows]), transform)
-        except GeometryError:
-            pass
-        else:
-            done = np.isfinite(points).all(axis=1)
-            return [{"point": p, "gaze": g, "behind": b} if ok else _convert_record(*row, direction, transform)
-                    for row, p, b, ok, g in zip(rows, points.tolist(), behind.tolist(), done.tolist(),
-                                                gazes.tolist())]
-    return [_convert_record(*row, direction, transform) for row in rows]
-
-
-def _convert_block(numbered_lines, direction: str, transform: RigidTransform) -> list[dict]:
-    """The output records of [(line number, line)], in input order: a blank
-    line gives none, a malformed one its error record."""
-    out, rows = [], []
+    out, records, values = [], [], []
     for i, line in numbered_lines:
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append((i, *_read_record(line)))
-            out.append(None)   # the place of a checked record, filled below
+            point, gaze = _read_record(line)
         except BAD_INPUT as exc:
             # keep streaming: emit an error record for the bad line
-            out.append({"error": describe(exc), "line": i})
-    converted = iter(_convert_rows(rows, direction, transform))
-    return [rec or next(converted) for rec in out]
+            out.append(_error_line(i, exc))
+            continue
+        records.append((len(out), i, point, gaze))
+        out.append(None)   # the place of the record's line, filled below
+        values += point
+        values += gaze
+
+    n = len(records)
+    columns, passed = np.empty((n, 5)), np.zeros(n, dtype=bool)
+    if JSON_NUMBERS.issuperset(map(type, values)):
+        try:
+            columns = np.array(values, dtype=float).reshape(n, 5)
+        except BAD_INPUT:   # an int too large for a float
+            pass
+        else:
+            passed = (np.abs(columns) <= MAX_ABS_VALUE).all(axis=1)   # NaN fails
+    for k in np.flatnonzero(~passed).tolist():
+        slot, i, point, gaze = records[k]
+        try:
+            columns[k] = _check_values(point, gaze)
+            passed[k] = True
+        except BAD_INPUT as exc:
+            out[slot] = _error_line(i, exc)
+    records = list(itertools.compress(records, passed.tolist()))
+    P, G = columns[passed, :2], columns[passed, 2:]
+
+    R = transform.rotation.matrix
+    points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
+    if direction == "pogz2pog":
+        try:
+            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
+                points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
+        except GeometryError:
+            gazes = rotate_rows(R, G)
+    else:
+        gazes = rotate_rows(R.T, G)
+    for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
+        try:
+            dst = _convert_record(P[k].tolist(), G[k], direction, transform)
+            points[k], behind[k] = (dst.x, dst.y), dst.behind
+        except GeometryError as exc:
+            slot, i, _, _ = records[k]
+            out[slot] = _error_line(i, exc)
+    # the places still empty are those of the records with a finite point, in order
+    done = np.isfinite(points).all(axis=1)
+    lines = iter([RECORD_LINE % (JSON_BOOLS[b], g, p) for b, g, p in
+                  zip(behind[done].tolist(), gazes[done].tolist(), points[done].tolist())])
+    return "".join([line or next(lines) for line in out])
 
 
 def cmd_convert(args) -> int:
@@ -345,11 +397,13 @@ def cmd_convert(args) -> int:
         stream_in = stack.enter_context(open(args.input, encoding="utf-8")) if args.input else sys.stdin
         if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
             stream_in.reconfigure(errors="surrogateescape")
+        # opening the output truncates it: it must not be the input, by any name
+        if args.input and args.output and os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+            raise ConfigError(f"{args.output}: is the --input file; convert would erase it before reading it")
         stream_out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
         numbered = enumerate(stream_in)
         while block := list(itertools.islice(numbered, _CONVERT_BLOCK)):
-            records = _convert_block(block, args.dir, transform)
-            stream_out.write("".join(LINE_ENCODER.encode(rec) + "\n" for rec in records))
+            stream_out.write(_convert_block(block, args.dir, transform))
     return EXIT_OK
 
 

@@ -79,6 +79,10 @@ def check_finite(obj, names, error=ConfigError) -> None:
 # what json.loads gives a number; a bool is no number here
 JSON_NUMBERS = frozenset((int, float))
 
+# the largest magnitude a value read from a file may have, in its field's unit
+# (millimetres, pixels or radians): no desk-scale quantity comes near it
+MAX_ABS_VALUE = 1e9
+
 _KIND_NAMES = {str: "a string", int: "an integer id"}
 
 

@@ -8,3 +8,10 @@ between calls.
 import json
 
 LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+# LINE_ENCODER.encode(record) + "\n" of a convert record {"behind": b, "gaze":
+# [3 floats], "point": [2 floats]} whose floats are finite, filled with
+# (JSON_BOOLS[b], gaze, point): a list of finite Python floats has the repr of
+# its JSON text, and the keys are written in sorted order
+RECORD_LINE = '{"behind": %s, "gaze": %r, "point": %r}\n'
+JSON_BOOLS = ("false", "true")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import JSON_NUMBERS, FrameMismatchError, GeometryError, RayParallelError, bad_input
+from .errors import JSON_NUMBERS, MAX_ABS_VALUE, FrameMismatchError, GeometryError, RayParallelError, bad_input
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -89,6 +89,11 @@ class RigidTransform:
                 raise ValueError(f"{name} must be a flat list of {size} numbers, got {value!r}")
             if len(value) != size or not all(map(math.isfinite, value)):
                 raise ValueError(f"{name} must be {size} finite values, got {[float(v) for v in value]}")
+        # the physical rule of a record: with it, every point and gaze that
+        # convert writes for a record within that rule is finite
+        if not all(map(MAX_ABS_VALUE.__ge__, map(abs, t))):
+            raise ValueError(f"t values must be at most {MAX_ABS_VALUE:g} mm in magnitude, "
+                             f"got {[float(v) for v in t]}")
         return cls(Rotation3(np.array(R, dtype=float).reshape(3, 3)), np.array(t, dtype=float))
 
     def save(self, path) -> None:
@@ -98,7 +103,8 @@ class RigidTransform:
     @classmethod
     def load(cls, path) -> "RigidTransform":
         """Read a transform written by save.  R must be 9 finite values forming a
-        proper rotation and t 3 finite values; else a ConfigError names the file."""
+        proper rotation and t 3 finite values, each at most MAX_ABS_VALUE mm in
+        magnitude; else a ConfigError names the file."""
         with open(path) as f, bad_input(path):
             return cls.from_dict(json.load(f))
 
@@ -108,6 +114,12 @@ def row_norms(V: np.ndarray) -> np.ndarray:
     product as the norm of one vector, where (V * V).sum(1), einsum and
     norm(axis=1) sum in another order and can differ in the last bit."""
     return np.sqrt(np.vecdot(V, V))
+
+
+def rotate_rows(R: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """R @ v of each row v of V (N, 3), bit for bit R @ v alone: the stacked
+    product of column vectors runs the per-row arithmetic; V @ R.T does not."""
+    return (R @ V[:, :, None])[:, :, 0]
 
 
 def _intersect_z0(origin: np.ndarray, direction: np.ndarray, frame: str) -> PlanePoint:
@@ -177,7 +189,7 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     lifted[:, :2, 0] = P
     # R @ each column vector: the per-row arithmetic of R @ p; P @ R.T is not
     origin = (R @ lifted)[:, :, 0] + cam_to_screen.translation
-    gaze = (R @ np.asarray(G, dtype=float)[:, :, None])[:, :, 0]
+    gaze = rotate_rows(R, np.asarray(G, dtype=float))
     norm = row_norms(gaze)
     empty = ~(norm > 0)   # a zero vector, or one whose squared norm underflows
     if empty.any():

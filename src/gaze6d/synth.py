@@ -36,7 +36,7 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
-from .errors import JSON_NUMBERS, ConfigError, bad_input, check_finite, check_seed, from_dict
+from .errors import JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed, from_dict
 from .jsonl import LINE_ENCODER
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
@@ -46,10 +46,6 @@ MAX_REJECTION_DRAWS = 1000
 
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
-
-# the largest magnitude a loaded row value may have, in its field's unit
-# (millimetres, pixels or radians): no desk-scale quantity comes near it
-MAX_ABS_VALUE = 1e9
 
 # default per-subject bias range and feature noise (radians), and the largest
 # bias a subject may carry

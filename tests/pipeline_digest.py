@@ -8,7 +8,8 @@ a gen replayed from the training set's config.json; train; train --folds 2;
 finetune; eval with and without --screen; and convert in both directions over
 records that include NaN, zero-length, plane-parallel and unparsable lines,
 some of them on each side of the first two seams between convert's input
-blocks.  It prints
+blocks, and values that are no JSON number, all integers, beyond the 1e9
+bound or too large for a float.  It prints
 `relative_path sha256` for every file under OUT, sorted by path.
 
 Every path the commands see is relative to OUT, so the config.json
@@ -40,6 +41,12 @@ ZERO = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, 0.0, 0.0]})
 PARALLEL_TO_SCREEN = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, -S]})   # a pogz2pog fault
 PARALLEL_TO_CAMERA = json.dumps({"point": [3.0, 4.0], "gaze": [0.0, C, S]})    # a pog2pogz fault
 UNPARSABLE = '{"point": [1.0, 2.0], "gaze": '
+# values that the checks over a block's columns pass on to the one-record check
+NOT_A_NUMBER = '{"point": [1.0, 2.0], "gaze": [true, 0.0, -1.0]}'
+NUMERIC_STRING = '{"point": ["1", 2.0], "gaze": [0.0, 0.0, -1.0]}'
+ALL_INTEGERS = '{"point": [12, -40], "gaze": [0, 1, -2]}'                # a valid record
+TOO_LARGE_FOR_A_FLOAT = '{"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1%s]}' % ("0" * 400)
+BEYOND_THE_BOUND = '{"point": [1e10, 2.0], "gaze": [0.0, 0.0, -1.0]}'
 
 # a scene with every key present and no value at its default, the intrinsics
 # included; its seed is gen's, so the 4 here is replaced by --seed
@@ -61,7 +68,11 @@ def finite_line(k: int) -> str:
 # written out so that the script runs against checkouts from before blocks)
 SEAM = 256
 # one record per line of convert's input: finite records, then the faults;
-# then finite records up to the first two block seams, with faults on each side
+# then finite records up to the first two block seams, with faults on each side.
+# A value that is no JSON number sends the first block's values through the
+# one-record check; the second block holds an all-integer record and one
+# beyond the bound; the last line, an int too large for a float, ends the last
+# block
 CONVERT_LINES = [
     json.dumps({"point": [12.5, -40.0], "gaze": [0.1, 0.2, -0.97]}),
     json.dumps({"point": [-150.0, 75.25], "gaze": [-0.3, 0.05, -0.9]}),
@@ -72,11 +83,16 @@ CONVERT_LINES = [
     PARALLEL_TO_SCREEN,
     PARALLEL_TO_CAMERA,
     UNPARSABLE,
-    *(finite_line(k) for k in range(9, SEAM - 1)),
+    *(finite_line(k) for k in range(9, 100)),
+    NOT_A_NUMBER, NUMERIC_STRING,
+    *(finite_line(k) for k in range(102, SEAM - 1)),
     ZERO, PARALLEL_TO_SCREEN,                                            # the first seam
-    *(finite_line(k) for k in range(SEAM + 1, 2 * SEAM - 1)),
+    *(finite_line(k) for k in range(SEAM + 1, SEAM + 100)),
+    ALL_INTEGERS, BEYOND_THE_BOUND,
+    *(finite_line(k) for k in range(SEAM + 102, 2 * SEAM - 1)),
     PARALLEL_TO_CAMERA, NAN,                                             # the second seam
     UNPARSABLE, finite_line(2 * SEAM + 2), finite_line(2 * SEAM + 3),
+    TOO_LARGE_FOR_A_FLOAT,                                               # the end of input
 ]
 
 PIPELINE = [

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +22,7 @@ from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError, RayParallelError, from_dict
+from gaze6d.jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE
 from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
                           save_params, vec_from_euler)
 from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
@@ -820,6 +821,8 @@ EYE9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
                  "t must be 3 finite values, got [0.0, 0.0]", id="short-t"),
     pytest.param(json.dumps({"R": [10**400] + EYE9[1:], "t": [0, 0, 0]}),
                  "int too large to convert to float", id="huge-R"),
+    pytest.param(json.dumps({"R": EYE9, "t": [0, 0, 1.7e308]}),
+                 "t values must be at most 1e+09 mm in magnitude, got [0.0, 0.0, 1.7e+308]", id="t-beyond-bound"),
     pytest.param("[1, 2]", "list indices must be integers", id="not-an-object"),
     pytest.param('{"R": ', "Expecting value", id="not-json"),
 ])
@@ -1060,13 +1063,17 @@ def test_convert_writes_the_reference_bytes_in_both_directions(tmp_path):
 
 
 def block_seam_lines(R):
-    """(records, input lines, {line: error}) over 2 x _CONVERT_BLOCK + 3 lines
+    """(records, input lines, {line: error}) over 2 x _CONVERT_BLOCK + 4 lines
     with a fault on the first or last line of each block: the output must not
-    depend on where a block starts or ends."""
+    depend on where a block starts or ends.  The first block holds values that
+    are no JSON number, the second an all-integer record and a value beyond
+    the bound, and the last line an int too large for a float: the checks over
+    a block's columns pass each of them on to the one-record check."""
     B = cli._CONVERT_BLOCK
     rng = np.random.default_rng(62)
-    records = [(rng.normal(0.0, 200.0, 2).tolist(), rng.normal(size=3).tolist()) for _ in range(2 * B + 3)]
+    records = [(rng.normal(0.0, 200.0, 2).tolist(), rng.normal(size=3).tolist()) for _ in range(2 * B + 4)]
     records[B + 1] = ([1.0, 2.0], [0.0, 0.0, 0.0])                         # no direction
+    records[B + 5] = ([12, -40], [0, 1, -2])                               # all integers
     records[2 * B - 1] = ([1.0, 2.0], (R @ [0.6, 0.8, 0.0]).tolist())      # parallel to the camera plane
     records[2 * B] = ([1.0, 2.0], (R.T @ [0.6, 0.8, 0.0]).tolist())        # parallel to the screen
     lines = [json.dumps({"point": p, "gaze": g}) for p, g in records]
@@ -1076,9 +1083,17 @@ def block_seam_lines(R):
     except UnicodeEncodeError as exc:
         not_utf8_error = str(exc)
     errors = {0: ("not json", "Expecting value: line 1 column 1 (char 0)"),
+              5: ('{"point": [1.0, 2.0], "gaze": [true, 0.0, -1.0]}',
+                  "point and gaze must be JSON numbers, got point [1.0, 2.0] and gaze [True, 0.0, -1.0]"),
+              6: ('{"point": ["1", 2.0], "gaze": [0.0, 0.0, -1.0]}',
+                  "point and gaze must be JSON numbers, got point ['1', 2.0] and gaze [0.0, 0.0, -1.0]"),
               B - 1: ('{"point": [NaN, 1.0], "gaze": [0.0, 0.0, -1.0]}',
                       "non-finite point [nan, 1.0] or gaze [0.0, 0.0, -1.0]"),
-              2 * B + 2: (not_utf8, not_utf8_error)}
+              B + 6: ('{"point": [1e10, 2.0], "gaze": [0.0, 0.0, -1.0]}',
+                      out_of_bounds([10000000000.0, 2.0], [0.0, 0.0, -1.0])),
+              2 * B + 2: (not_utf8, not_utf8_error),
+              2 * B + 3: ('{"point": [1.0, 2.0], "gaze": [0.0, 0.0, %d]}' % 10**400,
+                          "int too large to convert to float")}
     for i, (line, _) in errors.items():
         lines[i] = line
     lines[B] = "   "                                                       # blank: no output record
@@ -1107,7 +1122,7 @@ def test_convert_across_block_seams_writes_the_reference_bytes_in_both_direction
         want = [{"error": errors[i], "line": i} if i in errors
                 else oracles.reference_convert_record(p, g, R, t, direction, i)
                 for i, (p, g) in enumerate(records) if lines[i].strip()]
-        assert len(want) == len(lines) - 1 and sum("error" in w for w in want) == 5
+        assert len(want) == len(lines) - 1 and sum("error" in w for w in want) == 9
         assert out == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
 
 
@@ -1122,6 +1137,38 @@ def test_convert_closes_its_input_when_the_output_cannot_be_opened(tmp_path, cap
         gc.collect()
     assert capsys.readouterr().err == f"error: {dst}: No such file or directory\n"
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)], [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", ["the-same-path", "a-symlink", "a-hard-link"])
+def test_convert_refuses_an_output_that_is_its_input(tmp_path, capsys, name):
+    """Opening the output truncates it, so an output that is the input file,
+    by any name, is a ConfigError naming it, and the file keeps its bytes."""
+    t = write_transform(tmp_path / "id.json")
+    src = tmp_path / "in.jsonl"
+    data = "".join(json.dumps({"point": [float(k), 2.0], "gaze": [0.0, 0.0, -1.0]}) + "\n" for k in range(3))
+    src.write_text(data)
+    dst = {"the-same-path": src, "a-symlink": tmp_path / "link.jsonl", "a-hard-link": tmp_path / "hard.jsonl"}[name]
+    if name == "a-symlink":
+        dst.symlink_to(src)
+    elif name == "a-hard-link":
+        os.link(src, dst)
+    assert run("convert", "--dir", "pogz2pog", "--transform", str(t), "--input", str(src),
+               "--output", str(dst)) == 2
+    assert capsys.readouterr().err == f"error: {dst}: is the --input file; convert would erase it before reading it\n"
+    assert src.read_text() == data
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@FUZZ
+@given(behind=st.booleans(), gaze=st.lists(FINITE_FLOATS, min_size=3, max_size=3),
+       point=st.lists(FINITE_FLOATS, min_size=2, max_size=2))
+@example(behind=False, gaze=[-0.0, 5e-324, 1e16], point=[1e-7, 2.5e18])
+@example(behind=True, gaze=[0.0, -5e-324, -1e16], point=[-1e-7, -2.5e18])
+def test_the_record_line_template_writes_the_line_encoders_bytes(behind, gaze, point):
+    record = {"point": point, "gaze": gaze, "behind": behind}
+    assert RECORD_LINE % (JSON_BOOLS[behind], gaze, point) == LINE_ENCODER.encode(record) + "\n"
 
 
 @pytest.mark.parametrize("doc, message", [

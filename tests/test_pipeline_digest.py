@@ -39,4 +39,4 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
     for direction in ("pogz2pog", "pog2pogz"):
         records = [json.loads(line) for line in (tmp_path / "out" / f"{direction}.jsonl").read_text().splitlines()]
         assert len(records) == len(pipeline_digest.CONVERT_LINES)
-        assert sum("error" in r for r in records) == 9
+        assert sum("error" in r for r in records) == 13
