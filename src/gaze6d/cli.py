@@ -258,21 +258,12 @@ def cmd_eval(args) -> int:
 _CONVERT_BLOCK = 256
 
 
-# json.loads' decoder without its wrapper and its whitespace scans
-_DECODE = json.JSONDecoder().raw_decode
-
-
 def _read_record(line: str) -> tuple:
-    """The point and gaze of one stripped input line, as its JSON holds them,
-    each of its length; malformed input raises a BAD_INPUT exception.  Their
-    values are checked over a block's columns at once, or by _check_values."""
+    """The point and gaze of one input line, as its JSON holds them, each of
+    its length; malformed input raises a BAD_INPUT exception.  Their values
+    are checked over a block's columns at once, or by _check_values."""
     line.encode()  # rejects a lone surrogate
-    try:   # a stripped line has no whitespace at either end to scan
-        rec, end = _DECODE(line)
-    except BAD_INPUT:
-        end = None
-    if end != len(line):   # not one JSON text: json.loads raises its own error for it
-        rec = json.loads(line)
+    rec = json.loads(line)
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
@@ -391,15 +382,25 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
     return "".join([line or next(lines) for line in out])
 
 
+def _is_file_of(stream, st: os.stat_result) -> bool:
+    """Whether `stream` reads the file whose stat is `st`; a stream without a
+    file descriptor reads none."""
+    try:
+        return os.path.samestat(os.fstat(stream.fileno()), st)
+    except OSError:   # io.UnsupportedOperation: no file descriptor
+        return False
+
+
 def cmd_convert(args) -> int:
     transform = RigidTransform.load(args.transform)
     with contextlib.ExitStack() as stack:
         stream_in = stack.enter_context(open(args.input, encoding="utf-8")) if args.input else sys.stdin
         if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
             stream_in.reconfigure(errors="surrogateescape")
-        # opening the output truncates it: it must not be the input, by any name
-        if args.input and args.output and os.path.exists(args.output) and os.path.samefile(args.input, args.output):
-            raise ConfigError(f"{args.output}: is the --input file; convert would erase it before reading it")
+        # opening the output truncates it: a regular file must not be the input,
+        # by any name or through standard input
+        if args.output and os.path.isfile(args.output) and _is_file_of(stream_in, os.stat(args.output)):
+            raise ConfigError(f"{args.output}: is the input file; convert would erase it before reading it")
         stream_out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
         numbered = enumerate(stream_in)
         while block := list(itertools.islice(numbered, _CONVERT_BLOCK)):

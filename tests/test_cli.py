@@ -1139,23 +1139,38 @@ def test_convert_closes_its_input_when_the_output_cannot_be_opened(tmp_path, cap
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)], [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("name", ["the-same-path", "a-symlink", "a-hard-link"])
-def test_convert_refuses_an_output_that_is_its_input(tmp_path, capsys, name):
+@pytest.mark.parametrize("name", ["the-same-path", "a-symlink", "a-hard-link", "stdin"])
+def test_convert_refuses_an_output_that_is_its_input(tmp_path, capsys, monkeypatch, name):
     """Opening the output truncates it, so an output that is the input file,
-    by any name, is a ConfigError naming it, and the file keeps its bytes."""
+    by any name or as standard input, is a ConfigError naming it, and the
+    file keeps its bytes."""
     t = write_transform(tmp_path / "id.json")
     src = tmp_path / "in.jsonl"
     data = "".join(json.dumps({"point": [float(k), 2.0], "gaze": [0.0, 0.0, -1.0]}) + "\n" for k in range(3))
     src.write_text(data)
-    dst = {"the-same-path": src, "a-symlink": tmp_path / "link.jsonl", "a-hard-link": tmp_path / "hard.jsonl"}[name]
+    dst = {"a-symlink": tmp_path / "link.jsonl", "a-hard-link": tmp_path / "hard.jsonl"}.get(name, src)
     if name == "a-symlink":
         dst.symlink_to(src)
     elif name == "a-hard-link":
         os.link(src, dst)
-    assert run("convert", "--dir", "pogz2pog", "--transform", str(t), "--input", str(src),
-               "--output", str(dst)) == 2
-    assert capsys.readouterr().err == f"error: {dst}: is the --input file; convert would erase it before reading it\n"
+    with open(src, encoding="utf-8") as stdin:
+        source = ["--input", str(src)]
+        if name == "stdin":   # convert ... --output in.jsonl < in.jsonl
+            monkeypatch.setattr("sys.stdin", stdin)
+            source = []
+        assert run("convert", "--dir", "pogz2pog", "--transform", str(t), *source, "--output", str(dst)) == 2
+    assert capsys.readouterr().err == f"error: {dst}: is the input file; convert would erase it before reading it\n"
     assert src.read_text() == data
+
+
+def test_convert_writes_to_a_device_that_is_also_its_input(tmp_path, capsys, monkeypatch):
+    """Only a regular file is erased by opening it, so reading standard input
+    from /dev/null and writing to /dev/null is no conflict."""
+    t = write_transform(tmp_path / "id.json")
+    with open(os.devnull, encoding="utf-8") as devnull:
+        monkeypatch.setattr("sys.stdin", devnull)
+        assert run("convert", "--dir", "pogz2pog", "--transform", str(t), "--output", os.devnull) == 0
+    assert capsys.readouterr().err == ""
 
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
