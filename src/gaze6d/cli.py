@@ -29,7 +29,7 @@ import numpy as np
 from . import metrics, model, synth
 from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, GeometryError, TrainingDiverged,
                      bad_input, cast, check_seed, describe, field_types, from_dict)
-from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE
+from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, number_columns
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint, RigidTransform,
                    pog_to_pogz, pogz_to_pog, pogz_to_pog_rows, rotate_rows)
 
@@ -293,35 +293,27 @@ def _error_line(i: int, exc: BaseException) -> str:
     return LINE_ENCODER.encode({"error": describe(exc), "line": i}) + "\n"
 
 
-def _convert_record(xy: list, g: np.ndarray, direction: str, transform: RigidTransform) -> PlanePoint:
-    """The target-plane point of one checked record, one record at a time; a
-    gaze with no direction or parallel to the target plane raises
-    GeometryError."""
-    if direction == "pogz2pog":
-        return pogz_to_pog(PlanePoint(*xy, frame=FRAME_CAMERA_PLANE), g, transform)
-    return pog_to_pogz(PlanePoint(*xy, frame=FRAME_SCREEN_PLANE), g, transform)
-
-
 def _convert_block(numbered_lines, direction: str, transform: RigidTransform) -> str:
     """The output text of [(line number, line)], one line per record in input
     order: a blank line gives none, a malformed one its error record.
 
     Each line is read once for its structure (_read_record).  The values of
-    the block's records are checked at once, over their (n, 5) float columns;
-    a record that fails, and every record of a block holding a value that is
-    no JSON number or an int too large for a float, goes through
-    _check_values, which gives its error record its message.
+    the block's records are checked at once, over their (n, 5) float columns
+    (number_columns); a record that fails, and every record of a block
+    holding a value that is no JSON number or an int too large for a float,
+    goes through _check_values, which gives its error record its message.
 
     pogz2pog maps the passing records with one pogz_to_pog_rows call, which
     gives each row the bits the one-record pogz_to_pog gives it, and its
     rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
     bit for bit apply_inverse_direction of each.  A record without a finite
     point (every pog2pogz record; a pogz2pog one with no screen hit, and
-    every one of a block that meets a zero-length gaze) goes through
-    _convert_record, so its error record names its own fault and its
-    warnings are those of the one-record path.  A converted record's line is
-    written from RECORD_LINE: within the physical rule, and with the
-    transform's t within it too, its values are finite.
+    every one of a block that meets a zero-length gaze) goes through the
+    one-record pogz_to_pog or pog_to_pogz, so its error record names its own
+    fault (a GeometryError) and its warnings are those of the one-record
+    path.  A converted record's line is written from RECORD_LINE: within the
+    physical rule, and with the transform's t within it too, its values are
+    finite.
     """
     out, records, values = [], [], []
     for i, line in numbered_lines:
@@ -339,15 +331,7 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
         values += point
         values += gaze
 
-    n = len(records)
-    columns, passed = np.empty((n, 5)), np.zeros(n, dtype=bool)
-    if JSON_NUMBERS.issuperset(map(type, values)):
-        try:
-            columns = np.array(values, dtype=float).reshape(n, 5)
-        except BAD_INPUT:   # an int too large for a float
-            pass
-        else:
-            passed = (np.abs(columns) <= MAX_ABS_VALUE).all(axis=1)   # NaN fails
+    columns, passed = number_columns(values, 5)
     for k in np.flatnonzero(~passed).tolist():
         slot, i, point, gaze = records[k]
         try:
@@ -360,6 +344,8 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
 
     R = transform.rotation.matrix
     points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
+    convert, frame = ((pogz_to_pog, FRAME_CAMERA_PLANE) if direction == "pogz2pog"
+                      else (pog_to_pogz, FRAME_SCREEN_PLANE))
     if direction == "pogz2pog":
         try:
             with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
@@ -370,7 +356,7 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
         gazes = rotate_rows(R.T, G)
     for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
         try:
-            dst = _convert_record(P[k].tolist(), G[k], direction, transform)
+            dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)
             points[k], behind[k] = (dst.x, dst.y), dst.behind
         except GeometryError as exc:
             slot, i, _, _ = records[k]

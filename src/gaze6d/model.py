@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError, TrainingDiverged,
-                     bad_input, check_seed)
+from .errors import (JSON_NUMBERS, ConfigError, GeometryError, GimbalLockError, RayParallelError,
+                     TrainingDiverged, bad_input, check_seed)
 from .jsonl import LINE_ENCODER
 from .pogz import PlanePoint, pogz_from_ray
 
@@ -259,8 +259,8 @@ def _float64_payload(name: str, data: str) -> np.ndarray:
 
 def _params_from_doc(doc: dict) -> ModelParams:
     version = doc.get("format_version")
-    if version not in (1, 2):
-        raise ConfigError(f"unsupported params format {version}")
+    if type(version) is not int or version not in (1, 2):   # 1.0 and true equal 1
+        raise ConfigError(f"unsupported params format {version!r}")
     config = doc["model_config"]
     for key in sorted(config.keys() | _MODEL_CONFIG.keys()):
         if key not in _MODEL_CONFIG:
@@ -282,6 +282,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
         if list(shape) != list(view.shape) or len(data) != view.size:
             raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
                               f"the model needs shape {list(view.shape)}")
+        if version == 1 and (type(data) is not list or not JSON_NUMBERS.issuperset(map(type, data))):
+            raise ConfigError(f"array {name} data must be a flat list of JSON numbers")
         view.reshape(-1)[:] = data
         if not np.isfinite(view).all():
             raise ConfigError(f"array {name} has non-finite values")

@@ -28,6 +28,8 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -37,7 +39,7 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
 from .errors import JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed, from_dict
-from .jsonl import LINE_ENCODER
+from .jsonl import LINE_ENCODER, number_columns
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -283,21 +285,6 @@ def sample_frame(
     )
 
 
-def _attribute_stats(attributes: np.ndarray, cfg: SceneConfig) -> dict:
-    """Mean and std of each attribute row (one column per frame) and its target."""
-    targets = {"gaze_yaw": cfg.gaze_yaw, "gaze_pitch": cfg.gaze_pitch,
-               "head_yaw": cfg.head_yaw, "head_pitch": cfg.head_pitch}
-    return {
-        name: {
-            "mean": float(vals.mean()),
-            "std": float(vals.std()),
-            "target_mean": dist.mean,
-            "target_std": dist.std,
-        }
-        for (name, dist), vals in zip(targets.items(), attributes)
-    }
-
-
 def dataset_header(cfg: SceneConfig, subjects: list[Subject], n_per_subject: int, mode: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -327,20 +314,25 @@ def generate_dataset(
     check_frame_count(n_per_subject)
 
     calibration = mode == "calibration"
-    # only the four sampled attributes are kept for the stats, not the frames
-    attributes = np.empty((4, len(subjects) * n_per_subject))
+    # only the four sampled attributes are kept for the stats, not the frames,
+    # in a buffer that grows frame by frame: no frame count is allocated at once
+    attributes = array("d")
     with open(out_path, "w") as f:
         f.write(LINE_ENCODER.encode(dataset_header(cfg, subjects, n_per_subject, mode)) + "\n")
-        for j, subj in enumerate(subjects):
+        for subj in subjects:
             for i in range(n_per_subject):
                 s = sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
-                attributes[:, j * n_per_subject + i] = (*s.g_n.tolist(), *s.head_pose.tolist())
+                attributes.extend((*s.g_n.tolist(), *s.head_pose.tolist()))
                 f.write(LINE_ENCODER.encode(s.to_dict()) + "\n")
 
-    if not attributes.size:
+    if not attributes:
         return {}
-    stats = _attribute_stats(attributes, cfg)
-    return {name: s for name, s in stats.items() if not (calibration and name.startswith("gaze_"))}
+    # each attribute's mean and std over one contiguous row, and its target
+    rows = np.frombuffer(attributes).reshape(-1, 4).T.copy()
+    return {name: {"mean": float(vals.mean()), "std": float(vals.std()),
+                   "target_mean": getattr(cfg, name).mean, "target_std": getattr(cfg, name).std}
+            for name, vals in zip(("gaze_yaw", "gaze_pitch", "head_yaw", "head_pitch"), rows)
+            if not (calibration and name.startswith("gaze_"))}
 
 
 @dataclass
@@ -403,17 +395,16 @@ _ROW_LENGTHS = {"features": FEATURE_DIM, "bbox": 3,
 # the row fields in column order: the features, the labels in TASK_LABELS order, the box
 _COLUMN_FIELDS = _VECTOR_FIELDS + ("bbox",)
 _COLUMN_WIDTHS = [_ROW_LENGTHS[k] for k in _COLUMN_FIELDS]
-_LIST_TYPES = [list] * len(_COLUMN_FIELDS)
-_LABEL_COLUMNS = slice(FEATURE_DIM, FEATURE_DIM + sum(_COLUMN_WIDTHS[1:-1]))
-# each field's first column, each column's field, and the face depth's column
+# each field's first column, each column's field, and the box side's and face depth's columns
 _COLUMN_STARTS = dict(zip(_COLUMN_FIELDS, itertools.accumulate(_COLUMN_WIDTHS, initial=0)))
 _COLUMN_NAMES = [k for k, n in zip(_COLUMN_FIELDS, _COLUMN_WIDTHS) for _ in range(n)]
+_BOX_SIDE = _COLUMN_STARTS["bbox"] + 2
 _FACE_DEPTH = _COLUMN_STARTS["o_face"] + 2
+# a decoded row's fields in column order
+_ROW_FIELDS = operator.itemgetter(*_COLUMN_FIELDS)
 
 # a subject id is a JSON integer that fits the int64 subject column
 _SUBJECT_RANGE = range(-2**63, 2**63)
-# the value types of a row that takes the fast path
-_FLOATS = {float}
 
 
 def _reject_constant(name: str):
@@ -424,20 +415,30 @@ def _reject_constant(name: str):
 _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _sample_from_line(line: str) -> GazeSample:
-    """A row through every field check, one at a time: its GazeSample, or the
-    error that says what is wrong with it first."""
+def _read_row(line: str) -> tuple[tuple, int]:
+    """A data line's fields in column order, each of its length, and its
+    subject id, a JSON integer in int64 range; else a BAD_INPUT exception.
+    The fields' values are checked by _row_columns."""
     d = _ROW_DECODER.decode(line)
     if not isinstance(d, dict):
         raise ValueError("row is not a JSON object")
     for key, n in _ROW_LENGTHS.items():
         if len(d[key]) != n:
             raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
-    if type(d["subject"]) is not int:  # int() would take "3", 1.7 and true
-        raise ValueError(f"subject must be an integer id, got {d['subject']!r}")
-    if d["subject"] not in _SUBJECT_RANGE:
-        raise ValueError(f"subject id {d['subject']} does not fit in 64 bits")
-    sample = GazeSample.from_dict(d)
+    subject = d["subject"]
+    if type(subject) is not int:  # int() would take "3", 1.7 and true
+        raise ValueError(f"subject must be an integer id, got {subject!r}")
+    if subject not in _SUBJECT_RANGE:
+        raise ValueError(f"subject id {subject} does not fit in 64 bits")
+    return _ROW_FIELDS(d), subject
+
+
+def _check_row(fields: tuple, subject: int) -> None:
+    """Raise the error that says what is wrong first with the values of a row
+    read by _read_row, if any field is not a flat list of finite JSON numbers
+    or the box side is not positive."""
+    d = dict(zip(_COLUMN_FIELDS, fields), subject=subject)
+    GazeSample.from_dict(d)   # converts each value to float, and checks the box side
     # float arrays also take nested lists, numeric strings, bools and null (as NaN)
     for key, n in _ROW_LENGTHS.items():
         if type(d[key]) is not list or not JSON_NUMBERS.issuperset(map(type, d[key])):
@@ -446,97 +447,84 @@ def _sample_from_line(line: str) -> GazeSample:
     for key in _ROW_LENGTHS:
         if not all(map(math.isfinite, d[key])):
             raise ValueError(f"{key} must be finite, got {d[key]!r}")
-    return sample
 
 
-def _row_from_line(line: str) -> tuple[list, int]:
-    """A row's values in column order, and its subject id.
+def _row_columns(path, rows: list, subjects: list, lines: list, physical: bool = True) -> np.ndarray:
+    """The float columns of the rows read by _read_row from file lines `lines`.
 
-    A row of float lists of the right lengths, a finite sum and a positive
-    box side passes as it is; any other row goes through _sample_from_line,
-    which raises the row's error or gives its values.
-    """
-    d = _ROW_DECODER.decode(line)
-    if type(d) is dict:
-        fields = [d.get(k) for k in _COLUMN_FIELDS]
-        if list(map(type, fields)) == _LIST_TYPES and list(map(len, fields)) == _COLUMN_WIDTHS:
-            features, g_n, g_o, pogz, r_on, o_face, bbox = fields   # the _COLUMN_FIELDS
-            values = [*features, *g_n, *g_o, *pogz, *r_on, *o_face, *bbox]
-            subject = d.get("subject")
-            if (set(map(type, values)) == _FLOATS and bbox[2] > 0 and math.isfinite(sum(values))
-                    and type(subject) is int and subject in _SUBJECT_RANGE):
-                return values, subject
-    s = _sample_from_line(line)
-    return [v for k in _VECTOR_FIELDS for v in getattr(s, k).tolist()] + s.bbox.to_list(), s.subject
+    The values are checked as columns (number_columns, box side and face
+    depth > 0), and only a row that fails goes through _check_row, in file
+    order.  The first row that breaks a rule is a ConfigError naming its
+    file and line; the physical rule, if `physical`, is checked last."""
+    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
+    columns, passed = number_columns(values, len(_COLUMN_NAMES))
+    passed &= (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0)
+    rejected = np.flatnonzero(~passed).tolist()
+    for k in rejected:
+        with bad_input(f"{path}:{lines[k]}"):
+            _check_row(rows[k], subjects[k])
+        columns[k] = [v for field in rows[k] for v in field]
+    if physical and rejected:   # every rejected row that passed _check_row breaks it
+        k = rejected[0]
+        huge = np.abs(columns[k]) > MAX_ABS_VALUE
+        key = _COLUMN_NAMES[np.argmax(huge)] if huge.any() else "o_face"
+        values = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
+        what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge.any()
+                else "o_face must lie in front of the camera (z > 0)")
+        raise ConfigError(f"{path}:{lines[k]}: {what}, got {values!r}")
+    return columns
 
 
 def _header_from_line(line: str) -> dict:
     header = json.loads(line)
     if not isinstance(header, dict) or "schema_version" not in header:
         raise ValueError("first line is not a dataset header")
-    if header["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {header['schema_version']}")
+    version = header["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # 1.0 and true equal 1
+        raise ValueError(f"unsupported schema version {version!r}")
     if header["mode"] not in ("general", "calibration"):
         raise ValueError(f"unknown mode {header['mode']!r}")
     from_dict(CameraIntrinsics, header["config"]["intrinsics"], "config.intrinsics")
     return header
 
 
-def _row_line(path, row: int) -> int:
-    """The file line of the data row at index `row`: line 1 is the header,
-    and a blank line holds no row."""
-    with open(path, "rb") as f:
-        lines = (n for n, line in enumerate(f, start=1) if n > 1 and line.decode().strip())
-        return next(itertools.islice(lines, row, None))
-
-
-def _check_physical(path, columns: np.ndarray) -> None:
-    """The physical rule of load_dataset, over the loaded columns at once."""
-    huge = np.abs(columns) > MAX_ABS_VALUE
-    rows = np.flatnonzero(huge.any(axis=1) | ~(columns[:, _FACE_DEPTH] > 0))
-    if rows.size:
-        row = rows[0]
-        key = _COLUMN_NAMES[np.argmax(huge[row])] if huge[row].any() else "o_face"
-        values = columns[row, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
-        what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge[row].any()
-                else "o_face must lie in front of the camera (z > 0)")
-        raise ConfigError(f"{path}:{_row_line(path, row)}: {what}, got {values!r}")
-
-
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset, as columns.
 
-    A header line that is not JSON or lacks a known `mode` or valid
-    `config.intrinsics`, and a row with a missing key, a subject that is not
-    a 64-bit integer, a vector field that is not a flat list of numbers of
-    its length, a box side that is not positive, a NaN, Infinity, too large
-    or non-finite number (1e999 included), or a byte that is not UTF-8, are a
-    ConfigError naming the file and line.
+    A header line that is not JSON, lacks a known `mode` or valid
+    `config.intrinsics`, or whose `schema_version` is not the JSON integer
+    1, and a row with a missing key, a subject that is not a 64-bit integer,
+    a vector field that is not a flat list of numbers of its length, a box
+    side that is not positive, a NaN, Infinity, too large or non-finite
+    number (1e999 included), or a byte that is not UTF-8, are a ConfigError
+    naming the file and line: the first such line in file order.
 
     Every row must also be physical: each value at most MAX_ABS_VALUE (1e9)
     in magnitude, in millimetres, pixels or radians, and the face centre
-    `o_face` in front of the camera (z > 0).  This is checked over the
-    columns once every row has parsed, so a row that breaks a rule above is
-    reported first; a row that breaks this one is a ConfigError naming the
-    file and line as well.
+    `o_face` in front of the camera (z > 0).  This is reported last, once
+    every row has passed the rules above, naming the file and line as well.
     """
-    header, values, subjects, line_no = None, [], [], 0
-    # decoded line by line: text mode decodes in chunks, past the line at fault
-    with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
-        for line_no, line in enumerate(f, start=1):
-            line = line.decode()
-            if header is None:
-                header = _header_from_line(line)
-            elif line.strip():
-                row, subject = _row_from_line(line)
-                values += row
-                subjects.append(subject)
+    header, rows, subjects, lines, line_no = None, [], [], [], 0
+    try:
+        # decoded line by line: text mode decodes in chunks, past the line at fault
+        with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
+            for line_no, line in enumerate(f, start=1):
+                line = line.decode()
+                if header is None:
+                    header = _header_from_line(line)
+                elif line.strip():
+                    fields, subject = _read_row(line)
+                    rows.append(fields)
+                    subjects.append(subject)
+                    lines.append(line_no)
+    except ConfigError:
+        _row_columns(path, rows, subjects, lines, physical=False)   # a faulty row above comes first
+        raise
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
-    columns = np.array(values, dtype=float).reshape(len(subjects), sum(_COLUMN_WIDTHS))
-    _check_physical(path, columns)
+    columns = _row_columns(path, rows, subjects, lines)
     return Dataset(header=header,
                    features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
-                   labels=np.ascontiguousarray(columns[:, _LABEL_COLUMNS]),
-                   boxes=np.ascontiguousarray(columns[:, _LABEL_COLUMNS.stop:]),
+                   labels=np.ascontiguousarray(columns[:, FEATURE_DIM:_COLUMN_STARTS["bbox"]]),
+                   boxes=np.ascontiguousarray(columns[:, _COLUMN_STARTS["bbox"]:]),
                    subjects=np.array(subjects, dtype=np.int64))

@@ -628,12 +628,23 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
     doc = json.loads(huge.read_text())
     doc["arrays"]["fuse_w"]["data"][0] = 10**400   # valid JSON, too large for a float
     huge.write_text(json.dumps(doc))
+    # format 1 with values that numpy would take: a numeric string and a bool
+    not_numbers = tmp_path / "not_numbers.json"
+    doc["arrays"]["fuse_w"]["data"][0] = 0.0
+    doc["arrays"]["head_gn_b"]["data"] = ["0.5", True]
+    not_numbers.write_text(json.dumps(doc))
+    # a version that equals 1 but is no JSON integer
+    bool_version = tmp_path / "bool_version.json"
+    oracles.params_json_per_float(init_params(seed=0), bool_version)
+    bool_version.write_text(json.dumps({**json.loads(bool_version.read_text()), "format_version": True}))
     assert [json.loads(p.read_text())["format_version"] for p in (nan, nan_format1, huge)] == [2, 1, 1]
     capsys.readouterr()
 
     messages = {narrow: "model_config hidden is 16", nan: "array fuse_w has non-finite values",
                 nan_format1: "array fuse_w has non-finite values", not_json: "Expecting value",
-                huge: "int too large to convert to float"}
+                huge: "int too large to convert to float",
+                not_numbers: "array head_gn_b data must be a flat list of JSON numbers",
+                bool_version: "unsupported params format True"}
     for bad, message in messages.items():
         assert run("eval", "--params", str(bad), "--data", str(gen / "dataset.jsonl"),
                    "--out", str(tmp_path / "eval")) == 2

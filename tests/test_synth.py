@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fuzz import FUZZ, json_values
+from gaze6d import synth
 from gaze6d.camera import CameraIntrinsics, backproject
 from gaze6d.easy_norm import norm_rotation, normalize_gaze, denormalize_gaze
 from gaze6d.errors import ConfigError, from_dict
@@ -247,6 +248,19 @@ def test_generate_dataset_empty(tmp_path):
     assert len(path.read_text().splitlines()) == 1  # header only
 
 
+def test_generate_dataset_allocates_nothing_by_its_frame_count(tmp_path, monkeypatch):
+    class FirstFrame(Exception):
+        pass
+
+    def first_frame(*args, **kwargs):
+        raise FirstFrame
+
+    monkeypatch.setattr(synth, "sample_frame", first_frame)
+    # a buffer sized by 10**14 frames would raise MemoryError before the first frame
+    with pytest.raises(FirstFrame):
+        generate_dataset(SceneConfig(), make_subjects(1, seed=0), 10**14, "general", tmp_path / "x.jsonl")
+
+
 def test_generate_dataset_bad_mode(tmp_path):
     with pytest.raises(ConfigError):
         generate_dataset(SceneConfig(), [], 1, "test", tmp_path / "x.jsonl")
@@ -287,6 +301,8 @@ def without(header, *keys):
     (lambda h: '{"schema_version": 1, "mode": ', "Expecting value"),
     (lambda h: "[1, 2]", "first line is not a dataset header"),
     (lambda h: json.dumps({**h, "schema_version": 99}), "unsupported schema version 99"),
+    (lambda h: json.dumps({**h, "schema_version": True}), "unsupported schema version True"),
+    (lambda h: json.dumps({**h, "schema_version": 1.0}), "unsupported schema version 1.0"),
 ])
 def test_load_dataset_names_a_bad_header(tmp_path, edit, message):
     path = tmp_path / "bad_header.jsonl"
@@ -384,13 +400,37 @@ def test_load_dataset_names_a_row_that_is_not_physical(tmp_path, edit, message):
     assert str(info.value).startswith(f"{path}:4: {message}")
 
 
-def test_load_dataset_reports_a_row_that_does_not_parse_before_one_that_is_not_physical(tmp_path):
-    path = write_with_bad_row(tmp_path / "bad.jsonl", '{"features": [0.1,')
+def box_side(side, **fields):
+    """The row with box side `side` and the fields `fields` set."""
+    return lambda row: json.dumps({**row, "bbox": row["bbox"][:2] + [side], **fields})
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({2: setting("o_face", [0.0, 0.0, -1.0]), 3: '{"features": [0.1,'},
+                 ":3: Expecting value", id="physical-then-parse"),
+    pytest.param({3: setting("features", ["x"] + [0.1] * 6), 4: '{"features": [0.1,'},
+                 ":3: could not convert string to float: 'x'", id="string-then-parse"),
+    pytest.param({3: setting("pogz", [1e10, 0.0]), 4: setting("g_n", ["0.1", 0.2])},
+                 ":4: g_n must be a flat list of 2 numbers", id="huge-then-string"),
+    pytest.param({3: setting("pogz", [1e10, 0.0]), 4: '{"features": [0.1,'},
+                 ":4: Expecting value", id="huge-then-parse"),
+    pytest.param({3: setting("features", [10**400] + [0.1] * 6), 4: box_side(-3)},
+                 ":3: int too large to convert to float", id="overflow-then-box"),
+    pytest.param({3: box_side(-3, g_o=[True, 0.0])},
+                 ":3: box side must be positive, got -3.0", id="box-and-bool"),
+])
+def test_load_dataset_reports_the_first_faulty_row_in_file_order(tmp_path, edits, message):
+    """The first line in file order that breaks a per-row rule is reported,
+    and the physical rule only once every row has passed the others."""
+    path = tmp_path / "faults.jsonl"
+    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 3, "general", path)
     lines = path.read_text().splitlines()
-    lines[1] = json.dumps({**json.loads(lines[1]), "o_face": [0.0, 0.0, -1.0]})
+    for line, edit in edits.items():
+        lines[line - 1] = edit(json.loads(lines[line - 1])) if callable(edit) else edit
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=f"^{path}:3: Expecting value"):
+    with pytest.raises(ConfigError) as info:
         load_dataset(path)
+    assert str(info.value).startswith(f"{path}{message}")
 
 
 VECTOR_LENGTHS = {"features": 7, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
@@ -399,19 +439,22 @@ VALID_HEADER = dataset_header(_FUZZ_CFG, [Subject(0)], 1, "general")
 VALID_ROW = sample_frame(Subject(0), _FUZZ_CFG, frame_rng(15, 0, 0)).to_dict()
 
 
+@pytest.mark.parametrize("line", [2, 3], ids=["alone", "between-valid-rows"])
 @FUZZ
 @given(field=st.sampled_from(sorted(VALID_ROW)), value=json_values)
-def test_load_dataset_loads_a_fuzzed_row_or_names_it(fuzz_dir, field, value):
-    """A row with one field replaced by any JSON value loads with every vector
-    field a finite (n,) array and a JSON integer subject, or is a ConfigError
-    naming its line."""
-    path = fuzz_dir / "fuzzed_row.jsonl"
+def test_load_dataset_loads_a_fuzzed_row_or_names_it(fuzz_dir, line, field, value):
+    """A row with one field replaced by any JSON value, alone on line 2 or on
+    line 3 between two valid rows, loads with every vector field a finite
+    (n,) array and a JSON integer subject, or is a ConfigError naming its
+    line."""
+    path = fuzz_dir / f"fuzzed_row_{line}.jsonl"
     row = {**VALID_ROW, field: value}
-    path.write_text(json.dumps(VALID_HEADER) + "\n" + json.dumps(row) + "\n")
+    rows = [row] if line == 2 else [VALID_ROW, row, VALID_ROW]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [VALID_HEADER, *rows]))
     try:
-        sample = load_dataset(path).samples[0]
+        sample = load_dataset(path).samples[line - 2]
     except ConfigError as exc:
-        assert str(exc).startswith(f"{path}:2: ")
+        assert str(exc).startswith(f"{path}:{line}: ")
         return
     for key, n in VECTOR_LENGTHS.items():
         vec = getattr(sample, key)
