@@ -468,10 +468,10 @@ def _row_columns(path, rows: list, subjects: list, lines: list, physical: bool =
         k = rejected[0]
         huge = np.abs(columns[k]) > MAX_ABS_VALUE
         key = _COLUMN_NAMES[np.argmax(huge)] if huge.any() else "o_face"
-        values = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
+        got = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
         what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge.any()
                 else "o_face must lie in front of the camera (z > 0)")
-        raise ConfigError(f"{path}:{lines[k]}: {what}, got {values!r}")
+        raise ConfigError(f"{path}:{lines[k]}: {what}, got {got!r}")
     return columns
 
 
