@@ -29,7 +29,7 @@ import numpy as np
 from . import metrics, model, synth
 from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, GeometryError, TrainingDiverged,
                      bad_input, cast, check_seed, describe, field_types, from_dict)
-from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, number_columns
+from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, decode_line, number_columns
 from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint, RigidTransform,
                    pog_to_pogz, pogz_to_pog, pogz_to_pog_rows, rotate_rows)
 
@@ -258,16 +258,25 @@ def cmd_eval(args) -> int:
 _CONVERT_BLOCK = 256
 
 
-def _read_record(line: str) -> tuple:
-    """The point and gaze of one input line, as its JSON holds them, each of
-    its length; malformed input raises a BAD_INPUT exception.  Their values
-    are checked over a block's columns at once, or by _check_values."""
-    line.encode()  # rejects a lone surrogate
-    rec = json.loads(line)
+# a record line opens its object and its two lists
+_RECORD_CONTAINERS = 3
+
+
+def _read_record(rec) -> tuple:
+    """The point and gaze of the decoded input line `rec`, as its JSON holds
+    them, each of its length; malformed input raises a BAD_INPUT exception.
+    Their values are checked over a block's columns at once, or by
+    _check_values."""
     point, gaze = rec["point"], rec["gaze"]
     if len(point) != 2 or len(gaze) != 3:
         raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
     return point, gaze
+
+
+def _json_record(line: str):
+    """json.loads of an input line, which must be UTF-8."""
+    line.encode()  # rejects a lone surrogate
+    return json.loads(line)
 
 
 def _check_values(point, gaze) -> list[float]:
@@ -297,11 +306,12 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
     """The output text of [(line number, line)], one line per record in input
     order: a blank line gives none, a malformed one its error record.
 
-    Each line is read once for its structure (_read_record).  The values of
-    the block's records are checked at once, over their (n, 5) float columns
-    (number_columns); a record that fails, and every record of a block
-    holding a value that is no JSON number or an int too large for a float,
-    goes through _check_values, which gives its error record its message.
+    Each line is read once for its structure (_read_record, through
+    decode_line).  The values of the block's records are checked at once,
+    over their (n, 5) float columns (number_columns); a record that fails,
+    and every record of a block holding a value that is no JSON number or an
+    int too large for a float, is read again by json.loads and goes through
+    _check_values, which gives its error record its message.
 
     pogz2pog maps the passing records with one pogz_to_pog_rows call, which
     gives each row the bits the one-record pogz_to_pog gives it, and its
@@ -321,21 +331,21 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
         if not line:
             continue
         try:
-            point, gaze = _read_record(line)
+            point, gaze = decode_line(line, _read_record, _json_record, _RECORD_CONTAINERS)
         except BAD_INPUT as exc:
             # keep streaming: emit an error record for the bad line
             out.append(_error_line(i, exc))
             continue
-        records.append((len(out), i, point, gaze))
+        records.append((len(out), i, line))
         out.append(None)   # the place of the record's line, filled below
         values += point
         values += gaze
 
     columns, passed = number_columns(values, 5)
     for k in np.flatnonzero(~passed).tolist():
-        slot, i, point, gaze = records[k]
+        slot, i, line = records[k]
         try:
-            columns[k] = _check_values(point, gaze)
+            columns[k] = _check_values(*_read_record(_json_record(line)))
             passed[k] = True
         except BAD_INPUT as exc:
             out[slot] = _error_line(i, exc)
@@ -359,7 +369,7 @@ def _convert_block(numbered_lines, direction: str, transform: RigidTransform) ->
             dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)
             points[k], behind[k] = (dst.x, dst.y), dst.behind
         except GeometryError as exc:
-            slot, i, _, _ = records[k]
+            slot, i, _ = records[k]
             out[slot] = _error_line(i, exc)
     # the places still empty are those of the records with a finite point, in order
     done = np.isfinite(points).all(axis=1)

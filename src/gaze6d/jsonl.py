@@ -1,5 +1,6 @@
-"""The JSON line encoder that every JSONL writer in gaze6d shares, and the
-column check that every JSONL reader gives the values of its lines.
+"""The JSON line encoder that every JSONL writer in gaze6d shares, the line
+decoder that every JSONL reader reads its lines with, and the column check
+that every JSONL reader gives the values of its lines.
 
 `json.dumps(obj, sort_keys=True)` builds a new `JSONEncoder` on every call;
 this encoder writes the same bytes without that cost.  It holds no state
@@ -9,6 +10,7 @@ between calls.
 import json
 
 import numpy as np
+import orjson
 
 from .errors import BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE
 
@@ -20,6 +22,27 @@ LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 # its JSON text, and the keys are written in sorted order
 RECORD_LINE = '{"behind": %s, "gaze": %r, "point": %r}\n'
 JSON_BOOLS = ("false", "true")
+
+
+def decode_line(line: str, read, decode, containers: int):
+    """`read` of the value of the JSON text `line`, decoded by orjson, or
+    else by `decode`, a stdlib json decoder, whose result (or the exception
+    it raises) is then the answer.  `decode` reads the line when orjson
+    refuses it (NaN, Infinity, 1e999, a lone surrogate, a BOM...), when
+    `read` raises a BAD_INPUT exception for what orjson gives, or when the
+    line opens more than `containers` arrays and objects: orjson has no
+    nesting limit, where json raises RecursionError.
+
+    Otherwise orjson gives what json gives, but for an integer outside
+    [-2**63, 2**64), which it gives as a float, beyond any bound of a
+    reader; a reader sends a line whose values break its rules to `decode`
+    too, so its checks only ever see values decoded by json."""
+    if line.count("[") + line.count("{") <= containers:
+        try:
+            return read(orjson.loads(line))
+        except BAD_INPUT:
+            pass
+    return read(decode(line))
 
 
 def number_columns(values: list, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -284,7 +284,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
                               f"the model needs shape {list(view.shape)}")
         if version == 1 and (type(data) is not list or not JSON_NUMBERS.issuperset(map(type, data))):
             raise ConfigError(f"array {name} data must be a flat list of JSON numbers")
-        view.reshape(-1)[:] = data
+        with bad_input(f"array {name}"):   # a format-1 int too large for a float
+            view.reshape(-1)[:] = data
         if not np.isfinite(view).all():
             raise ConfigError(f"array {name} has non-finite values")
     return params

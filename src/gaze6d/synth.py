@@ -38,8 +38,9 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
-from .errors import JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed, from_dict
-from .jsonl import LINE_ENCODER, number_columns
+from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed,
+                     from_dict)
+from .jsonl import LINE_ENCODER, decode_line, number_columns
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -413,13 +414,14 @@ def _reject_constant(name: str):
 
 # json.loads builds a new decoder per call when given hooks; share one instead
 _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# a row line opens its object, and a list for each field but `subject`
+_ROW_CONTAINERS = 1 + len(_COLUMN_FIELDS)
 
 
-def _read_row(line: str) -> tuple[tuple, int]:
-    """A data line's fields in column order, each of its length, and its
-    subject id, a JSON integer in int64 range; else a BAD_INPUT exception.
-    The fields' values are checked by _row_columns."""
-    d = _ROW_DECODER.decode(line)
+def _read_row(d) -> tuple[tuple, int]:
+    """The decoded data line `d`'s fields in column order, each of its
+    length, and its subject id, a JSON integer in int64 range; else a
+    BAD_INPUT exception.  The fields' values are checked by _row_columns."""
     if not isinstance(d, dict):
         raise ValueError("row is not a JSON object")
     for key, n in _ROW_LENGTHS.items():
@@ -433,37 +435,56 @@ def _read_row(line: str) -> tuple[tuple, int]:
     return _ROW_FIELDS(d), subject
 
 
-def _check_row(fields: tuple, subject: int) -> None:
+def _check_flat(key: str, value) -> None:
+    """Raise the error naming row field `key` if `value` is not a flat list of JSON numbers."""
+    if type(value) is not list or not JSON_NUMBERS.issuperset(map(type, value)):
+        raise ValueError(f"{key} must be a flat list of {_ROW_LENGTHS[key]} numbers, got {value!r}")
+
+
+def _check_row(fields: tuple) -> None:
     """Raise the error that says what is wrong first with the values of a row
-    read by _read_row, if any field is not a flat list of finite JSON numbers
-    or the box side is not positive."""
-    d = dict(zip(_COLUMN_FIELDS, fields), subject=subject)
-    GazeSample.from_dict(d)   # converts each value to float, and checks the box side
-    # float arrays also take nested lists, numeric strings, bools and null (as NaN)
-    for key, n in _ROW_LENGTHS.items():
-        if type(d[key]) is not list or not JSON_NUMBERS.issuperset(map(type, d[key])):
-            raise ValueError(f"{key} must be a flat list of {n} numbers, got {d[key]!r}")
+    read by _read_row from the json decoder's value, if any field is not a
+    flat list of finite JSON numbers or the box side is not positive.
+
+    The fields are converted to float in GazeSample.from_dict's order, the
+    box (and its side) first; a field whose conversion fails is named, as
+    not a flat list of numbers, unless it is one (of an int too large for a
+    float)."""
+    d = dict(zip(_COLUMN_FIELDS, fields))
+    for key in ("bbox", *_VECTOR_FIELDS):
+        try:
+            floats = [float(d[key][i]) for i in range(3)] if key == "bbox" else np.array(d[key], dtype=float)
+        except BAD_INPUT:
+            _check_flat(key, d[key])
+            raise
+        if key == "bbox":
+            BoundingBox(*floats)   # checks the box side
+    # float conversion also takes nested lists, numeric strings, bools and null (as NaN)
+    for key in _ROW_LENGTHS:
+        _check_flat(key, d[key])
     # a literal such as 1e999 parses to inf
     for key in _ROW_LENGTHS:
         if not all(map(math.isfinite, d[key])):
             raise ValueError(f"{key} must be finite, got {d[key]!r}")
 
 
-def _row_columns(path, rows: list, subjects: list, lines: list, physical: bool = True) -> np.ndarray:
-    """The float columns of the rows read by _read_row from file lines `lines`.
+def _row_columns(path, values: list, texts: list, lines: list, physical: bool = True) -> np.ndarray:
+    """The float columns of the rows whose values in column order, `values`,
+    were read from the texts `texts` of file lines `lines`.
 
     The values are checked as columns (number_columns, box side and face
-    depth > 0), and only a row that fails goes through _check_row, in file
-    order.  The first row that breaks a rule is a ConfigError naming its
-    file and line; the physical rule, if `physical`, is checked last."""
-    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(rows)))
+    depth > 0), and only a row that fails is read again by the json decoder
+    and goes through _check_row, in file order.  The first row that breaks a
+    rule is a ConfigError naming its file and line; the physical rule, if
+    `physical`, is checked last."""
     columns, passed = number_columns(values, len(_COLUMN_NAMES))
     passed &= (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0)
     rejected = np.flatnonzero(~passed).tolist()
     for k in rejected:
         with bad_input(f"{path}:{lines[k]}"):
-            _check_row(rows[k], subjects[k])
-        columns[k] = [v for field in rows[k] for v in field]
+            fields, _ = _read_row(_ROW_DECODER.decode(texts[k]))
+            _check_row(fields)
+        columns[k] = [v for field in fields for v in field]
     if physical and rejected:   # every rejected row that passed _check_row breaks it
         k = rejected[0]
         huge = np.abs(columns[k]) > MAX_ABS_VALUE
@@ -504,7 +525,9 @@ def load_dataset(path) -> Dataset:
     `o_face` in front of the camera (z > 0).  This is reported last, once
     every row has passed the rules above, naming the file and line as well.
     """
-    header, rows, subjects, lines, line_no = None, [], [], [], 0
+    # each row's values, subject, text and line number: its text, not its
+    # decoded fields, is kept, and read again if the row is rejected
+    header, values, subjects, texts, lines, line_no = None, [], [], [], [], 0
     try:
         # decoded line by line: text mode decodes in chunks, past the line at fault
         with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
@@ -513,16 +536,18 @@ def load_dataset(path) -> Dataset:
                 if header is None:
                     header = _header_from_line(line)
                 elif line.strip():
-                    fields, subject = _read_row(line)
-                    rows.append(fields)
+                    fields, subject = decode_line(line, _read_row, _ROW_DECODER.decode, _ROW_CONTAINERS)
+                    for field in fields:
+                        values += field
                     subjects.append(subject)
+                    texts.append(line)
                     lines.append(line_no)
     except ConfigError:
-        _row_columns(path, rows, subjects, lines, physical=False)   # a faulty row above comes first
+        _row_columns(path, values, texts, lines, physical=False)   # a faulty row above comes first
         raise
     if header is None:
         raise ConfigError(f"{path}: empty file, expected a header line")
-    columns = _row_columns(path, rows, subjects, lines)
+    columns = _row_columns(path, values, texts, lines)
     return Dataset(header=header,
                    features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
                    labels=np.ascontiguousarray(columns[:, FEATURE_DIM:_COLUMN_STARTS["bbox"]]),

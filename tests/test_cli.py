@@ -642,7 +642,7 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
 
     messages = {narrow: "model_config hidden is 16", nan: "array fuse_w has non-finite values",
                 nan_format1: "array fuse_w has non-finite values", not_json: "Expecting value",
-                huge: "int too large to convert to float",
+                huge: "array fuse_w: int too large to convert to float",
                 not_numbers: "array head_gn_b data must be a flat list of JSON numbers",
                 bool_version: "unsupported params format True"}
     for bad, message in messages.items():

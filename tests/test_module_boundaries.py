@@ -105,6 +105,38 @@ def test_the_bad_input_check_sees_every_form(tmp_path):
                                       "probe.py:7: Exception"]
 
 
+def orjson_imports(path: Path) -> list[str]:
+    """`import orjson` and `from orjson import ...` statements in the source
+    file at `path`: the fast line decoder, which belongs to gaze6d.jsonl."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "orjson" for m in modules):
+            found.append(f"{path.name}:{node.lineno}: orjson")
+    return found
+
+
+def test_only_jsonl_py_decodes_with_orjson():
+    found = [imp for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "jsonl.py"
+             for imp in orjson_imports(path)]
+    assert found == []
+
+
+def test_the_orjson_check_sees_both_import_forms(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("import json, orjson\n"
+                   "from orjson import loads\n"
+                   "import orjsonic\n"
+                   "from .jsonl import decode_line\n"
+                   "import orjson as fast\n")
+    assert orjson_imports(src) == ["probe.py:1: orjson", "probe.py:2: orjson", "probe.py:5: orjson"]
+
+
 def per_line_dumps(path: Path) -> list[str]:
     """`json.dumps(..., sort_keys=True)` calls with default separators and no
     indent in the source file at `path`: JSONL line encodings, which belong

@@ -354,7 +354,8 @@ def written_as(key, index, literal):
     (setting("features", [float("nan")] + [0.1] * 6), "non-finite value NaN"),
     (setting("pogz", [float("inf"), 0.0]), "non-finite value Infinity"),
     (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
-    (setting("bbox", ["a", 1.0, 2.0]), "could not convert string to float"),
+    pytest.param(setting("bbox", ["a", 1.0, 2.0]), "bbox must be a flat list of 3 numbers, got ['a', 1.0, 2.0]",
+                 id="string-in-bbox"),
     (setting("features", [10**400] + [0.1] * 6), "int too large to convert to float"),
     (written_as("features", 0, "1e999"), "features must be finite, got [inf, "),
     (written_as("pogz", 1, "-1e999"), "pogz must be finite, got ["),
@@ -409,7 +410,7 @@ def box_side(side, **fields):
     pytest.param({2: setting("o_face", [0.0, 0.0, -1.0]), 3: '{"features": [0.1,'},
                  ":3: Expecting value", id="physical-then-parse"),
     pytest.param({3: setting("features", ["x"] + [0.1] * 6), 4: '{"features": [0.1,'},
-                 ":3: could not convert string to float: 'x'", id="string-then-parse"),
+                 ":3: features must be a flat list of 7 numbers, got ['x', 0.1, ", id="string-then-parse"),
     pytest.param({3: setting("pogz", [1e10, 0.0]), 4: setting("g_n", ["0.1", 0.2])},
                  ":4: g_n must be a flat list of 2 numbers", id="huge-then-string"),
     pytest.param({3: setting("pogz", [1e10, 0.0]), 4: '{"features": [0.1,'},
