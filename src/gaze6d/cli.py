@@ -27,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, model, synth
-from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, GeometryError, TrainingDiverged,
-                     bad_input, cast, check_seed, describe, field_types, from_dict)
-from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, decode_line, number_columns
-from .pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, PlanePoint, RigidTransform,
-                   pog_to_pogz, pogz_to_pog, pogz_to_pog_rows, rotate_rows)
+from .errors import (ConfigError, GeometryError, TrainingDiverged, bad_input, cast, check_seed, field_types,
+                     from_dict)
+from .jsonl import BLOCK_LINES
+from .pogz import RigidTransform, convert_lines
 
 log = logging.getLogger("gaze6d")
 
@@ -253,131 +252,6 @@ def cmd_eval(args) -> int:
 # convert
 
 
-# input lines read, converted and written together: one pogz_to_pog_rows
-# call costs about as much per row at 1024; a smaller block answers a pipe sooner
-_CONVERT_BLOCK = 256
-
-
-# a record line opens its object and its two lists
-_RECORD_CONTAINERS = 3
-
-
-def _read_record(rec) -> tuple:
-    """The point and gaze of the decoded input line `rec`, as its JSON holds
-    them, each of its length; malformed input raises a BAD_INPUT exception.
-    Their values are checked over a block's columns at once, or by
-    _check_values."""
-    point, gaze = rec["point"], rec["gaze"]
-    if len(point) != 2 or len(gaze) != 3:
-        raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    return point, gaze
-
-
-def _json_record(line: str):
-    """json.loads of an input line, which must be UTF-8."""
-    line.encode()  # rejects a lone surrogate
-    return json.loads(line)
-
-
-def _check_values(point, gaze) -> list[float]:
-    """The five values of a record read by _read_record, as floats, if they
-    follow the physical rule of a dataset row: JSON numbers, each at most
-    MAX_ABS_VALUE in magnitude; else a BAD_INPUT exception names the rule
-    they break."""
-    values = [*point, *gaze]
-    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
-        raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
-    # json.loads accepts NaN and Infinity: one pass, before any arithmetic, finds
-    # a value that is NaN, inf or beyond the bound (NaN fails every comparison)
-    if not all(map(MAX_ABS_VALUE.__ge__, map(abs, values))):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"non-finite point {point} or gaze {gaze}")
-        raise ValueError(f"point and gaze values must be at most {MAX_ABS_VALUE:g} in magnitude, "
-                         f"got point {point} and gaze {gaze}")
-    return [float(v) for v in values]
-
-
-def _error_line(i: int, exc: BaseException) -> str:
-    """The output line of input line `i`, whose record raised `exc`."""
-    return LINE_ENCODER.encode({"error": describe(exc), "line": i}) + "\n"
-
-
-def _convert_block(numbered_lines, direction: str, transform: RigidTransform) -> str:
-    """The output text of [(line number, line)], one line per record in input
-    order: a blank line gives none, a malformed one its error record.
-
-    Each line is read once for its structure (_read_record, through
-    decode_line).  The values of the block's records are checked at once,
-    over their (n, 5) float columns (number_columns); a record that fails,
-    and every record of a block holding a value that is no JSON number or an
-    int too large for a float, is read again by json.loads and goes through
-    _check_values, which gives its error record its message.
-
-    pogz2pog maps the passing records with one pogz_to_pog_rows call, which
-    gives each row the bits the one-record pogz_to_pog gives it, and its
-    rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
-    bit for bit apply_inverse_direction of each.  A record without a finite
-    point (every pog2pogz record; a pogz2pog one with no screen hit, and
-    every one of a block that meets a zero-length gaze) goes through the
-    one-record pogz_to_pog or pog_to_pogz, so its error record names its own
-    fault (a GeometryError) and its warnings are those of the one-record
-    path.  A converted record's line is written from RECORD_LINE: within the
-    physical rule, and with the transform's t within it too, its values are
-    finite.
-    """
-    out, records, values = [], [], []
-    for i, line in numbered_lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            point, gaze = decode_line(line, _read_record, _json_record, _RECORD_CONTAINERS)
-        except BAD_INPUT as exc:
-            # keep streaming: emit an error record for the bad line
-            out.append(_error_line(i, exc))
-            continue
-        records.append((len(out), i, line))
-        out.append(None)   # the place of the record's line, filled below
-        values += point
-        values += gaze
-
-    columns, passed = number_columns(values, 5)
-    for k in np.flatnonzero(~passed).tolist():
-        slot, i, line = records[k]
-        try:
-            columns[k] = _check_values(*_read_record(_json_record(line)))
-            passed[k] = True
-        except BAD_INPUT as exc:
-            out[slot] = _error_line(i, exc)
-    records = list(itertools.compress(records, passed.tolist()))
-    P, G = columns[passed, :2], columns[passed, 2:]
-
-    R = transform.rotation.matrix
-    points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
-    convert, frame = ((pogz_to_pog, FRAME_CAMERA_PLANE) if direction == "pogz2pog"
-                      else (pog_to_pogz, FRAME_SCREEN_PLANE))
-    if direction == "pogz2pog":
-        try:
-            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
-                points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
-        except GeometryError:
-            gazes = rotate_rows(R, G)
-    else:
-        gazes = rotate_rows(R.T, G)
-    for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
-        try:
-            dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)
-            points[k], behind[k] = (dst.x, dst.y), dst.behind
-        except GeometryError as exc:
-            slot, i, _ = records[k]
-            out[slot] = _error_line(i, exc)
-    # the places still empty are those of the records with a finite point, in order
-    done = np.isfinite(points).all(axis=1)
-    lines = iter([RECORD_LINE % (JSON_BOOLS[b], g, p) for b, g, p in
-                  zip(behind[done].tolist(), gazes[done].tolist(), points[done].tolist())])
-    return "".join([line or next(lines) for line in out])
-
-
 def _is_file_of(stream, st: os.stat_result) -> bool:
     """Whether `stream` reads the file whose stat is `st`; a stream without a
     file descriptor reads none."""
@@ -391,16 +265,18 @@ def cmd_convert(args) -> int:
     transform = RigidTransform.load(args.transform)
     with contextlib.ExitStack() as stack:
         stream_in = stack.enter_context(open(args.input, encoding="utf-8")) if args.input else sys.stdin
-        if isinstance(stream_in, io.TextIOWrapper):  # a byte that is not UTF-8 reads as a lone surrogate
-            stream_in.reconfigure(errors="surrogateescape")
+        # a byte that is not UTF-8 reads as a lone surrogate, and only "\n" ends a
+        # line: a "\r" is JSON whitespace within a record, as in a dataset
+        if isinstance(stream_in, io.TextIOWrapper):
+            stream_in.reconfigure(errors="surrogateescape", newline="\n")
         # opening the output truncates it: a regular file must not be the input,
         # by any name or through standard input
         if args.output and os.path.isfile(args.output) and _is_file_of(stream_in, os.stat(args.output)):
             raise ConfigError(f"{args.output}: is the input file; convert would erase it before reading it")
         stream_out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
         numbered = enumerate(stream_in)
-        while block := list(itertools.islice(numbered, _CONVERT_BLOCK)):
-            stream_out.write(_convert_block(block, args.dir, transform))
+        while block := list(itertools.islice(numbered, BLOCK_LINES)):
+            stream_out.write(convert_lines(block, args.dir, transform))
     return EXIT_OK
 
 

@@ -52,13 +52,11 @@ def describe(exc: BaseException) -> str:
 
 @contextmanager
 def bad_input(where):
-    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>").
-    `where` is a name, or a callable giving one when the error is raised: a
-    reader enters the guard once per file and still names the line."""
+    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>")."""
     try:
         yield
     except BAD_INPUT as exc:
-        raise ConfigError(f"{where() if callable(where) else where}: {describe(exc)}") from None
+        raise ConfigError(f"{where}: {describe(exc)}") from None
 
 
 def check_seed(seed: int) -> None:

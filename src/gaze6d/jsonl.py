@@ -1,9 +1,9 @@
-"""The JSON line encoder that every JSONL writer in gaze6d shares, the line
-decoder that every JSONL reader reads its lines with, and the column check
-that every JSONL reader gives the values of its lines.
+"""The JSON line encoder that every JSONL writer in gaze6d shares, and the
+block reader that both JSONL readers read their lines with: one line decoder,
+and one column check of the lines' values.
 
 `json.dumps(obj, sort_keys=True)` builds a new `JSONEncoder` on every call;
-this encoder writes the same bytes without that cost.  It holds no state
+LINE_ENCODER writes the same bytes without that cost.  It holds no state
 between calls.
 """
 
@@ -13,6 +13,11 @@ import numpy as np
 import orjson
 
 from .errors import BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE
+
+# input lines read and checked together by both JSONL readers: one pogz_to_pog_rows
+# call costs about as much per row at 1024; a smaller block answers a pipe sooner
+# and holds less of a dataset's text at once
+BLOCK_LINES = 256
 
 LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -45,11 +50,12 @@ def decode_line(line: str, read, decode, containers: int):
     return read(decode(line))
 
 
-def number_columns(values: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+def number_columns(values: list, width: int, rule=None) -> tuple[np.ndarray, np.ndarray]:
     """The decoded JSON values of n rows of `width` as (n, width) float
     columns, and which rows pass: every value a JSON number at most
-    MAX_ABS_VALUE in magnitude (NaN fails).  If any value is no JSON number
-    or an int too large for a float, no row passes: check each one alone."""
+    MAX_ABS_VALUE in magnitude (NaN fails), and `rule` of the columns, if
+    given.  If any value is no JSON number or an int too large for a float,
+    no row passes: check each one alone."""
     n = len(values) // width
     columns, passed = np.zeros((n, width)), np.zeros(n, dtype=bool)
     if JSON_NUMBERS.issuperset(map(type, values)):
@@ -59,4 +65,43 @@ def number_columns(values: list, width: int) -> tuple[np.ndarray, np.ndarray]:
             pass
         else:
             passed = (np.abs(columns) <= MAX_ABS_VALUE).all(axis=1)
-    return columns, passed
+    return columns, passed if rule is None else passed & rule(columns)
+
+
+def read_block(numbered_lines, read, decode, containers: int, width: int, find_fault, rule=None):
+    """The rows of the lines of [(line number, line)] that are not blank.
+    `read` (through decode_line, with `decode` and `containers`) reads a
+    line's structure: it gives the line's fields, lists whose values make
+    its row of `width`, and a value of its own, or raises a BAD_INPUT
+    exception.  The rows are checked as columns (number_columns, with
+    `rule`); a row that fails is read again by `decode`, and `find_fault`
+    of its fields raises what it breaks first, if anything.
+
+    Returns (rows, columns, passed, faults): [(line number, own value,
+    line)], their (n, width) float columns, which rows pass, and [(line
+    number, exception)] in line order.  A row that neither passes nor has
+    a fault breaks only the column checks."""
+    rows, values, faults = [], [], []
+    for i, line in numbered_lines:
+        if not line.strip():
+            continue
+        try:
+            fields, own = decode_line(line, read, decode, containers)
+        except BAD_INPUT as exc:
+            faults.append((i, exc))
+            continue
+        rows.append((i, own, line))
+        for field in fields:
+            values += field
+
+    columns, passed = number_columns(values, width, rule)
+    for k in np.flatnonzero(~passed).tolist():
+        try:
+            fields, _ = read(decode(rows[k][2]))
+            find_fault(fields)
+        except BAD_INPUT as exc:
+            faults.append((rows[k][0], exc))
+            continue
+        row, ok = number_columns([v for field in fields for v in field], width, rule)
+        columns[k], passed[k] = row[0], ok[0]
+    return rows, columns, passed, sorted(faults)   # no line has two faults: no exception is compared

@@ -5,10 +5,14 @@ intersected with the plane z = 0 of the camera frame.  The resulting 2-D
 point is a device-independent gaze target: moving it to a physical screen
 needs only the rigid transform between the camera frame and the screen frame,
 with the screen surface as the plane z = 0 of the screen frame.
+
+`convert_lines` converts JSONL point records in either direction, the kernel
+of `gaze6d convert`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +21,9 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import JSON_NUMBERS, MAX_ABS_VALUE, FrameMismatchError, GeometryError, RayParallelError, bad_input
+from .errors import (JSON_NUMBERS, MAX_ABS_VALUE, FrameMismatchError, GeometryError, RayParallelError,
+                     bad_input, describe)
+from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, read_block
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -200,3 +206,100 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     lam[hit] = -origin[hit, 2] / d[hit, 2]
     points = origin[:, :2] + lam[:, None] * d[:, :2]
     return points, lam < 0, hit, gaze
+
+
+# a record line opens its object and its two lists
+_RECORD_CONTAINERS = 3
+
+
+def _read_record(rec) -> tuple:
+    """The fields (point, gaze) of the decoded record line `rec`, as its JSON
+    holds them, each of its length, and no value of its own; malformed input
+    raises a BAD_INPUT exception.  Their values are checked over a block's
+    columns at once, or by _check_values."""
+    point, gaze = rec["point"], rec["gaze"]
+    if len(point) != 2 or len(gaze) != 3:
+        raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
+    return (point, gaze), None
+
+
+def _json_record(line: str):
+    """json.loads of a record line, which must be UTF-8, stripped of the
+    whitespace around it: an error names its place in the record."""
+    line = line.strip()
+    line.encode()  # rejects a lone surrogate
+    return json.loads(line)
+
+
+def _check_values(fields) -> None:
+    """Raise a BAD_INPUT exception naming the rule that the values of the
+    fields (point, gaze) of a record read by _read_record break, if they do
+    not follow the physical rule of a dataset row: JSON numbers, each at
+    most MAX_ABS_VALUE in magnitude."""
+    point, gaze = fields
+    values = [*point, *gaze]
+    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
+        raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
+    # json.loads accepts NaN and Infinity: one pass, before any arithmetic, finds
+    # a value that is NaN, inf or beyond the bound (NaN fails every comparison)
+    if not all(map(MAX_ABS_VALUE.__ge__, map(abs, values))):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite point {point} or gaze {gaze}")
+        raise ValueError(f"point and gaze values must be at most {MAX_ABS_VALUE:g} in magnitude, "
+                         f"got point {point} and gaze {gaze}")
+
+
+def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> str:
+    """The output text of [(line number, line)] of JSONL point records
+    {"point": [x, y], "gaze": [gx, gy, gz]}, converted by `direction`,
+    "pogz2pog" or "pog2pogz", over `transform`: one line per record, in line
+    order, the converted record {"behind", "gaze", "point"} or the error
+    record {"error", "line"} of a malformed record or one that does not
+    convert; a blank line gives none.  `gaze6d convert` passes its input in
+    blocks of jsonl.BLOCK_LINES lines, numbered from 0.  The lines are read
+    by read_block, and _check_values gives a rejected record its message.
+
+    pogz2pog maps the passing records with one pogz_to_pog_rows call, which
+    gives each row the bits the one-record pogz_to_pog gives it, and its
+    rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
+    bit for bit apply_inverse_direction of each.  A record without a finite
+    point (every pog2pogz record; a pogz2pog one with no screen hit, and
+    every one of a block that meets a zero-length gaze) goes through the
+    one-record pogz_to_pog or pog_to_pogz, so its error record names its own
+    fault (a GeometryError) and its warnings are those of the one-record
+    path.  A converted record's line is written from RECORD_LINE: within the
+    physical rule, and with the transform's t within it too, its values are
+    finite.
+    """
+    if direction not in ("pogz2pog", "pog2pogz"):
+        raise ValueError(f"unknown direction {direction!r}, expected 'pogz2pog' or 'pog2pogz'")
+    rows, columns, passed, faults = read_block(numbered_lines, _read_record, _json_record, _RECORD_CONTAINERS,
+                                               5, _check_values)
+    lines = [i for i, _, _ in itertools.compress(rows, passed.tolist())]
+    P, G = columns[passed, :2], columns[passed, 2:]
+
+    R = transform.rotation.matrix
+    points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
+    if direction == "pogz2pog":
+        convert, frame = pogz_to_pog, FRAME_CAMERA_PLANE
+        try:
+            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
+                points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
+        except GeometryError:
+            gazes = rotate_rows(R, G)
+    else:
+        convert, frame, gazes = pog_to_pogz, FRAME_SCREEN_PLANE, rotate_rows(R.T, G)
+    for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
+        try:
+            dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)
+            points[k], behind[k] = (dst.x, dst.y), dst.behind
+        except GeometryError as exc:
+            faults.append((lines[k], exc))
+    done = np.isfinite(points).all(axis=1)
+    text = [RECORD_LINE % (JSON_BOOLS[b], g, p)
+            for b, g, p in zip(behind[done].tolist(), gazes[done].tolist(), points[done].tolist())]
+    if faults:   # error records among them: every answer in line order
+        out = {i: LINE_ENCODER.encode({"error": describe(exc), "line": i}) + "\n" for i, exc in faults}
+        out.update(zip(itertools.compress(lines, done.tolist()), text))
+        text = [out[i] for i in sorted(out)]
+    return "".join(text)

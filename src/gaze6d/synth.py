@@ -39,8 +39,8 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
 from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed,
-                     from_dict)
-from .jsonl import LINE_ENCODER, decode_line, number_columns
+                     describe, from_dict)
+from .jsonl import BLOCK_LINES, LINE_ENCODER, read_block
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -418,10 +418,16 @@ _ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _ROW_CONTAINERS = 1 + len(_COLUMN_FIELDS)
 
 
+def _decode_row(line: str):
+    """_ROW_DECODER's value of a data line whose lone surrogates stand for
+    bytes that are not UTF-8: decoded strictly again, they are named."""
+    return _ROW_DECODER.decode(line.encode("utf-8", "surrogateescape").decode())
+
+
 def _read_row(d) -> tuple[tuple, int]:
     """The decoded data line `d`'s fields in column order, each of its
     length, and its subject id, a JSON integer in int64 range; else a
-    BAD_INPUT exception.  The fields' values are checked by _row_columns."""
+    BAD_INPUT exception.  The fields' values are checked by read_block."""
     if not isinstance(d, dict):
         raise ValueError("row is not a JSON object")
     for key, n in _ROW_LENGTHS.items():
@@ -468,34 +474,6 @@ def _check_row(fields: tuple) -> None:
             raise ValueError(f"{key} must be finite, got {d[key]!r}")
 
 
-def _row_columns(path, values: list, texts: list, lines: list, physical: bool = True) -> np.ndarray:
-    """The float columns of the rows whose values in column order, `values`,
-    were read from the texts `texts` of file lines `lines`.
-
-    The values are checked as columns (number_columns, box side and face
-    depth > 0), and only a row that fails is read again by the json decoder
-    and goes through _check_row, in file order.  The first row that breaks a
-    rule is a ConfigError naming its file and line; the physical rule, if
-    `physical`, is checked last."""
-    columns, passed = number_columns(values, len(_COLUMN_NAMES))
-    passed &= (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0)
-    rejected = np.flatnonzero(~passed).tolist()
-    for k in rejected:
-        with bad_input(f"{path}:{lines[k]}"):
-            fields, _ = _read_row(_ROW_DECODER.decode(texts[k]))
-            _check_row(fields)
-        columns[k] = [v for field in fields for v in field]
-    if physical and rejected:   # every rejected row that passed _check_row breaks it
-        k = rejected[0]
-        huge = np.abs(columns[k]) > MAX_ABS_VALUE
-        key = _COLUMN_NAMES[np.argmax(huge)] if huge.any() else "o_face"
-        got = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
-        what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge.any()
-                else "o_face must lie in front of the camera (z > 0)")
-        raise ConfigError(f"{path}:{lines[k]}: {what}, got {got!r}")
-    return columns
-
-
 def _header_from_line(line: str) -> dict:
     header = json.loads(line)
     if not isinstance(header, dict) or "schema_version" not in header:
@@ -524,30 +502,41 @@ def load_dataset(path) -> Dataset:
     in magnitude, in millimetres, pixels or radians, and the face centre
     `o_face` in front of the camera (z > 0).  This is reported last, once
     every row has passed the rules above, naming the file and line as well.
+
+    The rows are read in blocks of BLOCK_LINES lines (read_block), and only
+    each block's columns are kept past it.
     """
-    # each row's values, subject, text and line number: its text, not its
-    # decoded fields, is kept, and read again if the row is rejected
-    header, values, subjects, texts, lines, line_no = None, [], [], [], [], 0
-    try:
-        # decoded line by line: text mode decodes in chunks, past the line at fault
-        with open(path, "rb") as f, bad_input(lambda: f"{path}:{line_no}"):
-            for line_no, line in enumerate(f, start=1):
-                line = line.decode()
-                if header is None:
-                    header = _header_from_line(line)
-                elif line.strip():
-                    fields, subject = decode_line(line, _read_row, _ROW_DECODER.decode, _ROW_CONTAINERS)
-                    for field in fields:
-                        values += field
-                    subjects.append(subject)
-                    texts.append(line)
-                    lines.append(line_no)
-    except ConfigError:
-        _row_columns(path, values, texts, lines, physical=False)   # a faulty row above comes first
-        raise
-    if header is None:
-        raise ConfigError(f"{path}: empty file, expected a header line")
-    columns = _row_columns(path, values, texts, lines)
+    blocks, subjects, physical = [np.zeros((0, len(_COLUMN_NAMES)))], [], None
+    with open(path, "rb") as f:
+        first = f.readline()
+        if not first:
+            raise ConfigError(f"{path}: empty file, expected a header line")
+        with bad_input(f"{path}:1"):
+            header = _header_from_line(first.decode())
+        # decoded line by line, a byte that is not UTF-8 as a lone surrogate: text
+        # mode decodes in chunks, past the line at fault
+        numbered = ((i, line.decode("utf-8", "surrogateescape")) for i, line in enumerate(f, start=2))
+        while block := list(itertools.islice(numbered, BLOCK_LINES)):
+            rows, columns, passed, faults = read_block(
+                block, _read_row, _decode_row, _ROW_CONTAINERS, len(_COLUMN_NAMES), _check_row,
+                lambda columns: (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0))
+            if faults:
+                i, exc = faults[0]
+                raise ConfigError(f"{path}:{i}: {describe(exc)}")
+            if physical is None and not passed.all():   # a row that passed _check_row: reported last
+                k = np.argmin(passed)
+                huge = np.abs(columns[k]) > MAX_ABS_VALUE
+                key = _COLUMN_NAMES[np.argmax(huge)] if huge.any() else "o_face"
+                got = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
+                what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge.any()
+                        else "o_face must lie in front of the camera (z > 0)")
+                physical = f"{path}:{rows[k][0]}: {what}, got {got!r}"
+            blocks.append(columns)
+            subjects += [subject for _, subject, _ in rows]
+    if physical is not None:
+        raise ConfigError(physical)
+    columns = np.concatenate(blocks)
+    del blocks   # copied into the columns
     return Dataset(header=header,
                    features=np.ascontiguousarray(columns[:, :FEATURE_DIM]),
                    labels=np.ascontiguousarray(columns[:, FEATURE_DIM:_COLUMN_STARTS["bbox"]]),

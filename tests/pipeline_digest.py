@@ -64,7 +64,7 @@ def finite_line(k: int) -> str:
     return json.dumps({"point": [12.5 - 0.75 * k, -40.0 + 0.5 * k], "gaze": [0.1 - k / 1000, 0.2, -0.97]})
 
 
-# convert reads its input in blocks of this many lines (cli._CONVERT_BLOCK,
+# convert reads its input in blocks of this many lines (jsonl.BLOCK_LINES,
 # written out so that the script runs against checkouts from before blocks)
 SEAM = 256
 # one record per line of convert's input: finite records, then the faults;

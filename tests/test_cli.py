@@ -22,7 +22,7 @@ from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError, RayParallelError, from_dict
-from gaze6d.jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE
+from gaze6d.jsonl import BLOCK_LINES, JSON_BOOLS, LINE_ENCODER, RECORD_LINE
 from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
                           save_params, vec_from_euler)
 from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
@@ -1074,13 +1074,13 @@ def test_convert_writes_the_reference_bytes_in_both_directions(tmp_path):
 
 
 def block_seam_lines(R):
-    """(records, input lines, {line: error}) over 2 x _CONVERT_BLOCK + 4 lines
+    """(records, input lines, {line: error}) over 2 x BLOCK_LINES + 4 lines
     with a fault on the first or last line of each block: the output must not
     depend on where a block starts or ends.  The first block holds values that
     are no JSON number, the second an all-integer record and a value beyond
     the bound, and the last line an int too large for a float: the checks over
     a block's columns pass each of them on to the one-record check."""
-    B = cli._CONVERT_BLOCK
+    B = BLOCK_LINES
     rng = np.random.default_rng(62)
     records = [(rng.normal(0.0, 200.0, 2).tolist(), rng.normal(size=3).tolist()) for _ in range(2 * B + 4)]
     records[B + 1] = ([1.0, 2.0], [0.0, 0.0, 0.0])                         # no direction
@@ -1134,6 +1134,31 @@ def test_convert_across_block_seams_writes_the_reference_bytes_in_both_direction
                 else oracles.reference_convert_record(p, g, R, t, direction, i)
                 for i, (p, g) in enumerate(records) if lines[i].strip()]
         assert len(want) == len(lines) - 1 and sum("error" in w for w in want) == 9
+        assert out == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_convert_ends_a_line_only_at_a_newline(tmp_path, monkeypatch, capsys, source):
+    """A "\\r" is JSON whitespace within a record, as in a dataset row, and
+    ends no line: the record converts, and the lines after keep their numbers."""
+    R = oracles.rotation_matrix_from_axis_angle([0.6, 0.0, 0.8], 0.4)
+    t = (210.0, -40.0, 15.0)
+    transform = write_transform(tmp_path / "t.json", R=R, t=t)
+    records = [([1.0, 2.0], [0.1, 0.2, -1.0]), ([3.0, 4.0], [-0.1, 0.2, -0.9])]
+    data = ('{"point": [1.0, 2.0],\r"gaze": [0.1, 0.2, -1.0]}\n'
+            '{"point": [3.0, 4.0], "gaze": [-0.1, 0.2, -0.9]}\r\n'
+            'not json\n').encode()
+    for direction in ("pogz2pog", "pog2pogz"):
+        argv = ["convert", "--dir", direction, "--transform", str(transform)]
+        if source == "file":
+            (tmp_path / "in.jsonl").write_bytes(data)
+            argv += ["--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+        else:   # a text stream over bytes, with universal newlines
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert cli.main(argv) == 0
+        out = (tmp_path / "out.jsonl").read_text() if source == "file" else capsys.readouterr().out
+        want = [oracles.reference_convert_record(p, g, R, t, direction, i) for i, (p, g) in enumerate(records)]
+        want.append({"error": "Expecting value: line 1 column 1 (char 0)", "line": 2})
         assert out == "".join(json.dumps(w, sort_keys=True) + "\n" for w in want)
 
 

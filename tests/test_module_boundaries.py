@@ -137,6 +137,47 @@ def test_the_orjson_check_sees_both_import_forms(tmp_path):
     assert orjson_imports(src) == ["probe.py:1: orjson", "probe.py:2: orjson", "probe.py:5: orjson"]
 
 
+# the line decoder and the column check of gaze6d.jsonl.read_block, the one block loop
+BLOCK_LOOP_PARTS = {"decode_line", "number_columns"}
+
+
+def block_loop_uses(path: Path) -> list[str]:
+    """Imports of, and references to, `decode_line` or `number_columns` in
+    the source file at `path`: a block loop of its own, where every JSONL
+    reader goes through gaze6d.jsonl.read_block."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [(node.lineno, f"{path.name}:{node.lineno}: {n}") for n in names if n in BLOCK_LOOP_PARTS]
+    return [use for _, use in sorted(found)]
+
+
+def test_only_jsonl_py_decodes_lines_and_checks_columns():
+    found = [use for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "jsonl.py"
+             for use in block_loop_uses(path)]
+    assert found == []
+
+
+def test_the_block_loop_check_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("from .jsonl import decode_line, read_block\n"
+                   "from gaze6d.jsonl import number_columns as columns\n"
+                   "row = jsonl.decode_line(line, read, decode, 3)\n"
+                   "cols = _jsonl.number_columns(values, 5)\n"
+                   "rows = read_block(lines, read, decode, 3, 5, check)\n"
+                   "decode_line = None\n")
+    assert block_loop_uses(src) == ["probe.py:1: decode_line", "probe.py:2: number_columns",
+                                    "probe.py:3: decode_line", "probe.py:4: number_columns",
+                                    "probe.py:6: decode_line"]
+
+
 def per_line_dumps(path: Path) -> list[str]:
     """`json.dumps(..., sort_keys=True)` calls with default separators and no
     indent in the source file at `path`: JSONL line encodings, which belong

@@ -35,7 +35,7 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
         assert listing[f"gen_replay/{name}"] == listing[f"gen_train/{name}"], name
     # convert streamed an error record for each faulty line, in both directions,
     # faults on each side of two block seams included
-    assert pipeline_digest.SEAM == pipeline_digest.cli._CONVERT_BLOCK
+    assert pipeline_digest.SEAM == pipeline_digest.cli.BLOCK_LINES
     for direction in ("pogz2pog", "pog2pogz"):
         records = [json.loads(line) for line in (tmp_path / "out" / f"{direction}.jsonl").read_text().splitlines()]
         assert len(records) == len(pipeline_digest.CONVERT_LINES)

@@ -9,7 +9,7 @@ from gaze6d.camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import FrameMismatchError, GeometryError, RayParallelError
 from gaze6d.pogz import (FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE, RAY_EPS,
-                         PlanePoint, RigidTransform, pog_to_pogz,
+                         PlanePoint, RigidTransform, convert_lines, pog_to_pogz,
                          pogz_from_ray, pogz_to_pog, pogz_to_pog_rows, rotate_rows)
 
 
@@ -329,3 +329,15 @@ def test_pog_to_pogz_returns_each_point_and_negates_behind(quaternion, translati
         gap = np.linalg.norm(transform.apply_point([x, y, 0.0]) - [pog.x, pog.y, 0.0])
         if gap > 1e-9 * max(scale, np.linalg.norm(transform.translation)):
             assert back.behind == (not pog.behind)
+
+
+def test_convert_lines_answers_each_numbered_line_and_refuses_an_unknown_direction():
+    """The kernel of `gaze6d convert`, called as a library function: a record
+    per line, in line order, numbered as given, and no line for a blank one."""
+    transform = RigidTransform(Rotation3(np.eye(3)), np.array([0.0, 0.0, 10.0]))
+    lines = [(7, '{"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1.0]}\n'), (8, "  \n"), (9, "{")]
+    assert convert_lines(lines, "pogz2pog", transform) == (
+        '{"behind": false, "gaze": [0.0, 0.0, -1.0], "point": [1.0, 2.0]}\n'
+        '{"error": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", "line": 9}\n')
+    with pytest.raises(ValueError, match="unknown direction 'pogz2screen'"):
+        convert_lines(lines, "pogz2screen", transform)

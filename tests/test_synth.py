@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from gaze6d import synth
 from gaze6d.camera import CameraIntrinsics, backproject
 from gaze6d.easy_norm import norm_rotation, normalize_gaze, denormalize_gaze
 from gaze6d.errors import ConfigError, from_dict
+from gaze6d.jsonl import BLOCK_LINES
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import pogz_from_ray
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset,
@@ -401,6 +406,15 @@ def test_load_dataset_names_a_row_that_is_not_physical(tmp_path, edit, message):
     assert str(info.value).startswith(f"{path}:4: {message}")
 
 
+@pytest.fixture(scope="module")
+def three_block_lines(tmp_path_factory):
+    """The lines of a dataset whose 515 rows span three blocks of BLOCK_LINES lines."""
+    assert BLOCK_LINES == 256
+    path = tmp_path_factory.mktemp("blocks") / "d.jsonl"
+    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 2 * BLOCK_LINES + 3, "general", path)
+    return tuple(path.read_text().splitlines())
+
+
 def box_side(side, **fields):
     """The row with box side `side` and the fields `fields` set."""
     return lambda row: json.dumps({**row, "bbox": row["bbox"][:2] + [side], **fields})
@@ -419,19 +433,69 @@ def box_side(side, **fields):
                  ":3: int too large to convert to float", id="overflow-then-box"),
     pytest.param({3: box_side(-3, g_o=[True, 0.0])},
                  ":3: box side must be positive, got -3.0", id="box-and-bool"),
+    # rows are read in blocks of BLOCK_LINES lines: block 1 is lines 2-257, block 2 lines 258-513
+    pytest.param({2: setting("o_face", [0.0, 0.0, -1.0]), 300: '{"features": [0.1,'},
+                 ":300: Expecting value", id="physical-in-block-1-then-parse-in-block-2"),
+    pytest.param({100: setting("g_n", ["0.1", 0.2]), 400: '{"features": [0.1,'},
+                 ":100: g_n must be a flat list of 2 numbers", id="string-in-block-1-then-parse-in-block-2"),
+    pytest.param({257: box_side(-3), 258: '{"features": [0.1,'},
+                 ":257: box side must be positive, got -3.0", id="last-line-of-block-1-then-first-of-block-2"),
+    pytest.param({258: setting("features", ["x"] + [0.1] * 6), 513: '{"features": [0.1,'},
+                 ":258: features must be a flat list of 7 numbers", id="first-and-last-lines-of-block-2"),
+    pytest.param({258: setting("o_face", [0.0, 0.0, -1.0]), 513: setting("pogz", [1e10, 0.0])},
+                 ":258: o_face must lie in front of the camera (z > 0), got [0.0, 0.0, -1.0]",
+                 id="physical-on-first-and-last-lines-of-block-2"),
+    pytest.param({2: setting("pogz", [1e10, 0.0]), 516: setting("features", [10**400] + [0.1] * 6)},
+                 ":516: int too large to convert to float", id="physical-in-block-1-then-overflow-on-the-last-line"),
 ])
-def test_load_dataset_reports_the_first_faulty_row_in_file_order(tmp_path, edits, message):
+def test_load_dataset_reports_the_first_faulty_row_in_file_order(tmp_path, three_block_lines, edits, message):
     """The first line in file order that breaks a per-row rule is reported,
     and the physical rule only once every row has passed the others."""
     path = tmp_path / "faults.jsonl"
-    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 3, "general", path)
-    lines = path.read_text().splitlines()
+    lines = list(three_block_lines)
     for line, edit in edits.items():
         lines[line - 1] = edit(json.loads(lines[line - 1])) if callable(edit) else edit
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as info:
         load_dataset(path)
     assert str(info.value).startswith(f"{path}{message}")
+
+
+def test_load_dataset_reads_a_carriage_return_as_json_whitespace(tmp_path):
+    """Only "\\n" ends a line: a "\\r" within a row is JSON whitespace, as in convert."""
+    path = tmp_path / "cr.jsonl"
+    generate_dataset(SceneConfig(seed=14), make_subjects(1, seed=14), 2, "general", path)
+    plain = load_dataset(path)
+    header, first, second = path.read_text().splitlines()
+    path.write_bytes("\n".join([header, first.replace(", ", ",\r", 1), second + "\r\n"]).encode())
+    read = load_dataset(path)
+    assert len(read) == 2
+    for name in ("features", "labels", "boxes", "subjects"):
+        assert np.array_equal(getattr(read, name), getattr(plain, name)), name
+
+
+def test_load_dataset_keeps_a_block_of_text_at_a_time(tmp_path):
+    """load_dataset of 60,000 rows (31 MB) raises a fresh process's peak RSS
+    over its import by at most 52 MB: each block's text and Python floats
+    are freed once its columns are made, and the columns are 10 MB."""
+    seed = tmp_path / "seed.jsonl"
+    generate_dataset(SceneConfig(seed=16), make_subjects(1, seed=16), 1000, "general", seed)
+    header, *rows = seed.read_text().splitlines(keepends=True)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(header + "".join(rows) * 60)
+    # the process's own peak RSS, VmHWM, in KiB: a child's ru_maxrss starts at its parent's, kept across exec
+    code = ("import sys\n"
+            "import gaze6d\n"
+            "peak = lambda: int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            "before = peak()\n"
+            "n = len(gaze6d.load_dataset(sys.argv[1]))\n"
+            "print(n, peak() - before)\n")
+    src = str(Path(synth.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    n, grown_kib = map(int, proc.stdout.split())
+    assert n == 60_000 and grown_kib <= 52 * 1024, f"peak RSS grew {grown_kib / 1024:.1f} MiB"
 
 
 VECTOR_LENGTHS = {"features": 7, "g_n": 2, "g_o": 2, "pogz": 2, "r_on": 2, "o_face": 3}
