@@ -77,10 +77,6 @@ class BoundingBox:
     def to_list(self) -> list:
         return [self.x, self.y, self.side]
 
-    @classmethod
-    def from_list(cls, v) -> "BoundingBox":
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
 
 @dataclass(frozen=True)
 class Point3:

@@ -81,6 +81,11 @@ JSON_NUMBERS = frozenset((int, float))
 # (millimetres, pixels or radians): no desk-scale quantity comes near it
 MAX_ABS_VALUE = 1e9
 
+
+class PhysicalRuleError(ValueError):
+    """A value read from a file that is not physical: beyond MAX_ABS_VALUE in
+    magnitude, or a dataset row's face centre behind the camera."""
+
 _KIND_NAMES = {str: "a string", int: "an integer id"}
 
 

@@ -1,6 +1,8 @@
-"""The JSON line encoder that every JSONL writer in gaze6d shares, and the
-block reader that both JSONL readers read their lines with: one line decoder,
-and one column check of the lines' values.
+"""The JSON line encoder that every JSONL writer in gaze6d shares; the block
+reader that both JSONL readers read their lines with: one line decoder, one
+stdlib decoder and one column check of the lines' values; and the one rule
+for the numbers a dataset row, a convert record or a transform file holds,
+with one wording per fault.
 
 `json.dumps(obj, sort_keys=True)` builds a new `JSONEncoder` on every call;
 LINE_ENCODER writes the same bytes without that cost.  It holds no state
@@ -8,11 +10,12 @@ between calls.
 """
 
 import json
+import math
 
 import numpy as np
 import orjson
 
-from .errors import BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE
+from .errors import BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, PhysicalRuleError
 
 # input lines read and checked together by both JSONL readers: one pogz_to_pog_rows
 # call costs about as much per row at 1024; a smaller block answers a pipe sooner
@@ -27,6 +30,54 @@ LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 # its JSON text, and the keys are written in sorted order
 RECORD_LINE = '{"behind": %s, "gaze": %r, "point": %r}\n'
 JSON_BOOLS = ("false", "true")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite value {name}")
+
+
+# json.loads builds a new decoder per call when given hooks; share one instead
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def decode_json(text: str):
+    """The stdlib json value of `text`, read with errors="surrogateescape":
+    NaN and Infinity are refused as they are parsed, and a byte that is not
+    UTF-8, a lone surrogate in `text`, is named by decoding the text's bytes
+    strictly again.  Trailing newlines are dropped first, so the error of a
+    line cut short points at its end, not at the start of a line 2."""
+    return _DECODER.decode(text.rstrip("\n").encode("utf-8", "surrogateescape").decode())
+
+
+def find_fault(fields, rule=None) -> list:
+    """Raise the first fault of the values of a row, record or transform,
+    given as (name, value, length) triples of what decode_json read; else
+    return the values as one list of floats.  Field by field, a value is
+    a flat list of JSON numbers (float() would take true, "1", null and a
+    nested list's items), of its length, none an int too large for a float,
+    each finite (1e999 parses to inf).  Then `rule`, if given, of the floats
+    raises the reader's own fault, and last every value must be at most
+    MAX_ABS_VALUE in magnitude, the physical rule: a PhysicalRuleError."""
+    floats = []
+    for name, value, n in fields:
+        if type(value) is not list or not JSON_NUMBERS.issuperset(map(type, value)):
+            raise ValueError(f"{name} must be a flat list of {n} JSON numbers, got {value!r}")
+        if len(value) != n:
+            raise ValueError(f"{name} has {len(value)} values, expected {n}")
+        try:
+            values = [float(v) for v in value]
+        except BAD_INPUT:
+            raise OverflowError(f"{name} has an integer too large for a float, got {value!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must be finite, got {values}")
+        floats.append((name, values))
+    row = [v for _, values in floats for v in values]
+    if rule is not None:
+        rule(row)
+    for name, values in floats:
+        if not all(map(MAX_ABS_VALUE.__ge__, map(abs, values))):
+            raise PhysicalRuleError(f"{name} values must be at most {MAX_ABS_VALUE:g} in magnitude, got {values}")
+    return row
 
 
 def decode_line(line: str, read, decode, containers: int):
@@ -50,58 +101,67 @@ def decode_line(line: str, read, decode, containers: int):
     return read(decode(line))
 
 
+def _numbers_or_nan(values: list) -> list:
+    """The JSON values, each that is no JSON number or is beyond MAX_ABS_VALUE
+    in magnitude (an int too large for a float included) as NaN."""
+    return [v if type(v) in JSON_NUMBERS and abs(v) <= MAX_ABS_VALUE else math.nan for v in values]
+
+
 def number_columns(values: list, width: int, rule=None) -> tuple[np.ndarray, np.ndarray]:
     """The decoded JSON values of n rows of `width` as (n, width) float
     columns, and which rows pass: every value a JSON number at most
     MAX_ABS_VALUE in magnitude (NaN fails), and `rule` of the columns, if
-    given.  If any value is no JSON number or an int too large for a float,
-    no row passes: check each one alone."""
-    n = len(values) // width
-    columns, passed = np.zeros((n, width)), np.zeros(n, dtype=bool)
-    if JSON_NUMBERS.issuperset(map(type, values)):
-        try:
-            columns = np.array(values, dtype=float).reshape(n, width)
-        except BAD_INPUT:   # an int too large for a float
-            pass
-        else:
-            passed = (np.abs(columns) <= MAX_ABS_VALUE).all(axis=1)
+    given.  A value that is no JSON number (np.array would take true, "1"
+    and null) or an int too large for a float fails its row alone."""
+    if not JSON_NUMBERS.issuperset(map(type, values)):
+        values = _numbers_or_nan(values)
+    try:
+        columns = np.array(values, dtype=float)
+    except BAD_INPUT:   # an int too large for a float
+        columns = np.array(_numbers_or_nan(values))
+    columns = columns.reshape(-1, width)
+    passed = (np.abs(columns) <= MAX_ABS_VALUE).all(axis=1)
     return columns, passed if rule is None else passed & rule(columns)
 
 
-def read_block(numbered_lines, read, decode, containers: int, width: int, find_fault, rule=None):
+def read_block(numbered_lines, read, containers: int, fields: dict, rule=None, check=None):
     """The rows of the lines of [(line number, line)] that are not blank.
-    `read` (through decode_line, with `decode` and `containers`) reads a
-    line's structure: it gives the line's fields, lists whose values make
-    its row of `width`, and a value of its own, or raises a BAD_INPUT
-    exception.  The rows are checked as columns (number_columns, with
-    `rule`); a row that fails is read again by `decode`, and `find_fault`
-    of its fields raises what it breaks first, if anything.
+    `read` (through decode_line, with decode_json and `containers`) reads a
+    line's structure: it gives the line's fields, named and of the lengths
+    `fields` gives, in its order, and a value of its own, or raises a
+    BAD_INPUT exception.  The rows whose fields are lists of their lengths
+    are checked as columns (number_columns, with `rule`); any other row, and
+    one that fails, is read again by decode_json, and find_fault of its
+    fields, with `check`, the per-row form of `rule`, raises its fault (or
+    gives its floats: the row passes).
 
     Returns (rows, columns, passed, faults): [(line number, own value,
     line)], their (n, width) float columns, which rows pass, and [(line
-    number, exception)] in line order.  A row that neither passes nor has
-    a fault breaks only the column checks."""
+    number, exception)] in line order, one for each row that does not."""
+    lengths, width = list(fields.values()), sum(fields.values())
     rows, values, faults = [], [], []
     for i, line in numbered_lines:
         if not line.strip():
             continue
         try:
-            fields, own = decode_line(line, read, decode, containers)
+            row, own = decode_line(line, read, decode_json, containers)
         except BAD_INPUT as exc:
             faults.append((i, exc))
             continue
         rows.append((i, own, line))
-        for field in fields:
-            values += field
+        if [len(v) if type(v) is list else None for v in row] == lengths:
+            for v in row:
+                values += v
+        else:   # fails the column check
+            values += [None] * width
 
     columns, passed = number_columns(values, width, rule)
     for k in np.flatnonzero(~passed).tolist():
         try:
-            fields, _ = read(decode(rows[k][2]))
-            find_fault(fields)
+            row, _ = read(decode_json(rows[k][2]))
+            columns[k] = find_fault(zip(fields, row, lengths), check)
         except BAD_INPUT as exc:
             faults.append((rows[k][0], exc))
             continue
-        row, ok = number_columns([v for field in fields for v in field], width, rule)
-        columns[k], passed[k] = row[0], ok[0]
+        passed[k] = True
     return rows, columns, passed, sorted(faults)   # no line has two faults: no exception is compared

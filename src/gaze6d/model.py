@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
-from .errors import (JSON_NUMBERS, ConfigError, GeometryError, GimbalLockError, RayParallelError,
+from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError,
                      TrainingDiverged, bad_input, check_seed)
 from .jsonl import LINE_ENCODER
 from .pogz import PlanePoint, pogz_from_ray
@@ -235,17 +235,42 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Read a params file written by save_params, in format 2 or in format 1
-    (each array's values as a JSON list of numbers).
+    """Read a params file written by save_params, in format 2.
 
     Its model_config must be this model's architecture, key for key and
     value for value; its arrays must match the layout name for name and
-    shape for shape, a format-2 payload in whole float64 values; and every
-    value must be finite.  Anything else, a file that is not JSON included,
-    is a ConfigError naming the file.
+    shape for shape, each payload in whole float64 values; and every value
+    must be finite.  Anything else, a file that is not JSON or of another
+    format included, is a ConfigError naming the file.
     """
     with open(path) as f, bad_input(path):
-        return _params_from_doc(json.load(f))
+        doc = json.load(f)
+        version = doc.get("format_version")
+        if type(version) is not int or version != 2:   # 2.0 equals 2
+            raise ConfigError(f"unsupported params format {version!r}")
+        config = doc["model_config"]
+        for key in sorted(config.keys() | _MODEL_CONFIG.keys()):
+            if key not in _MODEL_CONFIG:
+                raise ConfigError(f"model_config has an unknown key {key!r}")
+            if key not in config:
+                raise ConfigError(f"model_config lacks {key!r}")
+            if config[key] != _MODEL_CONFIG[key]:
+                raise ConfigError(f"model_config {key} is {config[key]!r}; the model's is {_MODEL_CONFIG[key]!r}")
+        stored = doc["arrays"]
+        params = ModelParams(np.empty(_PARAM_COUNT))
+        if set(stored) != set(params.arrays):
+            raise ConfigError(f"arrays do not match the model: missing "
+                              f"{sorted(set(params.arrays) - set(stored))}, "
+                              f"unexpected {sorted(set(stored) - set(params.arrays))}")
+        for name, view in params.arrays.items():
+            shape, data = stored[name]["shape"], _float64_payload(name, stored[name]["data"])
+            if list(shape) != list(view.shape) or len(data) != view.size:
+                raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
+                                  f"the model needs shape {list(view.shape)}")
+            view.reshape(-1)[:] = data
+            if not np.isfinite(view).all():
+                raise ConfigError(f"array {name} has non-finite values")
+    return params
 
 
 def _float64_payload(name: str, data: str) -> np.ndarray:
@@ -255,40 +280,6 @@ def _float64_payload(name: str, data: str) -> np.ndarray:
         if len(raw) % 8:
             raise ValueError(f"{len(raw)} bytes, not a whole number of float64 values")
     return np.frombuffer(raw, dtype="<f8")
-
-
-def _params_from_doc(doc: dict) -> ModelParams:
-    version = doc.get("format_version")
-    if type(version) is not int or version not in (1, 2):   # 1.0 and true equal 1
-        raise ConfigError(f"unsupported params format {version!r}")
-    config = doc["model_config"]
-    for key in sorted(config.keys() | _MODEL_CONFIG.keys()):
-        if key not in _MODEL_CONFIG:
-            raise ConfigError(f"model_config has an unknown key {key!r}")
-        if key not in config:
-            raise ConfigError(f"model_config lacks {key!r}")
-        if config[key] != _MODEL_CONFIG[key]:
-            raise ConfigError(f"model_config {key} is {config[key]!r}; the model's is {_MODEL_CONFIG[key]!r}")
-    stored = doc["arrays"]
-    params = ModelParams(np.empty(_PARAM_COUNT))
-    if set(stored) != set(params.arrays):
-        raise ConfigError(f"arrays do not match the model: missing "
-                          f"{sorted(set(params.arrays) - set(stored))}, "
-                          f"unexpected {sorted(set(stored) - set(params.arrays))}")
-    for name, view in params.arrays.items():
-        shape, data = stored[name]["shape"], stored[name]["data"]
-        if version == 2:
-            data = _float64_payload(name, data)
-        if list(shape) != list(view.shape) or len(data) != view.size:
-            raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
-                              f"the model needs shape {list(view.shape)}")
-        if version == 1 and (type(data) is not list or not JSON_NUMBERS.issuperset(map(type, data))):
-            raise ConfigError(f"array {name} data must be a flat list of JSON numbers")
-        with bad_input(f"array {name}"):   # a format-1 int too large for a float
-            view.reshape(-1)[:] = data
-        if not np.isfinite(view).all():
-            raise ConfigError(f"array {name} has non-finite values")
-    return params
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ import numpy as np
 
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
-from .errors import (JSON_NUMBERS, MAX_ABS_VALUE, FrameMismatchError, GeometryError, RayParallelError,
-                     bad_input, describe)
-from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, read_block
+from .errors import FrameMismatchError, GeometryError, RayParallelError, bad_input, describe
+from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, decode_json, find_fault, read_block
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -88,19 +87,10 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RigidTransform":
-        R, t = d["R"], d["t"]
-        for name, value, size in (("R", R, 9), ("t", t, 3)):
-            # np.array would take true as 1.0, "1" and nested lists
-            if type(value) is not list or not JSON_NUMBERS.issuperset(map(type, value)):
-                raise ValueError(f"{name} must be a flat list of {size} numbers, got {value!r}")
-            if len(value) != size or not all(map(math.isfinite, value)):
-                raise ValueError(f"{name} must be {size} finite values, got {[float(v) for v in value]}")
-        # the physical rule of a record: with it, every point and gaze that
-        # convert writes for a record within that rule is finite
-        if not all(map(MAX_ABS_VALUE.__ge__, map(abs, t))):
-            raise ValueError(f"t values must be at most {MAX_ABS_VALUE:g} mm in magnitude, "
-                             f"got {[float(v) for v in t]}")
-        return cls(Rotation3(np.array(R, dtype=float).reshape(3, 3)), np.array(t, dtype=float))
+        # the rule of a record's values (jsonl.find_fault): with it, every point
+        # and gaze that convert writes for a record within that rule is finite
+        values = find_fault((("R", d["R"], 9), ("t", d["t"], 3)))
+        return cls(Rotation3(np.array(values[:9]).reshape(3, 3)), np.array(values[9:]))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -108,11 +98,11 @@ class RigidTransform:
 
     @classmethod
     def load(cls, path) -> "RigidTransform":
-        """Read a transform written by save.  R must be 9 finite values forming a
-        proper rotation and t 3 finite values, each at most MAX_ABS_VALUE mm in
-        magnitude; else a ConfigError names the file."""
-        with open(path) as f, bad_input(path):
-            return cls.from_dict(json.load(f))
+        """Read a transform written by save.  R must be 9 values forming a
+        proper rotation and t 3 values, each value within jsonl.find_fault's
+        rule; else a ConfigError names the file."""
+        with open(path, encoding="utf-8", errors="surrogateescape") as f, bad_input(path):
+            return cls.from_dict(decode_json(f.read()))
 
 
 def row_norms(V: np.ndarray) -> np.ndarray:
@@ -210,43 +200,16 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
 
 # a record line opens its object and its two lists
 _RECORD_CONTAINERS = 3
+# a record's fields and their lengths
+_RECORD_LENGTHS = {"point": 2, "gaze": 3}
 
 
 def _read_record(rec) -> tuple:
     """The fields (point, gaze) of the decoded record line `rec`, as its JSON
-    holds them, each of its length, and no value of its own; malformed input
-    raises a BAD_INPUT exception.  Their values are checked over a block's
-    columns at once, or by _check_values."""
-    point, gaze = rec["point"], rec["gaze"]
-    if len(point) != 2 or len(gaze) != 3:
-        raise ValueError(f"expected a 2-value point and a 3-value gaze, got {len(point)} and {len(gaze)}")
-    return (point, gaze), None
-
-
-def _json_record(line: str):
-    """json.loads of a record line, which must be UTF-8, stripped of the
-    whitespace around it: an error names its place in the record."""
-    line = line.strip()
-    line.encode()  # rejects a lone surrogate
-    return json.loads(line)
-
-
-def _check_values(fields) -> None:
-    """Raise a BAD_INPUT exception naming the rule that the values of the
-    fields (point, gaze) of a record read by _read_record break, if they do
-    not follow the physical rule of a dataset row: JSON numbers, each at
-    most MAX_ABS_VALUE in magnitude."""
-    point, gaze = fields
-    values = [*point, *gaze]
-    if not JSON_NUMBERS.issuperset(map(type, values)):   # float() would take true and "1"
-        raise ValueError(f"point and gaze must be JSON numbers, got point {point} and gaze {gaze}")
-    # json.loads accepts NaN and Infinity: one pass, before any arithmetic, finds
-    # a value that is NaN, inf or beyond the bound (NaN fails every comparison)
-    if not all(map(MAX_ABS_VALUE.__ge__, map(abs, values))):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"non-finite point {point} or gaze {gaze}")
-        raise ValueError(f"point and gaze values must be at most {MAX_ABS_VALUE:g} in magnitude, "
-                         f"got point {point} and gaze {gaze}")
+    holds them, and no value of its own; a record that is no object or
+    lacks a key raises a BAD_INPUT exception.  The fields are checked by
+    read_block."""
+    return (rec["point"], rec["gaze"]), None
 
 
 def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> str:
@@ -257,7 +220,7 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     record {"error", "line"} of a malformed record or one that does not
     convert; a blank line gives none.  `gaze6d convert` passes its input in
     blocks of jsonl.BLOCK_LINES lines, numbered from 0.  The lines are read
-    by read_block, and _check_values gives a rejected record its message.
+    by read_block, and jsonl.find_fault gives a rejected record its message.
 
     pogz2pog maps the passing records with one pogz_to_pog_rows call, which
     gives each row the bits the one-record pogz_to_pog gives it, and its
@@ -273,8 +236,7 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     """
     if direction not in ("pogz2pog", "pog2pogz"):
         raise ValueError(f"unknown direction {direction!r}, expected 'pogz2pog' or 'pog2pogz'")
-    rows, columns, passed, faults = read_block(numbered_lines, _read_record, _json_record, _RECORD_CONTAINERS,
-                                               5, _check_values)
+    rows, columns, passed, faults = read_block(numbered_lines, _read_record, _RECORD_CONTAINERS, _RECORD_LENGTHS)
     lines = [i for i, _, _ in itertools.compress(rows, passed.tolist())]
     P, G = columns[passed, :2], columns[passed, 2:]
 

@@ -38,8 +38,7 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
-from .errors import (BAD_INPUT, JSON_NUMBERS, MAX_ABS_VALUE, ConfigError, bad_input, check_finite, check_seed,
-                     describe, from_dict)
+from .errors import ConfigError, PhysicalRuleError, bad_input, check_finite, check_seed, describe, from_dict
 from .jsonl import BLOCK_LINES, LINE_ENCODER, read_block
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
@@ -188,11 +187,6 @@ class GazeSample:
     def to_dict(self) -> dict:
         return {**{k: getattr(self, k).tolist() for k in _VECTOR_FIELDS},
                 "bbox": self.bbox.to_list(), "subject": self.subject}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GazeSample":
-        return cls(bbox=BoundingBox.from_list(d["bbox"]), subject=int(d["subject"]),
-                   **{k: np.array(d[k], dtype=float) for k in _VECTOR_FIELDS})
 
 
 def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
@@ -390,88 +384,45 @@ class Dataset:
                 in zip(self.features, self.boxes.tolist(), self.subjects.tolist(), *labels)]
 
 
-# serialized row fields and their lengths; `subject` is the one scalar field
-_ROW_LENGTHS = {"features": FEATURE_DIM, "bbox": 3,
-                **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()}}
-# the row fields in column order: the features, the labels in TASK_LABELS order, the box
-_COLUMN_FIELDS = _VECTOR_FIELDS + ("bbox",)
-_COLUMN_WIDTHS = [_ROW_LENGTHS[k] for k in _COLUMN_FIELDS]
-# each field's first column, each column's field, and the box side's and face depth's columns
-_COLUMN_STARTS = dict(zip(_COLUMN_FIELDS, itertools.accumulate(_COLUMN_WIDTHS, initial=0)))
-_COLUMN_NAMES = [k for k, n in zip(_COLUMN_FIELDS, _COLUMN_WIDTHS) for _ in range(n)]
+# the serialized row fields in column order and their lengths: the features, the
+# labels in TASK_LABELS order, the box; `subject` is the one scalar field
+_ROW_LENGTHS = {"features": FEATURE_DIM, **{attr: span.stop - span.start for attr, span in TASK_LABELS.values()},
+                "bbox": 3}
+_ROW_FIELDS = operator.itemgetter(*_ROW_LENGTHS)
+# each field's first column, and the box side's and face depth's columns
+_COLUMN_STARTS = dict(zip(_ROW_LENGTHS, itertools.accumulate(_ROW_LENGTHS.values(), initial=0)))
 _BOX_SIDE = _COLUMN_STARTS["bbox"] + 2
 _FACE_DEPTH = _COLUMN_STARTS["o_face"] + 2
-# a decoded row's fields in column order
-_ROW_FIELDS = operator.itemgetter(*_COLUMN_FIELDS)
 
 # a subject id is a JSON integer that fits the int64 subject column
 _SUBJECT_RANGE = range(-2**63, 2**63)
 
-
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite value {name}")
-
-
-# json.loads builds a new decoder per call when given hooks; share one instead
-_ROW_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # a row line opens its object, and a list for each field but `subject`
-_ROW_CONTAINERS = 1 + len(_COLUMN_FIELDS)
-
-
-def _decode_row(line: str):
-    """_ROW_DECODER's value of a data line whose lone surrogates stand for
-    bytes that are not UTF-8: decoded strictly again, they are named."""
-    return _ROW_DECODER.decode(line.encode("utf-8", "surrogateescape").decode())
+_ROW_CONTAINERS = 1 + len(_ROW_LENGTHS)
 
 
 def _read_row(d) -> tuple[tuple, int]:
-    """The decoded data line `d`'s fields in column order, each of its
-    length, and its subject id, a JSON integer in int64 range; else a
-    BAD_INPUT exception.  The fields' values are checked by read_block."""
+    """The decoded data line `d`'s fields in column order, and its subject
+    id, a JSON integer in int64 range; else a BAD_INPUT exception.  The
+    fields are checked by read_block."""
     if not isinstance(d, dict):
         raise ValueError("row is not a JSON object")
-    for key, n in _ROW_LENGTHS.items():
-        if len(d[key]) != n:
-            raise ValueError(f"{key} has {len(d[key])} values, expected {n}")
+    fields = _ROW_FIELDS(d)
     subject = d["subject"]
     if type(subject) is not int:  # int() would take "3", 1.7 and true
         raise ValueError(f"subject must be an integer id, got {subject!r}")
     if subject not in _SUBJECT_RANGE:
         raise ValueError(f"subject id {subject} does not fit in 64 bits")
-    return _ROW_FIELDS(d), subject
+    return fields, subject
 
 
-def _check_flat(key: str, value) -> None:
-    """Raise the error naming row field `key` if `value` is not a flat list of JSON numbers."""
-    if type(value) is not list or not JSON_NUMBERS.issuperset(map(type, value)):
-        raise ValueError(f"{key} must be a flat list of {_ROW_LENGTHS[key]} numbers, got {value!r}")
-
-
-def _check_row(fields: tuple) -> None:
-    """Raise the error that says what is wrong first with the values of a row
-    read by _read_row from the json decoder's value, if any field is not a
-    flat list of finite JSON numbers or the box side is not positive.
-
-    The fields are converted to float in GazeSample.from_dict's order, the
-    box (and its side) first; a field whose conversion fails is named, as
-    not a flat list of numbers, unless it is one (of an int too large for a
-    float)."""
-    d = dict(zip(_COLUMN_FIELDS, fields))
-    for key in ("bbox", *_VECTOR_FIELDS):
-        try:
-            floats = [float(d[key][i]) for i in range(3)] if key == "bbox" else np.array(d[key], dtype=float)
-        except BAD_INPUT:
-            _check_flat(key, d[key])
-            raise
-        if key == "bbox":
-            BoundingBox(*floats)   # checks the box side
-    # float conversion also takes nested lists, numeric strings, bools and null (as NaN)
-    for key in _ROW_LENGTHS:
-        _check_flat(key, d[key])
-    # a literal such as 1e999 parses to inf
-    for key in _ROW_LENGTHS:
-        if not all(map(math.isfinite, d[key])):
-            raise ValueError(f"{key} must be finite, got {d[key]!r}")
+def _check_box_and_face(row: list) -> None:
+    """A row's own rule, of its floats: a positive box side, then the face
+    centre in front of the camera, the dataset's part of the physical rule."""
+    BoundingBox(*row[_COLUMN_STARTS["bbox"]:])
+    if not row[_FACE_DEPTH] > 0:
+        face = _COLUMN_STARTS["o_face"]
+        raise PhysicalRuleError(f"o_face must lie in front of the camera (z > 0), got {row[face:face + 3]}")
 
 
 def _header_from_line(line: str) -> dict:
@@ -493,10 +444,10 @@ def load_dataset(path) -> Dataset:
     A header line that is not JSON, lacks a known `mode` or valid
     `config.intrinsics`, or whose `schema_version` is not the JSON integer
     1, and a row with a missing key, a subject that is not a 64-bit integer,
-    a vector field that is not a flat list of numbers of its length, a box
-    side that is not positive, a NaN, Infinity, too large or non-finite
-    number (1e999 included), or a byte that is not UTF-8, are a ConfigError
-    naming the file and line: the first such line in file order.
+    a vector field that breaks jsonl.find_fault's rule (a flat list of
+    finite JSON numbers of its length; NaN and Infinity included), a box
+    side that is not positive, or a byte that is not UTF-8, are a
+    ConfigError naming the file and line: the first such line in file order.
 
     Every row must also be physical: each value at most MAX_ABS_VALUE (1e9)
     in magnitude, in millimetres, pixels or radians, and the face centre
@@ -506,7 +457,7 @@ def load_dataset(path) -> Dataset:
     The rows are read in blocks of BLOCK_LINES lines (read_block), and only
     each block's columns are kept past it.
     """
-    blocks, subjects, physical = [np.zeros((0, len(_COLUMN_NAMES)))], [], None
+    blocks, subjects, physical = [np.zeros((0, sum(_ROW_LENGTHS.values())))], [], None
     with open(path, "rb") as f:
         first = f.readline()
         if not first:
@@ -517,24 +468,17 @@ def load_dataset(path) -> Dataset:
         # mode decodes in chunks, past the line at fault
         numbered = ((i, line.decode("utf-8", "surrogateescape")) for i, line in enumerate(f, start=2))
         while block := list(itertools.islice(numbered, BLOCK_LINES)):
-            rows, columns, passed, faults = read_block(
-                block, _read_row, _decode_row, _ROW_CONTAINERS, len(_COLUMN_NAMES), _check_row,
-                lambda columns: (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0))
-            if faults:
-                i, exc = faults[0]
-                raise ConfigError(f"{path}:{i}: {describe(exc)}")
-            if physical is None and not passed.all():   # a row that passed _check_row: reported last
-                k = np.argmin(passed)
-                huge = np.abs(columns[k]) > MAX_ABS_VALUE
-                key = _COLUMN_NAMES[np.argmax(huge)] if huge.any() else "o_face"
-                got = columns[k, _COLUMN_STARTS[key]:_COLUMN_STARTS[key] + _ROW_LENGTHS[key]].tolist()
-                what = (f"{key} values must be at most {MAX_ABS_VALUE:g} in magnitude" if huge.any()
-                        else "o_face must lie in front of the camera (z > 0)")
-                physical = f"{path}:{rows[k][0]}: {what}, got {got!r}"
+            rows, columns, _, faults = read_block(
+                block, _read_row, _ROW_CONTAINERS, _ROW_LENGTHS,
+                lambda columns: (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0), _check_box_and_face)
+            for i, exc in faults:   # the physical rule is reported last
+                if not isinstance(exc, PhysicalRuleError):
+                    raise ConfigError(f"{path}:{i}: {describe(exc)}")
+                physical = physical or ConfigError(f"{path}:{i}: {exc}")
             blocks.append(columns)
             subjects += [subject for _, subject, _ in rows]
     if physical is not None:
-        raise ConfigError(physical)
+        raise physical
     columns = np.concatenate(blocks)
     del blocks   # copied into the columns
     return Dataset(header=header,

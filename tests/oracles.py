@@ -352,17 +352,27 @@ def _intrinsics(header):
     return from_dict(CameraIntrinsics, header["config"]["intrinsics"], "config.intrinsics")
 
 
+def sample_from_dict(d: dict):
+    """The GazeSample of a dataset row's JSON object: each vector field
+    through np.array, the box's three values through float."""
+    from gaze6d.camera import BoundingBox
+    from gaze6d.synth import GazeSample
+
+    return GazeSample(bbox=BoundingBox(float(d["bbox"][0]), float(d["bbox"][1]), float(d["bbox"][2])),
+                      subject=int(d["subject"]),
+                      **{k: np.array(d[k], dtype=float) for k in ("features", "g_n", "g_o", "pogz", "r_on", "o_face")})
+
+
 def reference_load_dataset(path):
     """(header, samples, batch) of a dataset file read the way gaze6d read it
     before its loader parsed into columns: each row's JSON object to a
     GazeSample, then every row into one Batch.from_samples."""
     from gaze6d.model import Batch
-    from gaze6d.synth import GazeSample
 
     with open(path) as f:
         lines = [line for line in f if line.strip()]
     header = json.loads(lines[0])
-    samples = [GazeSample.from_dict(json.loads(line)) for line in lines[1:]]
+    samples = [sample_from_dict(json.loads(line)) for line in lines[1:]]
     return header, samples, Batch.from_samples(samples, _intrinsics(header))
 
 

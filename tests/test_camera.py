@@ -38,7 +38,7 @@ def test_bounding_box_validation():
     with pytest.raises(InvalidIntrinsicsError):
         BoundingBox(100, 100, 0)
     box = BoundingBox(420.0, 240.0, 200.0)
-    assert BoundingBox.from_list(box.to_list()) == box
+    assert BoundingBox(*box.to_list()) == box
 
 
 def test_backproject_on_axis():

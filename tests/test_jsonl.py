@@ -1,19 +1,25 @@
 """The one JSONL line decoder: orjson reads a line, and the stdlib decoder
 reads again, and answers for, any line orjson refuses or whose value a
 reader rejects.  Every dataset and convert input must load, convert and fail
-as it does with the stdlib decoder alone."""
+as it does with the stdlib decoder alone.  The one value rule,
+jsonl.find_fault, words each fault alike in a row, a record and a
+transform."""
 
 import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzz import FUZZ, json_values
 from gaze6d import cli, jsonl
+from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError
+from gaze6d.jsonl import decode_json
+from gaze6d.pogz import RigidTransform, convert_lines
 from gaze6d.synth import SceneConfig, Subject, dataset_header, frame_rng, load_dataset, sample_frame
 
 _CFG = SceneConfig(seed=21)
@@ -152,9 +158,81 @@ def test_a_rejected_line_is_reported_with_the_values_json_reads(tmp_path):
     """orjson reads 2**64 as a float; the message shows json's integer."""
     data = tmp_path / "d.jsonl"
     write_lines(data, [HEADER, ROW_LINES["features-2**64-and-true"]])
-    with pytest.raises(ConfigError, match=r":2: features must be a flat list of 7 numbers, "
-                                          r"got \[18446744073709551616, True, "):
+    with pytest.raises(ConfigError) as info:
         load_dataset(data)
+    assert str(info.value) == (f"{data}:2: features must be a flat list of 7 JSON numbers, "
+                               f"got {[2**64, True, *ROW['features'][2:]]!r}")
     assert_converts_alike(tmp_path / "in.jsonl", RECORD_LINES["gaze-2**64-and-true"])
     error = json.loads((tmp_path / "in.out").read_text().splitlines()[1])
-    assert error["line"] == 1 and "gaze [18446744073709551616, True, -1.0]" in error["error"]
+    assert error == {"error": "gaze must be a flat list of 3 JSON numbers, got [18446744073709551616, True, -1.0]",
+                     "line": 1}
+
+
+def test_a_value_that_is_no_json_number_rereads_only_its_own_row(tmp_path, monkeypatch):
+    """A `true` in one row of a 256-line block fails that row alone in the
+    column check: the stdlib decoder reads only that line again, in a
+    dataset and in `convert`."""
+    rereads = []
+    def spy(text):
+        rereads.append(text)
+        return decode_json(text)
+    monkeypatch.setattr(jsonl, "decode_json", spy)
+    bad_row = json.dumps({**ROW, "g_n": [True, 0.0]})
+    data = tmp_path / "d.jsonl"
+    write_lines(data, [HEADER] + [json.dumps(ROW)] * 100 + [bad_row] + [json.dumps(ROW)] * 155)
+    with pytest.raises(ConfigError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{data}:102: g_n must be a flat list of 2 JSON numbers, got [True, 0.0]"
+    assert rereads == [bad_row + "\n"]
+
+    rereads.clear()
+    bad_record = json.dumps({**RECORD, "point": [35.5, True]})
+    lines = [json.dumps(RECORD)] * 100 + [bad_record] + [json.dumps(RECORD)] * 155
+    out = convert_lines(list(enumerate(lines)), "pogz2pog", RigidTransform(Rotation3(np.eye(3)), np.zeros(3)))
+    assert out.splitlines()[100] == json.dumps({"error": "point must be a flat list of 2 JSON numbers, got [35.5, True]",
+                                                "line": 100}, sort_keys=True)
+    assert rereads == [bad_record]
+
+
+# each fault kind of the value rule: a JSON literal put first in a 3-value
+# field, or the field's text, and the message it gives, `name` the field
+VALUE_FAULTS = {
+    "nested-list": ("[[1.0], 0.0, 600.0]", "{name} must be a flat list of 3 JSON numbers, got [[1.0], 0.0, 600.0]"),
+    "bool": ("[true, 0.0, 600.0]", "{name} must be a flat list of 3 JSON numbers, got [True, 0.0, 600.0]"),
+    "string": ('["1", 0.0, 600.0]', "{name} must be a flat list of 3 JSON numbers, got ['1', 0.0, 600.0]"),
+    "null": ("[null, 0.0, 600.0]", "{name} must be a flat list of 3 JSON numbers, got [None, 0.0, 600.0]"),
+    "int-10**400": (f"[{10**400}, 0.0, 600.0]",
+                    f"{{name}} has an integer too large for a float, got [{10**400}, 0.0, 600.0]"),
+    # refused as it is parsed, before any field is known
+    "NaN": ("[NaN, 0.0, 600.0]", "non-finite value NaN"),
+    "1e999": ("[1e999, 0.0, 600.0]", "{name} must be finite, got [inf, 0.0, 600.0]"),
+    "2e9": ("[2e9, 0.0, 600.0]", "{name} values must be at most 1e+09 in magnitude, got [2000000000.0, 0.0, 600.0]"),
+    "wrong-length": ("[0.0, 600.0]", "{name} has 2 values, expected 3"),
+}
+
+
+def with_field(doc: dict, key: str, text: str) -> str:
+    """The JSON text of `doc` with field `key` written as `text`."""
+    return json.dumps({**doc, key: "@"}).replace('"@"', text)
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_FAULTS))
+def test_a_row_a_record_and_a_transform_word_each_value_fault_alike(tmp_path, kind):
+    """The same bad field in a dataset row's `o_face`, a convert record's
+    `gaze` and a transform's `t` gives one message, naming its own field."""
+    text, template = VALUE_FAULTS[kind]
+    data = tmp_path / "d.jsonl"
+    write_lines(data, [HEADER, with_field(ROW, "o_face", text)])
+    with pytest.raises(ConfigError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{data}:2: {template.format(name='o_face')}"
+
+    transform = RigidTransform(Rotation3(np.eye(3)), np.zeros(3))
+    out = convert_lines([(0, with_field(RECORD, "gaze", text))], "pogz2pog", transform)
+    assert json.loads(out) == {"error": template.format(name="gaze"), "line": 0}
+
+    path = tmp_path / "t.json"
+    path.write_text(with_field({"R": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]}, "t", text))
+    with pytest.raises(ConfigError) as info:
+        RigidTransform.load(path)
+    assert str(info.value) == f"{path}: {template.format(name='t')}"

@@ -141,27 +141,36 @@ def test_the_orjson_check_sees_both_import_forms(tmp_path):
 BLOCK_LOOP_PARTS = {"decode_line", "number_columns"}
 
 
-def block_loop_uses(path: Path) -> list[str]:
-    """Imports of, and references to, `decode_line` or `number_columns` in
-    the source file at `path`: a block loop of its own, where every JSONL
-    reader goes through gaze6d.jsonl.read_block."""
+def name_uses(path: Path, names: set) -> list[str]:
+    """Imports of, and references to, any of `names` in the source file at
+    `path`."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
-            names = [a.name for a in node.names]
+            used = [a.name for a in node.names]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            used = [node.attr]
         elif isinstance(node, ast.Name):
-            names = [node.id]
+            used = [node.id]
         else:
             continue
-        found += [(node.lineno, f"{path.name}:{node.lineno}: {n}") for n in names if n in BLOCK_LOOP_PARTS]
+        found += [(node.lineno, f"{path.name}:{node.lineno}: {n}") for n in used if n in names]
     return [use for _, use in sorted(found)]
 
 
 def test_only_jsonl_py_decodes_lines_and_checks_columns():
+    """A block loop of its own, where every JSONL reader goes through gaze6d.jsonl.read_block."""
     found = [use for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "jsonl.py"
-             for use in block_loop_uses(path)]
+             for use in name_uses(path, BLOCK_LOOP_PARTS)]
+    assert found == []
+
+
+def test_only_jsonl_py_tests_for_json_numbers():
+    """JSON_NUMBERS, defined in gaze6d.errors, is the JSON-number test of the
+    one value rule, gaze6d.jsonl.find_fault and number_columns: no other
+    module writes that rule again."""
+    found = [use for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name not in ("errors.py", "jsonl.py")
+             for use in name_uses(path, {"JSON_NUMBERS"})]
     assert found == []
 
 
@@ -173,7 +182,7 @@ def test_the_block_loop_check_sees_every_form(tmp_path):
                    "cols = _jsonl.number_columns(values, 5)\n"
                    "rows = read_block(lines, read, decode, 3, 5, check)\n"
                    "decode_line = None\n")
-    assert block_loop_uses(src) == ["probe.py:1: decode_line", "probe.py:2: number_columns",
+    assert name_uses(src, BLOCK_LOOP_PARTS) == ["probe.py:1: decode_line", "probe.py:2: number_columns",
                                     "probe.py:3: decode_line", "probe.py:4: number_columns",
                                     "probe.py:6: decode_line"]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from gaze6d.jsonl import BLOCK_LINES
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import pogz_from_ray
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset,
-                          GazeSample, SceneConfig, Subject, dataset_header,
+                          SceneConfig, Subject, dataset_header,
                           frame_rng, generate_dataset, load_dataset,
                           make_subjects, sample_frame)
 
@@ -210,7 +211,7 @@ def test_gaze_sample_schema():
     s = sample_frame(Subject(id=0), SceneConfig(), frame_rng(0, 0, 0))
     d = s.to_dict()
     assert set(d) == {"features", "bbox", "g_n", "g_o", "pogz", "r_on", "o_face", "subject"}
-    back = GazeSample.from_dict(d)
+    back = oracles.sample_from_dict(d)
     assert np.array_equal(back.features, s.features)
     assert np.array_equal(back.g_n, s.g_n)
     assert back.head_pose is None  # in-memory only, never serialized
@@ -355,34 +356,40 @@ def written_as(key, index, literal):
     (setting("bbox", [320.0, 240.0]), "bbox has 2 values, expected 3"),
     (setting("o_face", [0.0, 0.0, 600.0, 1.0]), "o_face has 4 values, expected 3"),
     (setting("r_on", [0.0]), "r_on has 1 values, expected 2"),
-    (setting("g_n", None), "has no len()"),
+    (setting("g_n", None), "g_n must be a flat list of 2 JSON numbers, got None"),
     (setting("features", [float("nan")] + [0.1] * 6), "non-finite value NaN"),
     (setting("pogz", [float("inf"), 0.0]), "non-finite value Infinity"),
     (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
-    pytest.param(setting("bbox", ["a", 1.0, 2.0]), "bbox must be a flat list of 3 numbers, got ['a', 1.0, 2.0]",
+    pytest.param(setting("bbox", ["a", 1.0, 2.0]), "bbox must be a flat list of 3 JSON numbers, got ['a', 1.0, 2.0]",
                  id="string-in-bbox"),
-    (setting("features", [10**400] + [0.1] * 6), "int too large to convert to float"),
+    (setting("features", [10**400] + [0.1] * 6),
+     f"features has an integer too large for a float, got {[10**400] + [0.1] * 6}"),
     (written_as("features", 0, "1e999"), "features must be finite, got [inf, "),
     (written_as("pogz", 1, "-1e999"), "pogz must be finite, got ["),
     (written_as("bbox", 0, "1e999"), "bbox must be finite, got [inf, "),
-    (written_as("bbox", 2, "-1e999"), "box side must be positive, got -inf"),
+    (written_as("bbox", 2, "-1e999"), lambda row: f"bbox must be finite, got {row['bbox'][:2] + [-math.inf]}"),
     (setting("subject", 2**63), "subject id 9223372036854775808 does not fit in 64 bits"),
-    (setting("features", [[0.1]] * 7), "features must be a flat list of 7 numbers"),
+    (setting("features", [[0.1]] * 7), f"features must be a flat list of 7 JSON numbers, got {[[0.1]] * 7}"),
     (setting("subject", "3"), "subject must be an integer id, got '3'"),
     (setting("subject", 1.7), "subject must be an integer id, got 1.7"),
     (setting("subject", True), "subject must be an integer id, got True"),
-    (setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 numbers"),
-    (setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 numbers"),
-    (setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 numbers"),
+    (setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 JSON numbers, got [True, 0.0]"),
+    (setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 JSON numbers, got ['0.1', 0.2]"),
+    (setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 JSON numbers, got [None, 0.0]"),
     ('{"features": [0.1,', "Expecting value"),
     ("[1, 2]", "row is not a JSON object"),
 ])
 def test_load_dataset_names_the_bad_row(tmp_path, edit, message):
+    """`message` is a part of the error, or the whole error given the row as written."""
     path = write_with_bad_row(tmp_path / "bad.jsonl", edit)
     with pytest.raises(ConfigError) as info:
         load_dataset(path)
     assert str(info.value).startswith(f"{path}:3: ")
-    assert message in str(info.value)
+    if callable(message):
+        row = json.loads(write_with_bad_row(tmp_path / "good.jsonl", json.dumps).read_text().splitlines()[2])
+        assert str(info.value) == f"{path}:3: {message(row)}"
+    else:
+        assert message in str(info.value)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -424,29 +431,34 @@ def box_side(side, **fields):
     pytest.param({2: setting("o_face", [0.0, 0.0, -1.0]), 3: '{"features": [0.1,'},
                  ":3: Expecting value", id="physical-then-parse"),
     pytest.param({3: setting("features", ["x"] + [0.1] * 6), 4: '{"features": [0.1,'},
-                 ":3: features must be a flat list of 7 numbers, got ['x', 0.1, ", id="string-then-parse"),
+                 ":3: features must be a flat list of 7 JSON numbers, got ['x', 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]",
+                 id="string-then-parse"),
     pytest.param({3: setting("pogz", [1e10, 0.0]), 4: setting("g_n", ["0.1", 0.2])},
-                 ":4: g_n must be a flat list of 2 numbers", id="huge-then-string"),
+                 ":4: g_n must be a flat list of 2 JSON numbers, got ['0.1', 0.2]", id="huge-then-string"),
     pytest.param({3: setting("pogz", [1e10, 0.0]), 4: '{"features": [0.1,'},
                  ":4: Expecting value", id="huge-then-parse"),
     pytest.param({3: setting("features", [10**400] + [0.1] * 6), 4: box_side(-3)},
-                 ":3: int too large to convert to float", id="overflow-then-box"),
+                 f":3: features has an integer too large for a float, got {[10**400] + [0.1] * 6}",
+                 id="overflow-then-box"),
     pytest.param({3: box_side(-3, g_o=[True, 0.0])},
-                 ":3: box side must be positive, got -3.0", id="box-and-bool"),
+                 ":3: g_o must be a flat list of 2 JSON numbers, got [True, 0.0]", id="box-and-bool"),
     # rows are read in blocks of BLOCK_LINES lines: block 1 is lines 2-257, block 2 lines 258-513
     pytest.param({2: setting("o_face", [0.0, 0.0, -1.0]), 300: '{"features": [0.1,'},
                  ":300: Expecting value", id="physical-in-block-1-then-parse-in-block-2"),
     pytest.param({100: setting("g_n", ["0.1", 0.2]), 400: '{"features": [0.1,'},
-                 ":100: g_n must be a flat list of 2 numbers", id="string-in-block-1-then-parse-in-block-2"),
+                 ":100: g_n must be a flat list of 2 JSON numbers, got ['0.1', 0.2]",
+                 id="string-in-block-1-then-parse-in-block-2"),
     pytest.param({257: box_side(-3), 258: '{"features": [0.1,'},
                  ":257: box side must be positive, got -3.0", id="last-line-of-block-1-then-first-of-block-2"),
     pytest.param({258: setting("features", ["x"] + [0.1] * 6), 513: '{"features": [0.1,'},
-                 ":258: features must be a flat list of 7 numbers", id="first-and-last-lines-of-block-2"),
+                 ":258: features must be a flat list of 7 JSON numbers, got ['x', 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]",
+                 id="first-and-last-lines-of-block-2"),
     pytest.param({258: setting("o_face", [0.0, 0.0, -1.0]), 513: setting("pogz", [1e10, 0.0])},
                  ":258: o_face must lie in front of the camera (z > 0), got [0.0, 0.0, -1.0]",
                  id="physical-on-first-and-last-lines-of-block-2"),
     pytest.param({2: setting("pogz", [1e10, 0.0]), 516: setting("features", [10**400] + [0.1] * 6)},
-                 ":516: int too large to convert to float", id="physical-in-block-1-then-overflow-on-the-last-line"),
+                 f":516: features has an integer too large for a float, got {[10**400] + [0.1] * 6}",
+                 id="physical-in-block-1-then-overflow-on-the-last-line"),
 ])
 def test_load_dataset_reports_the_first_faulty_row_in_file_order(tmp_path, three_block_lines, edits, message):
     """The first line in file order that breaks a per-row rule is reported,
