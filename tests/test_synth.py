@@ -349,6 +349,7 @@ def written_as(key, index, literal):
     return edit
 
 
+# The explicit ids keep each case's name from the messages' earlier wording.
 @pytest.mark.parametrize("edit, message", [
     (drop("bbox"), "missing key 'bbox'"),
     (drop("subject"), "missing key 'subject'"),
@@ -356,26 +357,34 @@ def written_as(key, index, literal):
     (setting("bbox", [320.0, 240.0]), "bbox has 2 values, expected 3"),
     (setting("o_face", [0.0, 0.0, 600.0, 1.0]), "o_face has 4 values, expected 3"),
     (setting("r_on", [0.0]), "r_on has 1 values, expected 2"),
-    (setting("g_n", None), "g_n must be a flat list of 2 JSON numbers, got None"),
+    pytest.param(setting("g_n", None), "g_n must be a flat list of 2 JSON numbers, got None",
+                 id="<lambda>-has no len()"),
     (setting("features", [float("nan")] + [0.1] * 6), "non-finite value NaN"),
     (setting("pogz", [float("inf"), 0.0]), "non-finite value Infinity"),
     (setting("g_o", [0.0, float("-inf")]), "non-finite value -Infinity"),
     pytest.param(setting("bbox", ["a", 1.0, 2.0]), "bbox must be a flat list of 3 JSON numbers, got ['a', 1.0, 2.0]",
                  id="string-in-bbox"),
-    (setting("features", [10**400] + [0.1] * 6),
-     f"features has an integer too large for a float, got {[10**400] + [0.1] * 6}"),
+    pytest.param(setting("features", [10**400] + [0.1] * 6),
+                 f"features has an integer too large for a float, got {[10**400] + [0.1] * 6}",
+                 id="<lambda>-int too large to convert to float"),
     (written_as("features", 0, "1e999"), "features must be finite, got [inf, "),
     (written_as("pogz", 1, "-1e999"), "pogz must be finite, got ["),
     (written_as("bbox", 0, "1e999"), "bbox must be finite, got [inf, "),
-    (written_as("bbox", 2, "-1e999"), lambda row: f"bbox must be finite, got {row['bbox'][:2] + [-math.inf]}"),
+    pytest.param(written_as("bbox", 2, "-1e999"),
+                 lambda row: f"bbox must be finite, got {row['bbox'][:2] + [-math.inf]}",
+                 id="edit-box side must be positive, got -inf"),
     (setting("subject", 2**63), "subject id 9223372036854775808 does not fit in 64 bits"),
-    (setting("features", [[0.1]] * 7), f"features must be a flat list of 7 JSON numbers, got {[[0.1]] * 7}"),
+    pytest.param(setting("features", [[0.1]] * 7), f"features must be a flat list of 7 JSON numbers, got {[[0.1]] * 7}",
+                 id="<lambda>-features must be a flat list of 7 numbers"),
     (setting("subject", "3"), "subject must be an integer id, got '3'"),
     (setting("subject", 1.7), "subject must be an integer id, got 1.7"),
     (setting("subject", True), "subject must be an integer id, got True"),
-    (setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 JSON numbers, got [True, 0.0]"),
-    (setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 JSON numbers, got ['0.1', 0.2]"),
-    (setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 JSON numbers, got [None, 0.0]"),
+    pytest.param(setting("r_on", [True, 0.0]), "r_on must be a flat list of 2 JSON numbers, got [True, 0.0]",
+                 id="<lambda>-r_on must be a flat list of 2 numbers"),
+    pytest.param(setting("g_n", ["0.1", 0.2]), "g_n must be a flat list of 2 JSON numbers, got ['0.1', 0.2]",
+                 id="<lambda>-g_n must be a flat list of 2 numbers"),
+    pytest.param(setting("pogz", [None, 0.0]), "pogz must be a flat list of 2 JSON numbers, got [None, 0.0]",
+                 id="<lambda>-pogz must be a flat list of 2 numbers"),
     ('{"features": [0.1,', "Expecting value"),
     ("[1, 2]", "row is not a JSON object"),
 ])
