@@ -1,4 +1,5 @@
-"""The JSON line encoder that every JSONL writer in gaze6d shares; the block
+"""The JSON line encoder that every JSONL writer in gaze6d shares, and the
+number formatter that writes their rows' floats a block at a time; the block
 reader that both JSONL readers read their lines with: one line decoder, one
 stdlib decoder and one column check of the lines' values; and the one rule
 for the numbers a dataset row, a convert record or a transform file holds,
@@ -7,8 +8,18 @@ with one wording per fault.
 `json.dumps(obj, sort_keys=True)` builds a new `JSONEncoder` on every call;
 LINE_ENCODER writes the same bytes without that cost.  It holds no state
 between calls.
+
+number_rows writes the floats of a block of rows in one orjson call where
+orjson's text is LINE_ENCODER's, and through LINE_ENCODER elsewhere.  Both
+write a finite double as its shortest correctly rounded round-trip digits
+(orjson with Ryu, Python's repr with David Gay's dtoa), so the digits are
+the same; they differ only in when and how an exponent is written: below
+1e-4 repr writes one where orjson writes none or another (5e-05 against
+0.00005, 1e-07 against 1e-7), and from 1e16 repr writes 1e+16 where orjson
+writes 1e16.  Between, and at ±0.0, the texts are equal byte for byte.
 """
 
+import functools
 import json
 import math
 
@@ -25,11 +36,41 @@ BLOCK_LINES = 256
 LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 # LINE_ENCODER.encode(record) + "\n" of a convert record {"behind": b, "gaze":
-# [3 floats], "point": [2 floats]} whose floats are finite, filled with
-# (JSON_BOOLS[b], gaze, point): a list of finite Python floats has the repr of
-# its JSON text, and the keys are written in sorted order
-RECORD_LINE = '{"behind": %s, "gaze": %r, "point": %r}\n'
+# [3 floats], "point": [2 floats]}, filled with (JSON_BOOLS[b], the gaze's
+# number_rows text, the point's): the keys are written in sorted order
+RECORD_LINE = '{"behind": %s, "gaze": [%s], "point": [%s]}\n'
 JSON_BOOLS = ("false", "true")
+
+# bound at import, not looked up per call: tests swap `orjson` for a decoder alone
+_dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+
+# the magnitudes, 0 aside, whose orjson text is repr's (see above)
+FAST_MAGNITUDES = (1e-4, 1e16)
+
+
+def number_rows(A) -> list[str]:
+    """The text of each row of the float array A (n, k) as LINE_ENCODER
+    writes it in a list, without the brackets: its floats' reprs (NaN and
+    Infinity as json writes them), joined by ", ".  The rows whose every
+    value v is 0 or has FAST_MAGNITUDES[0] <= |v| < FAST_MAGNITUDES[1] come
+    from one orjson call over A, whose text there is repr's; any other row
+    goes through LINE_ENCODER."""
+    A = np.ascontiguousarray(A, dtype=float)
+    if not len(A):
+        return []
+    rows = _dumps(A).decode()[2:-2].replace(",", ", ").split("], [")
+    magnitudes = np.abs(A)
+    fast = ((magnitudes >= FAST_MAGNITUDES[0]) & (magnitudes < FAST_MAGNITUDES[1]) | (magnitudes == 0)).all(axis=1)
+    for k in np.flatnonzero(~fast).tolist():
+        rows[k] = LINE_ENCODER.encode(A[k].tolist())[1:-1]
+    return rows
+
+
+def record_lines(behind, gazes, points) -> list[str]:
+    """The converted records' lines, LINE_ENCODER.encode(record) + "\n" of
+    each: behind (n,) bools, gazes (n, 3) and points (n, 2) floats."""
+    return [RECORD_LINE % (JSON_BOOLS[b], g, p)
+            for b, g, p in zip(np.asarray(behind).tolist(), number_rows(gazes), number_rows(points))]
 
 
 def _reject_constant(name: str):
@@ -125,7 +166,8 @@ def number_columns(values: list, width: int, rule=None) -> tuple[np.ndarray, np.
 
 
 def read_block(numbered_lines, read, containers: int, fields: dict, rule=None, check=None):
-    """The rows of the lines of [(line number, line)] that are not blank.
+    """The rows of the lines of [(line number, line)] that are not blank,
+    that is, of JSON whitespace alone (space, tab, "\r" and "\n").
     `read` (through decode_line, with decode_json and `containers`) reads a
     line's structure: it gives the line's fields, named and of the lengths
     `fields` gives, in its order, and a value of its own, or raises a
@@ -141,7 +183,7 @@ def read_block(numbered_lines, read, containers: int, fields: dict, rule=None, c
     lengths, width = list(fields.values()), sum(fields.values())
     rows, values, faults = [], [], []
     for i, line in numbered_lines:
-        if not line.strip():
+        if not line.strip(" \t\r\n"):   # JSON whitespace alone
             continue
         try:
             row, own = decode_line(line, read, decode_json, containers)

@@ -22,7 +22,7 @@ import numpy as np
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
 from .errors import FrameMismatchError, GeometryError, RayParallelError, bad_input, describe
-from .jsonl import JSON_BOOLS, LINE_ENCODER, RECORD_LINE, decode_json, find_fault, read_block
+from .jsonl import LINE_ENCODER, decode_json, find_fault, read_block, record_lines
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -230,9 +230,8 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     every one of a block that meets a zero-length gaze) goes through the
     one-record pogz_to_pog or pog_to_pogz, so its error record names its own
     fault (a GeometryError) and its warnings are those of the one-record
-    path.  A converted record's line is written from RECORD_LINE: within the
-    physical rule, and with the transform's t within it too, its values are
-    finite.
+    path.  The converted records' lines are written by jsonl.record_lines,
+    the block's gazes and points formatted together (jsonl.number_rows).
     """
     if direction not in ("pogz2pog", "pog2pogz"):
         raise ValueError(f"unknown direction {direction!r}, expected 'pogz2pog' or 'pog2pogz'")
@@ -258,8 +257,7 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
         except GeometryError as exc:
             faults.append((lines[k], exc))
     done = np.isfinite(points).all(axis=1)
-    text = [RECORD_LINE % (JSON_BOOLS[b], g, p)
-            for b, g, p in zip(behind[done].tolist(), gazes[done].tolist(), points[done].tolist())]
+    text = record_lines(behind[done], gazes[done], points[done])
     if faults:   # error records among them: every answer in line order
         out = {i: LINE_ENCODER.encode({"error": describe(exc), "line": i}) + "\n" for i, exc in faults}
         out.update(zip(itertools.compress(lines, done.tolist()), text))

@@ -39,7 +39,7 @@ from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
 from .errors import ConfigError, PhysicalRuleError, bad_input, check_finite, check_seed, describe, from_dict
-from .jsonl import BLOCK_LINES, LINE_ENCODER, read_block
+from .jsonl import BLOCK_LINES, LINE_ENCODER, decode_json, number_rows, read_block
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
 
@@ -298,12 +298,28 @@ def check_frame_count(n_per_subject: int) -> None:
         raise ConfigError(f"n_per_subject must be >= 0, got {n_per_subject}")
 
 
+# a row's float fields in the sorted key order of LINE_ENCODER; `subject` sorts last
+_LINE_FIELDS = tuple(sorted(_VECTOR_FIELDS + ("bbox",)))
+# LINE_ENCODER.encode(sample.to_dict()) + "\n", filled with the number_rows
+# text of each of _LINE_FIELDS and the subject id
+ROW_LINE = "{" + "".join(f'"{name}": [%s], ' for name in _LINE_FIELDS) + '"subject": %d}\n'
+
+
+def _rows_text(samples: list[GazeSample]) -> str:
+    """The row lines of the samples, each field of all of them formatted at once."""
+    columns = {name: [getattr(s, name) for s in samples] for name in _VECTOR_FIELDS}
+    columns["bbox"] = [s.bbox.to_list() for s in samples]
+    return "".join(ROW_LINE % row for row in zip(*(number_rows(columns[name]) for name in _LINE_FIELDS),
+                                                 [s.subject for s in samples]))
+
+
 def generate_dataset(
     cfg: SceneConfig, subjects: list[Subject], n_per_subject: int, mode: str, out_path
 ) -> dict:
     """Write a JSONL dataset (header line first) and return attribute stats:
     of gaze and head pose, or in calibration mode of head pose alone, as a
-    lens-fixation g_n is (0, 0) by construction."""
+    lens-fixation g_n is (0, 0) by construction.  The rows are written
+    BLOCK_LINES frames at a time, each block as one string."""
     if mode not in ("general", "calibration"):
         raise ConfigError(f"unknown mode {mode!r}")
     check_frame_count(n_per_subject)
@@ -312,13 +328,14 @@ def generate_dataset(
     # only the four sampled attributes are kept for the stats, not the frames,
     # in a buffer that grows frame by frame: no frame count is allocated at once
     attributes = array("d")
+    frames = ((subj, i) for subj in subjects for i in range(n_per_subject))
     with open(out_path, "w") as f:
         f.write(LINE_ENCODER.encode(dataset_header(cfg, subjects, n_per_subject, mode)) + "\n")
-        for subj in subjects:
-            for i in range(n_per_subject):
-                s = sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
+        while block := [sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
+                        for subj, i in itertools.islice(frames, BLOCK_LINES)]:
+            for s in block:
                 attributes.extend((*s.g_n.tolist(), *s.head_pose.tolist()))
-                f.write(LINE_ENCODER.encode(s.to_dict()) + "\n")
+            f.write(_rows_text(block))
 
     if not attributes:
         return {}
@@ -426,7 +443,7 @@ def _check_box_and_face(row: list) -> None:
 
 
 def _header_from_line(line: str) -> dict:
-    header = json.loads(line)
+    header = decode_json(line)
     if not isinstance(header, dict) or "schema_version" not in header:
         raise ValueError("first line is not a dataset header")
     version = header["schema_version"]
@@ -441,13 +458,15 @@ def _header_from_line(line: str) -> dict:
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset written by generate_dataset, as columns.
 
-    A header line that is not JSON, lacks a known `mode` or valid
-    `config.intrinsics`, or whose `schema_version` is not the JSON integer
-    1, and a row with a missing key, a subject that is not a 64-bit integer,
-    a vector field that breaks jsonl.find_fault's rule (a flat list of
-    finite JSON numbers of its length; NaN and Infinity included), a box
-    side that is not positive, or a byte that is not UTF-8, are a
-    ConfigError naming the file and line: the first such line in file order.
+    A header line that is not JSON (NaN and Infinity included, as in a
+    row), lacks a known `mode` or valid `config.intrinsics`, or whose
+    `schema_version` is not the JSON integer 1, a line of whitespace other
+    than JSON's, and a row with a missing key, a subject that is not a
+    64-bit integer, a vector field that breaks jsonl.find_fault's rule (a
+    flat list of finite JSON numbers of its length; NaN and Infinity
+    included), a box side that is not positive, or a byte that is not
+    UTF-8, are a ConfigError naming the file and line: the first such line
+    in file order.
 
     Every row must also be physical: each value at most MAX_ABS_VALUE (1e9)
     in magnitude, in millimetres, pixels or radians, and the face centre

@@ -8,8 +8,11 @@ a gen replayed from the training set's config.json; train; train --folds 2;
 finetune; eval with and without --screen; and convert in both directions over
 records that include NaN, zero-length, plane-parallel and unparsable lines,
 some of them on each side of the first two seams between convert's input
-blocks, and values that are no JSON number, all integers, beyond the 1e9
-bound or too large for a float.  It prints
+blocks, values that are no JSON number, all integers, beyond the 1e9
+bound or too large for a float, and, on each side of the first seam,
+records of -0.0 values and records whose output holds a gaze component
+below 1e-4 or a screen point beyond 1e16 mm, values whose text the number
+writer takes from repr.  It prints
 `relative_path sha256` for every file under OUT, sorted by path.
 
 Every path the commands see is relative to OUT, so the config.json
@@ -47,6 +50,13 @@ NUMERIC_STRING = '{"point": ["1", 2.0], "gaze": [0.0, 0.0, -1.0]}'
 ALL_INTEGERS = '{"point": [12, -40], "gaze": [0, 1, -2]}'                # a valid record
 TOO_LARGE_FOR_A_FLOAT = '{"point": [1.0, 2.0], "gaze": [0.0, 0.0, -1%s]}' % ("0" * 400)
 BEYOND_THE_BOUND = '{"point": [1e10, 2.0], "gaze": [0.0, 0.0, -1.0]}'
+# valid records whose output holds a value that orjson writes otherwise than
+# repr: the screen turns about the camera's x-axis, so an output gaze keeps
+# its input's x, here below 1e-4; a gaze 1e-8 from parallel to the screen
+# meets it beyond 1e16 mm.  And one of -0.0 values, which both write alike
+TINY_GAZE = json.dumps({"point": [12.5, -40.0], "gaze": [5e-05, 0.2, -0.97]})
+NEGATIVE_ZERO = json.dumps({"point": [-0.0, 30.0], "gaze": [-0.0, -0.0, -1.0]})
+FAR_POINT = json.dumps({"point": [0.0, 1e9], "gaze": [0.0, C, -S + 1e-8]})
 
 # a scene with every key present and no value at its default, the intrinsics
 # included; its seed is gen's, so the 4 here is replaced by --seed
@@ -68,7 +78,8 @@ def finite_line(k: int) -> str:
 # written out so that the script runs against checkouts from before blocks)
 SEAM = 256
 # one record per line of convert's input: finite records, then the faults;
-# then finite records up to the first two block seams, with faults on each side.
+# then finite records up to the first two block seams, with faults on each side,
+# and records with values outside orjson's repr range on each side of the first.
 # A value that is no JSON number sends the first block's values through the
 # one-record check; the second block holds an all-integer record and one
 # beyond the bound; the last line, an int too large for a float, ends the last
@@ -85,9 +96,11 @@ CONVERT_LINES = [
     UNPARSABLE,
     *(finite_line(k) for k in range(9, 100)),
     NOT_A_NUMBER, NUMERIC_STRING,
-    *(finite_line(k) for k in range(102, SEAM - 1)),
+    *(finite_line(k) for k in range(102, SEAM - 4)),
+    NEGATIVE_ZERO, TINY_GAZE, FAR_POINT,
     ZERO, PARALLEL_TO_SCREEN,                                            # the first seam
-    *(finite_line(k) for k in range(SEAM + 1, SEAM + 100)),
+    NEGATIVE_ZERO, TINY_GAZE, FAR_POINT,
+    *(finite_line(k) for k in range(SEAM + 4, SEAM + 100)),
     ALL_INTEGERS, BEYOND_THE_BOUND,
     *(finite_line(k) for k in range(SEAM + 102, 2 * SEAM - 1)),
     PARALLEL_TO_CAMERA, NAN,                                             # the second seam

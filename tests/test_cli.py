@@ -22,7 +22,7 @@ from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError, RayParallelError, from_dict
-from gaze6d.jsonl import BLOCK_LINES, JSON_BOOLS, LINE_ENCODER, RECORD_LINE
+from gaze6d.jsonl import BLOCK_LINES, LINE_ENCODER, record_lines
 from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
                           save_params, vec_from_euler)
 from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
@@ -872,6 +872,18 @@ def test_eval_reports_a_bad_transform_before_loading_params_or_rows(tmp_path, ca
     assert err.startswith(f"error: {transform}: R has 8 values, expected 9\n") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, literal", [("seed", "NaN"), ("n_per_subject", "Infinity")])
+def test_eval_refuses_a_header_with_a_non_finite_literal(tmp_path, capsys, small_run_inputs, key, literal):
+    lines = Path(small_run_inputs["data"]).read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), key: 12345.5}).replace("12345.5", literal)
+    data = tmp_path / "d.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("eval", "--params", small_run_inputs["params"], "--data", str(data),
+               "--out", str(tmp_path / "eval")) == 2
+    assert capsys.readouterr().err == f"error: {data}:1: non-finite value {literal}\n"
+
+
 def with_a_bad_row(data, path, line_no, bad):
     """`data`'s header and rows repeated to 40 lines, line `line_no` (1-based)
     replaced by the bytes `bad`; past the first 8 KiB, where a text-mode read
@@ -1216,8 +1228,11 @@ FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @example(behind=False, gaze=[-0.0, 5e-324, 1e16], point=[1e-7, 2.5e18])
 @example(behind=True, gaze=[0.0, -5e-324, -1e16], point=[-1e-7, -2.5e18])
 def test_the_record_line_template_writes_the_line_encoders_bytes(behind, gaze, point):
+    """jsonl.record_lines, the converted records' writer.  Both examples take
+    number_rows' LINE_ENCODER path: their values, -0.0 and 0.0 aside, lie
+    outside the range where orjson's text is repr's."""
     record = {"point": point, "gaze": gaze, "behind": behind}
-    assert RECORD_LINE % (JSON_BOOLS[behind], gaze, point) == LINE_ENCODER.encode(record) + "\n"
+    assert record_lines([behind], np.array([gaze]), np.array([point])) == [LINE_ENCODER.encode(record) + "\n"]
 
 
 @pytest.mark.parametrize("doc, message", [

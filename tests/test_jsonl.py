@@ -3,16 +3,19 @@ reads again, and answers for, any line orjson refuses or whose value a
 reader rejects.  Every dataset and convert input must load, convert and fail
 as it does with the stdlib decoder alone.  The one value rule,
 jsonl.find_fault, words each fault alike in a row, a record and a
-transform."""
+transform.  The one number writer, jsonl.number_rows, writes repr's text of
+every float, a block of rows per orjson call."""
 
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fuzz import FUZZ, json_values
 from gaze6d import cli, jsonl
@@ -20,7 +23,8 @@ from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError
 from gaze6d.jsonl import decode_json
 from gaze6d.pogz import RigidTransform, convert_lines
-from gaze6d.synth import SceneConfig, Subject, dataset_header, frame_rng, load_dataset, sample_frame
+from gaze6d.synth import (SceneConfig, Subject, dataset_header, frame_rng, generate_dataset, load_dataset,
+                          make_subjects, sample_frame)
 
 _CFG = SceneConfig(seed=21)
 HEADER = json.dumps(dataset_header(_CFG, [Subject(0)], 2, "general"))
@@ -236,3 +240,79 @@ def test_a_row_a_record_and_a_transform_word_each_value_fault_alike(tmp_path, ki
     with pytest.raises(ConfigError) as info:
         RigidTransform.load(path)
     assert str(info.value) == f"{path}: {template.format(name='t')}"
+
+
+@pytest.mark.parametrize("line", ["\u3000", "\x1c", "\x0c", "\x85", "\u2028"])
+def test_only_a_line_of_json_whitespace_is_blank(tmp_path, line):
+    """A line of space, tab and "\\r" gives no record and no row; a line of
+    any other whitespace is read, and fails as JSON, in convert and in a
+    dataset alike."""
+    message = "Expecting value: line 1 column 1 (char 0)"
+    transform = RigidTransform(Rotation3(np.eye(3)), np.zeros(3))
+    out = convert_lines([(0, json.dumps(RECORD) + "\n"), (1, " \t\r\n"), (2, line + "\n")], "pogz2pog", transform)
+    assert [json.loads(text) for text in out.splitlines()][1:] == [{"error": message, "line": 2}]
+    data = tmp_path / "d.jsonl"
+    write_lines(data, [HEADER, json.dumps(ROW), " \t\r", line, json.dumps(ROW)])
+    with pytest.raises(ConfigError) as info:
+        load_dataset(data)
+    assert str(info.value) == f"{data}:4: {message}"
+
+
+def repr_rows(A: np.ndarray) -> list[str]:
+    return [", ".join(map(repr, row)) for row in A.tolist()]
+
+
+@FUZZ
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_number_rows_writes_each_rows_reprs(A):
+    assert jsonl.number_rows(A) == repr_rows(A)
+
+
+# the ends of the range where orjson's text is repr's, and the extremes
+EDGES = [1e-4, np.nextafter(1e-4, 0.0), 9999999999999998.0, 1e16, 0.0, -0.0, 5e-324, sys.float_info.max]
+
+
+def test_number_rows_writes_a_million_values_as_repr_does():
+    """Log-uniform magnitudes on both sides of the range where orjson's text is
+    taken, random bit patterns and the edges, each in a row alone; a part of
+    them four to a row, and in a non-contiguous view."""
+    rng = np.random.default_rng(23)
+    magnitudes = 10.0 ** rng.uniform(-6.0, 18.0, 900_000)
+    bits = rng.integers(0, 2**64, 120_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([EDGES, np.negative(EDGES), magnitudes * rng.choice([-1.0, 1.0], len(magnitudes)),
+                             bits[np.isfinite(bits)]])
+    assert len(values) >= 10**6
+    low, high = jsonl.FAST_MAGNITUDES
+    assert ((np.abs(values) >= low) & (np.abs(values) < high)).mean() > 0.5   # most take orjson's text
+    assert jsonl.number_rows(values[:, None]) == list(map(repr, values.tolist()))
+    four = np.concatenate([values[:40_000], values[-40_000:]]).reshape(-1, 4)
+    assert not four[:, ::2].flags.c_contiguous
+    for A in (four, four[:, ::2]):
+        assert jsonl.number_rows(A) == repr_rows(A)
+
+
+def test_number_rows_writes_no_row_and_non_finite_values_as_json_does():
+    assert jsonl.number_rows(np.zeros((0, 3))) == []
+    assert jsonl.number_rows(np.zeros((2, 0))) == ["", ""]
+    A = np.array([[math.nan, 1.0], [2.0, -math.inf]])
+    assert jsonl.number_rows(A) == [jsonl.LINE_ENCODER.encode(row)[1:-1] for row in A.tolist()]
+
+
+def test_orjson_writes_a_block_of_rows_per_call(tmp_path, monkeypatch):
+    """convert_lines formats a block's gazes and its points in one call each,
+    generate_dataset each of a block's 7 float fields in one call: the calls
+    per block are fixed, not one per record or row."""
+    sizes, dumps = [], jsonl._dumps
+    def spy(A, **kwargs):
+        sizes.append(len(A))
+        return dumps(A, **kwargs)
+    monkeypatch.setattr(jsonl, "_dumps", spy)
+    transform = RigidTransform(Rotation3(np.eye(3)), np.array([0.0, 0.0, 10.0]))
+    lines = [json.dumps(RECORD) + "\n"] * (2 * jsonl.BLOCK_LINES + 5)
+    for start in range(0, len(lines), jsonl.BLOCK_LINES):
+        convert_lines(enumerate(lines[start:start + jsonl.BLOCK_LINES], start), "pog2pogz", transform)
+    assert sizes == [jsonl.BLOCK_LINES] * 4 + [5] * 2
+    sizes.clear()
+    generate_dataset(SceneConfig(seed=5), make_subjects(2, seed=5), 200, "general", tmp_path / "d.jsonl")
+    assert sizes == [jsonl.BLOCK_LINES] * 7 + [400 - jsonl.BLOCK_LINES] * 7

@@ -186,9 +186,13 @@ def test_a_bad_scene_value_exits_2_naming_the_key_before_the_snapshot(tmp_path, 
     assert not out.exists()
 
 
+# refused as the header is parsed; the ids are those of the message each gave
+# when a header was read by json.loads
 @pytest.mark.parametrize("key, value, message", [
-    ("focal_px", math.inf, "config.intrinsics: focal_px must be finite, got inf"),
-    ("k_mm_per_px", math.nan, "config.intrinsics: k_mm_per_px must be finite, got nan"),
+    pytest.param("focal_px", math.inf, "non-finite value Infinity",
+                 id="focal_px-inf-config.intrinsics: focal_px must be finite, got inf"),
+    pytest.param("k_mm_per_px", math.nan, "non-finite value NaN",
+                 id="k_mm_per_px-nan-config.intrinsics: k_mm_per_px must be finite, got nan"),
 ])
 def test_a_non_finite_header_intrinsic_names_line_1(tmp_path, key, value, message):
     path = header_with_intrinsic(tmp_path, key, value)

@@ -309,6 +309,9 @@ def without(header, *keys):
     (lambda h: json.dumps({**h, "schema_version": 99}), "unsupported schema version 99"),
     (lambda h: json.dumps({**h, "schema_version": True}), "unsupported schema version True"),
     (lambda h: json.dumps({**h, "schema_version": 1.0}), "unsupported schema version 1.0"),
+    # refused as the header is parsed, as in a row
+    (lambda h: json.dumps({**h, "seed": math.nan}), "non-finite value NaN"),
+    (lambda h: json.dumps({**h, "n_per_subject": math.inf}), "non-finite value Infinity"),
 ])
 def test_load_dataset_names_a_bad_header(tmp_path, edit, message):
     path = tmp_path / "bad_header.jsonl"
@@ -638,3 +641,14 @@ def test_generate_dataset_writes_the_reference_bytes(tmp_path, mode):
     path = tmp_path / f"{mode}.jsonl"
     generate_dataset(cfg, subjects, 40, mode, path)
     assert path.read_text() == oracles.reference_dataset_text(cfg, subjects, 40, mode)
+
+
+@pytest.mark.parametrize("mode", ["general", "calibration"])
+def test_generate_dataset_writes_the_reference_bytes_across_block_seams(tmp_path, mode):
+    """400 rows: a full block of BLOCK_LINES rows that ends within the second
+    subject, then a short one."""
+    cfg, subjects = SceneConfig(seed=19), make_subjects(2, seed=19)
+    path = tmp_path / f"{mode}.jsonl"
+    generate_dataset(cfg, subjects, 200, mode, path)
+    assert BLOCK_LINES < 400 < 2 * BLOCK_LINES
+    assert path.read_text() == oracles.reference_dataset_text(cfg, subjects, 200, mode)
