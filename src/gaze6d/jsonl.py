@@ -1,9 +1,9 @@
 """The JSON line encoder that every JSONL writer in gaze6d shares, and the
 number formatter that writes their rows' floats a block at a time; the block
-reader that both JSONL readers read their lines with: one line decoder, one
-stdlib decoder and one column check of the lines' values; and the one rule
-for the numbers a dataset row, a convert record or a transform file holds,
-with one wording per fault.
+reader that both JSONL readers read their lines with, of no line format of
+its own: orjson, one stdlib decoder and one column check of the lines'
+values; and the one rule for the numbers a dataset row, a convert record or
+a transform file holds, with one wording per fault.
 
 `json.dumps(obj, sort_keys=True)` builds a new `JSONEncoder` on every call;
 LINE_ENCODER writes the same bytes without that cost.  It holds no state
@@ -35,12 +35,6 @@ BLOCK_LINES = 256
 
 LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
-# LINE_ENCODER.encode(record) + "\n" of a convert record {"behind": b, "gaze":
-# [3 floats], "point": [2 floats]}, filled with (JSON_BOOLS[b], the gaze's
-# number_rows text, the point's): the keys are written in sorted order
-RECORD_LINE = '{"behind": %s, "gaze": [%s], "point": [%s]}\n'
-JSON_BOOLS = ("false", "true")
-
 # bound at import, not looked up per call: tests swap `orjson` for a decoder alone
 _dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
 
@@ -64,13 +58,6 @@ def number_rows(A) -> list[str]:
     for k in np.flatnonzero(~fast).tolist():
         rows[k] = LINE_ENCODER.encode(A[k].tolist())[1:-1]
     return rows
-
-
-def record_lines(behind, gazes, points) -> list[str]:
-    """The converted records' lines, LINE_ENCODER.encode(record) + "\n" of
-    each: behind (n,) bools, gazes (n, 3) and points (n, 2) floats."""
-    return [RECORD_LINE % (JSON_BOOLS[b], g, p)
-            for b, g, p in zip(np.asarray(behind).tolist(), number_rows(gazes), number_rows(points))]
 
 
 def _reject_constant(name: str):
@@ -121,27 +108,6 @@ def find_fault(fields, rule=None) -> list:
     return row
 
 
-def decode_line(line: str, read, decode, containers: int):
-    """`read` of the value of the JSON text `line`, decoded by orjson, or
-    else by `decode`, a stdlib json decoder, whose result (or the exception
-    it raises) is then the answer.  `decode` reads the line when orjson
-    refuses it (NaN, Infinity, 1e999, a lone surrogate, a BOM...), when
-    `read` raises a BAD_INPUT exception for what orjson gives, or when the
-    line opens more than `containers` arrays and objects: orjson has no
-    nesting limit, where json raises RecursionError.
-
-    Otherwise orjson gives what json gives, but for an integer outside
-    [-2**63, 2**64), which it gives as a float, beyond any bound of a
-    reader; a reader sends a line whose values break its rules to `decode`
-    too, so its checks only ever see values decoded by json."""
-    if line.count("[") + line.count("{") <= containers:
-        try:
-            return read(orjson.loads(line))
-        except BAD_INPUT:
-            pass
-    return read(decode(line))
-
-
 def _numbers_or_nan(values: list) -> list:
     """The JSON values, each that is no JSON number or is beyond MAX_ABS_VALUE
     in magnitude (an int too large for a float included) as NaN."""
@@ -165,31 +131,38 @@ def number_columns(values: list, width: int, rule=None) -> tuple[np.ndarray, np.
     return columns, passed if rule is None else passed & rule(columns)
 
 
-def read_block(numbered_lines, read, containers: int, fields: dict, rule=None, check=None):
+def read_block(numbered_lines, read, fields: dict, rule=None, check=None):
     """The rows of the lines of [(line number, line)] that are not blank,
-    that is, of JSON whitespace alone (space, tab, "\r" and "\n").
-    `read` (through decode_line, with decode_json and `containers`) reads a
-    line's structure: it gives the line's fields, named and of the lengths
-    `fields` gives, in its order, and a value of its own, or raises a
-    BAD_INPUT exception.  The rows whose fields are lists of their lengths
-    are checked as columns (number_columns, with `rule`); any other row, and
-    one that fails, is read again by decode_json, and find_fault of its
-    fields, with `check`, the per-row form of `rule`, raises its fault (or
-    gives its floats: the row passes).
+    that is, of JSON whitespace alone (space, tab, "\r" and "\n").  `read`
+    reads a decoded line's structure: it gives the line's fields, named and
+    of the lengths `fields` gives, in its order, and a value of its own, or
+    raises a BAD_INPUT exception.  orjson decodes each line that opens no
+    more than its object and a list per field (orjson has no nesting limit,
+    where json raises RecursionError), and the rows whose fields are lists
+    of their lengths are checked as columns (number_columns, with `rule`).
+    Each other line (orjson refuses NaN, 1e999, a lone surrogate, a BOM...)
+    and each row that fails is decoded once by decode_json, and `read` of
+    that gives the row its own value and find_fault of its fields, with
+    `check`, the per-row form of `rule`, its fault (or its floats: the row
+    passes).  orjson gives what json gives but for an integer outside
+    [-2**63, 2**64), as a float beyond any reader's bound: so every value
+    kept and every fault is json's.
 
     Returns (rows, columns, passed, faults): [(line number, own value,
     line)], their (n, width) float columns, which rows pass, and [(line
     number, exception)] in line order, one for each row that does not."""
     lengths, width = list(fields.values()), sum(fields.values())
+    containers = 1 + len(fields)   # a line's object and a list per field
     rows, values, faults = [], [], []
     for i, line in numbered_lines:
         if not line.strip(" \t\r\n"):   # JSON whitespace alone
             continue
-        try:
-            row, own = decode_line(line, read, decode_json, containers)
-        except BAD_INPUT as exc:
-            faults.append((i, exc))
-            continue
+        row, own = (), None
+        if line.count("[") + line.count("{") <= containers:
+            try:
+                row, own = read(orjson.loads(line))
+            except BAD_INPUT:
+                pass
         rows.append((i, own, line))
         if [len(v) if type(v) is list else None for v in row] == lengths:
             for v in row:
@@ -199,11 +172,13 @@ def read_block(numbered_lines, read, containers: int, fields: dict, rule=None, c
 
     columns, passed = number_columns(values, width, rule)
     for k in np.flatnonzero(~passed).tolist():
+        i, _, line = rows[k]
         try:
-            row, _ = read(decode_json(rows[k][2]))
+            row, own = read(decode_json(line))
+            rows[k] = (i, own, line)
             columns[k] = find_fault(zip(fields, row, lengths), check)
         except BAD_INPUT as exc:
-            faults.append((rows[k][0], exc))
+            faults.append((i, exc))
             continue
         passed[k] = True
-    return rows, columns, passed, sorted(faults)   # no line has two faults: no exception is compared
+    return rows, columns, passed, faults

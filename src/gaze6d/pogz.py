@@ -22,7 +22,7 @@ import numpy as np
 from .camera import FRAME_CAMERA, FRAME_SCREEN, Point3
 from .easy_norm import Rotation3
 from .errors import FrameMismatchError, GeometryError, RayParallelError, bad_input, describe
-from .jsonl import LINE_ENCODER, decode_json, find_fault, read_block, record_lines
+from .jsonl import LINE_ENCODER, decode_json, find_fault, number_rows, read_block
 
 # minimum |z| of a unit direction before the ray counts as plane-parallel
 RAY_EPS = 1e-9
@@ -55,11 +55,10 @@ class RigidTransform:
 
     rotation: Rotation3
     translation: np.ndarray
-    inverse_translation: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse: "RigidTransform | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
-        object.__setattr__(self, "inverse_translation", -self.rotation.matrix.T @ self.translation)
 
     def apply_point(self, p: np.ndarray) -> np.ndarray:
         return self.rotation.matrix @ np.asarray(p, dtype=float) + self.translation
@@ -70,16 +69,13 @@ class RigidTransform:
 
     @property
     def inverse(self) -> "RigidTransform":
-        return RigidTransform(Rotation3(self.rotation.matrix.T), self.inverse_translation)
-
-    # the inverse motion p = R^T p' - R^T t, applied without building (and
-    # validating) a new transform; same arithmetic as `inverse`'s methods
-
-    def apply_inverse_point(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation.matrix.T @ np.asarray(p, dtype=float) + self.inverse_translation
-
-    def apply_inverse_direction(self, d: np.ndarray) -> np.ndarray:
-        return self.rotation.matrix.T @ np.asarray(d, dtype=float)
+        """p = R^T p' - R^T t, built on first use and kept; its inverse is self."""
+        if self._inverse is None:
+            R_T = self.rotation.matrix.T
+            inverse = RigidTransform(Rotation3(R_T), -R_T @ self.translation)
+            object.__setattr__(inverse, "_inverse", self)
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
     def to_dict(self) -> dict:
         return {"R": [float(v) for v in self.rotation.matrix.reshape(9)],
@@ -152,20 +148,20 @@ def pogz_to_pog(pogz: PlanePoint, g_o: np.ndarray, cam_to_screen: RigidTransform
     screen surface z = 0.  Intersections behind the lifted point are allowed
     and flagged via `behind`.
     """
-    if pogz.frame != FRAME_CAMERA_PLANE:
-        raise FrameMismatchError(f"expected a {FRAME_CAMERA_PLANE} point, got {pogz.frame}")
-    origin_s = cam_to_screen.apply_point([pogz.x, pogz.y, 0.0])
-    g_s = cam_to_screen.apply_direction(g_o)
-    return _intersect_z0(origin_s, g_s, FRAME_SCREEN_PLANE)
+    return _carry(pogz, g_o, cam_to_screen, FRAME_CAMERA_PLANE, FRAME_SCREEN_PLANE)
 
 
 def pog_to_pogz(pog: PlanePoint, g_s: np.ndarray, cam_to_screen: RigidTransform) -> PlanePoint:
     """Inverse of pogz_to_pog; the gaze direction is given in the screen frame."""
-    if pog.frame != FRAME_SCREEN_PLANE:
-        raise FrameMismatchError(f"expected a {FRAME_SCREEN_PLANE} point, got {pog.frame}")
-    origin_c = cam_to_screen.apply_inverse_point([pog.x, pog.y, 0.0])
-    g_o = cam_to_screen.apply_inverse_direction(g_s)
-    return _intersect_z0(origin_c, g_o, FRAME_CAMERA_PLANE)
+    return _carry(pog, g_s, cam_to_screen.inverse, FRAME_SCREEN_PLANE, FRAME_CAMERA_PLANE)
+
+
+def _carry(point: PlanePoint, g: np.ndarray, transform: RigidTransform, src: str, dst: str) -> PlanePoint:
+    """pogz_to_pog's carry, from plane `src` over `transform` to plane `dst`."""
+    if point.frame != src:
+        raise FrameMismatchError(f"expected a {src} point, got {point.frame}")
+    origin = transform.apply_point([point.x, point.y, 0.0])
+    return _intersect_z0(origin, transform.apply_direction(g), dst)
 
 
 def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform):
@@ -198,10 +194,14 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     return points, lam < 0, hit, gaze
 
 
-# a record line opens its object and its two lists
-_RECORD_CONTAINERS = 3
 # a record's fields and their lengths
 _RECORD_LENGTHS = {"point": 2, "gaze": 3}
+
+# LINE_ENCODER.encode(record) + "\n" of a converted record {"behind": b,
+# "gaze": [3 floats], "point": [2 floats]}, filled with (JSON_BOOLS[b], the
+# gaze's number_rows text, the point's): the keys are written in sorted order
+RECORD_LINE = '{"behind": %s, "gaze": [%s], "point": [%s]}\n'
+JSON_BOOLS = ("false", "true")
 
 
 def _read_record(rec) -> tuple:
@@ -210,6 +210,13 @@ def _read_record(rec) -> tuple:
     lacks a key raises a BAD_INPUT exception.  The fields are checked by
     read_block."""
     return (rec["point"], rec["gaze"]), None
+
+
+def record_lines(behind, gazes, points) -> list[str]:
+    """The converted records' lines, LINE_ENCODER.encode(record) + "\n" of
+    each: behind (n,) bools, gazes (n, 3) and points (n, 2) floats."""
+    return [RECORD_LINE % (JSON_BOOLS[b], g, p)
+            for b, g, p in zip(np.asarray(behind).tolist(), number_rows(gazes), number_rows(points))]
 
 
 def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> str:
@@ -225,21 +232,20 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     pogz2pog maps the passing records with one pogz_to_pog_rows call, which
     gives each row the bits the one-record pogz_to_pog gives it, and its
     rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
-    bit for bit apply_inverse_direction of each.  A record without a finite
+    bit for bit inverse.apply_direction of each.  A record without a finite
     point (every pog2pogz record; a pogz2pog one with no screen hit, and
     every one of a block that meets a zero-length gaze) goes through the
     one-record pogz_to_pog or pog_to_pogz, so its error record names its own
     fault (a GeometryError) and its warnings are those of the one-record
-    path.  The converted records' lines are written by jsonl.record_lines,
-    the block's gazes and points formatted together (jsonl.number_rows).
+    path.  The converted records' lines are written by record_lines, the
+    block's gazes and points formatted together (jsonl.number_rows).
     """
     if direction not in ("pogz2pog", "pog2pogz"):
         raise ValueError(f"unknown direction {direction!r}, expected 'pogz2pog' or 'pog2pogz'")
-    rows, columns, passed, faults = read_block(numbered_lines, _read_record, _RECORD_CONTAINERS, _RECORD_LENGTHS)
+    rows, columns, passed, faults = read_block(numbered_lines, _read_record, _RECORD_LENGTHS)
     lines = [i for i, _, _ in itertools.compress(rows, passed.tolist())]
     P, G = columns[passed, :2], columns[passed, 2:]
 
-    R = transform.rotation.matrix
     points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
     if direction == "pogz2pog":
         convert, frame = pogz_to_pog, FRAME_CAMERA_PLANE
@@ -247,9 +253,9 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
             with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
                 points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
         except GeometryError:
-            gazes = rotate_rows(R, G)
+            gazes = rotate_rows(transform.rotation.matrix, G)
     else:
-        convert, frame, gazes = pog_to_pogz, FRAME_SCREEN_PLANE, rotate_rows(R.T, G)
+        convert, frame, gazes = pog_to_pogz, FRAME_SCREEN_PLANE, rotate_rows(transform.inverse.rotation.matrix, G)
     for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
         try:
             dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)

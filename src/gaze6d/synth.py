@@ -29,7 +29,9 @@ import itertools
 import json
 import math
 import operator
+import os
 from array import array
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -319,7 +321,8 @@ def generate_dataset(
     """Write a JSONL dataset (header line first) and return attribute stats:
     of gaze and head pose, or in calibration mode of head pose alone, as a
     lens-fixation g_n is (0, 0) by construction.  The rows are written
-    BLOCK_LINES frames at a time, each block as one string."""
+    BLOCK_LINES frames at a time, each block as one string; on an error the
+    file, which would load as a whole dataset, is removed."""
     if mode not in ("general", "calibration"):
         raise ConfigError(f"unknown mode {mode!r}")
     check_frame_count(n_per_subject)
@@ -329,13 +332,16 @@ def generate_dataset(
     # in a buffer that grows frame by frame: no frame count is allocated at once
     attributes = array("d")
     frames = ((subj, i) for subj in subjects for i in range(n_per_subject))
-    with open(out_path, "w") as f:
-        f.write(LINE_ENCODER.encode(dataset_header(cfg, subjects, n_per_subject, mode)) + "\n")
-        while block := [sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
-                        for subj, i in itertools.islice(frames, BLOCK_LINES)]:
-            for s in block:
-                attributes.extend((*s.g_n.tolist(), *s.head_pose.tolist()))
-            f.write(_rows_text(block))
+    with ExitStack() as on_error:
+        with open(out_path, "w") as f:
+            on_error.callback(os.remove, out_path)   # on any error, a failed close included
+            f.write(LINE_ENCODER.encode(dataset_header(cfg, subjects, n_per_subject, mode)) + "\n")
+            while block := [sample_frame(subj, cfg, frame_rng(cfg.seed, subj.id, i), calibration=calibration)
+                            for subj, i in itertools.islice(frames, BLOCK_LINES)]:
+                for s in block:
+                    attributes.extend((*s.g_n.tolist(), *s.head_pose.tolist()))
+                f.write(_rows_text(block))
+        on_error.pop_all()   # written and closed: kept
 
     if not attributes:
         return {}
@@ -414,9 +420,6 @@ _FACE_DEPTH = _COLUMN_STARTS["o_face"] + 2
 # a subject id is a JSON integer that fits the int64 subject column
 _SUBJECT_RANGE = range(-2**63, 2**63)
 
-# a row line opens its object, and a list for each field but `subject`
-_ROW_CONTAINERS = 1 + len(_ROW_LENGTHS)
-
 
 def _read_row(d) -> tuple[tuple, int]:
     """The decoded data line `d`'s fields in column order, and its subject
@@ -488,7 +491,7 @@ def load_dataset(path) -> Dataset:
         numbered = ((i, line.decode("utf-8", "surrogateescape")) for i, line in enumerate(f, start=2))
         while block := list(itertools.islice(numbered, BLOCK_LINES)):
             rows, columns, _, faults = read_block(
-                block, _read_row, _ROW_CONTAINERS, _ROW_LENGTHS,
+                block, _read_row, _ROW_LENGTHS,
                 lambda columns: (columns[:, _BOX_SIDE] > 0) & (columns[:, _FACE_DEPTH] > 0), _check_box_and_face)
             for i, exc in faults:   # the physical rule is reported last
                 if not isinstance(exc, PhysicalRuleError):

@@ -22,10 +22,10 @@ from gaze6d import cli
 from gaze6d.calibration import derive_calibration_label
 from gaze6d.easy_norm import Rotation3
 from gaze6d.errors import ConfigError, RayParallelError, from_dict
-from gaze6d.jsonl import BLOCK_LINES, LINE_ENCODER, record_lines
+from gaze6d.jsonl import BLOCK_LINES, LINE_ENCODER
 from gaze6d.model import (LossWeights, TrainConfig, euler_from_vec, forward, init_params, load_params,
                           save_params, vec_from_euler)
-from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog
+from gaze6d.pogz import PlanePoint, RigidTransform, pogz_to_pog, record_lines
 from gaze6d.synth import Subject, load_dataset
 
 
@@ -409,6 +409,19 @@ def test_gen_config_errors_exit_2_and_name_the_file(tmp_path, capsys):
         config.write_text(text)
         assert run("gen", "--config", str(config), "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
+
+def test_gen_that_fails_mid_run_leaves_no_dataset(tmp_path, capsys):
+    """A face too large for the image finds no placement at some frame past
+    the first block, whose rows are written by then: gen exits 2 and removes
+    the dataset it cut short, which would otherwise load as a whole one."""
+    config = tmp_path / "big_face.json"
+    config.write_text('{"scene": {"face_size_mm": 540}}')
+    out = tmp_path / "g"
+    assert run("gen", "--config", str(config), "--seed", "3", "--subjects", "1", "--frames", "2000",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: no face placement found in 1000 draws")
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
 
 def setting_paths(table, prefix=()):
@@ -1228,7 +1241,7 @@ FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @example(behind=False, gaze=[-0.0, 5e-324, 1e16], point=[1e-7, 2.5e18])
 @example(behind=True, gaze=[0.0, -5e-324, -1e16], point=[-1e-7, -2.5e18])
 def test_the_record_line_template_writes_the_line_encoders_bytes(behind, gaze, point):
-    """jsonl.record_lines, the converted records' writer.  Both examples take
+    """pogz.record_lines, the converted records' writer.  Both examples take
     number_rows' LINE_ENCODER path: their values, -0.0 and 0.0 aside, lie
     outside the range where orjson's text is repr's."""
     record = {"point": point, "gaze": gaze, "behind": behind}

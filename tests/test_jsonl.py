@@ -1,7 +1,8 @@
-"""The one JSONL line decoder: orjson reads a line, and the stdlib decoder
-reads again, and answers for, any line orjson refuses or whose value a
-reader rejects.  Every dataset and convert input must load, convert and fail
-as it does with the stdlib decoder alone.  The one value rule,
+"""The one JSONL block reader, jsonl.read_block: orjson reads each line, and
+the stdlib decoder reads again, once, and answers for, any line orjson
+refuses or nests too deep for, or whose value a reader rejects.  Every
+dataset and convert input must load, convert and fail as it does with the
+stdlib decoder alone.  The one value rule,
 jsonl.find_fault, words each fault alike in a row, a record and a
 transform.  The one number writer, jsonl.number_rows, writes repr's text of
 every float, a block of rows per orjson call."""
@@ -38,7 +39,7 @@ def refuse(line):
 
 
 def as_shipped_and_by_json(outcome):
-    """outcome(), once with decode_line as shipped and once with orjson
+    """outcome(), once with read_block as shipped and once with orjson
     refusing every line, so that the stdlib decoder reads each one."""
     shipped = outcome()
     with pytest.MonkeyPatch.context() as m:
@@ -141,21 +142,37 @@ def test_convert_reads_a_fuzzed_record_as_json_does(fuzz_dir, field, value):
     assert_converts_alike(fuzz_dir / "in.jsonl", json.dumps({**RECORD, field: value}))
 
 
-def test_decode_line_reads_with_json_only_what_orjson_cannot_answer_for():
+def test_read_block_decodes_with_json_once_only_what_orjson_cannot_answer_for(monkeypatch):
+    """orjson reads every line; decode_json reads, once each, only a line
+    orjson refuses (NaN, 1e999), one nested past one object and a list per
+    field, one `read` rejects, and one whose values fail the columns, and
+    gives each its fault or, passing, its own value."""
     decoded = []
-    def decode(line):
-        decoded.append(line)
-        return json.loads(line)
-    def read(value):
-        if value == [2]:
+    def spy(text):
+        decoded.append(text)
+        return decode_json(text)
+    monkeypatch.setattr(jsonl, "decode_json", spy)
+    def read(d):
+        if d["v"] == [2]:
             raise ValueError("rejected")
-        return value
-    assert jsonl.decode_line("[1.5, 10]", read, decode, 1) == [1.5, 10]
-    assert math.isnan(jsonl.decode_line("[NaN]", read, decode, 1)[0])   # orjson refuses NaN
-    assert jsonl.decode_line("[[1]]", read, decode, 1) == [[1]]          # one container too many
-    with pytest.raises(ValueError, match="rejected"):
-        jsonl.decode_line("[2]", read, decode, 1)
-    assert decoded == ["[NaN]", "[[1]]", "[2]"]
+        return (d["v"],), d.get("id")
+    lines = ['{"v": [1.5], "id": 0}',
+             '{"v": [NaN]}',
+             '{"v": [1e999]}',                    # orjson refuses it; json reads inf
+             '{"v": [[1]]}',                      # one list too many
+             '{"v": [2]}',                        # read rejects it
+             '{"v": [true]}',                     # fails the columns
+             '{"v": [2.5], "id": 6}',
+             '{"v": [3.5], "id": 7, "x": [[]]}']  # nested past the gate, yet a valid row
+    rows, columns, passed, faults = jsonl.read_block(enumerate(lines), read, {"v": 1})
+    assert decoded == lines[1:6] + lines[7:]
+    assert passed.tolist() == [True, False, False, False, False, False, True, True]
+    assert [(i, own) for (i, own, _), ok in zip(rows, passed) if ok] == [(0, 0), (6, 6), (7, 7)]
+    assert columns[passed].tolist() == [[1.5], [2.5], [3.5]]
+    assert [(i, str(exc)) for i, exc in faults] == [
+        (1, "non-finite value NaN"), (2, "v must be finite, got [inf]"),
+        (3, "v must be a flat list of 1 JSON numbers, got [[1]]"), (4, "rejected"),
+        (5, "v must be a flat list of 1 JSON numbers, got [True]")]
 
 
 def test_a_rejected_line_is_reported_with_the_values_json_reads(tmp_path):

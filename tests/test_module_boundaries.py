@@ -137,8 +137,8 @@ def test_the_orjson_check_sees_both_import_forms(tmp_path):
     assert orjson_imports(src) == ["probe.py:1: orjson", "probe.py:2: orjson", "probe.py:5: orjson"]
 
 
-# the line decoder and the column check of gaze6d.jsonl.read_block, the one block loop
-BLOCK_LOOP_PARTS = {"decode_line", "number_columns"}
+# the column check of gaze6d.jsonl.read_block, the one block loop
+BLOCK_LOOP_PARTS = {"number_columns"}
 
 
 def name_uses(path: Path, names: set) -> list[str]:
@@ -176,15 +176,15 @@ def test_only_jsonl_py_tests_for_json_numbers():
 
 def test_the_block_loop_check_sees_every_form(tmp_path):
     src = tmp_path / "probe.py"
-    src.write_text("from .jsonl import decode_line, read_block\n"
+    src.write_text("from .jsonl import number_columns, read_block\n"
                    "from gaze6d.jsonl import number_columns as columns\n"
-                   "row = jsonl.decode_line(line, read, decode, 3)\n"
+                   "cols = jsonl.number_columns(values, 5)\n"
                    "cols = _jsonl.number_columns(values, 5)\n"
-                   "rows = read_block(lines, read, decode, 3, 5, check)\n"
-                   "decode_line = None\n")
-    assert name_uses(src, BLOCK_LOOP_PARTS) == ["probe.py:1: decode_line", "probe.py:2: number_columns",
-                                    "probe.py:3: decode_line", "probe.py:4: number_columns",
-                                    "probe.py:6: decode_line"]
+                   "rows = read_block(lines, read, fields, rule, check)\n"
+                   "number_columns = None\n")
+    assert name_uses(src, BLOCK_LOOP_PARTS) == ["probe.py:1: number_columns", "probe.py:2: number_columns",
+                                                "probe.py:3: number_columns", "probe.py:4: number_columns",
+                                                "probe.py:6: number_columns"]
 
 
 def per_line_dumps(path: Path) -> list[str]:

@@ -207,15 +207,16 @@ def test_inverse_transform():
         assert np.max(np.abs(tr.inverse.apply_point(tr.apply_point(p)) - p)) < 1e-9
 
 
-def test_apply_inverse_matches_inverse_bit_for_bit():
-    rng = np.random.default_rng(18)
-    for _ in range(200):
-        tr = random_transform(rng)
-        p, d = rng.uniform(-300, 300, size=3), rng.normal(size=3)
-        inv = tr.inverse
-        assert np.array_equal(tr.apply_inverse_point(p), inv.apply_point(p))
-        assert np.array_equal(tr.apply_inverse_direction(d), inv.apply_direction(d))
-
+def test_the_inverse_is_built_and_validated_once(monkeypatch):
+    """The inverse is built on first use and kept, its Rotation3(R.T)
+    validated once; its own inverse is the transform itself."""
+    tr = random_transform(np.random.default_rng(18))
+    validated = []
+    check = Rotation3.__post_init__
+    monkeypatch.setattr(Rotation3, "__post_init__", lambda r: (validated.append(r), check(r)))
+    inv = tr.inverse
+    assert tr.inverse is inv and inv.inverse is tr
+    assert len(validated) == 1 and inv.rotation is validated[0]
 
 
 def test_inverse_translation_is_the_per_call_formula_bit_for_bit():
@@ -223,8 +224,8 @@ def test_inverse_translation_is_the_per_call_formula_bit_for_bit():
     for _ in range(200):
         tr = random_transform(rng)
         p, rt = rng.uniform(-300, 300, size=3), tr.rotation.matrix.T
-        assert np.array_equal(tr.inverse_translation, -rt @ tr.translation)
-        assert np.array_equal(tr.apply_inverse_point(p), rt @ p + (-rt @ tr.translation))
+        assert np.array_equal(tr.inverse.translation, -rt @ tr.translation)
+        assert np.array_equal(tr.inverse.apply_point(p), rt @ p + (-rt @ tr.translation))
 
 coordinates = st.floats(-2000.0, 2000.0)
 gaze_rows = st.tuples(coordinates, coordinates, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
@@ -276,9 +277,10 @@ def test_pogz_to_pog_rows_matches_pogz_to_pog_bit_for_bit(quaternion, translatio
             assert points[i, 1].tobytes() == np.float64(want.y).tobytes()
 
 
-def test_rotate_rows_by_the_transpose_is_apply_inverse_direction_bit_for_bit():
-    """rotate_rows(R.T, G), the output gaze of a convert --dir pog2pogz block,
-    gives each row the bits apply_inverse_direction gives it alone: over 200
+def test_rotate_rows_by_the_inverse_is_its_apply_direction_bit_for_bit():
+    """rotate_rows(transform.inverse.rotation.matrix, G), the output gaze of
+    a convert --dir pog2pogz block, gives each row the bits
+    transform.inverse.apply_direction gives it alone: over 200
     random rotations, gazes of every magnitude from 1e-5 to 1e9, contiguous
     and as the gaze columns of a block's (n, 5) values."""
     rng = np.random.default_rng(64)
@@ -286,8 +288,8 @@ def test_rotate_rows_by_the_transpose_is_apply_inverse_direction_bit_for_bit():
         transform = random_transform(rng)
         columns = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(-5, 9, size=(300, 1))
         for G in (columns[:, 2:], np.ascontiguousarray(columns[:, 2:])):
-            rows = rotate_rows(transform.rotation.matrix.T, G)
-            want = np.array([transform.apply_inverse_direction(g) for g in G])
+            rows = rotate_rows(transform.inverse.rotation.matrix, G)
+            want = np.array([transform.inverse.apply_direction(g) for g in G])
             assert rows.tobytes() == want.tobytes()
 
 
