@@ -78,7 +78,7 @@ class BoundingBox:
         return [self.x, self.y, self.side]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point3:
     """3-D point in millimetres, tagged with the frame it lives in."""
 

@@ -53,7 +53,7 @@ class AxisAngle:
         return np.array([self.rx, self.ry], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rotation3:
     """Proper rotation matrix with validation on construction."""
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import BoundingBox, CameraIntrinsics, Point3, backproject
+from .camera import BoundingBox, CameraIntrinsics, Point3
 from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError,
                      TrainingDiverged, bad_input, check_seed)
 from .jsonl import LINE_ENCODER
@@ -190,7 +190,7 @@ def _views(flat: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, np.ndarra
             {name: flat[span].reshape(shape) for name, span, shape in _STACKS})
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """Every weight in one contiguous float64 vector; `arrays` maps each name
     to its view into `flat`, and `stacks` the stacked views of whole layer
@@ -332,7 +332,7 @@ class TrainConfig:
 # batches
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     """Dense training arrays, one row per sample: each task's label in its
     TASK_LABELS columns, `mask` 1 where the row carries the task's label."""
@@ -411,17 +411,17 @@ def _tanh_backward(d_y: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 _ENCODERS = ("gaze", "pose", "box")
+_GRADCHECK_STEP = 1e-5   # gradient_check's central-difference step
 
 
-def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = None, *,
+def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray, *,
                   work: dict | None = None) -> dict:
-    """Forward pass over (N, FEATURE_DIM) feature rows.
+    """Forward pass over (N, FEATURE_DIM) feature rows and their (N, 3) box rays.
 
     Returns a dict holding "preds", the (N, 11) predictions in TASK_LABELS
     column order, a view of each task's (N, C) columns under its name in
-    TASKS, "depth" (N, 1), and every intermediate that backward needs.  The
-    "face" point is present only when the (N, 3) unit-depth box rays are
-    given; without them the face columns of "preds" are NaN.
+    TASKS ("face", the only one that reads the rays, is each unit-depth ray
+    times the depth), "depth" (N, 1), and every intermediate backward needs.
 
     With `work` (backward's scratch dict), the large intermediates live in
     arrays kept there, which the next call with it overwrites.
@@ -459,19 +459,14 @@ def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray | None = N
     np.multiply(pogz, _POGZ_GAIN, out=pogz)
     d_raw = Epos @ p["head_depth_w"].T + p["head_depth_b"]
     depth = _softplus(d_raw)
-    if ray is not None:
-        np.multiply(ray, depth, out=preds[:, _FACE])  # (B, 3) face center along the box ray
-    else:
-        preds[:, _FACE] = np.nan
+    np.multiply(ray, depth, out=preds[:, _FACE])  # (B, 3) face center along the box ray
     out = {task: preds[:, span] for task, (_, span) in TASK_LABELS.items()}
-    if ray is None:
-        del out["face"]
     out.update(preds=preds, Xd=X[0], Xp=X[1], Xb=X[2], X=X, H1=H1, G1=H1[0], P1=H1[1], B1=H1[2],
                E=E, Ed=Ed, Ep=Ep, Eb=Eb, Cpb=Cpb, Epos=Epos, C=C, d_raw=d_raw, depth=depth)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTaskOutput:
     g_n: np.ndarray
     g_o: np.ndarray
@@ -481,8 +476,8 @@ class MultiTaskOutput:
 
 
 def forward(params: ModelParams, features) -> MultiTaskOutput:
-    """Single-sample forward pass; forward_batch on one row."""
-    c = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1))
+    """Single-sample forward pass; forward_batch on one row along the optical axis."""
+    c = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1), np.array([[0.0, 0.0, 1.0]]))
     return MultiTaskOutput(
         g_n=c["g_n"][0].copy(),
         g_o=c["g_o"][0].copy(),
@@ -614,14 +609,14 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
     return g, total, terms
 
 
-def gradient_check(params: ModelParams, batch: Batch, weights: LossWeights, h: float = 1e-5) -> float:
+def gradient_check(params: ModelParams, batch: Batch, weights: LossWeights) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     The relative-error denominator is floored at 1e-4, which turns the check
     into an absolute one for near-zero gradient entries.
     """
     grads, _, _ = backward(params, batch, weights)
-    flat, gflat = params.flat, grads.flat
+    flat, gflat, h = params.flat, grads.flat, _GRADCHECK_STEP
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
@@ -845,7 +840,7 @@ def fine_tune(params: ModelParams, cfg: TrainConfig, calibration_samples, intr: 
 # 6-DoF assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SixDofPrediction:
     """Full gaze state: ray origin, direction, and the plane intersection.
 
@@ -861,18 +856,21 @@ class SixDofPrediction:
 
 
 def predict_6dof(params: ModelParams, features, bbox: BoundingBox, intr: CameraIntrinsics) -> SixDofPrediction:
-    """Assemble the 6-DoF gaze state for one sample.
+    """Assemble the 6-DoF gaze state for one sample from one forward_batch
+    pass on its row and box ray: the origin is the "face" point training fits.
 
     A face depth that the depth head's softplus rounds to 0 (a raw output
     below about -745) is a GeometryError naming that raw output.
     """
-    out = forward(params, features)
-    if not out.face_depth > 0:
-        d_raw = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1))["d_raw"][0, 0]
+    # Batch's ray of the box, ((x - cx) / f, (y - cy) / f, 1), as Python floats: the same IEEE operations
+    x, y = float(bbox.x), float(bbox.y)
+    ray = np.array([[(x - intr.cx) / intr.focal_px, (y - intr.cy) / intr.focal_px, 1.0]])
+    c = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1), ray)
+    if not c["depth"][0, 0] > 0:
         raise GeometryError(f"predicted face depth is not positive: the depth head's raw "
-                            f"output {d_raw!r} gives softplus {out.face_depth!r}")
-    origin = backproject(intr, bbox.center, out.face_depth)
-    direction = vec_from_euler(out.g_o)
+                            f"output {c['d_raw'][0, 0]!r} gives softplus {float(c['depth'][0, 0])!r}")
+    origin = Point3(c["face"][0])
+    direction = vec_from_euler(c["g_o"][0])
     try:
         geometric = pogz_from_ray(origin, direction)
     except RayParallelError:
@@ -880,6 +878,6 @@ def predict_6dof(params: ModelParams, features, bbox: BoundingBox, intr: CameraI
     return SixDofPrediction(
         origin=origin,
         direction=direction,
-        pogz=PlanePoint(float(out.pogz[0]), float(out.pogz[1])),
+        pogz=PlanePoint(*c["pogz"][0].tolist()),
         pogz_geometric=geometric,
     )

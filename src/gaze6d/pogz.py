@@ -49,13 +49,13 @@ class PlanePoint:
         return np.array([self.x, self.y], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rigid motion p' = R p + t between two metric frames (mm)."""
 
     rotation: Rotation3
     translation: np.ndarray
-    _inverse: "RigidTransform | None" = field(default=None, init=False, repr=False, compare=False)
+    _inverse: "RigidTransform | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
@@ -170,10 +170,10 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     out, the last the gaze directions rotated into the screen frame.
 
     Each hit row is bit for bit what pogz_to_pog gives that row alone, and
-    each gaze row what cam_to_screen.apply_direction gives.  A row whose gaze
-    is parallel to the screen (where pogz_to_pog raises RayParallelError) has
-    hit False, a NaN point and behind False; a zero-length gaze is a
-    GeometryError, as in pogz_to_pog.
+    each gaze row what cam_to_screen.apply_direction gives.  A row where
+    pogz_to_pog raises, its gaze parallel to the screen or of no length (zero,
+    or with a squared norm that underflows), has hit False, a NaN point and
+    behind False.
     """
     n = len(P)
     R = cam_to_screen.rotation.matrix
@@ -183,11 +183,8 @@ def pogz_to_pog_rows(P: np.ndarray, G: np.ndarray, cam_to_screen: RigidTransform
     origin = (R @ lifted)[:, :, 0] + cam_to_screen.translation
     gaze = rotate_rows(R, np.asarray(G, dtype=float))
     norm = row_norms(gaze)
-    empty = ~(norm > 0)   # a zero vector, or one whose squared norm underflows
-    if empty.any():
-        raise GeometryError(f"gaze direction {gaze[np.argmax(empty)]} has no length")
-    d = gaze / norm[:, None]
-    hit = ~(np.abs(d[:, 2]) < RAY_EPS)
+    d = gaze / np.where(norm > 0, norm, 1.0)[:, None]
+    hit = (norm > 0) & ~(np.abs(d[:, 2]) < RAY_EPS)
     lam = np.full(n, np.nan)
     lam[hit] = -origin[hit, 2] / d[hit, 2]
     points = origin[:, :2] + lam[:, None] * d[:, :2]
@@ -233,12 +230,12 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     gives each row the bits the one-record pogz_to_pog gives it, and its
     rotated gaze.  pog2pogz rotates the block's gazes with one rotate_rows,
     bit for bit inverse.apply_direction of each.  A record without a finite
-    point (every pog2pogz record; a pogz2pog one with no screen hit, and
-    every one of a block that meets a zero-length gaze) goes through the
-    one-record pogz_to_pog or pog_to_pogz, so its error record names its own
-    fault (a GeometryError) and its warnings are those of the one-record
-    path.  The converted records' lines are written by record_lines, the
-    block's gazes and points formatted together (jsonl.number_rows).
+    point (every pog2pogz record; a pogz2pog one with no screen hit, a
+    zero-length gaze among them) goes through the one-record pogz_to_pog or
+    pog_to_pogz, so its error record names its own fault (a GeometryError)
+    and its warnings are those of the one-record path.  The converted
+    records' lines are written by record_lines, the block's gazes and points
+    formatted together (jsonl.number_rows).
     """
     if direction not in ("pogz2pog", "pog2pogz"):
         raise ValueError(f"unknown direction {direction!r}, expected 'pogz2pog' or 'pog2pogz'")
@@ -246,16 +243,13 @@ def convert_lines(numbered_lines, direction: str, transform: RigidTransform) -> 
     lines = [i for i, _, _ in itertools.compress(rows, passed.tolist())]
     P, G = columns[passed, :2], columns[passed, 2:]
 
-    points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
     if direction == "pogz2pog":
         convert, frame = pogz_to_pog, FRAME_CAMERA_PLANE
-        try:
-            with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
-                points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
-        except GeometryError:
-            gazes = rotate_rows(transform.rotation.matrix, G)
+        with np.errstate(all="ignore"):   # a row that warns gets no finite point: it is redone alone
+            points, behind, _, gazes = pogz_to_pog_rows(P, G, transform)
     else:
         convert, frame, gazes = pog_to_pogz, FRAME_SCREEN_PLANE, rotate_rows(transform.inverse.rotation.matrix, G)
+        points, behind = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
     for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist():
         try:
             dst = convert(PlanePoint(*P[k].tolist(), frame=frame), G[k], transform)

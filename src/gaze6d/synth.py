@@ -165,7 +165,7 @@ class SceneConfig:
 _VECTOR_FIELDS = ("features",) + tuple(attr for attr, _ in TASK_LABELS.values())
 
 
-@dataclass
+@dataclass(eq=False)
 class GazeSample:
     """One synthetic frame: observable features plus exact labels.
 
@@ -353,7 +353,7 @@ def generate_dataset(
             if not (calibration and name.startswith("gaze_"))}
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """A loaded JSONL dataset: its header, and its rows as columns.
 

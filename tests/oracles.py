@@ -247,10 +247,10 @@ def _stable_sigmoid(x):
     return out
 
 
-def reference_forward(params, F, ray=None):
+def reference_forward(params, F, ray):
     """The forward pass one layer and one head at a time over named arrays:
-    each task's (N, C) predictions by name, "face" only with the (N, 3) rays,
-    and every intermediate reference_backward reads."""
+    each task's (N, C) predictions by name, "face" from the (N, 3) rays, and
+    every intermediate reference_backward reads."""
     p = params.arrays
     Xd = F[:, REFERENCE_GAZE_IN]
     Xp = F[:, REFERENCE_POSE_IN]
@@ -280,8 +280,7 @@ def reference_forward(params, F, ray=None):
         "depth": depth,
     }
     out["pogz"] = out["pogz_raw"] * REFERENCE_POGZ_GAIN
-    if ray is not None:
-        out["face"] = ray * depth
+    out["face"] = ray * depth
     return out
 
 

@@ -12,8 +12,10 @@ blocks, values that are no JSON number, all integers, beyond the 1e9
 bound or too large for a float, and, on each side of the first seam,
 records of -0.0 values and records whose output holds a gaze component
 below 1e-4 or a screen point beyond 1e16 mm, values whose text the number
-writer takes from repr.  It prints
-`relative_path sha256` for every file under OUT, sorted by path.
+writer takes from repr.  Then it writes predictions.jsonl, predict_6dof
+of every evaluation row with the trained params, the tracking API's
+answers.  It prints `relative_path sha256` for every file under OUT, sorted
+by path.
 
 Every path the commands see is relative to OUT, so the config.json
 snapshots hold the same bytes wherever OUT is: run it against two checkouts
@@ -32,7 +34,8 @@ import os
 import sys
 from pathlib import Path
 
-from gaze6d import cli
+from gaze6d import cli, load_dataset, load_params, predict_6dof
+from gaze6d.jsonl import LINE_ENCODER
 
 # the screen is tilted TILT rad about the camera's x-axis
 TILT = 0.3
@@ -133,6 +136,19 @@ PIPELINE = [
 ]
 
 
+def write_predictions(params_path, data_path, out_path) -> None:
+    """predict_6dof of every row of a dataset, one JSONL line each: its
+    origin, direction, pogz and pogz_geometric (null where the predicted ray
+    is parallel to the camera plane), written by LINE_ENCODER."""
+    params, ds = load_params(params_path), load_dataset(data_path)
+    with open(out_path, "w") as f:
+        for s in ds.samples:
+            pred = predict_6dof(params, s.features, s.bbox, ds.intrinsics)
+            geometric = None if pred.pogz_geometric is None else pred.pogz_geometric.xy.tolist()
+            f.write(LINE_ENCODER.encode({"origin": pred.origin.xyz.tolist(), "direction": pred.direction.tolist(),
+                                         "pogz": pred.pogz.xy.tolist(), "pogz_geometric": geometric}) + "\n")
+
+
 def digest(out) -> dict[str, str]:
     """Run the pipeline inside the new directory `out`; {relative path: sha256}
     of every file under it.  A command that does not exit 0 is a RuntimeError."""
@@ -149,6 +165,7 @@ def digest(out) -> dict[str, str]:
                 code = cli.main(argv)
             if code != 0:
                 raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        write_predictions("train/params.json", "gen_eval/dataset.jsonl", "predictions.jsonl")
     finally:
         os.chdir(cwd)
     files = {path.relative_to(out).as_posix(): path for path in out.rglob("*") if path.is_file()}

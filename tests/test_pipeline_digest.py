@@ -5,7 +5,7 @@ import re
 import pipeline_digest
 
 OUTPUTS = {
-    "screen.json", "scene.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl",
+    "screen.json", "scene.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl", "predictions.jsonl",
     *(f"{d}/{f}" for d in ("gen_train", "gen_eval", "gen_calib", "gen_scene", "gen_replay")
       for f in ("config.json", "dataset.jsonl")),
     "train/config.json", "train/params.json", "train/history.csv", "folds/config.json",
@@ -40,3 +40,7 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
         records = [json.loads(line) for line in (tmp_path / "out" / f"{direction}.jsonl").read_text().splitlines()]
         assert len(records) == len(pipeline_digest.CONVERT_LINES)
         assert sum("error" in r for r in records) == 13
+    # one prediction per evaluation row, each a full 6-DoF state
+    predictions = [json.loads(line) for line in (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()]
+    assert len(predictions) == 3 * 20
+    assert all(len(p["origin"]) == 3 and len(p["direction"]) == 3 and len(p["pogz"]) == 2 for p in predictions)
