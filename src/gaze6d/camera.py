@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, FrameMismatchError, GeometryError, InvalidIntrinsicsError, check_finite
+from .errors import (BehindCameraError, FrameMismatchError, GeometryError, InvalidIntrinsicsError, check_ranges,
+                     ranged)
 
 # frame tags carried by 3-D points
 FRAME_CAMERA = "oCCS"
@@ -32,22 +33,16 @@ class CameraIntrinsics:
     width, height sensor size in pixels
     """
 
-    focal_px: float
-    cx: float
-    cy: float
-    k_mm_per_px: float
-    width: int
-    height: int
+    focal_px: float = ranged("finite and > 0")
+    cx: float = ranged("finite")
+    cy: float = ranged("finite")
+    k_mm_per_px: float = ranged("finite and > 0")
+    # "finite": a size too large for a float, which the image arithmetic takes, is refused
+    width: int = ranged("finite and >= 1")
+    height: int = ranged("finite and >= 1")
 
     def __post_init__(self):
-        # an int too large for a float (OverflowError) is bad input too
-        check_finite(self, ("focal_px", "cx", "cy", "k_mm_per_px", "width", "height"), InvalidIntrinsicsError)
-        if self.focal_px <= 0:
-            raise InvalidIntrinsicsError(f"focal_px must be positive, got {self.focal_px}")
-        if self.k_mm_per_px <= 0:
-            raise InvalidIntrinsicsError(f"k_mm_per_px must be positive, got {self.k_mm_per_px}")
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidIntrinsicsError(f"image size must be positive, got {self.width}x{self.height}")
+        check_ranges(self, InvalidIntrinsicsError)
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise InvalidIntrinsicsError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, model, synth
-from .errors import (ConfigError, GeometryError, TrainingDiverged, bad_input, cast, check_seed, field_types,
-                     from_dict)
+from .errors import (COUNT, SEED, ConfigError, GeometryError, TrainingDiverged, bad_input, cast, check_ranges,
+                     field_types, from_dict)
 from .jsonl import BLOCK_LINES
 from .pogz import RigidTransform, convert_lines
 
@@ -105,7 +105,7 @@ def _settings(args, cfg: dict, defaults: dict, kinds: dict, where: str = "") -> 
 
 def _train_config(settings: dict) -> model.TrainConfig:
     """The TrainConfig of train's or finetune's settings, typed already."""
-    weights = model.LossWeights(**settings["weights"])
+    weights = from_dict(model.LossWeights, settings["weights"], "weights")
     return model.TrainConfig(**{key: settings[key] for key in _TRAIN_DEFAULTS if key != "weights"}, weights=weights)
 
 
@@ -136,7 +136,7 @@ def cmd_gen(args) -> int:
     mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
     # drawn first: a bad count, seed, kappa range or noise sigma stops the run before any file
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
-    synth.check_frame_count(frames)
+    check_ranges({"n_per_subject": (frames, COUNT)})
     settings["scene"]["seed"] = seed   # the scene draws with gen's seed
     with bad_input(args.config):
         scene = from_dict(synth.SceneConfig, settings["scene"], "scene")
@@ -161,8 +161,7 @@ def cmd_train(args) -> int:
     if settings["data"] is None:
         raise ConfigError("train needs --data")
     folds = settings["folds"]
-    if folds < 0:
-        raise ConfigError(f"folds must be >= 0, got {folds}")
+    check_ranges({"folds": (folds, COUNT)})
     tc = _train_config(settings)
     dataset = _load_rows(settings["data"])
     # cross-subject folds: subject id modulo fold count picks the held-out fold;
@@ -285,10 +284,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    check_seed(args.seed)
-    for flag, value in (("--restarts", args.restarts), ("--batch", args.batch)):
-        if value < 1:   # 0 would check nothing and still print OK
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    # 0 restarts or rows would check nothing and still print OK
+    check_ranges({"seed": (args.seed, SEED), "--restarts": (args.restarts, ">= 1"), "--batch": (args.batch, ">= 1")})
     worst = 0.0
     for restart in range(args.restarts):
         seed = args.seed + restart

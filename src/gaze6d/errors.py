@@ -59,19 +59,43 @@ def bad_input(where):
         raise ConfigError(f"{where}: {describe(exc)}") from None
 
 
-def check_seed(seed: int) -> None:
-    """The one rule for a seed: numpy's SeedSequence takes only integers >= 0."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+@functools.cache
+def range_bounds(text: str) -> tuple:
+    """(finite, lo, lo_open, hi, hi_open) of the range that `text` words:
+    "finite"; a bound, ">= a" or "> a"; "finite and " a bound; or "in " an
+    interval "[a, b]", an end open where a parenthesis stands for its bracket."""
+    rule = text.removeprefix("finite").removeprefix(" and ")
+    if rule.startswith("in "):
+        lo, hi = map(float, rule[4:-1].split(", "))
+        return text.startswith("finite"), lo, rule[3] == "(", hi, rule[-1] == ")"
+    op, _, bound = rule.partition(" ")
+    return text.startswith("finite"), float(bound) if bound else -math.inf, op == ">", math.inf, False
 
 
-def check_finite(obj, names, error=ConfigError) -> None:
-    """The one rule for a real-valued field: finite.  An `error` names the
-    first field of `names` that is not."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value}")
+# the range of a seed (numpy's SeedSequence takes only integers >= 0) and of a count
+SEED = COUNT = ">= 0"
+
+
+def ranged(text: str, default=dataclasses.MISSING):
+    """A dataclass field whose values lie in the range `text` words."""
+    return dataclasses.field(default=default, metadata={"range": text})
+
+
+def check_ranges(settings, error=ConfigError) -> None:
+    """The one range rule: raise `error("{name} must be {range}, got {value}")`
+    for the first setting outside the range its text words (range_bounds).
+    NaN lies in no range, infinity in none that says "finite" or has an end
+    on its side; an int too large for a float is an OverflowError where the
+    range says "finite".  `settings` maps each name to its (value, range
+    text), or is a config dataclass, whose fields state their ranges."""
+    if dataclasses.is_dataclass(settings):
+        settings = {f.name: (getattr(settings, f.name), f.metadata["range"])
+                    for f in dataclasses.fields(settings) if "range" in f.metadata}
+    for name, (value, text) in settings.items():
+        finite, lo, lo_open, hi, hi_open = range_bounds(text)
+        if not ((not finite or math.isfinite(value)) and (lo < value if lo_open else lo <= value)
+                and (value < hi if hi_open else value <= hi)):
+            raise error(f"{name} must be {text}, got {value}")
 
 
 # what json.loads gives a number; a bool is no number here

@@ -29,16 +29,15 @@ along -z (toward the camera) and positive pitch looks up.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera import BoundingBox, CameraIntrinsics, Point3
-from .errors import (ConfigError, GeometryError, GimbalLockError, RayParallelError,
-                     TrainingDiverged, bad_input, check_seed)
-from .jsonl import LINE_ENCODER
+from .errors import (COUNT, MAX_ABS_VALUE, SEED, ConfigError, GeometryError, GimbalLockError, RayParallelError,
+                     TrainingDiverged, bad_input, check_ranges, ranged)
+from .jsonl import LINE_ENCODER, decode_json
 from .pogz import PlanePoint, pogz_from_ray
 
 # task -> (GazeSample field holding its label, the label's columns in Batch.labels)
@@ -240,11 +239,12 @@ def load_params(path) -> ModelParams:
     Its model_config must be this model's architecture, key for key and
     value for value; its arrays must match the layout name for name and
     shape for shape, each payload in whole float64 values; and every value
-    must be finite.  Anything else, a file that is not JSON or of another
-    format included, is a ConfigError naming the file.
+    must be finite and at most MAX_ABS_VALUE in magnitude.  Anything else, a
+    file that is not JSON (NaN and Infinity included, in any key) or of
+    another format included, is a ConfigError naming the file.
     """
-    with open(path) as f, bad_input(path):
-        doc = json.load(f)
+    with open(path, encoding="utf-8", errors="surrogateescape") as f, bad_input(path):
+        doc = decode_json(f.read())
         version = doc.get("format_version")
         if type(version) is not int or version != 2:   # 2.0 equals 2
             raise ConfigError(f"unsupported params format {version!r}")
@@ -268,8 +268,12 @@ def load_params(path) -> ModelParams:
                 raise ConfigError(f"array {name} has shape {shape} and {len(data)} values, "
                                   f"the model needs shape {list(view.shape)}")
             view.reshape(-1)[:] = data
+        if not (np.abs(params.flat) <= MAX_ABS_VALUE).all():   # every value at once; NaN fails too
+            name, view = next((n, v) for n, v in params.arrays.items() if not (np.abs(v) <= MAX_ABS_VALUE).all())
             if not np.isfinite(view).all():
                 raise ConfigError(f"array {name} has non-finite values")
+            raise ConfigError(f"array {name} values must be at most {MAX_ABS_VALUE:g} in magnitude, "
+                              f"got {max(view.flat, key=abs)}")
     return params
 
 
@@ -291,41 +295,33 @@ class LossWeights:
     """Per-task L1 weights; a zero weight also freezes the task's head, whose
     gradient is then exactly zero."""
 
-    g_n: float = 1.0
-    g_o: float = 0.5
-    pogz: float = 0.1
-    r_on: float = 0.5
-    face: float = 0.1
+    g_n: float = ranged("finite and >= 0", 1.0)
+    g_o: float = ranged("finite and >= 0", 0.5)
+    pogz: float = ranged("finite and >= 0", 0.1)
+    r_on: float = ranged("finite and >= 0", 0.5)
+    face: float = ranged("finite and >= 0", 0.1)
+
+    def __post_init__(self):
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
-    batch_size: int = 128
-    epochs: int = 120
-    seed: int = 0
+    lr: float = ranged("finite and >= 0", 1e-4)
+    batch_size: int = ranged(">= 1", 128)
+    epochs: int = ranged(COUNT, 120)
+    seed: int = ranged(SEED, 0)
     weights: LossWeights = LossWeights()
-    val_fraction: float = 0.1
-    finetune_lr: float = 1e-5
+    val_fraction: float = ranged("in [0, 1)", 0.1)
+    finetune_lr: float = ranged("finite and >= 0", 1e-5)
     # fine-tune budget is counted in parameter updates, not epochs, so runs
     # with different calibration set sizes get equal optimization pressure
-    finetune_steps: int = 100
-    finetune_batch: int = 8
-    calibration_fraction: float = 1.0
+    finetune_steps: int = ranged(COUNT, 100)
+    finetune_batch: int = ranged(">= 1", 8)
+    calibration_fraction: float = ranged("in (0, 1]", 1.0)
 
     def __post_init__(self):
-        if not (0 <= self.lr < math.inf and 0 <= self.finetune_lr < math.inf):
-            raise ConfigError(f"learning rates must be finite and >= 0, got lr {self.lr}, "
-                              f"finetune_lr {self.finetune_lr}")
-        if self.batch_size < 1 or self.finetune_batch < 1:
-            raise ConfigError("batch sizes must be >= 1")
-        if self.epochs < 0 or self.finetune_steps < 0:
-            raise ConfigError("epoch and step counts must be >= 0")
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not 0 < self.calibration_fraction <= 1:
-            raise ConfigError(f"calibration_fraction must be in (0, 1], got {self.calibration_fraction}")
-        check_seed(self.seed)
+        check_ranges(self)
 
 
 # ---------------------------------------------------------------------------

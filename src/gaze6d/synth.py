@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import operator
 import os
 from array import array
@@ -40,7 +39,8 @@ import numpy as np
 from . import calibration as _calibration
 from .camera import BoundingBox, CameraIntrinsics, backproject
 from .easy_norm import denormalize_gaze, norm_rotation
-from .errors import ConfigError, PhysicalRuleError, bad_input, check_finite, check_seed, describe, from_dict
+from .errors import (COUNT, SEED, ConfigError, PhysicalRuleError, bad_input, check_ranges, describe, from_dict,
+                     ranged)
 from .jsonl import BLOCK_LINES, LINE_ENCODER, decode_json, number_rows, read_block
 from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_euler
 from .pogz import pogz_from_ray
@@ -51,11 +51,13 @@ MAX_REJECTION_DRAWS = 1000
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
 
-# default per-subject bias range and feature noise (radians), and the largest
-# bias a subject may carry
+# default per-subject bias range and feature noise (radians), the largest
+# bias a subject may carry, and the ranges of a subject's bias and noise
 KAPPA_RANGE = 0.09
 NOISE_SIGMA = 0.035
 MAX_KAPPA = 0.15
+KAPPA_BIAS = f"in [{-MAX_KAPPA}, {MAX_KAPPA}]"
+NOISE_SIGMAS = "finite and >= 0"
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     focal_px=600.0, cx=320.0, cy=240.0, k_mm_per_px=0.005, width=640, height=480
@@ -66,15 +68,13 @@ DEFAULT_INTRINSICS = CameraIntrinsics(
 class ClippedGaussian:
     """Gaussian attribute clipped to a closed range."""
 
-    mean: float
-    std: float
-    lo: float
-    hi: float
+    mean: float = ranged("finite")
+    std: float = ranged("finite and >= 0")
+    lo: float = ranged("finite")
+    hi: float = ranged("finite")
 
     def __post_init__(self):
-        check_finite(self, ("mean", "std", "lo", "hi"))
-        if self.std < 0:
-            raise ConfigError(f"std must be >= 0, got {self.std}")
+        check_ranges(self)
         if self.lo >= self.hi:
             raise ConfigError(f"empty range [{self.lo}, {self.hi}]")
 
@@ -92,16 +92,13 @@ class Subject:
     the four angular feature channels.
     """
 
-    id: int
-    kappa_yaw: float = 0.0
-    kappa_pitch: float = 0.0
-    noise_sigma: float = NOISE_SIGMA
+    id: int = ranged(SEED)   # an entry of each frame's seed
+    kappa_yaw: float = ranged(KAPPA_BIAS, 0.0)
+    kappa_pitch: float = ranged(KAPPA_BIAS, 0.0)
+    noise_sigma: float = ranged(NOISE_SIGMAS, NOISE_SIGMA)
 
     def __post_init__(self):
-        if not (abs(self.kappa_yaw) <= MAX_KAPPA and abs(self.kappa_pitch) <= MAX_KAPPA):
-            raise ConfigError(f"kappa bias out of range: ({self.kappa_yaw}, {self.kappa_pitch})")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        check_ranges(self)
 
 
 def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
@@ -109,15 +106,10 @@ def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
     """Draw n subjects with kappa components uniform in [-kappa_range, kappa_range].
 
     Every argument is checked before the first draw: n >= 0, a valid seed,
-    kappa_range in [0, MAX_KAPPA] and a finite noise_sigma >= 0.
+    kappa_range in [0, MAX_KAPPA] and noise_sigma in Subject's range.
     """
-    if n < 0:
-        raise ConfigError(f"subject count must be >= 0, got {n}")
-    check_seed(seed)
-    if not 0 <= kappa_range <= MAX_KAPPA:
-        raise ConfigError(f"kappa_range must be in [0, {MAX_KAPPA}], got {kappa_range}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    check_ranges({"subject count": (n, COUNT), "seed": (seed, SEED),
+                  "kappa_range": (kappa_range, f"in [0, {MAX_KAPPA}]"), "noise_sigma": (noise_sigma, NOISE_SIGMAS)})
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     return [
         Subject(
@@ -142,19 +134,16 @@ class SceneConfig:
     gaze_pitch: ClippedGaussian = ClippedGaussian(-0.01, 0.23, -0.69, 0.84)
     head_yaw: ClippedGaussian = ClippedGaussian(0.03, 0.29, -1.45, 1.12)
     head_pitch: ClippedGaussian = ClippedGaussian(-0.01, 0.12, -0.77, 0.72)
-    depth_lo: float = 400.0
-    depth_hi: float = 800.0
-    face_size_mm: float = 160.0
+    depth_lo: float = ranged("finite", 400.0)
+    depth_hi: float = ranged("finite", 800.0)
+    face_size_mm: float = ranged("finite and > 0", 160.0)
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    seed: int = 0
+    seed: int = ranged(SEED, 0)
 
     def __post_init__(self):
-        check_finite(self, ("depth_lo", "depth_hi", "face_size_mm"))
+        check_ranges(self)
         if self.depth_lo <= 0 or self.depth_lo >= self.depth_hi:
             raise ConfigError(f"bad depth range [{self.depth_lo}, {self.depth_hi}]")
-        if self.face_size_mm <= 0:
-            raise ConfigError(f"face_size_mm must be positive, got {self.face_size_mm}")
-        check_seed(self.seed)
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -294,12 +283,6 @@ def dataset_header(cfg: SceneConfig, subjects: list[Subject], n_per_subject: int
     }
 
 
-def check_frame_count(n_per_subject: int) -> None:
-    """The one rule for a per-subject frame count: >= 0."""
-    if n_per_subject < 0:
-        raise ConfigError(f"n_per_subject must be >= 0, got {n_per_subject}")
-
-
 # a row's float fields in the sorted key order of LINE_ENCODER; `subject` sorts last
 _LINE_FIELDS = tuple(sorted(_VECTOR_FIELDS + ("bbox",)))
 # LINE_ENCODER.encode(sample.to_dict()) + "\n", filled with the number_rows
@@ -325,7 +308,7 @@ def generate_dataset(
     file, which would load as a whole dataset, is removed."""
     if mode not in ("general", "calibration"):
         raise ConfigError(f"unknown mode {mode!r}")
-    check_frame_count(n_per_subject)
+    check_ranges({"n_per_subject": (n_per_subject, COUNT)})
 
     calibration = mode == "calibration"
     # only the four sampled attributes are kept for the stats, not the frames,

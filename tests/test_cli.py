@@ -141,8 +141,30 @@ def test_a_non_finite_learning_rate_exits_2_before_the_snapshot(tmp_path, capsys
         capsys.readouterr()
         assert run(*argv, *via, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: learning rates must be finite and >= 0") and captured.out == ""
+        assert captured.err.startswith(f"error: {setting} must be finite and >= 0, got ") and captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--lambda-gn", "nan"), ("train", "--lambda-go", "inf"), ("train", "--lambda-face", "-1"),
+    ("finetune", "--lambda-r", "-0.5"),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_loss_weight_outside_its_range_exits_2_before_the_snapshot(tmp_path, capsys, small_run_inputs,
+                                                                    command, flag, value, via):
+    paths = small_run_inputs
+    argv = {"train": ["--data", paths["data"], "--epochs", "1"],
+            "finetune": ["--params", paths["params"], "--calib", paths["calib"]]}[command]
+    task = {"--lambda-gn": "g_n", "--lambda-go": "g_o", "--lambda-face": "face", "--lambda-r": "r_on"}[flag]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": {task: float(value)}}))   # {"weights": {"g_n": NaN}} and so on
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(command, *argv, *([f"{flag}={value}"] if via == "flag" else ["--config", str(config)]),
+               "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: weights: {task} must be finite and >= 0, got {float(value)}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -655,7 +677,7 @@ def test_eval_and_finetune_reject_bad_params_with_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
     messages = {narrow: "model_config hidden is 16", nan: "array fuse_w has non-finite values",
-                nan_format1: "unsupported params format 1\n", not_json: "Expecting value",
+                nan_format1: "non-finite value NaN\n", not_json: "Expecting value",
                 huge: "unsupported params format 1\n", not_numbers: "unsupported params format 1\n",
                 bool_version: "unsupported params format True"}
     for bad, message in messages.items():
@@ -714,6 +736,12 @@ def faulty_inputs(root, paths) -> dict:
     run("gen", "--subjects", "0", "--out", str(root / "empty"))
     run("gen", "--mode", "calibration", "--subjects", "2", "--frames", "2", "--out", str(root / "two"))
     empty, two = root / "empty" / "dataset.jsonl", root / "two" / "dataset.jsonl"
+    # params beyond the value bound, and params with a NaN literal in a key load_params ignores
+    huge, note = root / "huge.json", root / "note.json"
+    params = init_params(seed=0)
+    params.arrays["fuse_w"][0, 0] = 1e300
+    save_params(params, huge)
+    note.write_text(Path(paths["params"]).read_text()[:-1] + ', "note": NaN}')
     return {
         "train_header_only": (["train", "--data", header_only], f"{header_only}:1: "),
         "eval_sheared_screen": (["eval", "--params", paths["params"], "--data", paths["data"],
@@ -725,12 +753,15 @@ def faulty_inputs(root, paths) -> dict:
         "eval_no_rows": (["eval", "--params", paths["params"], "--data", empty], f"{empty}: no rows after the header\n"),
         "finetune_no_rows": (["finetune", "--params", paths["params"], "--calib", empty],
                              f"{empty}: no rows after the header\n"),
+        "eval_huge_params": (["eval", "--params", huge, "--data", paths["data"]],
+                             f"{huge}: array fuse_w values must be at most 1e+09 in magnitude, got 1e+300\n"),
+        "eval_nan_in_params": (["eval", "--params", note, "--data", paths["data"]], f"{note}: non-finite value NaN\n"),
     }
 
 
 @pytest.mark.parametrize("case", ["train_header_only", "eval_sheared_screen", "finetune_missing_params",
                                   "finetune_absent_subject", "train_no_rows", "eval_no_rows",
-                                  "finetune_no_rows"])
+                                  "finetune_no_rows", "eval_huge_params", "eval_nan_in_params"])
 def test_inputs_are_read_before_the_snapshot(tmp_path, capsys, small_run_inputs, case):
     argv, where = faulty_inputs(tmp_path, small_run_inputs)[case]
     out = tmp_path / "run"

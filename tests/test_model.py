@@ -12,7 +12,7 @@ import oracles
 
 from gaze6d.camera import BoundingBox, CameraIntrinsics, Point3, backproject
 from gaze6d.easy_norm import Rotation3
-from gaze6d.errors import ConfigError, GeometryError, GimbalLockError, TrainingDiverged, from_dict
+from gaze6d.errors import MAX_ABS_VALUE, ConfigError, GeometryError, GimbalLockError, TrainingDiverged, from_dict
 from gaze6d.model import (TASK_LABELS, TASKS, Adam, Batch, Gradients, LossWeights, ModelParams,
                           MultiTaskOutput, SixDofPrediction, TrainConfig, backward, batch_loss,
                           euler_from_vec, fine_tune, forward, forward_batch,
@@ -141,6 +141,13 @@ def test_save_params_bytes_match_the_struct_base64_writer(tmp_path):
     save_params(params, tmp_path / "new.json")
     oracles.params_json_base64(params, tmp_path / "ref.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    # any value is written; one beyond MAX_ABS_VALUE in magnitude is refused on
+    # load, so the extreme that loads, bit for bit, is the bound itself
+    with pytest.raises(ConfigError, match=r": array fuse_b values must be at most 1e\+09 in magnitude, "
+                                          r"got -1\.7976931348623157e\+308$"):
+        load_params(tmp_path / "new.json")
+    params.arrays["fuse_b"][2] = -MAX_ABS_VALUE
+    save_params(params, tmp_path / "new.json")
     assert same_bits(load_params(tmp_path / "new.json").flat, params.flat)
 
 
@@ -183,7 +190,9 @@ def edit_values(doc, name, edit):
     (lambda d: edit_values(d, "head_gn_w", lambda v: v.__setitem__(3, float("nan"))),
      "head_gn_w has non-finite"),
     (lambda d: edit_values(d, "box1_b", lambda v: v.__setitem__(0, float("inf"))), "box1_b has non-finite"),
-    (lambda d: d["model_config"].update(pogz_gain=float("nan")), "model_config pogz_gain is nan"),
+    # json.dumps writes NaN, which the reader refuses as it parses
+    pytest.param(lambda d: d["model_config"].update(pogz_gain=float("nan")), "non-finite value NaN",
+                 id="<lambda>-model_config pogz_gain is nan"),
     (lambda d: d["model_config"].update(width=3), "width"),
     (lambda d: d["model_config"].pop("depth_bias"), "model_config lacks 'depth_bias'"),
     (lambda d: d.pop("arrays"), "missing key 'arrays'"),

@@ -219,6 +219,64 @@ def test_the_line_encoder_check_sees_every_form(tmp_path):
     assert per_line_dumps(src) == ["probe.py:1: dumps", "probe.py:2: dumps"]
 
 
+# the wordings of a setting's range, which gaze6d.errors.check_ranges alone writes
+RANGE_WORDINGS = ("must be >=", "must be positive", "must be in [", "must be finite and", "must be finite,")
+# value rules that are no setting's: jsonl.find_fault's of the lists of rows and
+# records, and the checks run on every frame of a box side and a depth
+RANGE_WORDING_EXEMPT = {"jsonl.py:find_fault", "camera.py:BoundingBox.__post_init__", "camera.py:backproject"}
+
+
+def range_wordings(path: Path) -> list[str]:
+    """String literals in the source file at `path`, docstrings aside, that
+    word a range, with the function or class that writes each."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, scopes):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str) and id(child) not in docstrings
+                  and any(w in child.value for w in RANGE_WORDINGS)):
+                found.append(f"{path.name}:{scope}")
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_errors_py_words_a_range():
+    found = [use for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "errors.py"
+             for use in range_wordings(path) if use not in RANGE_WORDING_EXEMPT]
+    assert found == []
+
+
+def test_the_range_wording_check_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text('''"""A docstring: x must be >= 0."""
+LIMIT = "n must be >= 0"
+
+
+class Config:
+    """seed must be >= 0"""
+
+    def __post_init__(self):
+        if self.lr < 0:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+
+
+def check(k):
+    message = f"k must be in [0, {MAX}], got {k}"
+    return lambda v: f"v must be finite, got {v}" + "size must be positive"
+''')
+    assert range_wordings(src) == ["probe.py:", "probe.py:Config.__post_init__", "probe.py:check",
+                                   "probe.py:check", "probe.py:check"]
+
+
 def test_all_is_exactly_the_public_names_of_the_package():
     exported = gaze6d.__all__
     assert len(exported) == len(set(exported)), "duplicate entries in __all__"

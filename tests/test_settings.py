@@ -4,6 +4,7 @@ reader, errors.from_dict, which types every field through errors.cast: in
 intrinsics."""
 
 import argparse
+import dataclasses
 import json
 import math
 import typing
@@ -15,7 +16,7 @@ import oracles
 
 from gaze6d import cli
 from gaze6d.camera import CameraIntrinsics
-from gaze6d.errors import BAD_INPUT, ConfigError, cast, from_dict
+from gaze6d.errors import BAD_INPUT, ConfigError, InvalidIntrinsicsError, cast, field_types, from_dict, range_bounds
 from gaze6d.model import LossWeights, TrainConfig
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, SceneConfig, Subject, generate_dataset,
                           load_dataset, make_subjects)
@@ -110,6 +111,47 @@ def test_from_dict_names_a_missing_or_bad_field_by_its_key_path():
 
 
 # ---------------------------------------------------------------------------
+# the one range rule: each numeric field of a config dataclass states its range
+
+
+# a valid instance of each config dataclass, from which each field can reach
+# either end of its range alone: a principal point at the origin lies in an
+# image of any size
+RANGED = {
+    ClippedGaussian: ClippedGaussian(0.0, 1.0, -1.0, 1.0), Subject: Subject(0), SceneConfig: SceneConfig(),
+    CameraIntrinsics: CameraIntrinsics(600.0, 0.0, 0.0, 0.005, 640, 480), LossWeights: LossWeights(),
+    TrainConfig: TrainConfig(),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in RANGED for f in dataclasses.fields(cls) if field_types(cls)[f.name] in (int, float)])
+def test_every_numeric_setting_states_its_range_and_holds_its_ends(cls, field):
+    """NaN, a value just past each end (an open end itself) and, where the
+    range says finite, each infinity raise the class's error naming the
+    field; each closed end constructs."""
+    assert "range" in field.metadata, f"{cls.__name__}.{field.name} states no range"
+    rule, kind = field.metadata["range"], field_types(cls)[field.name]
+    finite, lo, lo_open, hi, hi_open = range_bounds(rule)
+    error = InvalidIntrinsicsError if cls is CameraIntrinsics else ConfigError
+    bad = [math.nan] + ([-math.inf, math.inf] if finite else [])
+    for end, is_open, outward in ((lo, lo_open, -1), (hi, hi_open, 1)):
+        if math.isinf(end):
+            continue
+        end = kind(end)
+        if is_open:
+            bad.append(end)
+            continue
+        assert getattr(dataclasses.replace(RANGED[cls], **{field.name: end}), field.name) == end
+        bad.append(end + outward if kind is int else math.nextafter(end, outward * math.inf))
+    for value in bad:
+        with pytest.raises(error) as info:
+            dataclasses.replace(RANGED[cls], **{field.name: value})
+        assert str(info.value) == f"{field.name} must be {rule}, got {value}"
+
+
+# ---------------------------------------------------------------------------
 # a dataset header's intrinsics
 
 
@@ -171,8 +213,10 @@ def full_scene(path, value):
     (("depth_lo",), 900.0, "scene: bad depth range [900.0, 800.0]"),
     # json.load takes NaN and Infinity: each one is named before any file is written
     (("depth_hi",), math.inf, "scene: depth_hi must be finite, got inf"),
-    (("gaze_yaw", "std"), math.nan, "scene.gaze_yaw: std must be finite, got nan"),
-    (("intrinsics", "focal_px"), math.inf, "scene.intrinsics: focal_px must be finite, got inf"),
+    pytest.param(("gaze_yaw", "std"), math.nan, "scene.gaze_yaw: std must be finite and >= 0, got nan",
+                 id="path6-nan-scene.gaze_yaw: std must be finite, got nan"),
+    pytest.param(("intrinsics", "focal_px"), math.inf, "scene.intrinsics: focal_px must be finite and > 0, got inf",
+                 id="path7-inf-scene.intrinsics: focal_px must be finite, got inf"),
     # a JSON integer too large for a float would reach the first draw, after config.json
     (("intrinsics", "width"), 10**400, "scene.intrinsics: int too large to convert to float"),
 ])
