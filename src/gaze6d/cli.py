@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import metrics, model, synth
 from .errors import (COUNT, SEED, ConfigError, GeometryError, TrainingDiverged, bad_input, cast, check_ranges,
                      field_types, from_dict)
-from .jsonl import BLOCK_LINES
+from .jsonl import BLOCK_LINES, decode_json
 from .pogz import RigidTransform, convert_lines
 
 log = logging.getLogger("gaze6d")
@@ -50,63 +50,69 @@ def _setup_logging() -> None:
 # each command's settings and their defaults; a default that is a type is
 # an optional setting, absent (None) unless given, and one that is a dict a
 # nested setting, merged key by key
-_TRAIN_DEFAULTS = asdict(model.TrainConfig())
 SETTINGS = {
     "gen": {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
             "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA,
             "scene": asdict(synth.SceneConfig())},
-    "train": {"data": str, "folds": 0, **_TRAIN_DEFAULTS},
-    "finetune": {"params": str, "calib": str, "subject": int, **_TRAIN_DEFAULTS},
+    "train": {"data": str, "folds": 0, **asdict(model.TrainConfig())},
+    "finetune": {"params": str, "calib": str, "subject": int, **asdict(model.TrainConfig())},
     "eval": {"params": str, "data": str, "screen": str},
 }
-# the settings that are fields of a config dataclass, by command: each takes
-# its field's type, any other setting its default's
-_FIELDS = {"gen": {"scene": synth.SceneConfig}, "train": field_types(model.TrainConfig),
-           "finetune": field_types(model.TrainConfig)}
+# the rule of each setting that is no field of a config dataclass, which states its
+# own (errors.ranged): its range, the values it may take, or its config dataclass
+RULES = {"mode": synth.MODES, "subjects": COUNT, "frames": COUNT, "seed": SEED, "kappa_range": synth.KAPPA_RANGES,
+         "noise_sigma": synth.NOISE_SIGMAS, "scene": synth.SceneConfig, "folds": COUNT}
 
 
-def _configure(args) -> dict:
-    """The command's SETTINGS, overridden by the --config file, then by flags.
-    Any fault in the file, an unknown key included, is a ConfigError naming
-    the file, raised before the run directory is written."""
+def _configure(args) -> tuple:
+    """The command's SETTINGS, overridden by the --config file, then by flags,
+    and the config dataclass they build, all checked before the run directory
+    is written; a fault in a value from the file names the file."""
     table, cfg = SETTINGS[args.command], {}
+    cls = model.TrainConfig if args.command in ("train", "finetune") else None
+    _settings(args, cfg, table, cls)   # the flags alone first: a fault in one reads as it is
     with bad_input(args.config):
         if args.config is not None:
-            with open(args.config) as f:
-                cfg = json.load(f)
+            cfg = decode_json(Path(args.config).read_text(encoding="utf-8", errors="surrogateescape"))
             if not isinstance(cfg, dict):
                 raise ConfigError(f"expected a JSON object, got {type(cfg).__name__}")
         unknown = sorted(set(cfg) - set(table) - {"command"})
         if unknown:
             raise ConfigError(f"unknown keys {unknown}; expected keys from {sorted({'command', *table})}")
-        return _settings(args, cfg, table, _FIELDS.get(args.command, {}))
+        if cfg.get("command", args.command) != args.command:
+            raise ConfigError(f"command: expected {args.command!r}, got {cfg['command']!r}")
+        settings = _settings(args, cfg, table, cls)
+        if args.command == "gen":
+            return settings, from_dict(synth.SceneConfig, {**settings["scene"], "seed": settings["seed"]}, "scene")
+        return settings, cls and from_dict(cls, settings, args.command)
 
 
-def _settings(args, cfg: dict, defaults: dict, kinds: dict, where: str = "") -> dict:
+def _settings(args, cfg: dict, defaults: dict, cls=None, where: str = "") -> dict:
     """`defaults`, overridden by `cfg`, then by flags of the same dest; dicts
-    merge key by key.  Each value is cast to its type in `kinds`, the field
-    types of its config dataclass, or else to its default's type.  Flags
-    arrive typed, so a value that fails came from the config file."""
+    merge key by key.  Each value takes its type and rule from its field of the
+    config dataclass `cls`, or else from its default and RULES."""
+    kinds, ranges = (field_types(cls), {f.name: f.metadata.get("range") for f in fields(cls)}) if cls else ({}, {})
     out = {}
     for key, default in defaults.items():
-        name, value = where + key, getattr(args, key, None)
+        name, value = f"{where}.{key}".lstrip("."), getattr(args, key, None)
         optional = isinstance(default, type)
+        kind = kinds.get(key, default if optional else type(default))
+        rule = kind if is_dataclass(kind) else ranges.get(key, RULES.get(key))
         if value is None:
             value = cfg.get(key, None if optional else default)
         if not isinstance(default, dict):
             with bad_input(name):
-                out[key] = cast(default if optional else kinds.get(key, type(default)), value, optional)
+                out[key] = value = cast(kind, value, optional)
+                if isinstance(rule, tuple) and value not in rule:
+                    raise ValueError(f"expected {' or '.join(map(repr, rule))}, got {value!r}")
+            if isinstance(rule, str):
+                with bad_input(where):
+                    check_ranges({key: (value, rule)})
         elif isinstance(value, dict) and set(value) <= set(default):
-            out[key] = _settings(args, value, default, field_types(kinds[key]), name + ".")
+            out[key] = _settings(args, value, default, rule, name)
         else:
             raise ConfigError(f"{name}: expected an object with keys from {sorted(default)}, got {value!r}")
     return out
-
-
-def _train_config(settings: dict) -> model.TrainConfig:
-    """The TrainConfig of train's or finetune's settings, typed already."""
-    weights = from_dict(model.LossWeights, settings["weights"], "weights")
-    return model.TrainConfig(**{key: settings[key] for key in _TRAIN_DEFAULTS if key != "weights"}, weights=weights)
 
 
 def _write_snapshot(args, settings: dict) -> Path:
@@ -132,15 +138,10 @@ def _load_rows(path) -> synth.Dataset:
 
 
 def cmd_gen(args) -> int:
-    settings = _configure(args)
+    settings, scene = _configure(args)
     mode, n_subjects, frames, seed = (settings[k] for k in ("mode", "subjects", "frames", "seed"))
-    # drawn first: a bad count, seed, kappa range or noise sigma stops the run before any file
     subjects = synth.make_subjects(n_subjects, seed, settings["kappa_range"], settings["noise_sigma"])
-    check_ranges({"n_per_subject": (frames, COUNT)})
-    settings["scene"]["seed"] = seed   # the scene draws with gen's seed
-    with bad_input(args.config):
-        scene = from_dict(synth.SceneConfig, settings["scene"], "scene")
-    out_dir = _write_snapshot(args, settings)
+    out_dir = _write_snapshot(args, {**settings, "scene": asdict(scene)})
 
     stats = synth.generate_dataset(scene, subjects, frames, mode, out_dir / "dataset.jsonl")
     log.info("wrote %s", out_dir / "dataset.jsonl")
@@ -157,12 +158,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = _configure(args)
+    settings, tc = _configure(args)
     if settings["data"] is None:
         raise ConfigError("train needs --data")
     folds = settings["folds"]
-    check_ranges({"folds": (folds, COUNT)})
-    tc = _train_config(settings)
     dataset = _load_rows(settings["data"])
     # cross-subject folds: subject id modulo fold count picks the held-out fold;
     # every split is checked before the run directory is made
@@ -201,11 +200,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    settings = _configure(args)
+    settings, tc = _configure(args)
     params_path, calib_path, subject_filter = (settings[k] for k in ("params", "calib", "subject"))
     if params_path is None or calib_path is None:
         raise ConfigError("finetune needs --params and --calib")
-    tc = _train_config(settings)
     base = model.load_params(params_path)
     calib = _load_rows(calib_path)
     if subject_filter not in (None, *calib.subject_ids()):
@@ -231,7 +229,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    settings = _configure(args)
+    settings, _ = _configure(args)
     params_path, data_path, screen_path = (settings[k] for k in ("params", "data", "screen"))
     if params_path is None or data_path is None:
         raise ConfigError("eval needs --params and --data")
@@ -311,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--mode", choices=["general", "calibration"])
+    p.add_argument("--mode", choices=synth.MODES)
     p.add_argument("--subjects", type=int, help="number of subjects")
     p.add_argument("--frames", type=int, help="frames per subject")
     p.add_argument("--seed", type=int)

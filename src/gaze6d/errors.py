@@ -52,11 +52,11 @@ def describe(exc: BaseException) -> str:
 
 @contextmanager
 def bad_input(where):
-    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>")."""
+    """Raise a BAD_INPUT exception from the block as ConfigError("<where>: <what>"), or "<what>" if not where."""
     try:
         yield
     except BAD_INPUT as exc:
-        raise ConfigError(f"{where}: {describe(exc)}") from None
+        raise ConfigError(f"{where}: {describe(exc)}" if where else describe(exc)) from None
 
 
 @functools.cache

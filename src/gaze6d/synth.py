@@ -46,18 +46,20 @@ from .model import FEATURE_DIM, TASK_LABELS, Batch, euler_from_vec, vec_from_eul
 from .pogz import pogz_from_ray
 
 SCHEMA_VERSION = 1
+MODES = ("general", "calibration")   # free gaze, and lens fixation for calibration
 MAX_REJECTION_DRAWS = 1000
 
 # a gaze line this close to the camera plane has no usable plane intersection
 MIN_ABS_GZ = 1e-3
 
 # default per-subject bias range and feature noise (radians), the largest
-# bias a subject may carry, and the ranges of a subject's bias and noise
+# bias a subject may carry, and the ranges of a bias, a noise and a bias range
 KAPPA_RANGE = 0.09
 NOISE_SIGMA = 0.035
 MAX_KAPPA = 0.15
 KAPPA_BIAS = f"in [{-MAX_KAPPA}, {MAX_KAPPA}]"
 NOISE_SIGMAS = "finite and >= 0"
+KAPPA_RANGES = f"in [0, {MAX_KAPPA}]"
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     focal_px=600.0, cx=320.0, cy=240.0, k_mm_per_px=0.005, width=640, height=480
@@ -109,7 +111,7 @@ def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
     kappa_range in [0, MAX_KAPPA] and noise_sigma in Subject's range.
     """
     check_ranges({"subject count": (n, COUNT), "seed": (seed, SEED),
-                  "kappa_range": (kappa_range, f"in [0, {MAX_KAPPA}]"), "noise_sigma": (noise_sigma, NOISE_SIGMAS)})
+                  "kappa_range": (kappa_range, KAPPA_RANGES), "noise_sigma": (noise_sigma, NOISE_SIGMAS)})
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     return [
         Subject(
@@ -306,7 +308,7 @@ def generate_dataset(
     lens-fixation g_n is (0, 0) by construction.  The rows are written
     BLOCK_LINES frames at a time, each block as one string; on an error the
     file, which would load as a whole dataset, is removed."""
-    if mode not in ("general", "calibration"):
+    if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     check_ranges({"n_per_subject": (n_per_subject, COUNT)})
 
@@ -435,7 +437,7 @@ def _header_from_line(line: str) -> dict:
     version = header["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:  # 1.0 and true equal 1
         raise ValueError(f"unsupported schema version {version!r}")
-    if header["mode"] not in ("general", "calibration"):
+    if header["mode"] not in MODES:
         raise ValueError(f"unknown mode {header['mode']!r}")
     from_dict(CameraIntrinsics, header["config"]["intrinsics"], "config.intrinsics")
     return header

@@ -21,6 +21,13 @@ Every path the commands see is relative to OUT, so the config.json
 snapshots hold the same bytes wherever OUT is: run it against two checkouts
 (`PYTHONPATH=<checkout>/src`) and diff the listings to find each output that
 changed.
+
+tests/pipeline_digest.golden holds the listing that every change must keep,
+under `# ` lines naming the environment it was recorded in (header()).
+Re-recording it is a deliberate change of answers:
+
+    (PYTHONPATH=src:tests python -c 'import pipeline_digest as d; print(*d.header(), sep="\n")';
+     PYTHONPATH=src python tests/pipeline_digest.py OUT) > tests/pipeline_digest.golden
 """
 
 from __future__ import annotations
@@ -31,8 +38,12 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
+import orjson
 
 from gaze6d import cli, load_dataset, load_params, predict_6dof
 from gaze6d.jsonl import LINE_ENCODER
@@ -147,6 +158,15 @@ def write_predictions(params_path, data_path, out_path) -> None:
             geometric = None if pred.pogz_geometric is None else pred.pogz_geometric.xy.tolist()
             f.write(LINE_ENCODER.encode({"origin": pred.origin.xyz.tolist(), "direction": pred.direction.tolist(),
                                          "pogz": pred.pogz.xy.tolist(), "pogz_geometric": geometric}) + "\n")
+
+
+def header() -> list[str]:
+    """The environment the hashes may depend on, as the golden listing's
+    `# ` lines: Python, numpy, orjson, the BLAS numpy was built with (this
+    one may pick its kernels by CPU) and the CPU architecture."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}", f"# orjson {orjson.__version__}",
+            f"# blas {blas['name']} {blas['version']}", f"# machine {platform.machine()}"]
 
 
 def digest(out) -> dict[str, str]:

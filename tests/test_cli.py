@@ -119,8 +119,8 @@ def test_gen_zero_frames(tmp_path):
 
 
 def test_gen_negative_counts_exit_2(tmp_path, capsys):
-    for flag, message in (("--subjects", "subject count must be >= 0, got -3"),
-                          ("--frames", "n_per_subject must be >= 0, got -3")):
+    for flag, message in (("--subjects", "subjects must be >= 0, got -3"),
+                          ("--frames", "frames must be >= 0, got -3")):
         assert run("gen", flag, "-3", "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "g").exists()
@@ -137,11 +137,13 @@ def test_a_non_finite_learning_rate_exits_2_before_the_snapshot(tmp_path, capsys
     config.write_text(json.dumps({setting: value}))   # NaN, Infinity or -Infinity
     flag = f"--{setting.replace('_', '-')}={value}"
     out = tmp_path / "run"
-    for via in ([flag], ["--config", str(config)]):
+    literal = json.dumps(value)
+    for via, message in (([flag], f"error: {setting} must be finite and >= 0, got "),
+                         (["--config", str(config)], f"error: {config}: non-finite value {literal}\n")):
         capsys.readouterr()
         assert run(*argv, *via, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {setting} must be finite and >= 0, got ") and captured.out == ""
+        assert captured.err.startswith(message) and captured.out == ""
         assert not out.exists()
 
 
@@ -163,7 +165,12 @@ def test_a_loss_weight_outside_its_range_exits_2_before_the_snapshot(tmp_path, c
     assert run(command, *argv, *([f"{flag}={value}"] if via == "flag" else ["--config", str(config)]),
                "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: weights: {task} must be finite and >= 0, got {float(value)}\n"
+    if via == "flag":
+        assert captured.err == f"error: weights: {task} must be finite and >= 0, got {float(value)}\n"
+    elif value in ("nan", "inf"):
+        assert captured.err == f"error: {config}: non-finite value {json.dumps(float(value))}\n"
+    else:
+        assert captured.err == f"error: {config}: weights: {task} must be finite and >= 0, got {float(value)}\n"
     assert captured.out == "" and not out.exists()
 
 
@@ -332,7 +339,8 @@ def test_train_negative_folds_exit_2_before_the_snapshot(tmp_path, capsys, small
     capsys.readouterr()
     assert run("train", "--data", small_run_inputs["data"], "--epochs", "1", *argv, "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: folds must be >= 0, got -2\n" and captured.out == ""
+    assert captured.err == f"error: {'' if via == 'flag' else f'{config}: '}folds must be >= 0, got -2\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -472,6 +480,9 @@ def has_its_type(setting, default) -> bool:
 
 
 PARSER = cli._build_parser()
+# the scene's fields in a relation that a config dataclass checks: lo < hi,
+# 0 < depth_lo < depth_hi, and the principal point inside the image
+RELATED_FIELDS = {"lo", "hi", "depth_lo", "depth_hi", "cx", "cy", "width", "height"}
 
 
 @FUZZ
@@ -485,9 +496,15 @@ def test_a_fuzzed_config_value_gives_typed_settings_or_names_the_file(fuzz_dir, 
     config.write_text(json.dumps(nested(path, value)))
     args = PARSER.parse_args([command, "--config", str(config), "--out", str(fuzz_dir / "run")])
     try:
-        settings = cli._configure(args)
+        settings, _ = cli._configure(args)
     except ConfigError as exc:
-        assert str(exc).startswith(f"{config}: {'.'.join(path)}: ")
+        # a fault names the file and the key path; a range fault the parent's
+        # path, then the key; a fault in a relation between fields the parent's
+        parent, key = ".".join(path[:-1]), path[-1]
+        forms = [f"{'.'.join(path)}: ", f"{parent}: {key} must be " if parent else f"{key} must be "]
+        if key in RELATED_FIELDS:
+            forms.append(f"{parent}: ")
+        assert str(exc).startswith(tuple(f"{config}: {form}" for form in forms)), (str(exc), path)
         return
     assert has_its_type(settings, cli.SETTINGS[command])
     got = settings
@@ -815,7 +832,8 @@ def test_a_negative_seed_exits_2_before_the_snapshot(tmp_path, capsys, small_run
     capsys.readouterr()
     assert run(command, *argv, *(["--out", str(out)] if command != "gradcheck" else [])) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
+    assert captured.err == f"error: {'' if via == 'flag' else f'{config}: '}seed must be >= 0, got -1\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -845,7 +863,9 @@ def test_gen_takes_only_a_finite_kappa_range_and_noise_sigma_in_range(tmp_path, 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
     assert run("gen", "--subjects", "2", "--frames", "2", "--config", str(config), "--out", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    literal = json.dumps(float(value))   # NaN, Infinity and -Infinity are refused as the file is parsed
+    assert capsys.readouterr().err == (f"error: {config}: non-finite value {literal}\n"
+                                       if value in ("nan", "inf", "-inf") else f"error: {config}: {message}\n")
     assert not out.exists()
 
 

@@ -137,6 +137,47 @@ def test_the_orjson_check_sees_both_import_forms(tmp_path):
     assert orjson_imports(src) == ["probe.py:1: orjson", "probe.py:2: orjson", "probe.py:5: orjson"]
 
 
+# the stdlib JSON decoders, which gaze6d.jsonl.decode_json alone uses
+JSON_DECODERS = {"load", "loads", "JSONDecoder"}
+
+
+def json_decoder_uses(path: Path) -> list[str]:
+    """`json.load`, `json.loads` and `json.JSONDecoder` in the source file at
+    `path`, and imports of them from json: a JSON file read otherwise than
+    through gaze6d.jsonl.decode_json, which refuses NaN and Infinity."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
+            used = [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+            used = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, f"{path.name}:{node.lineno}: json.{n}") for n in used if n in JSON_DECODERS]
+    return [use for _, use in sorted(found)]
+
+
+def test_only_jsonl_py_decodes_json_with_the_stdlib():
+    found = [use for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "jsonl.py"
+             for use in json_decoder_uses(path)]
+    assert found == []
+
+
+def test_the_json_decoder_check_sees_the_attribute_and_import_forms(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("import json\n"
+                   "from json import loads as parse, dumps\n"
+                   "cfg = json.load(f)\n"
+                   "doc = json.loads(text)\n"
+                   "decoder = json.JSONDecoder(parse_constant=reject)\n"
+                   "from json import JSONDecoder, load\n"
+                   "text = json.dumps(doc)\n"
+                   "doc = decode_json(text)\n")
+    assert json_decoder_uses(src) == ["probe.py:2: json.loads", "probe.py:3: json.load", "probe.py:4: json.loads",
+                                      "probe.py:5: json.JSONDecoder", "probe.py:6: json.JSONDecoder",
+                                      "probe.py:6: json.load"]
+
+
 # the column check of gaze6d.jsonl.read_block, the one block loop
 BLOCK_LOOP_PARTS = {"number_columns"}
 

@@ -1,8 +1,11 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pipeline_digest
+
+GOLDEN = Path(__file__).with_name("pipeline_digest.golden")
 
 OUTPUTS = {
     "screen.json", "scene.json", "records.jsonl", "pogz2pog.jsonl", "pog2pogz.jsonl", "predictions.jsonl",
@@ -16,11 +19,23 @@ OUTPUTS = {
 }
 
 
+def moved_files(golden: list[str], lines: list[str]) -> list[str]:
+    """The files whose line differs between two listings, or that only one holds."""
+    old, new = (dict(line.split(" ") for line in listing) for listing in (golden, lines))
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, capsys):
     cwd = os.getcwd()
     assert pipeline_digest.main([str(tmp_path / "out")]) == 0
     assert os.getcwd() == cwd
     lines = capsys.readouterr().out.splitlines()
+    # every output has the hash it had when the golden listing was recorded, on any machine
+    text = GOLDEN.read_text().splitlines()
+    recorded = [line for line in text if line.startswith("# ")]
+    golden = [line for line in text if not line.startswith("# ")]
+    assert lines == golden, (f"moved: {moved_files(golden, lines)}; the golden listing was recorded with "
+                             f"{recorded}, this run had {pipeline_digest.header()}")
     listing = dict(line.split(" ") for line in lines)
     assert set(listing) == OUTPUTS and len(lines) == len(OUTPUTS)
     assert [line.split(" ")[0] for line in lines] == sorted(listing)
@@ -44,3 +59,10 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
     predictions = [json.loads(line) for line in (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()]
     assert len(predictions) == 3 * 20
     assert all(len(p["origin"]) == 3 and len(p["direction"]) == 3 and len(p["pogz"]) == 2 for p in predictions)
+
+
+
+def test_moved_files_names_a_changed_an_added_and_a_removed_file():
+    golden = ["a.json 00", "b.csv 11", "c.jsonl 22"]
+    assert moved_files(golden, golden) == []
+    assert moved_files(golden, ["a.json 00", "b.csv 12", "d.json 33"]) == ["b.csv", "c.jsonl", "d.json"]

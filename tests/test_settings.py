@@ -17,7 +17,7 @@ import oracles
 from gaze6d import cli
 from gaze6d.camera import CameraIntrinsics
 from gaze6d.errors import BAD_INPUT, ConfigError, InvalidIntrinsicsError, cast, field_types, from_dict, range_bounds
-from gaze6d.model import LossWeights, TrainConfig
+from gaze6d.model import LossWeights, TrainConfig, init_params, save_params
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, SceneConfig, Subject, generate_dataset,
                           load_dataset, make_subjects)
 
@@ -211,11 +211,12 @@ def full_scene(path, value):
     (("gaze_yaw", "mean"), "x", "scene.gaze_yaw.mean: could not convert string to float: 'x'"),
     (("seed",), 1.5, "scene.seed: expected an integer, got 1.5"),
     (("depth_lo",), 900.0, "scene: bad depth range [900.0, 800.0]"),
-    # json.load takes NaN and Infinity: each one is named before any file is written
-    (("depth_hi",), math.inf, "scene: depth_hi must be finite, got inf"),
-    pytest.param(("gaze_yaw", "std"), math.nan, "scene.gaze_yaw: std must be finite and >= 0, got nan",
+    # NaN and Infinity are refused as the file is parsed, before any file is written
+    pytest.param(("depth_hi",), math.inf, "non-finite value Infinity",
+                 id="path5-inf-scene: depth_hi must be finite, got inf"),
+    pytest.param(("gaze_yaw", "std"), math.nan, "non-finite value NaN",
                  id="path6-nan-scene.gaze_yaw: std must be finite, got nan"),
-    pytest.param(("intrinsics", "focal_px"), math.inf, "scene.intrinsics: focal_px must be finite and > 0, got inf",
+    pytest.param(("intrinsics", "focal_px"), math.inf, "non-finite value Infinity",
                  id="path7-inf-scene.intrinsics: focal_px must be finite, got inf"),
     # a JSON integer too large for a float would reach the first draw, after config.json
     (("intrinsics", "width"), 10**400, "scene.intrinsics: int too large to convert to float"),
@@ -255,11 +256,13 @@ def test_a_dataclass_setting_takes_its_field_type_not_its_default_s():
     field's annotation, at the top level and nested."""
     defaults = {"rate": 1, "nested": asdict(IntDefault()), "count": 1}
     cfg = {"rate": 0.5, "nested": {"rate": "0.25"}, "count": "2"}
-    got = cli._settings(argparse.Namespace(), cfg, defaults, {"rate": float, "nested": IntDefault})
+    got = cli._settings(argparse.Namespace(), cfg, defaults,
+                        dataclasses.make_dataclass("Outer", [("rate", float), ("nested", IntDefault)]))
     assert got == {"rate": 0.5, "nested": {"rate": 0.25}, "count": 2}
     assert type(got["count"]) is int   # no field: its default's type
     with pytest.raises(ConfigError, match=r"^count: expected an integer, got 1\.5$"):
-        cli._settings(argparse.Namespace(), {"count": 1.5}, defaults, {"rate": float, "nested": IntDefault})
+        cli._settings(argparse.Namespace(), {"count": 1.5}, defaults,
+                      dataclasses.make_dataclass("Outer", [("rate", float), ("nested", IntDefault)]))
 
 
 def test_a_partial_scene_merges_over_the_defaults_and_runs_with_gen_s_seed(tmp_path):
@@ -276,3 +279,134 @@ def test_a_partial_scene_merges_over_the_defaults_and_runs_with_gen_s_seed(tmp_p
     assert run("gen", "--config", out / "config.json", "--out", tmp_path / "replay") == 0
     for name in ("config.json", "dataset.jsonl"):
         assert (tmp_path / "replay" / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the source rule: every setting is checked where the command reads its
+# settings, before the run directory; a fault in a value from the --config
+# file names the file, one in a flag's value reads as the flag's alone
+
+
+@pytest.fixture(scope="module")
+def valid_argv(tmp_path_factory):
+    """Each command's flags for a run that would succeed: a 3-row dataset, a
+    2-row calibration set of the same subject, and untrained params."""
+    root = tmp_path_factory.mktemp("inputs")
+    run("gen", "--subjects", "1", "--frames", "3", "--seed", "2", "--out", root / "gen")
+    run("gen", "--mode", "calibration", "--subjects", "1", "--frames", "2", "--seed", "2", "--out", root / "calib")
+    save_params(init_params(seed=0), root / "params.json")
+    flags = {"gen": {"--subjects": 1, "--frames": 2},
+             "train": {"--data": root / "gen" / "dataset.jsonl", "--epochs": 1},
+             "finetune": {"--params": root / "params.json", "--calib": root / "calib" / "dataset.jsonl",
+                          "--finetune-steps": 1}}
+
+    def argv(command, without=None):
+        """The command and its flags, but for the flag `without`, so that the file may set its setting."""
+        return [command, *(a for flag, value in flags[command].items() if flag != without for a in (flag, value))]
+
+    return argv
+
+
+def run_faulty(tmp_path, capsys, argv, config=None) -> str:
+    """The stderr of a run of `argv` with the --config object `config`, given
+    as text or as an object, which must exit 2 before its run directory."""
+    out = tmp_path / "run"
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = [*argv, "--config", path]
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("train", '{"command": NaN, "epochs": 1}', "non-finite value NaN"),
+    ("train", '{"lr": NaN}', "non-finite value NaN"),
+    ("train", '{"lr": -1}', "lr must be finite and >= 0, got -1.0"),
+    ("train", '{"weights": {"g_n": -1}}', "weights: g_n must be finite and >= 0, got -1.0"),
+    ("train", '{"folds": -1}', "folds must be >= 0, got -1"),
+    ("gen", '{"frames": -1}', "frames must be >= 0, got -1"),
+    ("gen", '{"scene": {"face_size_mm": -1}}', "scene: face_size_mm must be finite and > 0, got -1.0"),
+    ("train", '{"data": 3}', "data: expected a string, got 3"),
+    ("gen", '{"mode": "bogus"}', "mode: expected 'general' or 'calibration', got 'bogus'"),
+    # a snapshot's command key must be the command that replays it
+    ("train", '{"command": "eval", "seed": 4}', "command: expected 'train', got 'eval'"),
+    ("train", '{"command": 5}', "command: expected 'train', got 5"),
+    ("finetune", '{"command": "train"}', "command: expected 'finetune', got 'train'"),
+])
+def test_a_bad_config_value_exits_2_naming_the_file_before_the_run_directory(tmp_path, capsys, valid_argv,
+                                                                              command, text, message):
+    argv = valid_argv(command, without=f"--{next(iter(json.loads(text)))}")
+    assert run_faulty(tmp_path, capsys, argv, text) == f"error: {tmp_path / 'c.json'}: {message}\n"
+
+
+def number_settings(defaults, cls=None, path=()):
+    """(key path, type, range) of each number setting in a SETTINGS table at
+    any depth: a field's of the config dataclass `cls`, else its default's
+    type and its cli.RULES entry."""
+    fields = {f.name: f for f in dataclasses.fields(cls)} if cls else {}
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from number_settings(default, field_types(cls)[key] if key in fields else cli.RULES[key],
+                                       path + (key,))
+        elif key in fields:
+            yield path + (key,), field_types(cls)[key], fields[key].metadata.get("range")
+        elif type(default) in (int, float):
+            yield path + (key,), type(default), cli.RULES.get(key)
+
+
+NUMBER_SETTINGS = [(command, *setting) for command in ("gen", "train", "finetune")
+                   for setting in number_settings(cli.SETTINGS[command], TrainConfig if command != "gen" else None)]
+
+
+def outside(kind, rule):
+    """A finite value of type `kind` just outside the range `rule` words, or
+    None where the range has no finite end."""
+    finite, lo, lo_open, hi, hi_open = range_bounds(rule)
+    for end, is_open, outward in ((lo, lo_open, -1), (hi, hi_open, 1)):
+        if math.isfinite(end):
+            end = kind(end)
+            return end if is_open else end + outward if kind is int else math.nextafter(end, outward * math.inf)
+    return None
+
+
+def flag_of(command, key):
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command").choices[command]
+    return next((a.option_strings[0] for a in sub._actions if a.dest == key and a.option_strings), None)
+
+
+@pytest.mark.parametrize("command, path, kind, rule", [
+    pytest.param(*setting, id=f"{setting[0]}-{'.'.join(setting[1])}") for setting in NUMBER_SETTINGS])
+def test_a_setting_out_of_its_range_is_named_by_its_source(tmp_path, capsys, valid_argv, command, path, kind, rule):
+    """Every number setting states a range.  A finite value just outside it
+    gives the range fault, `[<parent path>: ]<key> must be <range>, got
+    <value>`: as it is through the setting's flag, after `<file>: ` through
+    --config, and as the flag's where both give it.  1e999 in the file reads
+    as inf, which no number setting takes, and is named with the file."""
+    assert isinstance(rule, str), f"{command} {'.'.join(path)} states no range"
+    # a scene field has no flag of its own: the scene's seed is gen's --seed
+    flag = flag_of(command, path[-1]) if path[0] != "scene" else None
+    argv, config = valid_argv(command, without=flag), tmp_path / "c.json"
+    value = outside(kind, rule)
+    if value is not None:
+        parent = ".".join(path[:-1])
+        message = f"{parent + ': ' if parent else ''}{path[-1]} must be {rule}, got {value}"
+        assert run_faulty(tmp_path, capsys, argv, nested(path, value)) == f"error: {config}: {message}\n"
+        if flag is not None:
+            flagged = [*argv, f"{flag}={value}"]
+            assert run_faulty(tmp_path, capsys, flagged) == f"error: {message}\n"
+            assert run_faulty(tmp_path, capsys, flagged, nested(path, value)) == f"error: {message}\n"
+    text = json.dumps(nested(path, 12345.5)).replace("12345.5", "1e999")
+    err = run_faulty(tmp_path, capsys, argv, text)
+    assert err.startswith(f"error: {config}: ") and "inf" in err, err
+
+
+def nested(path, value):
+    """The config object that sets the key path `path` to `value`."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
