@@ -72,8 +72,10 @@ def range_bounds(text: str) -> tuple:
     return text.startswith("finite"), float(bound) if bound else -math.inf, op == ">", math.inf, False
 
 
-# the range of a seed (numpy's SeedSequence takes only integers >= 0) and of a count
-SEED = COUNT = ">= 0"
+# the range of a seed (numpy's SeedSequence takes only integers >= 0), and of
+# a count: frames, subjects, epochs, steps or folds, at most a C int's maximum
+SEED = ">= 0"
+COUNT = "in [0, 2147483647]"
 
 
 def ranged(text: str, default=dataclasses.MISSING):

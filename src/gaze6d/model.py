@@ -53,7 +53,7 @@ TASKS = tuple(TASK_LABELS)
 _STARTS = np.array([span.start for _, span in TASK_LABELS.values()])
 _WIDTHS = np.array([span.stop - span.start for _, span in TASK_LABELS.values()])
 _COLUMN_TASK = np.repeat(np.arange(len(TASKS)), _WIDTHS)   # task index of each label column
-_GN, _POGZ, _FACE = (TASK_LABELS[t][1] for t in ("g_n", "pogz", "face"))
+_GN, _GO, _POGZ, _R, _FACE = (span for _, span in TASK_LABELS.values())
 # the columns of the joint heads g_o, pogz and r_on, one span in this order
 _JOINT = slice(TASK_LABELS["g_o"][1].start, TASK_LABELS["r_on"][1].stop)
 # step k of the per-row sum over each task's label columns: column k of the
@@ -68,10 +68,9 @@ _SUM_COLUMNS = [np.where(k < _WIDTHS, _STARTS + k, _COLUMN_TASK.size) for k in r
 def vec_from_euler(e) -> np.ndarray:
     """Unit gaze direction(s) from (yaw, pitch): a (..., 2) array in, (..., 3) out."""
     e = np.asarray(e, dtype=float)
-    if e.ndim == 1:   # one pair: the products as Python floats, the same IEEE operations
+    if e.ndim == 1:
         yaw, pitch = e.tolist()
-        cp = float(np.cos(pitch))
-        return np.array([-cp * float(np.sin(yaw)), -float(np.sin(pitch)), -cp * float(np.cos(yaw))])
+        return _gaze_vector(yaw, pitch)
     yaw, pitch = e[..., 0], e[..., 1]
     cp = np.cos(pitch)
     out = np.empty(e.shape[:-1] + (3,))
@@ -79,6 +78,12 @@ def vec_from_euler(e) -> np.ndarray:
     out[..., 1] = -np.sin(pitch)
     out[..., 2] = -cp * np.cos(yaw)
     return out
+
+
+def _gaze_vector(yaw: float, pitch: float) -> np.ndarray:
+    """vec_from_euler of one pair: the products as Python floats, the same IEEE operations."""
+    cp = float(np.cos(pitch))
+    return np.array([-cp * float(np.sin(yaw)), -float(np.sin(pitch)), -cp * float(np.cos(yaw))])
 
 
 def euler_from_vec(g) -> np.ndarray:
@@ -194,14 +199,20 @@ class ModelParams:
     """Every weight in one contiguous float64 vector; `arrays` maps each name
     to its view into `flat`, and `stacks` the stacked views of whole layer
     groups ("encoder1_b", "encoder2_w", "encoder2_b", "joint_w", "joint_b";
-    see _param_layout)."""
+    see _param_layout).  `transposed` maps each weight's name, and
+    "encoder2_w", to the transposed view that forward_batch multiplies by, so
+    no call builds one.  Every view aliases `flat`: a write into it is seen
+    through all of them."""
 
     flat: np.ndarray
     arrays: dict[str, np.ndarray] = field(init=False, repr=False)
     stacks: dict[str, np.ndarray] = field(init=False, repr=False)
+    transposed: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.arrays, self.stacks = _views(self.flat)
+        self.transposed = {name: view.T for name, view in self.arrays.items() if name.endswith("_w")}
+        self.transposed["encoder2_w"] = self.stacks["encoder2_w"].mT
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy())
@@ -293,7 +304,8 @@ def _float64_payload(name: str, data: str) -> np.ndarray:
 @dataclass(frozen=True)
 class LossWeights:
     """Per-task L1 weights; a zero weight also freezes the task's head, whose
-    gradient is then exactly zero."""
+    gradient is then exactly zero.  `array` holds them in TASKS order, read-only,
+    built once for the loss arithmetic."""
 
     g_n: float = ranged("finite and >= 0", 1.0)
     g_o: float = ranged("finite and >= 0", 0.5)
@@ -303,6 +315,9 @@ class LossWeights:
 
     def __post_init__(self):
         check_ranges(self)
+        array = np.array([getattr(self, t) for t in TASKS])
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)   # not a field: asdict, == and hash leave it out
 
 
 @dataclass(frozen=True)
@@ -376,25 +391,24 @@ class Batch:
 # forward / loss / backward
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, never overflowing
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """An uninitialised array: a fresh one, or the one `work` keeps under this
-    name and shape from an earlier call."""
+def _buffers(work: dict | None, names: tuple, shapes: tuple) -> tuple:
+    """Uninitialised arrays of these shapes: fresh ones, or the ones `work`
+    keeps under each name and shape from an earlier call."""
     if work is None:
-        return np.empty(shape)
-    array = work.get((name, shape))
-    if array is None:
-        array = work[name, shape] = np.empty(shape)
-    return array
+        return tuple(map(np.empty, shapes))
+    arrays = []
+    for key in zip(names, shapes):
+        array = work.get(key)
+        if array is None:
+            array = work[key] = np.empty(key[1])
+        arrays.append(array)
+    return arrays
 
 
 def _tanh_backward(d_y: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -406,7 +420,6 @@ def _tanh_backward(d_y: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-_ENCODERS = ("gaze", "pose", "box")
 _GRADCHECK_STEP = 1e-5   # gradient_check's central-difference step
 
 
@@ -421,45 +434,56 @@ def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray, *,
 
     With `work` (backward's scratch dict), the large intermediates live in
     arrays kept there, which the next call with it overwrites.
+
+    A one-row call costs about as much as a 16-row one: its time goes to
+    some thirty numpy calls, so the body is straight-line code over the
+    weights' ready transposed views (ModelParams.transposed), and each
+    product is written where it is kept.
     """
-    p, s = params.arrays, params.stacks
+    p, s, t = params.arrays, params.stacks, params.transposed
     if F.shape[1] != FEATURE_DIM:
         raise ConfigError(f"expected {FEATURE_DIM} features, got {F.shape[1]}")
-    n, e = F.shape[0], _EMBED
-    X = (F[:, _GAZE_IN], F[:, _POSE_IN], F[:, _BOX_IN])
+    n, h, e = F.shape[0], _HIDDEN, _EMBED
+    H1, E, Cpb, Epos, C = _buffers(work, ("H1", "E", "Cpb", "Epos", "C"),
+                                     ((3, n, h), (3, n, e), (n, 2 * e), (n, e), (n, 2 * e)))
+    Xd, Xp, Xb = F[:, _GAZE_IN], F[:, _POSE_IN], F[:, _BOX_IN]
 
     # both layers of the gaze, pose and box encoders, stacked in that order
-    H1 = _buffer(work, "H1", (len(_ENCODERS), n, _HIDDEN))
-    for h, x, enc in zip(H1, X, _ENCODERS):
-        np.matmul(x, p[enc + "1_w"].T, out=h)
+    G1, P1, B1 = H1[0], H1[1], H1[2]
+    np.matmul(Xd, t["gaze1_w"], out=G1)
+    np.matmul(Xp, t["pose1_w"], out=P1)
+    np.matmul(Xb, t["box1_w"], out=B1)
     H1 += s["encoder1_b"]
     np.tanh(H1, out=H1)
-    E = np.matmul(H1, s["encoder2_w"].mT, out=_buffer(work, "E", (len(_ENCODERS), n, e)))
+    np.matmul(H1, t["encoder2_w"], out=E)
     E += s["encoder2_b"]
     np.tanh(E, out=E)
-    Ed, Ep, Eb = E
-    Cpb = np.concatenate([Ep, Eb], axis=1, out=_buffer(work, "Cpb", (n, 2 * e)))
-    Epos = np.matmul(Cpb, p["fuse_w"].T, out=_buffer(work, "Epos", (n, e)))
+    Ed, Ep, Eb = E[0], E[1], E[2]
+    np.concatenate((Ep, Eb), axis=1, out=Cpb)
+    np.matmul(Cpb, t["fuse_w"], out=Epos)
     Epos += p["fuse_b"]
     np.tanh(Epos, out=Epos)
-    C = np.concatenate([Ed, Epos], axis=1, out=_buffer(work, "C", (n, 2 * e)))
+    np.concatenate((Ed, Epos), axis=1, out=C)
 
     preds = np.empty((n, _COLUMN_TASK.size))
-    np.add(Ed @ p["head_gn_w"].T, p["head_gn_b"], out=preds[:, _GN])
+    g_n, g_o, pogz, r_on, face = preds[:, _GN], preds[:, _GO], preds[:, _POGZ], preds[:, _R], preds[:, _FACE]
+    np.matmul(Ed, t["head_gn_w"], out=g_n)
+    g_n += p["head_gn_b"]
     # one head at a time: one (6, 2 * embed) product would differ in the last bit
-    for head, task in (("head_go", "g_o"), ("head_pogz", "pogz"), ("head_r", "r_on")):
-        np.matmul(C, p[head + "_w"].T, out=preds[:, TASK_LABELS[task][1]])
+    np.matmul(C, t["head_go_w"], out=g_o)
+    np.matmul(C, t["head_pogz_w"], out=pogz)
+    np.matmul(C, t["head_r_w"], out=r_on)
     joint = preds[:, _JOINT]
-    np.add(joint, s["joint_b"], out=joint)
-    pogz = preds[:, _POGZ]
-    np.multiply(pogz, _POGZ_GAIN, out=pogz)
-    d_raw = Epos @ p["head_depth_w"].T + p["head_depth_b"]
-    depth = _softplus(d_raw)
-    np.multiply(ray, depth, out=preds[:, _FACE])  # (B, 3) face center along the box ray
-    out = {task: preds[:, span] for task, (_, span) in TASK_LABELS.items()}
-    out.update(preds=preds, Xd=X[0], Xp=X[1], Xb=X[2], X=X, H1=H1, G1=H1[0], P1=H1[1], B1=H1[2],
-               E=E, Ed=Ed, Ep=Ep, Eb=Eb, Cpb=Cpb, Epos=Epos, C=C, d_raw=d_raw, depth=depth)
-    return out
+    joint += s["joint_b"]
+    pogz *= _POGZ_GAIN
+    d_raw = np.matmul(Epos, t["head_depth_w"])
+    d_raw += p["head_depth_b"]
+    depth = np.logaddexp(0.0, d_raw)   # softplus
+    np.multiply(ray, depth, out=face)  # (B, 3) face center along the box ray
+    return {"g_n": g_n, "g_o": g_o, "pogz": pogz, "r_on": r_on, "face": face, "preds": preds,
+            "Xd": Xd, "Xp": Xp, "Xb": Xb, "X": (Xd, Xp, Xb), "H1": H1, "G1": G1, "P1": P1, "B1": B1,
+            "E": E, "Ed": Ed, "Ep": Ep, "Eb": Eb, "Cpb": Cpb, "Epos": Epos, "C": C,
+            "d_raw": d_raw, "depth": depth}
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,10 +505,6 @@ def forward(params: ModelParams, features) -> MultiTaskOutput:
         r_on=c["r_on"][0].copy(),
         face_depth=float(c["depth"][0, 0]),
     )
-
-
-def _loss_weights(weights: LossWeights) -> np.ndarray:
-    return np.array([getattr(weights, t) for t in TASKS])
 
 
 def _task_terms(preds: dict, batch: Batch, lam: np.ndarray):
@@ -517,7 +537,7 @@ def _task_terms(preds: dict, batch: Batch, lam: np.ndarray):
 def batch_loss(params: ModelParams, batch: Batch, weights: LossWeights):
     """(total, per-task breakdown) over a batch; used by training and checks."""
     c = forward_batch(params, batch.features, batch.ray)
-    total, terms, _, _ = _task_terms(c, batch, _loss_weights(weights))
+    total, terms, _, _ = _task_terms(c, batch, weights.array)
     return total, terms
 
 
@@ -550,7 +570,7 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
     work = None if out is None else out.work
     # backward owns this forward cache, and overwrites each large array after its last read
     c = forward_batch(params, batch.features, batch.ray, work=work)
-    lam = _loss_weights(weights)
+    lam = weights.array
     total, terms, resid, counts = _task_terms(c, batch, lam)
 
     # d loss / d prediction on labelled rows: sign(resid) * lam / (label width *
@@ -560,31 +580,34 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
     delta = np.sign(resid) * (batch.mask * task_scale).take(_COLUMN_TASK, axis=1)
     if not lam.all():
         delta[:, (lam == 0.0)[_COLUMN_TASK]] = 0.0
-    d_gn, d_go, d_pz, d_r, d_face = (delta[:, span] for _, span in TASK_LABELS.values())
+    d_gn, d_go, d_pz, d_r, d_face = delta[:, _GN], delta[:, _GO], delta[:, _POGZ], delta[:, _R], delta[:, _FACE]
 
     # face point = ray * softplus(d_raw)
     d_depth = (d_face * batch.ray).sum(axis=1, keepdims=True)
     d_draw = d_depth * _sigmoid(c["d_raw"])
 
     # every gradient is written in place into its view of one flat vector
-    for (w, b), d, x in (((g["head_gn_w"], g["head_gn_b"]), d_gn, c["Ed"]),
-                         ((g.stacks["joint_w"], g.stacks["joint_b"]), delta[:, _JOINT], c["C"]),
-                         ((g["head_depth_w"], g["head_depth_b"]), d_draw, c["Epos"])):
-        np.matmul(d.T, x, out=w)
-        d.sum(axis=0, out=b)
+    np.matmul(d_gn.T, c["Ed"], out=g["head_gn_w"])
+    d_gn.sum(axis=0, out=g["head_gn_b"])
+    d_joint = delta[:, _JOINT]
+    np.matmul(d_joint.T, c["C"], out=g.stacks["joint_w"])
+    d_joint.sum(axis=0, out=g.stacks["joint_b"])
+    np.matmul(d_draw.T, c["Epos"], out=g["head_depth_w"])
+    d_draw.sum(axis=0, out=g["head_depth_b"])
 
     # the joint heads' terms of d_C one head at a time: one (N, 6) @ (6, 2 * embed)
     # product would reorder the sum; sums run in place, some with their operands
     # swapped (a + b and b + a round alike)
     e, n = _EMBED, len(batch)
-    product = _buffer(work, "product", (n, 2 * e))
-    d_C = np.matmul(d_go, p["head_go_w"], out=_buffer(work, "d_C", (n, 2 * e)))
+    # d_E is stacked like the forward's E
+    product, d_C, d_E, d_Epos = _buffers(work, ("product", "d_C", "d_E", "d_Epos"),
+                                           ((n, 2 * e), (n, 2 * e), (3, n, e), (n, e)))
+    np.matmul(d_go, p["head_go_w"], out=d_C)
     d_C += np.matmul(d_pz, p["head_pogz_w"], out=product)
     d_C += np.matmul(d_r, p["head_r_w"], out=product)
-    d_E = _buffer(work, "d_E", (len(_ENCODERS), n, e))   # stacked like the forward's E
     d_Ed = np.matmul(d_gn, p["head_gn_w"], out=d_E[0])
     d_Ed += d_C[:, :e]
-    d_Epos = np.matmul(d_draw, p["head_depth_w"], out=_buffer(work, "d_Epos", (n, e)))
+    np.matmul(d_draw, p["head_depth_w"], out=d_Epos)
     d_Epos += d_C[:, e:]
 
     # fusion block
@@ -599,8 +622,9 @@ def backward(params: ModelParams, batch: Batch, weights: LossWeights, out: Gradi
     np.matmul(d2.mT, c["H1"], out=g.stacks["encoder2_w"])
     d2.sum(axis=1, keepdims=True, out=g.stacks["encoder2_b"])
     d1 = _tanh_backward(np.matmul(d2, s["encoder2_w"], out=d_E), c["H1"], out=c["H1"])
-    for d, x, enc in zip(d1, c["X"], _ENCODERS):
-        np.matmul(d.T, x, out=g[enc + "1_w"])
+    np.matmul(d1[0].T, c["Xd"], out=g["gaze1_w"])
+    np.matmul(d1[1].T, c["Xp"], out=g["pose1_w"])
+    np.matmul(d1[2].T, c["Xb"], out=g["box1_w"])
     d1.sum(axis=1, keepdims=True, out=g.stacks["encoder1_b"])
     return g, total, terms
 
@@ -684,23 +708,24 @@ class Adam:
         b2c = 1.0 - b2 ** self.t
         m, v, flat = self.m, self.v, self.flat
         a, b = self._scratch
+        # each `x op= y` is np.op(x, y, out=x) at less call overhead
         # m = b1 * m + (1 - b1) * grad
-        np.multiply(m, b1, out=m)
+        m *= b1
         np.multiply(grad, 1.0 - b1, out=a)
-        np.add(m, a, out=m)
+        m += a
         # v = b2 * v + (1 - b2) * grad * grad
-        np.multiply(v, b2, out=v)
+        v *= b2
         np.multiply(grad, 1.0 - b2, out=a)
-        np.multiply(a, grad, out=a)
-        np.add(v, a, out=v)
+        a *= grad
+        v += a
         # flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
         np.divide(m, b1c, out=a)
-        np.multiply(a, self.lr, out=a)
+        a *= self.lr
         np.divide(v, b2c, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.EPS, out=b)
-        np.divide(a, b, out=a)
-        np.subtract(flat, a, out=flat)
+        b += self.EPS
+        a /= b
+        flat -= a
 
 
 @dataclass(frozen=True)
@@ -722,7 +747,7 @@ def _val_stats(params: ModelParams, val: Batch, weights: LossWeights):
     if len(val) == 0:
         return float("nan"), float("nan")
     c = forward_batch(params, val.features, val.ray)
-    total, _, _, _ = _task_terms(c, val, _loss_weights(weights))
+    total, _, _, _ = _task_terms(c, val, weights.array)
     mask = val.mask[:, TASKS.index("g_n")] > 0
     if not mask.any():
         return total, float("nan")
@@ -744,7 +769,10 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     n = len(data)
     steps = 0
     for epoch in range(epochs):
-        perm = rng.permutation(n)
+        # the epoch's rows in step order, gathered once: each step's batch is the
+        # next slice of them, the rows perm[lo:lo + batch_size] names
+        shuffled = data.subset(rng.permutation(n))
+        F, ray, labels, mask = shuffled.features, shuffled.ray, shuffled.labels, shuffled.mask
         seen, loss_sum = 0, 0.0
         # each step's non-finite values are caught right after its backward;
         # numpy need not warn first (one errstate per epoch, not per step)
@@ -752,9 +780,10 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
             for lo in range(0, n, batch_size):
                 if max_steps is not None and steps >= max_steps:
                     break
-                idx = perm[lo:lo + batch_size]
-                _, total, terms = backward(params, data.subset(idx), weights, out=grads)
-                if not np.isfinite(total):
+                hi = lo + batch_size
+                step = Batch(F[lo:hi], ray[lo:hi], labels[lo:hi], mask[lo:hi])
+                _, total, terms = backward(params, step, weights, out=grads)
+                if not math.isfinite(total):
                     # a weighted term: a finite term times a huge weight overflows too
                     bad = [t for t in TASKS if not np.isfinite(getattr(weights, t) * terms[t])]
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {steps} "
@@ -766,8 +795,9 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
                     raise TrainingDiverged(f"non-finite gradients at epoch {epoch}, step {steps} "
                                            f"(batch offset {lo}), arrays: {', '.join(bad)}")
                 opt.step(grads.flat)
-                loss_sum += total * len(idx)
-                seen += len(idx)
+                rows = len(step)
+                loss_sum += total * rows
+                seen += rows
                 steps += 1
         train_loss = loss_sum / max(seen, 1)
         if val is not None:
@@ -859,21 +889,17 @@ def predict_6dof(params: ModelParams, features, bbox: BoundingBox, intr: CameraI
     below about -745) is a GeometryError naming that raw output.
     """
     # Batch's ray of the box, ((x - cx) / f, (y - cy) / f, 1), as Python floats: the same IEEE operations
-    x, y = float(bbox.x), float(bbox.y)
-    ray = np.array([[(x - intr.cx) / intr.focal_px, (y - intr.cy) / intr.focal_px, 1.0]])
+    f = intr.focal_px
+    ray = np.array([[(float(bbox.x) - intr.cx) / f, (float(bbox.y) - intr.cy) / f, 1.0]])
     c = forward_batch(params, np.asarray(features, dtype=float).reshape(1, -1), ray)
     if not c["depth"][0, 0] > 0:
         raise GeometryError(f"predicted face depth is not positive: the depth head's raw "
                             f"output {c['d_raw'][0, 0]!r} gives softplus {float(c['depth'][0, 0])!r}")
+    row = c["preds"][0].tolist()   # the row's predictions in TASK_LABELS column order
     origin = Point3(c["face"][0])
-    direction = vec_from_euler(c["g_o"][0])
+    direction = _gaze_vector(*row[_GO])
     try:
         geometric = pogz_from_ray(origin, direction)
     except RayParallelError:
         geometric = None
-    return SixDofPrediction(
-        origin=origin,
-        direction=direction,
-        pogz=PlanePoint(*c["pogz"][0].tolist()),
-        pogz_geometric=geometric,
-    )
+    return SixDofPrediction(origin, direction, PlanePoint(*row[_POGZ]), geometric)

@@ -119,8 +119,8 @@ def test_gen_zero_frames(tmp_path):
 
 
 def test_gen_negative_counts_exit_2(tmp_path, capsys):
-    for flag, message in (("--subjects", "subjects must be >= 0, got -3"),
-                          ("--frames", "frames must be >= 0, got -3")):
+    for flag, message in (("--subjects", "subjects must be in [0, 2147483647], got -3"),
+                          ("--frames", "frames must be in [0, 2147483647], got -3")):
         assert run("gen", flag, "-3", "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "g").exists()
@@ -339,7 +339,7 @@ def test_train_negative_folds_exit_2_before_the_snapshot(tmp_path, capsys, small
     capsys.readouterr()
     assert run("train", "--data", small_run_inputs["data"], "--epochs", "1", *argv, "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {'' if via == 'flag' else f'{config}: '}folds must be >= 0, got -2\n"
+    assert captured.err == f"error: {'' if via == 'flag' else f'{config}: '}folds must be in [0, 2147483647], got -2\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -574,7 +574,8 @@ def test_reads_table_matches_what_train_and_fine_tune_read(tmp_path):
             self._cfg, self._read = cfg, read
 
         def __getattr__(self, name):
-            self._read.add(name)
+            # LossWeights.array is every weight, built once from the fields
+            self._read.update(WEIGHT_FIELDS if name == "array" else {name})
             value = getattr(self._cfg, name)
             return Recorder(value, self._read) if name == "weights" else value
 

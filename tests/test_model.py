@@ -129,6 +129,49 @@ def test_stacked_views_alias_the_named_arrays():
     assert all(np.shares_memory(v, params.flat) for v in s.values())
 
 
+def changed_params(tmp_path, change):
+    """(params, params changed in place or made anew) by one of the ways the
+    package changes params: an Adam step, load_params, ModelParams.copy and
+    then an in-place write to the copy, or gradient_check's flat[i] += h on
+    one entry of every array."""
+    params = init_params(seed=7)
+    forward_batch(params, np.zeros((1, 7)), np.array([[0.0, 0.0, 1.0]]))   # the views are in use before
+    if change == "Adam.step":
+        opt = Adam(params, lr=1e-2)
+        grads, _, _ = backward(params, make_gradcheck_batch(params, seed=2), LossWeights())
+        opt.step(grads.flat)
+        return params
+    if change == "load_params":
+        other = init_params(seed=8)
+        save_params(other, tmp_path / "p.json")
+        return load_params(tmp_path / "p.json")   # written into its arrays after they are made
+    if change == "copy":
+        tuned = params.copy()
+        tuned.flat += np.random.default_rng(0).normal(0.0, 0.1, size=tuned.flat.size)
+        return tuned
+    positions = ModelParams(np.arange(float(params.flat.size)))   # each value names its index in flat
+    for view in positions.arrays.values():
+        params.flat[int(view.flat[0])] += 0.25
+    return params
+
+
+@pytest.mark.parametrize("change", ["Adam.step", "load_params", "copy", "flat[i] += h"])
+def test_the_transposed_weight_views_alias_flat(tmp_path, change):
+    """forward_batch multiplies by ModelParams.transposed, kept from
+    __post_init__; after each change it gives the bits of a forward through
+    params built afresh from a copy of `flat`, at 1, 8 and 128 rows."""
+    params = changed_params(tmp_path, change)
+    assert all(np.shares_memory(v, params.flat) for v in params.transposed.values())
+    fresh = ModelParams(params.flat.copy())
+    rng = np.random.default_rng(5)
+    for n in (1, 8, 128):
+        features = rng.normal(0.0, 0.6, size=(n, 7))
+        ray = np.column_stack([rng.uniform(-0.3, 0.3, size=(n, 2)), np.ones(n)])
+        got, want = forward_batch(params, features, ray), forward_batch(fresh, features, ray)
+        for key in ("preds", "d_raw", "depth", "H1", "E", "Epos"):
+            assert same_bits(got[key], want[key]), (change, n, key)
+
+
 def trained_params(tmp_path):
     params, _ = train(TrainConfig(epochs=1, batch_size=8, seed=0),
                       make_dataset(tmp_path, n_subjects=1, n_frames=10))
@@ -321,6 +364,14 @@ def test_loss_unit_errors_weighted_sum():
     total, terms = batch_loss(params, batch, LossWeights())
     assert total == pytest.approx(2.2, abs=1e-12)
     assert all(terms[t] == pytest.approx(1.0) for t in TASKS)
+
+
+def test_loss_weights_array_is_every_weight_in_task_order_read_only():
+    w = LossWeights(g_n=0.7, g_o=0.3, pogz=0.0, r_on=1.1, face=0.2)
+    assert w.array.tolist() == [0.7, 0.3, 0.0, 1.1, 0.2] == [getattr(w, t) for t in TASKS]
+    with pytest.raises(ValueError):
+        w.array[0] = 1.0
+    assert w == LossWeights(g_n=0.7, g_o=0.3, pogz=0.0, r_on=1.1, face=0.2) and "array" not in asdict(w)
 
 
 def test_loss_decomposition_exact():

@@ -16,7 +16,8 @@ import oracles
 
 from gaze6d import cli
 from gaze6d.camera import CameraIntrinsics
-from gaze6d.errors import BAD_INPUT, ConfigError, InvalidIntrinsicsError, cast, field_types, from_dict, range_bounds
+from gaze6d.errors import (BAD_INPUT, COUNT, ConfigError, InvalidIntrinsicsError, cast, field_types, from_dict,
+                           range_bounds)
 from gaze6d.model import LossWeights, TrainConfig, init_params, save_params
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, SceneConfig, Subject, generate_dataset,
                           load_dataset, make_subjects)
@@ -328,8 +329,8 @@ def run_faulty(tmp_path, capsys, argv, config=None) -> str:
     ("train", '{"lr": NaN}', "non-finite value NaN"),
     ("train", '{"lr": -1}', "lr must be finite and >= 0, got -1.0"),
     ("train", '{"weights": {"g_n": -1}}', "weights: g_n must be finite and >= 0, got -1.0"),
-    ("train", '{"folds": -1}', "folds must be >= 0, got -1"),
-    ("gen", '{"frames": -1}', "frames must be >= 0, got -1"),
+    ("train", '{"folds": -1}', "folds must be in [0, 2147483647], got -1"),
+    ("gen", '{"frames": -1}', "frames must be in [0, 2147483647], got -1"),
     ("gen", '{"scene": {"face_size_mm": -1}}', "scene: face_size_mm must be finite and > 0, got -1.0"),
     ("train", '{"data": 3}', "data: expected a string, got 3"),
     ("gen", '{"mode": "bogus"}', "mode: expected 'general' or 'calibration', got 'bogus'"),
@@ -403,6 +404,35 @@ def test_a_setting_out_of_its_range_is_named_by_its_source(tmp_path, capsys, val
     text = json.dumps(nested(path, 12345.5)).replace("12345.5", "1e999")
     err = run_faulty(tmp_path, capsys, argv, text)
     assert err.startswith(f"error: {config}: ") and "inf" in err, err
+
+
+COUNT_SETTINGS = [setting for setting in NUMBER_SETTINGS if setting[3] == COUNT]
+
+
+def test_the_count_settings_are_the_counts_of_gen_train_and_finetune():
+    flagged = {("gen", "subjects"), ("gen", "frames"), ("train", "epochs"), ("train", "folds"),
+               ("finetune", "finetune_steps")}
+    assert {(command, ".".join(path)) for command, path, _, _ in COUNT_SETTINGS} >= flagged
+    assert all(flag_of(command, key) is not None for command, key in flagged)
+    assert all(kind is int for _, _, kind, _ in COUNT_SETTINGS)
+    assert range_bounds(COUNT) == (False, 0.0, False, 2147483647.0, False)
+
+
+@pytest.mark.parametrize("value", [2147483648, 10**30], ids=["one-past", "1e30"])
+@pytest.mark.parametrize("command, path, kind, rule", [
+    pytest.param(*setting, id=f"{setting[0]}-{'.'.join(setting[1])}") for setting in COUNT_SETTINGS])
+def test_a_count_past_its_upper_bound_exits_2_by_flag_and_by_file(tmp_path, capsys, valid_argv,
+                                                                    command, path, kind, rule, value):
+    """A count (frames, subjects, epochs, steps, folds) is at most 2147483647.
+    One past that, or 10**30, exits 2 before the run directory: after
+    `<file>: ` through --config, and as the flag's own text through its
+    flag, where the command has one."""
+    flag = flag_of(command, path[-1])
+    argv, config = valid_argv(command, without=flag), tmp_path / "c.json"
+    message = f"{path[-1]} must be in [0, 2147483647], got {value}"
+    assert run_faulty(tmp_path, capsys, argv, nested(path, value)) == f"error: {config}: {message}\n"
+    if flag is not None:
+        assert run_faulty(tmp_path, capsys, [*argv, f"{flag}={value}"]) == f"error: {message}\n"
 
 
 def nested(path, value):

@@ -262,9 +262,10 @@ def test_generate_dataset_allocates_nothing_by_its_frame_count(tmp_path, monkeyp
         raise FirstFrame
 
     monkeypatch.setattr(synth, "sample_frame", first_frame)
-    # a buffer sized by 10**14 frames would raise MemoryError before the first frame
+    # a buffer sized by the largest count of frames (2**31 - 1; a float64 per
+    # frame is 16 GiB) would raise MemoryError before the first frame
     with pytest.raises(FirstFrame):
-        generate_dataset(SceneConfig(), make_subjects(1, seed=0), 10**14, "general", tmp_path / "x.jsonl")
+        generate_dataset(SceneConfig(), make_subjects(1, seed=0), 2147483647, "general", tmp_path / "x.jsonl")
 
 
 def test_generate_dataset_bad_mode(tmp_path):
