@@ -397,7 +397,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _buffers(work: dict | None, names: tuple, shapes: tuple) -> tuple:
+def _buffers(work: dict | None, names: tuple, shapes: tuple) -> tuple | list:
     """Uninitialised arrays of these shapes: fresh ones, or the ones `work`
     keeps under each name and shape from an earlier call."""
     if work is None:
@@ -435,10 +435,10 @@ def forward_batch(params: ModelParams, F: np.ndarray, ray: np.ndarray, *,
     With `work` (backward's scratch dict), the large intermediates live in
     arrays kept there, which the next call with it overwrites.
 
-    A one-row call costs about as much as a 16-row one: its time goes to
-    some thirty numpy calls, so the body is straight-line code over the
-    weights' ready transposed views (ModelParams.transposed), and each
-    product is written where it is kept.
+    At one row a call's time goes to its some thirty numpy calls, not to
+    arithmetic, so the body is straight-line code over the weights' ready
+    transposed views (ModelParams.transposed), and each product is written
+    where it is kept.
     """
     p, s, t = params.arrays, params.stacks, params.transposed
     if F.shape[1] != FEATURE_DIM:
