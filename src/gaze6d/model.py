@@ -53,7 +53,7 @@ TASKS = tuple(TASK_LABELS)
 _STARTS = np.array([span.start for _, span in TASK_LABELS.values()])
 _WIDTHS = np.array([span.stop - span.start for _, span in TASK_LABELS.values()])
 _COLUMN_TASK = np.repeat(np.arange(len(TASKS)), _WIDTHS)   # task index of each label column
-_GN, _GO, _POGZ, _R, _FACE = (span for _, span in TASK_LABELS.values())
+_GN, _GO, _POGZ, _R, _FACE = (TASK_LABELS[t][1] for t in ("g_n", "g_o", "pogz", "r_on", "face"))
 # the columns of the joint heads g_o, pogz and r_on, one span in this order
 _JOINT = slice(TASK_LABELS["g_o"][1].start, TASK_LABELS["r_on"][1].stop)
 # step k of the per-row sum over each task's label columns: column k of the
@@ -768,11 +768,17 @@ def _optimize(params: ModelParams, data: Batch, lr: float, batch_size: int, epoc
     history: list[EpochStats] = []
     n = len(data)
     steps = 0
+    # the epoch's rows in step order, gathered into these once per epoch: each
+    # step's batch is the next slice of them, the rows perm[lo:lo + batch_size]
+    # names; one copy of the data for every epoch
+    columns = (data.features, data.ray, data.labels, data.mask)
+    F, ray, labels, mask = shuffled = tuple(np.empty(c.shape, c.dtype) for c in columns)
     for epoch in range(epochs):
-        # the epoch's rows in step order, gathered once: each step's batch is the
-        # next slice of them, the rows perm[lo:lo + batch_size] names
-        shuffled = data.subset(rng.permutation(n))
-        F, ray, labels, mask = shuffled.features, shuffled.ray, shuffled.labels, shuffled.mask
+        perm = rng.permutation(n)
+        for c, out in zip(columns, shuffled):
+            # every index is in range, so "clip" takes the rows the default
+            # mode takes, without buffering them in a second copy first
+            np.take(c, perm, axis=0, out=out, mode="clip")
         seen, loss_sum = 0, 0.0
         # each step's non-finite values are caught right after its backward;
         # numpy need not warn first (one errstate per epoch, not per step)

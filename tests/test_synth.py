@@ -262,10 +262,12 @@ def test_generate_dataset_allocates_nothing_by_its_frame_count(tmp_path, monkeyp
         raise FirstFrame
 
     monkeypatch.setattr(synth, "sample_frame", first_frame)
-    # a buffer sized by the largest count of frames (2**31 - 1; a float64 per
-    # frame is 16 GiB) would raise MemoryError before the first frame
+    # 1000 subjects of the largest count of frames each (2**31 - 1) are about
+    # 2.1e12 frames: a buffer of even one byte per frame (about 2 TB) would
+    # raise MemoryError before the first frame on any host
     with pytest.raises(FirstFrame):
-        generate_dataset(SceneConfig(), make_subjects(1, seed=0), 2147483647, "general", tmp_path / "x.jsonl")
+        generate_dataset(SceneConfig(), make_subjects(1000, seed=0), 2147483647, "general",
+                         tmp_path / "x.jsonl")
 
 
 def test_generate_dataset_bad_mode(tmp_path):

@@ -1,14 +1,14 @@
 """Compare two commits on one benchmark workload in alternating pairs of runs.
 
-    python3 tools/bench_compare.py BASE HEAD --workload hri_session --pairs 10 \
+    python3 tools/bench_compare.py BASE HEAD --workload hri_session \
         --seeds 101-110 --seconds 30 --label hri_session
 
 Run from anywhere inside a git checkout.  BASE and HEAD are any commit
 names git knows; each is exported with `git archive` into a temporary
 directory, and each run is that checkout's own `bench/run.py --trace 0`,
-one process at a time.  Pair i runs both sides on seed i of --seeds (taken
-in turn), BASE first in even pairs and HEAD first in odd ones, so drift of
-the host's speed weighs on both sides alike.
+one process at a time.  There is one pair per seed of --seeds: pair i
+runs both sides on seed i, BASE first in even pairs and HEAD first in odd
+ones, so drift of the host's speed weighs on both sides alike.
 
 It writes BENCH_<label>.json (in --out, default the current directory).
 For each end-to-end metric of BENCHMARK.json it holds the per-pair values
@@ -152,8 +152,7 @@ def main(argv=None) -> int:
     p.add_argument("base")
     p.add_argument("head")
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seeds", required=True, help="inclusive range, e.g. 101-110; taken in turn")
+    p.add_argument("--seeds", required=True, help="inclusive range, e.g. 101-110; one pair per seed")
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--label", required=True)
     p.add_argument("--out", default=".", help="directory for BENCH_<label>.json")
@@ -166,8 +165,7 @@ def main(argv=None) -> int:
         commits = {side: export(rev, checkouts[side]) for side, rev in zip(SIDES, (args.base, args.head))}
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         runs = []
-        for pair in range(args.pairs):
-            seed = seeds[pair % len(seeds)]
+        for pair, seed in enumerate(seeds):
             for order, side in enumerate(pair_order(pair)):
                 result = run_once(checkouts[side], args.workload, seed, args.seconds)
                 runs.append({"pair": pair, "side": side, "order": order, **result})
@@ -184,7 +182,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"{args.workload}: {args.pairs} pairs, all correct: {report['all_correct']}; wrote {out}")
+    print(f"{args.workload}: {len(seeds)} pairs, all correct: {report['all_correct']}; wrote {out}")
     print(f"{'metric':24} {'base med':>12} {'head med':>12} {'ratio':>7} {'won':>6}  verdict")
     for name, m in report["metrics"].items():
         print(f"{name:24} {m['base_median']:12.6g} {m['head_median']:12.6g} {m['ratio']:7.3f} "
