@@ -47,15 +47,24 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-# each command's settings and their defaults; a default that is a type is
-# an optional setting, absent (None) unless given, and one that is a dict a
-# nested setting, merged key by key
+def _train_settings(*names) -> dict:
+    """The TrainConfig defaults of the fields `names`."""
+    return {name: asdict(model.TrainConfig())[name] for name in names}
+
+
+# each command's settings and their defaults, train's and finetune's only the
+# TrainConfig fields they read: one set of flags, --config keys and snapshot
+# keys per command.  A default that is a type is an optional setting, absent
+# (None) unless given, and one that is a dict a nested setting, merged key by key
 SETTINGS = {
     "gen": {"mode": "general", "subjects": 12, "frames": 100, "seed": 0,
             "kappa_range": synth.KAPPA_RANGE, "noise_sigma": synth.NOISE_SIGMA,
             "scene": asdict(synth.SceneConfig())},
-    "train": {"data": str, "folds": 0, **asdict(model.TrainConfig())},
-    "finetune": {"params": str, "calib": str, "subject": int, **asdict(model.TrainConfig())},
+    "train": {"data": str, "folds": 0,
+              **_train_settings("lr", "batch_size", "epochs", "val_fraction", "seed", "weights")},
+    "finetune": {"params": str, "calib": str, "subject": int,
+                 **_train_settings("calibration_fraction", "finetune_lr", "finetune_steps", "finetune_batch",
+                                   "seed", "weights")},
     "eval": {"params": str, "data": str, "screen": str},
 }
 # the rule of each setting that is no field of a config dataclass, which states its
@@ -84,7 +93,7 @@ def _configure(args) -> tuple:
         settings = _settings(args, cfg, table, cls)
         if args.command == "gen":
             return settings, from_dict(synth.SceneConfig, {**settings["scene"], "seed": settings["seed"]}, "scene")
-        return settings, cls and from_dict(cls, settings, args.command)
+        return settings, cls and from_dict(cls, {**asdict(cls()), **settings}, args.command)
 
 
 def _settings(args, cfg: dict, defaults: dict, cls=None, where: str = "") -> dict:
@@ -164,8 +173,9 @@ def cmd_train(args) -> int:
     folds = settings["folds"]
     dataset = _load_rows(settings["data"])
     # cross-subject folds: subject id modulo fold count picks the held-out fold;
-    # every split is checked before the run directory is made
-    splits = [dataset.subjects % folds == fold for fold in range(folds)]
+    # every split is checked before the run directory is made.  One of the
+    # first (distinct subjects + 1) folds holds no subject: no more are built
+    splits = [dataset.subjects % folds == fold for fold in range(min(folds, len(dataset.subject_ids()) + 1))]
     for fold, in_fold in enumerate(splits):
         if in_fold.all() or not in_fold.any():
             raise ConfigError(f"fold {fold}: empty split (subjects {dataset.subject_ids()})")
@@ -303,49 +313,38 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the flag of each setting not spelled --<setting-name>, and the help texts
+FLAGS = {"calibration_fraction": "--fraction", "g_n": "--lambda-gn", "g_o": "--lambda-go", "pogz": "--lambda-pogz",
+         "r_on": "--lambda-r", "face": "--lambda-face"}
+HELP = {"subjects": "number of subjects", "frames": "frames per subject",
+        "kappa_range": "per-subject bias drawn uniformly from +-range (radians)",
+        "data": "dataset JSONL", "folds": "cross-subject folds (0 = single run)", "params": "trained params JSON",
+        "calib": "calibration dataset JSONL (gen --mode calibration)", "subject": "only this subject id",
+        "calibration_fraction": "fraction of calibration frames to use",
+        "finetune_steps": "parameter updates per subject", "screen": "camera-to-screen rigid transform JSON",
+        **{task: f"{task} loss weight" for task in asdict(model.LossWeights())}}
+
+
 @functools.cache   # built once per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gaze6d", description="desk-scale 6-DoF gaze pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--mode", choices=synth.MODES)
-    p.add_argument("--subjects", type=int, help="number of subjects")
-    p.add_argument("--frames", type=int, help="frames per subject")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kappa-range", dest="kappa_range", type=float,
-                   help="per-subject bias drawn uniformly from +-range (radians)")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="train the multi-task model")
-    p.add_argument("--data", help="dataset JSONL")
-    p.add_argument("--folds", type=int, help="cross-subject folds (0 = single run)")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    _add_common_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("finetune", help="fine-tune on calibration frames, per subject")
-    p.add_argument("--params", help="trained params JSON")
-    p.add_argument("--calib", help="calibration dataset JSONL (gen --mode calibration)")
-    p.add_argument("--subject", type=int, help="only this subject id")
-    p.add_argument("--fraction", dest="calibration_fraction", type=float,
-                   help="fraction of calibration frames to use")
-    p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
-    p.add_argument("--finetune-steps", dest="finetune_steps", type=int,
-                   help="parameter updates per subject")
-    p.add_argument("--finetune-batch", dest="finetune_batch", type=int)
-    _add_common_train_flags(p)
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("eval", help="evaluate params on a labeled dataset")
-    p.add_argument("--params", help="params JSON")
-    p.add_argument("--data", help="dataset JSONL")
-    p.add_argument("--screen", help="camera-to-screen rigid transform JSON")
-    p.set_defaults(func=cmd_eval)
+    # a command with settings takes each by flag and by --config, and snapshots them in its run directory
+    for name, text, func in [("gen", "generate a synthetic dataset", cmd_gen),
+                             ("train", "train the multi-task model", cmd_train),
+                             ("finetune", "fine-tune on calibration frames, per subject", cmd_finetune),
+                             ("eval", "evaluate params on a labeled dataset", cmd_eval)]:
+        p = sub.add_parser(name, help=text)
+        # a flag per setting and loss weight, typed by its default; gen's scene has none
+        for key, default in {**SETTINGS[name], **SETTINGS[name].get("weights", {})}.items():
+            if not isinstance(default, dict):
+                p.add_argument(FLAGS.get(key, "--" + key.replace("_", "-")), dest=key, help=HELP.get(key),
+                               type=default if isinstance(default, type) else type(default),
+                               choices=RULES[key] if isinstance(RULES.get(key), tuple) else None)
+        p.add_argument("--config", help="JSON config; flags override it")
+        p.add_argument("--out", required=True, help="run directory")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("convert", help="convert plane points between camera and screen frames")
     p.add_argument("--dir", choices=["pogz2pog", "pog2pogz"], required=True,
@@ -360,18 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch", type=int, default=8)
     p.set_defaults(func=cmd_gradcheck)
-
-    for name in SETTINGS:  # a command with settings snapshots them in its run directory
-        sub.choices[name].add_argument("--config", help="JSON config; flags override it")
-        sub.choices[name].add_argument("--out", required=True, help="run directory")
     return parser
-
-
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
-    """train's and finetune's shared flags; each dest names a TrainConfig or LossWeights field."""
-    p.add_argument("--seed", type=int)
-    for flag, task in [("gn", "g_n"), ("go", "g_o"), ("pogz", "pogz"), ("r", "r_on"), ("face", "face")]:
-        p.add_argument(f"--lambda-{flag}", dest=task, type=float, help=f"{task} loss weight")
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,8 @@ records of -0.0 values and records whose output holds a gaze component
 below 1e-4 or a screen point beyond 1e16 mm, values whose text the number
 writer takes from repr.  Then it writes predictions.jsonl, predict_6dof
 of every evaluation row with the trained params, the tracking API's
-answers.  It prints `relative_path sha256` for every file under OUT, sorted
+answers.  It prints the `# ` lines of header(), the environment the hashes
+may depend on, then `relative_path sha256` for every file under OUT, sorted
 by path.
 
 Every path the commands see is relative to OUT, so the config.json
@@ -23,11 +24,10 @@ snapshots hold the same bytes wherever OUT is: run it against two checkouts
 changed.
 
 tests/pipeline_digest.golden holds the listing that every change must keep,
-under `# ` lines naming the environment it was recorded in (header()).
-Re-recording it is a deliberate change of answers:
+under the `# ` lines of the environment it was recorded in.  Re-recording it
+is a deliberate change of answers:
 
-    (PYTHONPATH=src:tests python -c 'import pipeline_digest as d; print(*d.header(), sep="\n")';
-     PYTHONPATH=src python tests/pipeline_digest.py OUT) > tests/pipeline_digest.golden
+    PYTHONPATH=src python tests/pipeline_digest.py OUT > tests/pipeline_digest.golden
 """
 
 from __future__ import annotations
@@ -197,6 +197,7 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: pipeline_digest.py OUT", file=sys.stderr)
         return 2
+    print(*header(), sep="\n")
     for path, sha in digest(args[0]).items():
         print(path, sha)
     return 0

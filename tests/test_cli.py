@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -318,11 +319,15 @@ def test_train_folds_checks_every_split_before_any_fold_trains(tmp_path, capsys)
     gen = tmp_path / "gen"
     run("gen", "--subjects", "2", "--frames", "10", "--seed", "6", "--out", str(gen))
     data = str(gen / "dataset.jsonl")
-    for folds, empty in ((1, 0), (3, 2)):
+    # a fold count far past the subjects' is refused at its first empty fold,
+    # in time and memory that do not grow with the count
+    for folds, empty in ((1, 0), (3, 2), (1000000, 2)):
         out = tmp_path / f"folds_{folds}"
         capsys.readouterr()
+        start = time.perf_counter()
         assert run("train", "--data", data, "--folds", str(folds), "--epochs", "1",
                    "--batch-size", "8", "--out", str(out)) == 2
+        assert time.perf_counter() - start < 1.0, folds
         assert capsys.readouterr().err == f"error: fold {empty}: empty split (subjects [0, 1])\n"
         assert not out.exists()
     out = tmp_path / "folds_2"
@@ -532,9 +537,16 @@ def subcommand_dests(command):
     return {a.dest for a in sub.choices[command]._actions}
 
 
+def expand_weights(keys) -> set:
+    """train's or finetune's setting keys, `weights` replaced by the loss weights' own."""
+    return set(keys) - {"weights"} | WEIGHT_FIELDS
+
+
 def test_consecutive_commands_each_see_only_their_own_flags_and_defaults(tmp_path, capsys, small_run_inputs):
     """main builds its parser once per process; each call still parses into a
-    fresh namespace holding its own command's flags and defaults alone."""
+    fresh namespace holding its own command's flags and defaults alone.  A
+    train or finetune run takes by flag, lists in SETTINGS and writes in its
+    config.json one set of settings, the TrainConfig fields it reads."""
     assert cli._build_parser() is cli._build_parser()
     t = write_transform(tmp_path / "t.json")
     src = tmp_path / "in.jsonl"
@@ -546,11 +558,21 @@ def test_consecutive_commands_each_see_only_their_own_flags_and_defaults(tmp_pat
     assert run("gen", "--subjects", "1", "--frames", "1", "--seed", "5", "--out", str(tmp_path / "g1")) == 0
     assert run("eval", "--params", params, "--data", data, "--out", str(tmp_path / "e2")) == 0
     assert run("gen", "--subjects", "1", "--frames", "1", "--out", str(tmp_path / "g2")) == 0
-    snapshot = {name: json.loads((tmp_path / name / "config.json").read_text()) for name in ("e1", "e2", "g1", "g2")}
+    assert run("train", "--data", data, "--epochs", "1", "--out", str(tmp_path / "t1")) == 0
+    assert run("finetune", "--params", params, "--calib", small_run_inputs["calib"], "--finetune-steps", "1",
+               "--out", str(tmp_path / "f1")) == 0
+    runs = (("e1", "eval"), ("e2", "eval"), ("g1", "gen"), ("g2", "gen"), ("t1", "train"), ("f1", "finetune"))
+    snapshot = {name: json.loads((tmp_path / name / "config.json").read_text()) for name, _ in runs}
     assert snapshot["e1"]["screen"] == str(t) and snapshot["e2"]["screen"] is None
     assert (snapshot["g1"]["seed"], snapshot["g2"]["seed"]) == (5, cli.SETTINGS["gen"]["seed"])
-    for name, command in (("e1", "eval"), ("e2", "eval"), ("g1", "gen"), ("g2", "gen")):
+    for name, command in runs:
         assert set(snapshot[name]) == {"command", *cli.SETTINGS[command]}
+    for name, command in (("t1", "train"), ("f1", "finetune")):
+        dests = subcommand_dests(command) - {"help", "config", "out"}
+        keys = expand_weights(snapshot[name]) - {"command"}
+        assert dests == expand_weights(cli.SETTINGS[command]) == keys, command
+        assert dests - OTHER_FLAGS[command] == READS[command], command
+        assert set(snapshot[name]["weights"]) == WEIGHT_FIELDS
     parsed = {argv[0]: vars(PARSER.parse_args(argv)) for argv in (
         ["eval", "--params", "p", "--screen", "s", "--out", "o"],
         ["convert", "--dir", "pogz2pog", "--transform", "t"],
@@ -593,7 +615,7 @@ def test_reads_table_matches_what_train_and_fine_tune_read(tmp_path):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--finetune-lr", "0.5"), ("train", "--finetune-steps", "5"),
-    ("train", "--finetune-batch", "5"), ("finetune", "--lr", "0.5"),
+    ("train", "--finetune-batch", "5"), ("train", "--fraction", "0.5"), ("finetune", "--lr", "0.5"),
     ("finetune", "--batch-size", "5"), ("finetune", "--epochs", "5"),
     ("finetune", "--val-fraction", "0.5"),
 ])

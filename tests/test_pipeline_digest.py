@@ -29,13 +29,17 @@ def test_pipeline_digest_hashes_every_output_of_the_pinned_pipeline(tmp_path, ca
     cwd = os.getcwd()
     assert pipeline_digest.main([str(tmp_path / "out")]) == 0
     assert os.getcwd() == cwd
-    lines = capsys.readouterr().out.splitlines()
+    printed = capsys.readouterr().out.splitlines()
+    # the environment's `# ` lines, then the hashes: the golden listing's form
+    header = pipeline_digest.header()
+    assert printed[:len(header)] == header
+    lines = printed[len(header):]
     # every output has the hash it had when the golden listing was recorded, on any machine
     text = GOLDEN.read_text().splitlines()
     recorded = [line for line in text if line.startswith("# ")]
     golden = [line for line in text if not line.startswith("# ")]
     assert lines == golden, (f"moved: {moved_files(golden, lines)}; the golden listing was recorded with "
-                             f"{recorded}, this run had {pipeline_digest.header()}")
+                             f"{recorded}, this run had {header}")
     listing = dict(line.split(" ") for line in lines)
     assert set(listing) == OUTPUTS and len(lines) == len(OUTPUTS)
     assert [line.split(" ")[0] for line in lines] == sorted(listing)

@@ -435,6 +435,35 @@ def test_a_count_past_its_upper_bound_exits_2_by_flag_and_by_file(tmp_path, caps
         assert run_faulty(tmp_path, capsys, [*argv, f"{flag}={value}"]) == f"error: {message}\n"
 
 
+# each TrainConfig setting that a command does not read, with the values its
+# range and count cases gave it when both commands took every TrainConfig
+# setting: a value just outside its range and, for a count, one past its
+# upper bound and 10**30.  Now each is an unknown key, whatever its value
+UNREAD_SETTINGS = [
+    (command, f.name, value) for command in ("train", "finetune")
+    for f in dataclasses.fields(TrainConfig) if f.name not in cli.SETTINGS[command]
+    for value in [outside(field_types(TrainConfig)[f.name], f.metadata["range"]),
+                  *([2147483648, 10**30] if f.metadata["range"] == COUNT else [])]]
+
+
+def test_the_unread_settings_are_the_other_command_s_optimizer_settings():
+    assert {(command, key) for command, key, _ in UNREAD_SETTINGS} == {
+        *(("train", key) for key in ("finetune_lr", "finetune_steps", "finetune_batch", "calibration_fraction")),
+        *(("finetune", key) for key in ("lr", "batch_size", "epochs", "val_fraction"))}
+    assert len(UNREAD_SETTINGS) == 12
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(*setting, id="-".join(map(str, setting))) for setting in UNREAD_SETTINGS])
+def test_a_setting_the_command_does_not_read_is_an_unknown_config_key(tmp_path, capsys, valid_argv,
+                                                                        command, key, value):
+    """Through --config, a setting the command does not read exits 2 before
+    the run directory, named as an unknown key of the file, in range or not."""
+    expected = sorted({"command", *cli.SETTINGS[command]})
+    assert run_faulty(tmp_path, capsys, valid_argv(command), {key: value}) == (
+        f"error: {tmp_path / 'c.json'}: unknown keys [{key!r}]; expected keys from {expected}\n")
+
+
 def nested(path, value):
     """The config object that sets the key path `path` to `value`."""
     for key in reversed(path):
