@@ -116,8 +116,8 @@ def make_subjects(n: int, seed: int, kappa_range: float = KAPPA_RANGE,
     return [
         Subject(
             id=i,
-            kappa_yaw=float(rng.uniform(-kappa_range, kappa_range)),
-            kappa_pitch=float(rng.uniform(-kappa_range, kappa_range)),
+            kappa_yaw=draw_uniform(rng, -kappa_range, kappa_range),
+            kappa_pitch=draw_uniform(rng, -kappa_range, kappa_range),
             noise_sigma=noise_sigma,
         )
         for i in range(n)
@@ -196,8 +196,20 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
 
 
 def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:
-    """Independent generator for one frame, keyed by (seed, subject, index)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, subject_id, index))))
+    """Independent generator for one frame, keyed by (seed, subject, index).
+    A key of ints in [0, 2**32) goes in as the uint32 words numpy derives
+    from the tuple (the same pool and state, without the per-int coercion);
+    any other key keeps the tuple, and numpy's own checks."""
+    key = (seed, subject_id, index)
+    if type(seed) is type(subject_id) is type(index) is int and 0 <= min(key) and max(key) < 2**32:
+        key = np.array(key, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) for one draw, bit for bit: its own low + range *
+    next_double, without its per-call argument checks (lo < hi, both finite)."""
+    return lo + (hi - lo) * rng.random()
 
 
 def render_features(
@@ -229,10 +241,10 @@ def sample_frame(
     W, H = intr.width, intr.height
 
     for _ in range(MAX_REJECTION_DRAWS):
-        depth = rng.uniform(cfg.depth_lo, cfg.depth_hi)
+        depth = draw_uniform(rng, cfg.depth_lo, cfg.depth_hi)
         side = intr.focal_px * cfg.face_size_mm / depth
-        u = rng.uniform(0.0, W)
-        v = rng.uniform(0.0, H)
+        u = draw_uniform(rng, 0.0, W)
+        v = draw_uniform(rng, 0.0, H)
         half = side / 2.0
         if not (half <= u <= W - half and half <= v <= H - half):
             continue

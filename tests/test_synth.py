@@ -33,6 +33,9 @@ class ScriptedRng:
         mid = (lo + hi) / 2.0
         return mid if size is None else np.full(size, mid)
 
+    def random(self):
+        return 0.5   # lo + (hi - lo) * 0.5: every uniform draw is still its range's midpoint
+
     def normal(self, loc=0.0, scale=1.0, size=None):
         return 0.0 if size is None else np.zeros(size)
 
