@@ -92,6 +92,9 @@ def _configure(args) -> tuple:
             raise ConfigError(f"command: expected {args.command!r}, got {cfg['command']!r}")
         settings = _settings(args, cfg, table, cls)
         if args.command == "gen":
+            if "seed" in cfg.get("scene", {}) and settings["scene"]["seed"] != settings["seed"]:   # --seed sets both
+                raise ConfigError(f"scene.seed {settings['scene']['seed']} is not the run's seed {settings['seed']}; "
+                                  "give the seed as \"seed\" or --seed")
             return settings, from_dict(synth.SceneConfig, {**settings["scene"], "seed": settings["seed"]}, "scene")
         return settings, cls and from_dict(cls, {**asdict(cls()), **settings}, args.command)
 

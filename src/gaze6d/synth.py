@@ -196,10 +196,8 @@ def calibration_view(samples, intr: CameraIntrinsics) -> list[GazeSample]:
 
 
 def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:
-    """Independent generator for one frame, keyed by (seed, subject, index).
-    A key of ints in [0, 2**32) goes in as the uint32 words numpy derives
-    from the tuple (the same pool and state, without the per-int coercion);
-    any other key keeps the tuple, and numpy's own checks."""
+    """Independent generator for one frame, keyed by (seed, subject, index): ints
+    in [0, 2**32) go in as the uint32 words numpy derives from the tuple."""
     key = (seed, subject_id, index)
     if type(seed) is type(subject_id) is type(index) is int and 0 <= min(key) and max(key) < 2**32:
         key = np.array(key, dtype=np.uint32)
@@ -207,8 +205,7 @@ def frame_rng(seed: int, subject_id: int, index: int) -> np.random.Generator:
 
 
 def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi) for one draw, bit for bit: its own low + range *
-    next_double, without its per-call argument checks (lo < hi, both finite)."""
+    """rng.uniform(lo, hi) bit for bit (its low + range * next_double), without its argument checks."""
     return lo + (hi - lo) * rng.random()
 
 

@@ -1,6 +1,6 @@
 """tools/bench_compare.py's pure parts on fixed numbers: seeds, pairing,
-quartiles, the slowness line, each verdict and the per-metric summary.
-No benchmark runs here."""
+quartiles, the slowness line, each verdict, the per-metric summary and the
+traced runs' non-time differences.  No benchmark runs here."""
 
 import importlib.util
 import json
@@ -103,3 +103,23 @@ def test_summarize_pairs_runs_by_pair_and_side_for_every_declared_metric():
     del runs[0]["metrics"]["setup_s"]
     assert "setup_s" not in bc.summarize(runs, spec)
     assert math.isnan(bc.compare([0.0], [1.0], "lower", 0.25)["ratio"])
+
+
+def test_traced_runs_differ_only_in_times_or_in_the_counts_they_report():
+    base = {"synth.sample_frame.calls": {"value": 1200, "unit": "count"},
+            "synth.sample_frame.self_s": {"value": 0.41, "unit": "s"},
+            "host.ref_loop_ms": {"value": 3.1, "unit": "ms"},
+            "synth.sample_frame.placements_per_frame": {"value": 1.25, "unit": "placements/frame"},
+            "model.backward.rows_per_call": {"value": 128.0, "unit": "rows/call"},
+            "easy_norm.Rotation3.calls": {"value": 900, "unit": "count"}}
+    head = {name: dict(m) for name, m in base.items()}
+    head["synth.sample_frame.self_s"]["value"] = 0.33   # times may differ
+    head["host.ref_loop_ms"]["value"] = 2.9
+    assert bc.count_differences(base, head) == {}
+    head["easy_norm.Rotation3.calls"]["value"] = 901
+    head["synth.sample_frame.placements_per_frame"]["value"] = 1.2500001
+    del head["model.backward.rows_per_call"]
+    assert bc.count_differences(base, head) == {
+        "easy_norm.Rotation3.calls": {"unit": "count", "base": 900, "head": 901},
+        "model.backward.rows_per_call": {"unit": "rows/call", "base": 128.0, "head": None},
+        "synth.sample_frame.placements_per_frame": {"unit": "placements/frame", "base": 1.25, "head": 1.2500001}}

@@ -268,8 +268,7 @@ def test_a_dataclass_setting_takes_its_field_type_not_its_default_s():
 
 def test_a_partial_scene_merges_over_the_defaults_and_runs_with_gen_s_seed(tmp_path):
     config = tmp_path / "scene.json"
-    config.write_text(json.dumps({"seed": 3, "scene": {"depth_lo": 450, "intrinsics": {"focal_px": "650"},
-                                                       "seed": 99}}))
+    config.write_text(json.dumps({"seed": 3, "scene": {"depth_lo": 450, "intrinsics": {"focal_px": "650"}}}))
     out = tmp_path / "run"
     assert run("gen", "--subjects", "1", "--frames", "2", "--config", config, "--out", out) == 0
     ran = SceneConfig(depth_lo=450.0, intrinsics=CameraIntrinsics(650.0, 320.0, 240.0, 0.005, 640, 480), seed=3)
@@ -280,6 +279,27 @@ def test_a_partial_scene_merges_over_the_defaults_and_runs_with_gen_s_seed(tmp_p
     assert run("gen", "--config", out / "config.json", "--out", tmp_path / "replay") == 0
     for name in ("config.json", "dataset.jsonl"):
         assert (tmp_path / "replay" / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_a_file_s_scene_seed_that_is_not_the_run_s_seed_is_refused_unless_seed_is_flagged(tmp_path, capsys):
+    config, out = tmp_path / "scene.json", tmp_path / "run"
+    for file, seed in (({"scene": {"seed": 99}}, 0), ({"seed": 3, "scene": {"seed": 99}}, 3)):
+        config.write_text(json.dumps(file))
+        assert run("gen", "--subjects", "1", "--frames", "2", "--config", config, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {config}: scene.seed 99 is not the run's seed {seed}; "
+                                           'give the seed as "seed" or --seed\n')
+        assert not out.exists()
+    # a range fault reads first; the same seed twice, and --seed, run
+    config.write_text(json.dumps({"scene": {"seed": -1}}))
+    assert run("gen", "--subjects", "1", "--frames", "2", "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {config}: scene: seed must be >= 0, got -1\n"
+    for file, flags, seed in (({"seed": 99, "scene": {"seed": 99}}, (), 99),
+                              ({"seed": 3, "scene": {"seed": 99}}, ("--seed", "7"), 7)):
+        config.write_text(json.dumps(file))
+        assert run("gen", "--subjects", "1", "--frames", "2", "--config", config, *flags, "--out", out) == 0
+        snapshot = json.loads((out / "config.json").read_text())
+        assert snapshot["seed"] == snapshot["scene"]["seed"] == seed
+        assert load_dataset(out / "dataset.jsonl").header["seed"] == seed
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from gaze6d.jsonl import BLOCK_LINES
 from gaze6d.model import vec_from_euler
 from gaze6d.pogz import pogz_from_ray
 from gaze6d.synth import (DEFAULT_INTRINSICS, ClippedGaussian, Dataset,
-                          SceneConfig, Subject, dataset_header,
+                          SceneConfig, Subject, dataset_header, draw_uniform,
                           frame_rng, generate_dataset, load_dataset,
                           make_subjects, sample_frame)
 
@@ -208,6 +208,33 @@ def test_frame_rng_keying():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0), (2**31 - 1, 5, 7), (2**32 - 1, 2**32 - 1, 2**32 - 1),
+                                 (2**32, 1, 2), (3, 2**40 + 3, 0), (0, 0, 2**32)])
+def test_frame_rng_is_numpy_s_generator_of_the_key_tuple(key):
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key))).bit_generator.state
+    assert frame_rng(*key).bit_generator.state == want
+
+
+@pytest.mark.parametrize("key, error", [((-1, 0, 0), ValueError), ((0, -5, 0), ValueError),
+                                        ((0, 0, -(2**32)), ValueError), ((1.5, 0, 0), TypeError)])
+def test_frame_rng_refuses_a_key_numpy_refuses(key, error):
+    with pytest.raises(error) as numpy_s:
+        np.random.SeedSequence(key)
+    with pytest.raises(error, match=f"^{numpy_s.value}$"):
+        frame_rng(*key)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 640), (0.0, 480), (400.0, 800.0), (-0.15, 0.15)])
+def test_draw_uniform_is_generator_uniform_bit_for_bit(lo, hi):
+    # holds where numpy rounds low + range * u twice, as Python does
+    for seed in (0, 1, 2**32 + 7):
+        ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [draw_uniform(ours, lo, hi) for _ in range(10_000)]
+        want = [numpy_s.uniform(lo, hi) for _ in range(10_000)]
+        assert [d.hex() for d in draws] == [w.hex() for w in want]
+        assert ours.bit_generator.state == numpy_s.bit_generator.state
 
 
 def test_gaze_sample_schema():

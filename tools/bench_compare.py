@@ -19,7 +19,12 @@ wider than the metric's bound), whether a gain claim holds (at least 10
 pairs, HEAD better in at least 9 of each 10, and its median better than
 BASE's by more than BASE's interquartile range) and a verdict.  Each run's record keeps its
 seed, its wall time, its correctness and operation counts, and the host
-slowness median that run.py prints on standard error.  Nothing here is
+slowness median that run.py prints on standard error.
+
+With --trace-seed S it also runs one `--trace 1` run per side on seed S and
+records each side's per-layer metrics and correct flag, and every per-layer
+metric that is no time (its unit neither s nor ms) and differs between the
+sides: a count backs a claim only when it repeats exactly.  Nothing here is
 part of the benchmark: it reads BENCHMARK.json and runs bench/run.py as
 they are.
 """
@@ -41,6 +46,7 @@ from pathlib import Path
 
 SIDES = ("base", "head")
 CLAIM_PAIRS = 10   # the fewest pairs a gain claim rests on
+TIME_UNITS = ("s", "ms")   # per-layer metrics that vary run to run; the others must repeat
 SLOWNESS = re.compile(r"host slowness median ([0-9.]+)")
 
 
@@ -122,6 +128,19 @@ def summarize(runs: list, spec: dict) -> dict:
     return out
 
 
+def count_differences(base: dict, head: dict) -> dict:
+    """name -> {"unit", "base", "head"} for each per-layer metric of two
+    traced runs' metrics ({name: {"value", "unit"}}) that is no time and
+    differs between them, or that only one side reports."""
+    out = {}
+    for name in sorted(base.keys() | head.keys()):
+        b, h = base.get(name, {}), head.get(name, {})
+        unit = b.get("unit", h.get("unit"))
+        if unit not in TIME_UNITS and b.get("value") != h.get("value"):
+            out[name] = {"unit": unit, "base": b.get("value"), "head": h.get("value")}
+    return out
+
+
 def export(rev: str, into: Path) -> str:
     """Write the tree of commit `rev` into `into`; returns the commit's hash."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
@@ -133,11 +152,11 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One bench/run.py process in `checkout`; its result line, wall time and slowness."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True, timeout=max(600.0, 20 * seconds))
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
@@ -156,6 +175,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--label", required=True)
     p.add_argument("--out", default=".", help="directory for BENCH_<label>.json")
+    p.add_argument("--trace-seed", type=int, help="also one --trace 1 run per side on this seed")
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     out = Path(args.out) / f"BENCH_{args.label}.json"
@@ -171,6 +191,8 @@ def main(argv=None) -> int:
                 runs.append({"pair": pair, "side": side, "order": order, **result})
                 print(f"pair {pair} {side} seed {seed}: wall {result['wall_s']:.1f} s, correct "
                       f"{result['correct']}, slowness {result['slowness_median']}", file=sys.stderr)
+        traced = {side: run_once(checkouts[side], args.workload, args.trace_seed, args.seconds, trace=1)
+                  for side in SIDES} if args.trace_seed is not None else None
 
     report = {
         "label": args.label, "workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
@@ -181,12 +203,21 @@ def main(argv=None) -> int:
         "metrics": summarize(runs, spec),
         "runs": runs,
     }
+    if traced:
+        report["trace"] = {"seed": args.trace_seed, **{side: {k: traced[side][k] for k in ("correct", "metrics")}
+                                                       for side in SIDES},
+                           "count_differences": count_differences(traced["base"]["metrics"],
+                                                                  traced["head"]["metrics"])}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"{args.workload}: {len(seeds)} pairs, all correct: {report['all_correct']}; wrote {out}")
     print(f"{'metric':24} {'base med':>12} {'head med':>12} {'ratio':>7} {'won':>6}  verdict")
     for name, m in report["metrics"].items():
         print(f"{name:24} {m['base_median']:12.6g} {m['head_median']:12.6g} {m['ratio']:7.3f} "
               f"{m['pairs_won']:>3}/{m['pairs']:<2}  {m['verdict']}")
+    if traced:
+        t = report["trace"]
+        print(f"trace seed {t['seed']}: correct base {t['base']['correct']}, head {t['head']['correct']}; "
+              f"non-time metrics that differ: {sorted(t['count_differences']) or 'none'}")
     return 0
 
 
